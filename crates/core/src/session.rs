@@ -687,10 +687,10 @@ impl KishuSession {
         // must not fail the whole persist.
         let sealed = seal_blob(&payload);
         let retries = self.config.store_retries;
-        let id = retry_io(kishu_trace::global(), retries, || self.store.put(&sealed))?;
+        let id = retry_io(&self.trace, retries, || self.store.put(&sealed))?;
         // The snapshot is the resume anchor — it must never sit in a
         // group-commit buffer behind the blobs it references.
-        retry_io(kishu_trace::global(), retries, || self.store.flush_barrier())?;
+        retry_io(&self.trace, retries, || self.store.flush_barrier())?;
         self.snapshot_blobs.push(id);
         Ok(())
     }
@@ -747,7 +747,8 @@ impl KishuSession {
         for i in (0..store.blob_count()).rev() {
             // An unreadable or corrupt blob must not abort resume: skip it
             // and keep scanning for an older intact graph snapshot. Only
-            // transient errors are worth retrying first.
+            // transient errors are worth retrying first. Retries go to the
+            // global trace: the session built below is born with a clone of it.
             let blob = match retry_io(kishu_trace::global(), config.store_retries, || store.get(i)) {
                 Ok(b) => b,
                 Err(_) => {
@@ -2562,6 +2563,21 @@ mod tests {
         let report = run(&mut s, "xs = [1, 2, 3]\n");
         assert_eq!(report.blobs_dropped, 0, "retry absorbed the transient fault");
         assert!(report.checkpoint_bytes > 0);
+    }
+
+    #[test]
+    fn persist_retries_land_in_the_session_trace() {
+        use kishu_storage::{FaultKind, FaultOp, FaultPlan, FaultStore};
+        // Nothing to flush on a fresh session: put #0 is the graph snapshot.
+        let plan = FaultPlan::none().schedule(FaultOp::Put, 0, FaultKind::Transient);
+        let store = FaultStore::new(Box::new(MemoryStore::new()), plan, 5);
+        let mut s = KishuSession::new(Box::new(store), KishuConfig::default());
+        let trace = Trace::enabled();
+        s.set_trace(&trace);
+        s.persist().expect("retry absorbs the transient fault");
+        let retries: Vec<_> = trace.events().into_iter().filter(|e| e.kind == "retry").collect();
+        assert_eq!(retries.len(), 1, "the snapshot put's retry is the session's event");
+        assert_eq!(trace.metrics().counter_value("store.retry"), Some(1));
     }
 
     #[test]

@@ -610,12 +610,75 @@ mod tests {
         f.write_all(&[0xFF]).expect("write");
         drop(f);
 
-        // A live handle (index built before corruption) must detect it.
-        let s = FileStore::open(&path);
-        if let Ok(s) = s {
-            // If recovery kept it (it shouldn't), reading must fail.
-            assert!(s.blob_count() == 0 || s.get(0).is_err());
-        }
+        // Recovery stops at the corrupt record and truncates it away.
+        let s = FileStore::open(&path).expect("open recovers");
+        assert_eq!(s.blob_count(), 0);
+        assert_eq!(std::fs::metadata(&path).expect("meta").len(), 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn corrupt_mid_log_record_ends_recovery_there() {
+        let path = temp_path("corrupt-mid.log");
+        let (first_end, second_off) = {
+            let mut s =
+                FileStore::create_with(&path, ChunkConfig::disabled(), false).expect("create");
+            for p in [&b"first"[..], b"second-record", b"third"] {
+                s.put(p).expect("put");
+            }
+            s.sync().expect("sync");
+            match (&s.index[0], &s.index[1]) {
+                (BlobEntry::V1(off0, len0), BlobEntry::V1(off1, _)) => {
+                    (off0 + *len0 as u64, *off1)
+                }
+                _ => panic!("chunking off writes v1 records"),
+            }
+        };
+        let mut f = OpenOptions::new().read(true).write(true).open(&path).expect("raw");
+        f.seek(SeekFrom::Start(second_off + 3)).expect("seek");
+        f.write_all(&[0xFF]).expect("write");
+        drop(f);
+
+        let s = FileStore::open(&path).expect("open recovers");
+        assert_eq!(s.blob_count(), 1, "only the record before the damage survives");
+        assert_eq!(s.get(0).expect("get"), b"first");
+        assert_eq!(std::fs::metadata(&path).expect("meta").len(), first_end);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn corrupt_chunk_drops_its_manifest_and_everything_after() {
+        let path = temp_path("corrupt-chunk.log");
+        // Three distinct chunked blobs: no chunk is shared, so the second
+        // blob's first chunk record sits after the whole first blob.
+        let blob = |salt: u32| -> Vec<u8> {
+            (salt * 1_000_003..salt * 1_000_003 + 40_000)
+                .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+                .collect()
+        };
+        let blobs = [blob(1), blob(2), blob(3)];
+        let (first_end, chunk_off) = {
+            let mut s =
+                FileStore::create_with(&path, ChunkConfig::default(), false).expect("create");
+            for b in &blobs {
+                s.put(b).expect("put");
+            }
+            s.sync().expect("sync");
+            let first_chunks = match &s.index[0] {
+                BlobEntry::Chunked { ords, .. } => ords.iter().max().expect("chunks") + 1,
+                _ => panic!("40 KB is chunked"),
+            };
+            let (off, _) = s.chunk_index[first_chunks as usize];
+            (off - HEADER_LEN, off)
+        };
+        let mut log = std::fs::read(&path).expect("read");
+        log[chunk_off as usize + 1] ^= 0x5A;
+        std::fs::write(&path, &log).expect("write");
+
+        let s = FileStore::open_with(&path, ChunkConfig::default(), false).expect("open");
+        assert_eq!(s.blob_count(), 1, "the damaged chunk's manifest and later blobs are gone");
+        assert_eq!(s.get(0).expect("get"), blobs[0]);
+        assert_eq!(std::fs::metadata(&path).expect("meta").len(), first_end);
         std::fs::remove_file(&path).ok();
     }
 

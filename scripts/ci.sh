@@ -78,6 +78,11 @@ else
         cargo test -q --offline --workspace
 fi
 
+# kbench (the benchmark in BENCHMARK.json) is a package of its own with an
+# empty [workspace], so the workspace passes above never run its tests.
+stage "kbench unit tests (own package)"
+cargo test -q --release --offline --manifest-path crates/bench/src/bin/kbench/Cargo.toml
+
 stage "bench smoke (KISHU_BENCH_QUICK=1, KISHU_TRACE -> target/trace.json)"
 KISHU_BENCH_QUICK=1 KISHU_TRACE=target/trace.json \
     cargo run -q --release --offline -p kishu-bench --bin repro -- bench
