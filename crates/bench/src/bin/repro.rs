@@ -217,7 +217,7 @@ fn run_trace_validate(args: &Args) -> ! {
 /// `repro bench`: emit the CI gate's metrics JSON. `KISHU_BENCH_QUICK=1`
 /// shrinks the scale for the smoke stage unless `--scale` is explicit.
 fn run_bench(args: &Args) -> ! {
-    let quick = std::env::var("KISHU_BENCH_QUICK").is_ok_and(|v| v != "0" && !v.is_empty());
+    let quick = kishu_testkit::bench::quick();
     let scale = if args.scale_set {
         args.scale
     } else if quick {
@@ -285,6 +285,16 @@ fn main() {
     let want = |name: &str| everything || args.targets.iter().any(|t| t == name);
     let mut tables: Vec<Table> = Vec::new();
     let scale = args.scale;
+    // Experiments with a declared floor (chunks, interp, queries, obs)
+    // check it where the number is computed; any miss fails the run.
+    let mut floors_missed = 0;
+    let mut check_floor = |name: &str, verdict: Result<String, String>| match verdict {
+        Ok(line) => eprintln!("[repro] {name}: {line} OK"),
+        Err(line) => {
+            eprintln!("[repro] {name}: {line} MISSED");
+            floors_missed += 1;
+        }
+    };
 
     let run = |name: &str, f: &mut dyn FnMut() -> Table, tables: &mut Vec<Table>| {
         if want(name) {
@@ -332,20 +342,22 @@ fn main() {
     if want("chunks") {
         eprintln!("[repro] running chunks (scale {scale}) ...");
         let start = std::time::Instant::now();
-        let t = chunks::table(scale);
+        let r = chunks::run(scale);
         eprintln!("[repro] chunks done in {:.1}s", start.elapsed().as_secs_f64());
+        let t = chunks::table_from(&r);
         println!("{}", t.render());
         tables.push(t);
         let path = args.out.clone().unwrap_or_else(|| "target/CHUNKS.json".to_string());
-        write_file(&path, &(chunks::chunks_json(scale).pretty() + "\n"));
+        write_file(&path, &(chunks::json_from(&r, scale).pretty() + "\n"));
         eprintln!("[repro] wrote {path}");
+        check_floor("chunks", r.check_floor());
     }
     // The exec-bound engine benchmark defaults to *full* scale (the
     // VM-vs-tree speedup claim is a full-scale claim; quick mode keeps the
     // CI smoke cheap) and writes its machine-readable form — including the
-    // speedup the gate floors — under target/INTERP.json.
+    // speedup it floors — under target/INTERP.json.
     if want("interp") {
-        let quick = std::env::var("KISHU_BENCH_QUICK").is_ok_and(|v| v != "0" && !v.is_empty());
+        let quick = kishu_testkit::bench::quick();
         let iscale = if args.scale_set {
             args.scale
         } else if quick {
@@ -366,10 +378,11 @@ fn main() {
         let path = args.out.clone().unwrap_or_else(|| "target/INTERP.json".to_string());
         write_file(&path, &(interp::json_from(&r, iscale).pretty() + "\n"));
         eprintln!("[repro] wrote {path}");
+        check_floor("interp", r.check_floor());
     }
     // The commit-graph query-surface bench (dashboard diff/history
     // polling) writes its machine-readable form — including the
-    // index-vs-scan speedup the gate floors — under target/QUERIES.json.
+    // index-vs-scan speedup it floors — under target/QUERIES.json.
     if want("queries") {
         eprintln!("[repro] running queries (scale {scale}) ...");
         let start = std::time::Instant::now();
@@ -381,9 +394,10 @@ fn main() {
         let path = args.out.clone().unwrap_or_else(|| "target/QUERIES.json".to_string());
         write_file(&path, &(queries::json_from(&r, scale).pretty() + "\n"));
         eprintln!("[repro] wrote {path}");
+        check_floor("queries", r.check_floor());
     }
     // The flight-recorder overhead bench writes its machine-readable form
-    // — including the overhead ratio the gate ceilings — under
+    // — including the overhead ratio it ceilings — under
     // target/OBS.json.
     if want("obs") {
         eprintln!("[repro] running obs (scale {scale}) ...");
@@ -397,6 +411,7 @@ fn main() {
         write_file(&path, &(obs::json_from(&r, scale).pretty() + "
 "));
         eprintln!("[repro] wrote {path}");
+        check_floor("obs", r.check_floor());
     }
     if want("fig13") || want("fig14") {
         eprintln!("[repro] running fig13+fig14 (scale {scale}) ...");
@@ -435,4 +450,7 @@ fn main() {
     write_file(&json_path, &json);
     eprintln!("[repro] wrote {json_path}");
     export_global_trace();
+    if floors_missed > 0 {
+        std::process::exit(1);
+    }
 }

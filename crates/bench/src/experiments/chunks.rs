@@ -13,15 +13,16 @@
 //! compression on) — and reports both physical footprints, the reduction
 //! ratio, and the chunk/dedup/compression attribution that flowed through
 //! the session's [`kishu::session::CellReport`]s. `repro chunks` emits the
-//! machine-readable form under `target/CHUNKS.json`, and the headline
-//! byte metrics ride the bench gate via [`super::pipeline::bench_json`].
+//! machine-readable form under `target/CHUNKS.json` and exits 1 when the
+//! reduction misses [`MIN_REDUCTION`]; the headline byte metrics ride the
+//! bench gate via [`super::pipeline::bench_json`].
 
 use kishu::session::{KishuConfig, KishuSession};
 use kishu_storage::chunk::ChunkConfig;
 use kishu_storage::FileStore;
 use kishu_testkit::json::Json;
 
-use crate::report::{fmt_bytes, Table};
+use crate::report::{floor_verdict, fmt_bytes, Table};
 
 /// Totals from one arm of the sweep.
 #[derive(Debug, Clone, Copy)]
@@ -39,6 +40,10 @@ pub struct ArmRun {
     /// Bytes compression saved (0 for the v1 arm).
     pub bytes_compressed: u64,
 }
+
+/// The floor on [`ChunksRun::reduction`]: v2 must at least halve the
+/// physical bytes of the mutate-slightly workload.
+pub const MIN_REDUCTION: f64 = 2.0;
 
 /// Both arms plus the derived ratios.
 #[derive(Debug, Clone, Copy)]
@@ -120,9 +125,21 @@ pub fn run(scale: f64) -> ChunksRun {
     }
 }
 
-/// Human-readable table for `repro chunks`.
-pub fn table(scale: f64) -> Table {
-    let r = run(scale);
+impl ChunksRun {
+    /// `Ok` with a summary line when [`Self::reduction`] holds
+    /// [`MIN_REDUCTION`], else `Err` with the miss.
+    pub fn check_floor(&self) -> Result<String, String> {
+        let line = format!(
+            "storage engine v2 physical reduction {:.2}x (floor {MIN_REDUCTION}x)",
+            self.reduction
+        );
+        floor_verdict(self.reduction >= MIN_REDUCTION, line)
+    }
+}
+
+/// Human-readable table from a completed run (so `repro chunks` renders
+/// the table *and* writes the JSON from one execution of the workload).
+pub fn table_from(r: &ChunksRun) -> Table {
     let mut t = Table::new(
         "Chunks",
         "storage engine v2 vs v1 on the mutate-slightly workload",
@@ -150,7 +167,11 @@ pub fn table(scale: f64) -> Table {
 /// Machine-readable form for `repro chunks --out` (default
 /// `target/CHUNKS.json`).
 pub fn chunks_json(scale: f64) -> Json {
-    let r = run(scale);
+    json_from(&run(scale), scale)
+}
+
+/// JSON from an already-completed run.
+pub fn json_from(r: &ChunksRun, scale: f64) -> Json {
     Json::obj(vec![
         ("schema", Json::Str("kishu-chunks-v1".into())),
         ("scale", Json::Float(scale)),
@@ -194,10 +215,7 @@ mod tests {
     #[test]
     fn v2_halves_physical_bytes_on_mutate_slightly() {
         let r = run(0.1);
-        assert!(
-            r.reduction >= 2.0,
-            "v2 must reduce physical bytes >= 2x on mutate-slightly: {r:?}"
-        );
+        assert!(r.check_floor().is_ok(), "{:?}: {r:?}", r.check_floor());
         assert!(r.v2.chunks_written > 0, "v2 arm never chunked: {r:?}");
         assert!(r.v2.chunks_deduped > 0, "small mutations must chunk-dedup: {r:?}");
         assert_eq!(r.v1.chunks_written, 0, "v1 arm must not chunk: {r:?}");

@@ -10,10 +10,10 @@
 //! computed different answers would be measuring nothing.
 //!
 //! `repro interp` runs it at full scale (`--scale 1.0` unless overridden;
-//! `KISHU_BENCH_QUICK=1` drops to 0.1 for the CI smoke) and writes
-//! `target/INTERP.json`, whose `speedup` field the CI gate floors at
-//! `KISHU_INTERP_MIN_SPEEDUP` (default 2.0). The two wall times also ride
-//! the bench-gate metrics as `interp_tree_ns` / `interp_vm_ns`.
+//! `KISHU_BENCH_QUICK=1` drops to 0.1 for the CI smoke), writes
+//! `target/INTERP.json`, and exits 1 when `speedup` misses
+//! [`MIN_SPEEDUP`]. The two wall times also ride the bench-gate metrics as
+//! `interp_tree_ns` / `interp_vm_ns`.
 
 use std::time::Instant;
 
@@ -21,7 +21,7 @@ use kishu_minipy::repr::repr;
 use kishu_minipy::{Engine, Interp};
 use kishu_testkit::json::Json;
 
-use crate::report::{fmt_duration, Table};
+use crate::report::{floor_verdict, fmt_duration, Table};
 
 /// One engine's run: wall time plus the result reprs (the cross-engine
 /// correctness check).
@@ -30,6 +30,10 @@ pub struct ArmRun {
     pub wall_ns: u64,
     pub results: Vec<(String, String)>,
 }
+
+/// The floor on [`InterpRun::speedup`] (release builds): the VM must run
+/// exec-bound cells at least twice as fast as the tree-walker.
+pub const MIN_SPEEDUP: f64 = 2.0;
 
 /// Both engines plus the headline ratio.
 #[derive(Debug, Clone)]
@@ -149,6 +153,18 @@ pub fn run(scale: f64) -> InterpRun {
     InterpRun { tree, vm, speedup }
 }
 
+impl InterpRun {
+    /// `Ok` with a summary line when [`Self::speedup`] holds
+    /// [`MIN_SPEEDUP`], else `Err` with the miss.
+    pub fn check_floor(&self) -> Result<String, String> {
+        let line = format!(
+            "bytecode-VM speedup {:.2}x over the tree-walker (floor {MIN_SPEEDUP}x)",
+            self.speedup
+        );
+        floor_verdict(self.speedup >= MIN_SPEEDUP, line)
+    }
+}
+
 /// Human-readable table for `repro interp`.
 pub fn table(scale: f64) -> Table {
     table_from(&run(scale))
@@ -181,7 +197,6 @@ pub fn table_from(r: &InterpRun) -> Table {
 }
 
 /// Machine-readable form for `repro interp` (default `target/INTERP.json`).
-/// The CI gate floors `speedup` at `KISHU_INTERP_MIN_SPEEDUP`.
 pub fn interp_json(scale: f64) -> Json {
     json_from(&run(scale), scale)
 }
@@ -220,7 +235,7 @@ mod tests {
     /// optimizer on (dev builds leave kishu-minipy unoptimized, which
     /// shifts engine costs arbitrarily), so debug builds run the workload
     /// for cross-engine agreement without asserting the ratio; the
-    /// full-scale number gates via `repro interp` + `bench_gate.sh`.
+    /// full-scale number gates via `repro interp`.
     #[test]
     fn vm_beats_tree_on_exec_bound_cells() {
         let r = run(0.1);
@@ -229,9 +244,9 @@ mod tests {
             return;
         }
         assert!(
-            r.speedup >= 2.0,
-            "VM must be >= 2x on exec-bound cells: {:.2}x (tree {} ns, vm {} ns)",
-            r.speedup,
+            r.speedup >= MIN_SPEEDUP,
+            "{:?} (tree {} ns, vm {} ns)",
+            r.check_floor(),
             r.tree.wall_ns,
             r.vm.wall_ns
         );

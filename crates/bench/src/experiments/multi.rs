@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use kishu::session::{KishuConfig, KishuSession};
-use kishu_storage::{default_shard_count, GcReport, SharedStore};
+use kishu_storage::{GcReport, SharedStore, DEFAULT_SHARDS};
 use kishu_testkit::json::Json;
 
 use crate::report::{fmt_bytes, fmt_duration, Table};
@@ -95,7 +95,7 @@ pub fn run(scale: f64, sessions: usize) -> MultiRun {
     let private_wall = private_t0.elapsed();
 
     // Shared store, cells interleaved round-robin across the sessions.
-    let store = SharedStore::in_memory(default_shard_count());
+    let store = SharedStore::in_memory(DEFAULT_SHARDS);
     let mut shared: Vec<KishuSession> = names
         .iter()
         .map(|n| KishuSession::on_shared(&store, n, config()).expect("tenant"))

@@ -184,7 +184,7 @@ pub fn bench_json(scale: f64) -> Json {
     // Commit-graph query latencies (dashboard diff/history polling): a
     // quadratic traversal sneaking back into the query surface gates like
     // a pipeline latency; the index-vs-scan speedup rides report-only
-    // (its absolute floor lives in `repro queries` + bench_gate.sh).
+    // (its absolute floor lives in `repro queries`).
     let (query_metrics, query_info) = super::queries::bench_fragment(scale);
     let mut metric_pairs = vec![
                 (

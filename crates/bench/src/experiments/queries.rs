@@ -19,9 +19,9 @@
 //!   incrementally-maintained modified-in index, and this experiment times
 //!   the same query set against `history_bruteforce` (the ancestor-chain
 //!   scan the property tests use as the oracle). `repro queries` writes the
-//!   ratio to `target/QUERIES.json`, which the CI gate floors at
-//!   `KISHU_QUERIES_MIN_SPEEDUP` (default 1.5) — the index silently
-//!   degenerating to a scan is a regression even if both stay fast.
+//!   ratio to `target/QUERIES.json` and exits 1 when it misses
+//!   [`MIN_SPEEDUP`] — the index silently degenerating to a scan is a
+//!   regression even if both stay fast.
 
 use std::time::Instant;
 
@@ -29,7 +29,12 @@ use kishu::graph::NodeId;
 use kishu::session::{KishuConfig, KishuSession};
 use kishu_testkit::json::Json;
 
-use crate::report::{fmt_duration, Table};
+use crate::report::{floor_verdict, fmt_duration, Table};
+
+/// The floor on [`QueriesRun::speedup`] (release builds): the
+/// modified-in index must answer the history set at least 1.5x faster than
+/// the ancestor scan.
+pub const MIN_SPEEDUP: f64 = 1.5;
 
 /// One full run of the dashboard workload.
 #[derive(Debug, Clone)]
@@ -203,6 +208,18 @@ pub fn run(scale: f64) -> QueriesRun {
     }
 }
 
+impl QueriesRun {
+    /// `Ok` with a summary line when [`Self::speedup`] holds
+    /// [`MIN_SPEEDUP`], else `Err` with the miss.
+    pub fn check_floor(&self) -> Result<String, String> {
+        let line = format!(
+            "history-index speedup {:.2}x over the ancestor scan (floor {MIN_SPEEDUP}x)",
+            self.speedup
+        );
+        floor_verdict(self.speedup >= MIN_SPEEDUP, line)
+    }
+}
+
 /// Human-readable table for `repro queries`.
 pub fn table(scale: f64) -> Table {
     table_from(&run(scale))
@@ -245,8 +262,7 @@ pub fn table_from(r: &QueriesRun) -> Table {
 }
 
 /// Machine-readable form for `repro queries` (default
-/// `target/QUERIES.json`). The CI gate floors `speedup` at
-/// `KISHU_QUERIES_MIN_SPEEDUP`.
+/// `target/QUERIES.json`).
 pub fn queries_json(scale: f64) -> Json {
     json_from(&run(scale), scale)
 }
@@ -299,7 +315,7 @@ mod tests {
     /// the interp benchmark, the ratio is only meaningful optimized, so
     /// debug builds run the workload (which still cross-checks index
     /// answers against the oracle) without asserting it; the release
-    /// number gates via `repro queries` + `bench_gate.sh`.
+    /// number gates via `repro queries`.
     #[test]
     fn index_beats_the_bruteforce_scan() {
         let r = run(0.1);
@@ -311,9 +327,9 @@ mod tests {
             return;
         }
         assert!(
-            r.speedup >= 1.5,
-            "index must be >= 1.5x over the scan: {:.2}x (index {} ns, scan {} ns)",
-            r.speedup,
+            r.speedup >= MIN_SPEEDUP,
+            "{:?} (index {} ns, scan {} ns)",
+            r.check_floor(),
             r.index_ns,
             r.bruteforce_ns
         );

@@ -310,7 +310,7 @@ mod tests {
         // degradation (a caller-chosen KISHU_TESTKIT_SEED can legitimately
         // draw a quieter run).
         assert_eq!(t.rows[0][2], "0");
-        if std::env::var("KISHU_TESTKIT_SEED").is_err() {
+        if kishu_testkit::rng::seed_override().is_none() {
             let last = t.rows.last().expect("rows");
             assert!(last[2].parse::<u64>().expect("count") > 0, "{last:?}");
             let degraded = last[5].parse::<u64>().unwrap() + last[6].parse::<u64>().unwrap();

@@ -87,6 +87,16 @@ impl Table {
     }
 }
 
+/// The verdict on an experiment's declared floor or ceiling: `Ok(line)`
+/// when `holds`, else `Err(line)`; `repro` prints it and exits 1 on `Err`.
+pub fn floor_verdict(holds: bool, line: String) -> Result<String, String> {
+    if holds {
+        Ok(line)
+    } else {
+        Err(line)
+    }
+}
+
 /// Format a byte count human-readably.
 pub fn fmt_bytes(b: u64) -> String {
     const KB: f64 = 1024.0;

@@ -70,9 +70,7 @@ pub struct KishuConfig {
     /// batch; store writes stay sequential on the session thread (in delta
     /// order), so store contents and fault ledgers are byte-identical at
     /// every worker count. `1` is the fully serial path — kept as the
-    /// differential-testing oracle. Defaults to the
-    /// `KISHU_CHECKPOINT_WORKERS` environment variable when set, else
-    /// `min(4, available cores)`.
+    /// differential-testing oracle. Defaults to `min(4, available cores)`.
     pub checkpoint_workers: usize,
     /// Content-addressed blob dedup: before writing a sealed payload, look
     /// its content key up in the session's [`kishu_storage::BlobIndex`] and
@@ -87,69 +85,29 @@ pub struct KishuConfig {
     /// stay sequential on the session thread (in plan order), so checkout
     /// reports, fault ledgers, and the restored namespace are identical at
     /// every worker count. `1` is the fully serial path — kept as the
-    /// differential-testing oracle. Defaults to the `KISHU_RESTORE_WORKERS`
-    /// environment variable when set, else `min(4, available cores)`.
+    /// differential-testing oracle. Defaults to `min(4, available cores)`.
     pub restore_workers: usize,
     /// Byte budget of the content-addressed checkout read cache
     /// ([`kishu_storage::BlobCache`]); `0` disables it. Payloads that pass
     /// their end-to-end CRC during a checkout are kept (LRU by bytes) under
     /// the same content keys the write-side dedup index uses, so repeated
     /// undo/redo over the same states skips the store read, the CRC pass,
-    /// and the decode charge. Defaults to the `KISHU_CHECKOUT_CACHE_BYTES`
-    /// environment variable when set, else 32 MiB.
+    /// and the decode charge. Defaults to 32 MiB.
     pub checkout_cache_bytes: u64,
     /// Execute cells on the minipy bytecode VM (`true`, the default) or on
     /// the tree-walking oracle interpreter (`false`). Both engines are
     /// observably identical — namespaces, heap allocation order, access
-    /// records, replay semantics, and error shapes — which ci.sh enforces
-    /// with a `KISHU_MINIPY_VM={0,1}` × worker-count matrix. Defaults to
-    /// the `KISHU_MINIPY_VM` environment variable (`0` = tree) when set.
+    /// records, replay semantics, and error shapes — which the invariant
+    /// matrix in `tests/invariant_matrix.rs` enforces.
     pub minipy_vm: bool,
 }
 
-/// Default checkpoint pipeline width: `KISHU_CHECKPOINT_WORKERS` when set
-/// (clamped to at least 1), else `min(4, available cores)`.
-pub fn default_checkpoint_workers() -> usize {
-    if let Ok(v) = std::env::var("KISHU_CHECKPOINT_WORKERS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
+/// Default width of both pipelines: `min(4, available cores)`.
+fn default_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
         .min(4)
-}
-
-/// Default restore pipeline width: `KISHU_RESTORE_WORKERS` when set
-/// (clamped to at least 1), else `min(4, available cores)`.
-pub fn default_restore_workers() -> usize {
-    if let Ok(v) = std::env::var("KISHU_RESTORE_WORKERS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(4)
-}
-
-/// Default cell-execution engine: tree-walker when `KISHU_MINIPY_VM=0`,
-/// else the bytecode VM.
-pub fn default_minipy_vm() -> bool {
-    kishu_minipy::Engine::from_env() == kishu_minipy::Engine::Vm
-}
-
-/// Default checkout read-cache budget: `KISHU_CHECKOUT_CACHE_BYTES` when
-/// set (`0` disables the cache), else 32 MiB.
-pub fn default_checkout_cache_bytes() -> u64 {
-    if let Ok(v) = std::env::var("KISHU_CHECKOUT_CACHE_BYTES") {
-        if let Ok(n) = v.trim().parse::<u64>() {
-            return n;
-        }
-    }
-    32 * 1024 * 1024
 }
 
 impl Default for KishuConfig {
@@ -164,11 +122,11 @@ impl Default for KishuConfig {
             hash_primitive_lists: false,
             defer_serialization: false,
             store_retries: 2,
-            checkpoint_workers: default_checkpoint_workers(),
+            checkpoint_workers: default_workers(),
             dedup_blobs: true,
-            restore_workers: default_restore_workers(),
-            checkout_cache_bytes: default_checkout_cache_bytes(),
-            minipy_vm: default_minipy_vm(),
+            restore_workers: default_workers(),
+            checkout_cache_bytes: 32 * 1024 * 1024,
+            minipy_vm: true,
         }
     }
 }
@@ -493,10 +451,8 @@ impl KishuSession {
         // (KISHU_TRACE / KISHU_OBS_BLACKBOX): unit tests that build
         // sessions around private enabled traces should not leave dump
         // files behind on unrelated panics.
-        if trace.is_enabled()
-            && (std::env::var_os("KISHU_TRACE").is_some()
-                || std::env::var_os("KISHU_OBS_BLACKBOX").is_some())
-        {
+        let switches = kishu_trace::env_switches();
+        if trace.is_enabled() && (switches.trace_path.is_some() || switches.blackbox) {
             kishu_trace::blackbox::install_panic_hook(&trace);
         }
         KishuSession {
@@ -1917,7 +1873,7 @@ impl KishuSession {
     /// dump failures are swallowed, because observability must never turn
     /// a degraded session into a dead one.
     fn black_box(&self, reason: &str) {
-        if std::env::var_os("KISHU_OBS_BLACKBOX").is_none() {
+        if !kishu_trace::env_switches().blackbox {
             return;
         }
         let dir = std::path::Path::new(kishu_trace::blackbox::DEFAULT_DIR);
@@ -2156,6 +2112,27 @@ mod tests {
         KishuSession::in_memory(KishuConfig::default())
     }
 
+    /// The defaults are constants of the machine, not of the environment:
+    /// both pipelines `min(4, cores)` wide, a 32 MiB read cache, the VM.
+    #[test]
+    fn config_defaults_are_pure() {
+        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let c = KishuConfig::default();
+        assert_eq!((c.checkpoint_workers, c.restore_workers), (cores.min(4), cores.min(4)));
+        assert!(c.checkpoint_workers >= 1);
+        assert_eq!(c.checkout_cache_bytes, 32 * 1024 * 1024);
+        assert!(c.minipy_vm);
+        // Explicit fields win over the defaults.
+        let c = KishuConfig {
+            checkpoint_workers: 7,
+            restore_workers: 7,
+            checkout_cache_bytes: 12_345,
+            ..KishuConfig::default()
+        };
+        let plumbed = (c.checkpoint_workers, c.restore_workers, c.checkout_cache_bytes);
+        assert_eq!(plumbed, (7, 7, 12_345));
+    }
+
     fn run(s: &mut KishuSession, src: &str) -> CellReport {
         let report = s.run_cell(src).expect("parses");
         assert!(
@@ -2246,7 +2223,7 @@ mod tests {
         // Span guards time phases even when no trace is attached: the
         // derived report fields must be populated either way.
         let mut s = session();
-        assert!(!s.trace().is_enabled() || std::env::var("KISHU_TRACE").is_ok());
+        assert!(!s.trace().is_enabled() || kishu_trace::global_path().is_some());
         let r1 = run(&mut s, "x = list(range(100))\n");
         let r2 = run(&mut s, "x = list(range(50))\n");
         assert!(r2.serialize_ns > 0, "serialize phase must be timed");

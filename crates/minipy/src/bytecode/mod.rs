@@ -3,7 +3,7 @@
 //! Compiles the minipy AST ([`crate::ast`]) to a compact bytecode
 //! ([`instr`]) and executes it on a stack-based VM ([`vm`]). The VM is the
 //! default engine; the tree-walking interpreter stays as the differential
-//! semantics oracle (select with `KISHU_MINIPY_VM=0`).
+//! semantics oracle (select with [`crate::Interp::set_engine`]).
 //!
 //! ## Parity contract
 //!
@@ -28,8 +28,8 @@
 //!
 //! `tests/vm_differential.rs` (repo root) fuzzes random programs through
 //! both engines and asserts byte-identical namespaces, reports, and error
-//! shapes; `scripts/ci.sh` runs the whole suite under
-//! `KISHU_MINIPY_VM={0,1}` × worker counts `{1,4}`.
+//! shapes; `tests/invariant_matrix.rs` runs every session-level scenario
+//! on both engines at worker counts `{1,4}`.
 
 pub mod compiler;
 pub mod instr;

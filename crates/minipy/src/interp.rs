@@ -46,18 +46,6 @@ pub enum Engine {
     Vm,
 }
 
-impl Engine {
-    /// Engine selected by the `KISHU_MINIPY_VM` environment variable:
-    /// `0` forces the tree-walking oracle; anything else (or unset)
-    /// selects the VM.
-    pub fn from_env() -> Engine {
-        match std::env::var("KISHU_MINIPY_VM") {
-            Ok(v) if v.trim() == "0" => Engine::Tree,
-            _ => Engine::Vm,
-        }
-    }
-}
-
 /// Signature of a registered builtin function.
 pub type Builtin =
     Rc<dyn Fn(&mut Interp, Vec<ObjId>, Vec<(String, ObjId)>) -> Result<ObjId, RunError>>;
@@ -171,7 +159,7 @@ impl Interp {
             iter_budget: ITERATION_BUDGET,
             iter_remaining: ITERATION_BUDGET,
             depth: 0,
-            engine: Engine::from_env(),
+            engine: Engine::Vm,
             vm_cells: HashMap::new(),
             vm_funcs: HashMap::new(),
             vm_pool: Vec::new(),
@@ -180,7 +168,7 @@ impl Interp {
         interp
     }
 
-    /// Select the execution engine (overrides the `KISHU_MINIPY_VM` default).
+    /// Select the execution engine (the VM by default).
     pub fn set_engine(&mut self, engine: Engine) {
         self.engine = engine;
     }

@@ -14,8 +14,8 @@
 //!   with Python reference semantics (assignment binds, mutation is
 //!   in-place, arguments are references);
 //! * a [`bytecode`] compiler + stack VM over the same heap and helpers —
-//!   the default engine (`KISHU_MINIPY_VM=0` selects the tree-walker,
-//!   which is kept as the differential semantics oracle);
+//!   the default engine (`Interp::set_engine(Engine::Tree)` selects the
+//!   tree-walker, which is kept as the differential semantics oracle);
 //! * global-name resolution routed through the kernel's **patched
 //!   namespace**, so every cell's variable accesses are observed exactly as
 //!   the paper's Fig 8 describes;

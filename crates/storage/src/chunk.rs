@@ -10,8 +10,7 @@
 //!
 //! This module owns the three pieces the stores share:
 //!
-//! * [`ChunkConfig`] — the knobs (`KISHU_CHUNKING`, `KISHU_COMPRESS`,
-//!   `KISHU_CHUNK_MIN/AVG/MAX`) read once at store construction;
+//! * [`ChunkConfig`] — the knobs, fixed at store construction;
 //! * [`chunk_spans`] — the deterministic cutter;
 //! * [`ChunkLedger`] — chunk-level dedup (by stored-form content key) with
 //!   refcounts and the [`ChunkStats`] aggregate.
@@ -27,8 +26,8 @@
 //!
 //! Everything here is representation-only: with chunking on or off, a
 //! store's logical view (ids, payloads, stats minus physical bytes) is
-//! byte-identical. The kill-switch (`KISHU_CHUNKING=0`) produces
-//! bit-identical v1 log frames.
+//! byte-identical. [`ChunkConfig::disabled`] produces bit-identical v1 log
+//! frames.
 
 use std::collections::HashMap;
 use std::io;
@@ -62,21 +61,21 @@ const fn gear_table() -> [u64; 256] {
     table
 }
 
-/// Chunking/compression knobs, read once at store construction.
+/// Chunking/compression knobs, fixed at store construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkConfig {
-    /// Master switch (`KISHU_CHUNKING`, default on). Off means every put
-    /// writes a bit-identical v1 frame.
+    /// Master switch (default on). Off means every put writes a
+    /// bit-identical v1 frame.
     pub enabled: bool,
-    /// Per-chunk compression (`KISHU_COMPRESS`, default on).
+    /// Per-chunk compression (default on).
     pub compress: bool,
     /// Minimum chunk size; payloads smaller than this bypass chunking
-    /// entirely (`KISHU_CHUNK_MIN`).
+    /// entirely.
     pub min: usize,
     /// Target average chunk size; rounded up to a power of two for the
-    /// boundary mask (`KISHU_CHUNK_AVG`).
+    /// boundary mask.
     pub avg: usize,
-    /// Hard maximum chunk size (`KISHU_CHUNK_MAX`).
+    /// Hard maximum chunk size.
     pub max: usize,
 }
 
@@ -92,38 +91,7 @@ impl Default for ChunkConfig {
     }
 }
 
-fn env_flag(name: &str, default: bool) -> bool {
-    match std::env::var(name) {
-        Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | ""),
-        Err(_) => default,
-    }
-}
-
-fn env_size(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
 impl ChunkConfig {
-    /// Read the knobs from the environment (once, at store construction —
-    /// stores never re-read env mid-life, so a run's representation is
-    /// fixed by its starting environment).
-    pub fn from_env() -> Self {
-        let d = ChunkConfig::default();
-        let mut cfg = ChunkConfig {
-            enabled: env_flag("KISHU_CHUNKING", d.enabled),
-            compress: env_flag("KISHU_COMPRESS", d.compress),
-            min: env_size("KISHU_CHUNK_MIN", d.min).max(64),
-            avg: env_size("KISHU_CHUNK_AVG", d.avg),
-            max: env_size("KISHU_CHUNK_MAX", d.max),
-        };
-        cfg.avg = cfg.avg.max(cfg.min);
-        cfg.max = cfg.max.max(cfg.avg * 2);
-        cfg
-    }
-
     /// The v1 behavior: no chunking, no compression.
     pub fn disabled() -> Self {
         ChunkConfig {

@@ -11,8 +11,9 @@
 //! Three markers share the framing (storage engine v2):
 //!
 //! * `0x4B` ('K') — a **v1 blob**: the payload is the logical blob verbatim.
-//!   The only record type with chunking off (`KISHU_CHUNKING=0` produces
-//!   bit-identical v1 logs), and still what sub-minimum payloads write.
+//!   The only record type with chunking off ([`ChunkConfig::disabled`]
+//!   produces bit-identical v1 logs), and still what sub-minimum payloads
+//!   write.
 //! * `0x43` ('C') — a **chunk**: the payload is a stored-form chunk
 //!   (`[flag][data]`, optionally compressed — see [`crate::chunk`]).
 //!   Chunks get dense ords in append order and are shared across blobs.
@@ -27,7 +28,9 @@
 //! file is truncated back to the last intact boundary, exactly the recovery
 //! contract of a write-ahead log.
 //!
-//! **Group commit** (`KISHU_GROUP_COMMIT`, default on): puts append frames
+//! **Group commit** (the `group_commit` argument of
+//! [`FileStore::create_with`]/[`FileStore::open_with`], on for the plain
+//! constructors): puts append frames
 //! to an in-process buffer on the session thread, in plan order, and the
 //! buffer reaches the file at the next [`CheckpointStore::sync`],
 //! [`CheckpointStore::flush_barrier`], size threshold, or drop. Reads are
@@ -146,22 +149,14 @@ impl std::fmt::Debug for FileStore {
     }
 }
 
-pub(crate) fn group_commit_from_env() -> bool {
-    match std::env::var("KISHU_GROUP_COMMIT") {
-        Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | ""),
-        Err(_) => true,
-    }
-}
-
 impl FileStore {
-    /// Create a new, empty log at `path` (truncating any existing file),
-    /// with chunking and group commit configured from the environment.
+    /// Create a new, empty log at `path` (truncating any existing file)
+    /// with the default chunking and group commit on.
     pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::create_with(path, ChunkConfig::from_env(), group_commit_from_env())
+        Self::create_with(path, ChunkConfig::default(), true)
     }
 
-    /// Create with explicit configuration (differential tests pin both
-    /// arms programmatically; env vars are process-global).
+    /// Create with explicit configuration.
     pub fn create_with(
         path: impl AsRef<Path>,
         cfg: ChunkConfig,
@@ -191,8 +186,9 @@ impl FileStore {
 
     /// Open an existing log, recovering its index by scanning. A torn or
     /// corrupt tail is truncated away; everything before it stays readable.
+    /// Future puts use the default chunking and group commit.
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::open_with(path, ChunkConfig::from_env(), group_commit_from_env())
+        Self::open_with(path, ChunkConfig::default(), true)
     }
 
     /// Open with explicit configuration. The scan accepts any mix of v1
@@ -733,10 +729,7 @@ mod tests {
             assert_eq!(s.get(1).expect("get"), edited);
             s.sync().expect("sync");
         }
-        // Reopen with the config pinned (plain `open` reads the env, and
-        // the KISHU_CHUNKING=0 CI matrix leg must not flip this test's
-        // post-reopen puts onto the v1 path).
-        let s = FileStore::open_with(&path, ChunkConfig::default(), true).expect("reopen");
+        let s = FileStore::open(&path).expect("reopen");
         assert_eq!(s.blob_count(), 2);
         assert_eq!(s.get(0).expect("get"), big);
         assert_eq!(s.get(1).expect("get"), edited);
@@ -752,8 +745,8 @@ mod tests {
 
     #[test]
     fn kill_switch_writes_bit_identical_v1_frames() {
-        // KISHU_CHUNKING=0 contract: the log bytes with chunking disabled
-        // are exactly the v1 format, record for record.
+        // `ChunkConfig::disabled()` contract: the log bytes with chunking
+        // disabled are exactly the v1 format, record for record.
         let payloads: Vec<Vec<u8>> = vec![
             vec![1u8; 10],
             (0..50_000u32).map(|i| (i % 9) as u8).collect(),

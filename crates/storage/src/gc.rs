@@ -27,9 +27,8 @@
 //! with tenant operations; callers run it when their sessions are parked
 //! (which is also when live sets are well-defined). It is a pure space
 //! optimization — after a collection, every live blob of every tenant reads
-//! back byte-identically under the same tenant id. Because skipping it is
-//! always safe, `KISHU_GC=0` is the operational kill-switch: with it set,
-//! [`SharedStore::collect`] validates its inputs but reclaims nothing.
+//! back byte-identically under the same tenant id. It runs only when a
+//! caller invokes [`SharedStore::collect`].
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io;
@@ -38,7 +37,7 @@ use std::path::Path;
 use kishu_testkit::json::Json;
 
 use crate::dedup::content_key;
-use crate::file_store::{build_log_image, frame_record, group_commit_from_env, FileStore};
+use crate::file_store::{build_log_image, frame_record, FileStore};
 use crate::shared::{
     encode_mapping, manifest_json, manifest_path, remove_stale_generations, shard_path,
     tenant_path, Backend, Phys,
@@ -92,16 +91,6 @@ fn write_budgeted(path: &Path, bytes: &[u8], budget: &mut Option<u64>) -> io::Re
         return Err(io::Error::new(io::ErrorKind::Interrupted, "injected gc crash mid-write"));
     }
     Ok(())
-}
-
-/// The `KISHU_GC` kill-switch: `0` (or empty) disables collection. GC is a
-/// pure space optimization, so disabling it is always safe — the store just
-/// stops reclaiming.
-fn gc_enabled() -> bool {
-    match std::env::var("KISHU_GC") {
-        Ok(v) => v != "0" && !v.is_empty(),
-        Err(_) => true,
-    }
 }
 
 /// The commit rename under the crash budget (it costs one budget unit, so
@@ -160,20 +149,6 @@ impl SharedStore {
                         format!("gc live set names unregistered tenant {name:?}"),
                     ));
                 }
-            }
-            // Kill-switch: inputs validated, nothing reclaimed.
-            if !gc_enabled() {
-                sp.arg("disabled", true);
-                return Ok(GcReport {
-                    live_blobs: shards
-                        .iter()
-                        .map(|sh| sh.refs.iter().filter(|&&r| r > 0).count() as u64)
-                        .sum(),
-                    physical_before,
-                    physical_after: physical_before,
-                    generation: meta.generation,
-                    ..GcReport::default()
-                });
             }
             for (name, t) in &meta.tenants {
                 let keep = &live[name];
@@ -259,8 +234,8 @@ impl SharedStore {
             Backend::Memory => {
                 for (i, sh) in shards.iter_mut().enumerate() {
                     // Rebuild under the shard's own representation config —
-                    // `MemoryStore::new()` would re-read the environment and
-                    // silently drop a pinned chunking setup across the GC.
+                    // `MemoryStore::new()` would silently swap a pinned
+                    // chunking setup for the default across the GC.
                     let cfg = sh
                         .store
                         .chunk_config()
@@ -315,12 +290,11 @@ impl SharedStore {
                 // so reopen errors propagate but the manifest stays.
                 for (i, sh) in shards.iter_mut().enumerate() {
                     // Reopen under the same config the image was built
-                    // with, so a pinned (env-independent) setup survives
-                    // the generation swap.
+                    // with, so a pinned setup survives the generation swap.
                     let store = FileStore::open_with(
                         shard_path(dir, i, next_gen),
                         cfgs[i].clone(),
-                        group_commit_from_env(),
+                        true,
                     )?;
                     let mut dedup = HashMap::new();
                     let mut lens = Vec::new();
@@ -556,7 +530,7 @@ mod tests {
 
     /// The in-memory twin: a pinned chunk configuration must survive GC
     /// (the rebuild used to construct `MemoryStore::new()`, silently
-    /// re-reading the environment).
+    /// reverting to the default configuration).
     #[test]
     fn memory_gc_preserves_pinned_chunk_config() {
         let store = SharedStore::in_memory_with(1, crate::chunk::ChunkConfig::default());

@@ -50,7 +50,7 @@ pub use fault_store::{
 };
 pub use file_store::FileStore;
 pub use memory_store::MemoryStore;
-pub use shared::{default_shard_count, SharedStore, TenantHandle, TenantOpStats};
+pub use shared::{SharedStore, TenantHandle, TenantOpStats, DEFAULT_SHARDS};
 
 use std::io;
 

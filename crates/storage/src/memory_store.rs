@@ -42,13 +42,12 @@ impl Default for MemoryStore {
 }
 
 impl MemoryStore {
-    /// Empty store with the environment's chunking configuration.
+    /// Empty store with the default chunking configuration.
     pub fn new() -> Self {
-        Self::with_config(ChunkConfig::from_env())
+        Self::with_config(ChunkConfig::default())
     }
 
-    /// Empty store with an explicit chunking configuration (differential
-    /// tests pin both arms programmatically; env vars are process-global).
+    /// Empty store with an explicit chunking configuration.
     pub fn with_config(cfg: ChunkConfig) -> Self {
         MemoryStore {
             blobs: Vec::new(),

@@ -66,24 +66,14 @@ use kishu_testkit::json::Json;
 use kishu_trace::Trace;
 
 use crate::dedup::{content_key, ContentKey};
-use crate::file_store::{group_commit_from_env, FileStore};
+use crate::file_store::FileStore;
 use crate::{BlobId, CheckpointStore, MemoryStore, StoreStats};
 
 /// Schema tag of `MANIFEST.json`.
 pub const SHARED_SCHEMA: &str = "kishu-shared-v1";
 
-/// Default shard count when `KISHU_STORE_SHARDS` is unset.
+/// The shard count callers use when they have no reason to pick another.
 pub const DEFAULT_SHARDS: usize = 4;
-
-/// Shard count from the `KISHU_STORE_SHARDS` environment knob, clamped to
-/// `[1, 64]`; [`DEFAULT_SHARDS`] when unset or unparsable.
-pub fn default_shard_count() -> usize {
-    std::env::var("KISHU_STORE_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map(|n| n.clamp(1, 64))
-        .unwrap_or(DEFAULT_SHARDS)
-}
 
 /// Physical address of a stored payload: `(shard, index within shard)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -299,16 +289,14 @@ pub(crate) fn remove_stale_generations(dir: &Path, keep_gen: u64) {
 // sharing shape right for a future `Send`-bounded store trait.
 #[allow(clippy::arc_with_non_send_sync)]
 impl SharedStore {
-    /// Fresh in-memory shared store with `nshards` shards (clamped ≥ 1).
-    /// Shard chunking follows the `KISHU_CHUNKING`/`KISHU_COMPRESS` env
-    /// knobs; use [`SharedStore::in_memory_with`] to pin it.
+    /// Fresh in-memory shared store with `nshards` shards (clamped ≥ 1)
+    /// and the default chunking.
     pub fn in_memory(nshards: usize) -> Self {
-        Self::in_memory_with(nshards, crate::chunk::ChunkConfig::from_env())
+        Self::in_memory_with(nshards, crate::chunk::ChunkConfig::default())
     }
 
     /// Fresh in-memory shared store with an explicit per-shard chunk
-    /// configuration (env-independent; what tests asserting chunk-layer
-    /// behaviour should use).
+    /// configuration.
     pub fn in_memory_with(nshards: usize, cfg: crate::chunk::ChunkConfig) -> Self {
         let nshards = nshards.max(1);
         let shards = (0..nshards)
@@ -335,17 +323,15 @@ impl SharedStore {
     }
 
     /// Create a fresh file-backed store in `dir` (wiping any store files
-    /// already there), with `nshards` shards at generation 0. Shard
-    /// chunking follows the env knobs; use [`SharedStore::create_with`]
-    /// to pin it.
+    /// already there), with `nshards` shards at generation 0 and the
+    /// default chunking.
     pub fn create(dir: impl AsRef<Path>, nshards: usize) -> io::Result<Self> {
-        Self::create_with(dir, nshards, crate::chunk::ChunkConfig::from_env())
+        Self::create_with(dir, nshards, crate::chunk::ChunkConfig::default())
     }
 
     /// Create a fresh file-backed store with an explicit per-shard chunk
-    /// configuration (env-independent; what tests asserting chunk-layer
-    /// behaviour should use). GC compaction preserves the configuration
-    /// when it rewrites a generation.
+    /// configuration. GC compaction preserves the configuration when it
+    /// rewrites a generation.
     pub fn create_with(
         dir: impl AsRef<Path>,
         nshards: usize,
@@ -369,7 +355,7 @@ impl SharedStore {
         let mut shards = Vec::with_capacity(nshards);
         for i in 0..nshards {
             let store =
-                FileStore::create_with(shard_path(dir, i, 0), cfg.clone(), group_commit_from_env())?;
+                FileStore::create_with(shard_path(dir, i, 0), cfg.clone(), true)?;
             shards.push(Mutex::new(ShardState {
                 store: Box::new(store) as Box<dyn CheckpointStore>,
                 dedup: HashMap::new(),
@@ -394,8 +380,15 @@ impl SharedStore {
     /// left behind: the manifest names the committed generation; shard and
     /// mapping logs recover their torn tails via [`FileStore::open`]; dedup
     /// maps and refcounts are rebuilt by scanning; files from uncommitted
-    /// generations are swept away.
+    /// generations are swept away. Future shard writes use the default
+    /// chunking.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
+        Self::open_with(dir, crate::chunk::ChunkConfig::default())
+    }
+
+    /// [`SharedStore::open`] with an explicit per-shard chunk configuration
+    /// for future writes (GC compaction preserves it).
+    pub fn open_with(dir: impl AsRef<Path>, cfg: crate::chunk::ChunkConfig) -> io::Result<Self> {
         let dir = dir.as_ref();
         let text = std::fs::read_to_string(manifest_path(dir))?;
         let j = Json::parse(&text)
@@ -420,7 +413,11 @@ impl SharedStore {
         let mut shards = Vec::with_capacity(nshards);
         for i in 0..nshards {
             let path = shard_path(dir, i, generation);
-            let store = if path.exists() { FileStore::open(&path)? } else { FileStore::create(&path)? };
+            let store = if path.exists() {
+                FileStore::open_with(&path, cfg.clone(), true)?
+            } else {
+                FileStore::create_with(&path, cfg.clone(), true)?
+            };
             let count = store.blob_count();
             let mut dedup = HashMap::new();
             let mut lens = Vec::with_capacity(count as usize);
@@ -981,14 +978,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_env_knob_parses_and_clamps() {
-        // Can't set env vars safely in-process; check the default and the
-        // clamp bounds via the constant contract.
-        let n = default_shard_count();
-        assert!((1..=64).contains(&n));
-    }
-
-    #[test]
     fn shard_routing_is_uniform_for_any_shard_count() {
         // Regression for the original router, which consulted only the top
         // 16 hash bits and reduced with a biased modulo: over real content
@@ -1019,10 +1008,8 @@ mod tests {
     fn shared_chunk_stats_aggregate_cross_tenant_chunk_dedup() {
         // One shard so the two near-identical (different content key, hence
         // possibly different shard) blobs land in the same chunk ledger —
-        // chunk dedup scope is the shard, see the module docs. Config is
-        // pinned so the `KISHU_CHUNKING=0` CI matrix leg can't turn the
-        // layer off under the test.
-        let store = SharedStore::in_memory_with(1, crate::chunk::ChunkConfig::default());
+        // chunk dedup scope is the shard, see the module docs.
+        let store = SharedStore::in_memory(1);
         let mut a = store.tenant("alice").expect("tenant");
         let mut b = store.tenant("bob").expect("tenant");
         let big: Vec<u8> = (0..150_000u32).map(|i| (i % 251) as u8 ^ (i / 997) as u8).collect();

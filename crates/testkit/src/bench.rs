@@ -27,6 +27,18 @@ pub fn black_box<T>(x: T) -> T {
     std_black_box(x)
 }
 
+/// Parse a `KISHU_BENCH_QUICK` value: quick unless empty, `0`, `false` or
+/// `off` (surrounding whitespace ignored).
+pub fn parse_quick(value: &str) -> bool {
+    !matches!(value.trim(), "" | "0" | "false" | "off")
+}
+
+/// Whether `KISHU_BENCH_QUICK` asks for the fast smoke mode — the only
+/// reader of the variable, shared by `cargo bench` and `repro`.
+pub fn quick() -> bool {
+    std::env::var("KISHU_BENCH_QUICK").is_ok_and(|v| parse_quick(&v))
+}
+
 /// Target wall-clock time per benchmark measurement phase.
 const TARGET_MEASURE: Duration = Duration::from_millis(200);
 /// Samples taken per benchmark (median is reported).
@@ -57,14 +69,14 @@ pub struct Bench {
 
 impl Bench {
     /// Build a harness, reading an optional substring filter from argv
-    /// (matching `cargo bench -- <filter>`) and `KISHU_BENCH_QUICK=1` for
-    /// a fast smoke-run mode (used by CI to keep benches compiling AND
-    /// executing without minutes of measurement).
+    /// (matching `cargo bench -- <filter>`) and [`quick`] for a fast
+    /// smoke-run mode (used by CI to keep benches compiling AND executing
+    /// without minutes of measurement).
     pub fn from_env(suite: &str) -> Bench {
         let filter = std::env::args()
             .skip(1)
             .find(|a| !a.starts_with('-'));
-        let quick = std::env::var("KISHU_BENCH_QUICK").is_ok_and(|v| v == "1");
+        let quick = quick();
         eprintln!("[bench] suite {suite} starting{}", if quick { " (quick mode)" } else { "" });
         Bench {
             suite: suite.to_string(),
@@ -205,6 +217,16 @@ impl Group<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quick_values_parse_one_way() {
+        for on in ["1", "true", "yes", " 1 "] {
+            assert!(parse_quick(on), "{on:?}");
+        }
+        for off in ["", " ", "0", "false", "off"] {
+            assert!(!parse_quick(off), "{off:?}");
+        }
+    }
 
     #[test]
     fn measures_something_plausible() {

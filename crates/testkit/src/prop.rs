@@ -683,11 +683,8 @@ pub mod collection {
 // ---------------------------------------------------------------------------
 
 fn base_seed_for(name: &str) -> u64 {
-    if let Ok(s) = std::env::var("KISHU_TESTKIT_SEED") {
-        if let Ok(seed) = s.trim().parse::<u64>() {
-            return seed;
-        }
-        eprintln!("[kishu-testkit] ignoring unparsable KISHU_TESTKIT_SEED={s:?}");
+    if let Some(seed) = crate::rng::seed_override() {
+        return seed;
     }
     // Deterministic per property name, so suites are reproducible run to
     // run but don't all explore the same draw sequences.

@@ -99,20 +99,32 @@ impl Rng {
     }
 }
 
-/// The seed a deterministic suite should run with: `KISHU_TESTKIT_SEED`
-/// from the environment when set (and parsable), else `default`.
+/// Parse a `KISHU_TESTKIT_SEED` value: a decimal `u64`, surrounding
+/// whitespace ignored.
+pub fn parse_seed(value: &str) -> Option<u64> {
+    value.trim().parse().ok()
+}
+
+/// The caller-chosen seed: `KISHU_TESTKIT_SEED` when set and parsable. An
+/// unparsable value is reported and then treated exactly like an unset
+/// one, so suites that assert "faults fired" for their built-in seed keep
+/// asserting it. The only reader of the variable.
 ///
 /// This is the same variable the property harness prints on failure, so a
-/// failing fault-injection run can be replayed exactly by exporting the
-/// echoed seed.
-pub fn env_seed(default: u64) -> u64 {
-    match std::env::var("KISHU_TESTKIT_SEED") {
-        Ok(s) => s.trim().parse().unwrap_or_else(|_| {
-            eprintln!("[kishu-testkit] ignoring unparsable KISHU_TESTKIT_SEED={s:?}");
-            default
-        }),
-        Err(_) => default,
+/// failing run can be replayed exactly by exporting the echoed seed.
+pub fn seed_override() -> Option<u64> {
+    let value = std::env::var("KISHU_TESTKIT_SEED").ok()?;
+    let seed = parse_seed(&value);
+    if seed.is_none() {
+        eprintln!("[kishu-testkit] ignoring unparsable KISHU_TESTKIT_SEED={value:?}");
     }
+    seed
+}
+
+/// The seed a deterministic suite should run with: [`seed_override`]
+/// when set, else `default`.
+pub fn env_seed(default: u64) -> u64 {
+    seed_override().unwrap_or(default)
 }
 
 /// Types drawable uniformly from a `Range` by [`Rng::random_range`].
@@ -231,11 +243,13 @@ mod tests {
     }
 
     #[test]
-    fn env_seed_falls_back_to_default() {
-        // The test runner may or may not have the variable set; only the
-        // unset path is asserted hermetically via a scoped remove.
-        std::env::remove_var("KISHU_TESTKIT_SEED");
-        assert_eq!(env_seed(77), 77);
+    fn seed_values_parse_as_decimal_u64_or_not_at_all() {
+        assert_eq!(parse_seed("20250807"), Some(20250807));
+        assert_eq!(parse_seed(" 42\n"), Some(42));
+        assert_eq!(parse_seed(&u64::MAX.to_string()), Some(u64::MAX));
+        for bad in ["", "  ", "abc", "-1", "0x10", "1.5", "18446744073709551616"] {
+            assert_eq!(parse_seed(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! Spans answer "what did this run do"; events answer "what went *wrong*
 //! lately" without replaying a trace. The journal is append-only and
-//! bounded (`KISHU_OBS_JOURNAL` events — older entries are dropped with
+//! bounded ([`crate::ObsConfig::journal_events`] — older entries are dropped with
 //! truthful accounting, same contract as the span ring), and its export
 //! format is line-delimited JSON so a crash dump or a `tail -f` both
 //! work. [`events_jsonl`] is a pure function over `&[Event]`, pinned by a
@@ -141,7 +141,7 @@ pub fn events_jsonl(events: &[Event]) -> String {
 }
 
 /// The slow-span threshold for an op name: the configured base
-/// (`KISHU_OBS_SLOW_NS`, default 50ms) scaled per op family — whole-cell
+/// ([`crate::ObsConfig::slow_ns`], default 50ms) scaled per op family — whole-cell
 /// and whole-checkout spans are expected to be much slower than a single
 /// store put, so they alert at a higher bar.
 pub fn slow_threshold_ns(base_ns: u64, name: &str) -> u64 {

@@ -131,16 +131,15 @@ impl Trace {
         Trace(None)
     }
 
-    /// Start a fresh, recording trace with flight-recorder bounds from
-    /// the environment (`KISHU_OBS_*`). The epoch (t=0 of every span's
-    /// `start_ns`) is now.
+    /// Start a fresh, recording trace with the default flight-recorder
+    /// bounds. The epoch (t=0 of every span's `start_ns`) is now.
     pub fn enabled() -> Trace {
-        Trace::with_obs(ObsConfig::from_env())
+        Trace::with_obs(ObsConfig::default())
     }
 
     /// Start a fresh, recording trace with explicit flight-recorder
     /// bounds (tests and the overhead experiment use this to force ring
-    /// pressure without touching process environment).
+    /// pressure).
     pub fn with_obs(obs: ObsConfig) -> Trace {
         Trace(Some(Arc::new(TraceInner {
             epoch: Instant::now(),
@@ -460,15 +459,37 @@ pub fn current_span(name: &str) -> SpanGuard {
     current().span(name)
 }
 
+/// The operator's environment switches — the only environment the
+/// library crates read. Everything else is configured by the values a
+/// caller passes (`KishuConfig`, `ChunkConfig`, [`ObsConfig`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EnvSwitches {
+    /// `KISHU_TRACE`, when set non-empty: the Chrome-trace export path. It
+    /// also enables the process-global trace ([`global`]).
+    pub trace_path: Option<String>,
+    /// `KISHU_OBS_BLACKBOX`, when set: sessions write a crash black box
+    /// (`target/flightrec/`) on panics and degraded checkouts.
+    pub blackbox: bool,
+}
+
+/// Read [`EnvSwitches`] from the environment, once per process.
+pub fn env_switches() -> &'static EnvSwitches {
+    static SWITCHES: OnceLock<EnvSwitches> = OnceLock::new();
+    SWITCHES.get_or_init(|| EnvSwitches {
+        trace_path: std::env::var("KISHU_TRACE").ok().filter(|p| !p.is_empty()),
+        blackbox: std::env::var_os("KISHU_OBS_BLACKBOX").is_some(),
+    })
+}
+
 static GLOBAL: OnceLock<Trace> = OnceLock::new();
 
-/// The process-global trace: enabled iff the `KISHU_TRACE` environment
-/// variable is set non-empty (its value is the export path), unless
-/// [`force_global_enabled`] ran first. Sessions clone this by default.
+/// The process-global trace: enabled iff `KISHU_TRACE` is set non-empty
+/// (see [`env_switches`]), unless [`force_global_enabled`] ran first.
+/// Sessions clone this by default.
 pub fn global() -> &'static Trace {
-    GLOBAL.get_or_init(|| match std::env::var("KISHU_TRACE") {
-        Ok(p) if !p.is_empty() => Trace::enabled(),
-        _ => Trace::disabled(),
+    GLOBAL.get_or_init(|| match env_switches().trace_path {
+        Some(_) => Trace::enabled(),
+        None => Trace::disabled(),
     })
 }
 
@@ -481,10 +502,7 @@ pub fn force_global_enabled() -> &'static Trace {
 
 /// The export path from `KISHU_TRACE`, if set non-empty.
 pub fn global_path() -> Option<String> {
-    match std::env::var("KISHU_TRACE") {
-        Ok(p) if !p.is_empty() => Some(p),
-        _ => None,
-    }
+    env_switches().trace_path.clone()
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! under production traffic. [`SpanRing`] replaces that vector with a
 //! fixed-budget ring: records are charged an approximate in-memory cost
 //! and the oldest records are evicted once the budget
-//! (`KISHU_OBS_RING_BYTES`, default 4 MiB) is exceeded. Two properties
+//! ([`ObsConfig::ring_bytes`], default 4 MiB) is exceeded. Two properties
 //! make the ring honest enough to operate against:
 //!
 //! * **Truthful drop accounting.** `recorded == retained + dropped` at
@@ -24,18 +24,19 @@ use std::collections::{HashSet, VecDeque};
 
 use crate::SpanRecord;
 
-/// Flight-recorder tuning, normally read from the environment once per
-/// [`crate::Trace`] construction.
+/// Flight-recorder tuning, fixed for the life of one [`crate::Trace`]
+/// ([`crate::Trace::with_obs`]; [`crate::Trace::enabled`] uses the
+/// defaults).
 #[derive(Debug, Clone)]
 pub struct ObsConfig {
-    /// Ring budget in (approximate, in-memory) bytes. `KISHU_OBS_RING_BYTES`.
+    /// Ring budget in (approximate, in-memory) bytes.
     pub ring_bytes: usize,
-    /// Slow-span reservoir capacity in records. `KISHU_OBS_RESERVOIR`.
+    /// Slow-span reservoir capacity in records.
     pub reservoir_spans: usize,
-    /// Event-journal capacity in events. `KISHU_OBS_JOURNAL`.
+    /// Event-journal capacity in events.
     pub journal_events: usize,
     /// Base slow-span threshold in nanoseconds (scaled per op family by
-    /// [`crate::events::slow_threshold_ns`]). `KISHU_OBS_SLOW_NS`.
+    /// [`crate::events::slow_threshold_ns`]).
     pub slow_ns: u64,
 }
 
@@ -46,26 +47,6 @@ impl Default for ObsConfig {
             reservoir_spans: 256,
             journal_events: 1024,
             slow_ns: 50_000_000,
-        }
-    }
-}
-
-impl ObsConfig {
-    /// Read the `KISHU_OBS_*` knobs, falling back to defaults for unset
-    /// or unparseable values.
-    pub fn from_env() -> ObsConfig {
-        let d = ObsConfig::default();
-        fn env_u64(name: &str, default: u64) -> u64 {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(default)
-        }
-        ObsConfig {
-            ring_bytes: env_u64("KISHU_OBS_RING_BYTES", d.ring_bytes as u64) as usize,
-            reservoir_spans: env_u64("KISHU_OBS_RESERVOIR", d.reservoir_spans as u64) as usize,
-            journal_events: env_u64("KISHU_OBS_JOURNAL", d.journal_events as u64) as usize,
-            slow_ns: env_u64("KISHU_OBS_SLOW_NS", d.slow_ns),
         }
     }
 }

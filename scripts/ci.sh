@@ -4,8 +4,8 @@
 # criterion/parking_lot), so everything below runs fully offline.
 #
 # usage: ci.sh [--quick]
-#   --quick   build + one test pass + bench smoke/gate; skips the
-#             dual-worker-count test matrix and the pinned-seed fault pass.
+#   --quick   build + test pass + bench smoke/gate; skips the pinned-seed
+#             fault pass.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -58,25 +58,37 @@ if grep -nE '^\s*(rand|proptest|criterion|crossbeam|parking_lot|bytes|serde|serd
     exit 1
 fi
 
+# Configuration is the values callers pass (`KishuConfig`, `ChunkConfig`,
+# `ObsConfig`). The library crates read the environment in exactly four
+# places: the trace switches (kishu-trace `env_switches`: KISHU_TRACE,
+# KISHU_OBS_BLACKBOX) and the two harness knobs (kishu-testkit
+# `rng::seed_override`: KISHU_TESTKIT_SEED, `bench::quick`:
+# KISHU_BENCH_QUICK). kbench, a package of its own, is not covered.
+stage "guard: environment reads only in the declared readers"
+ENV_READS="$(grep -rnE 'env::var(_os)?\(' crates/*/src src --include='*.rs' \
+    | grep -v '^crates/bench/src/bin/kbench/' || true)"
+ALLOWED='^crates/trace/src/lib\.rs:[0-9]+: .*env::var(_os)?\("KISHU_(TRACE|OBS_BLACKBOX)"\)'
+ALLOWED="$ALLOWED"'|^crates/testkit/src/rng\.rs:[0-9]+: .*env::var\("KISHU_TESTKIT_SEED"\)'
+ALLOWED="$ALLOWED"'|^crates/testkit/src/bench\.rs:[0-9]+: .*env::var\("KISHU_BENCH_QUICK"\)'
+if printf '%s\n' "$ENV_READS" | grep -vE "$ALLOWED" | grep .; then
+    echo "error: environment read outside the declared readers (above)" >&2
+    exit 1
+fi
+if [ "$(printf '%s\n' "$ENV_READS" | grep -c .)" -ne 4 ]; then
+    printf '%s\n' "$ENV_READS" >&2
+    echo "error: expected exactly 4 environment reads (above)" >&2
+    exit 1
+fi
+
 stage "cargo build --release --offline"
 cargo build --release --offline --workspace --benches
 
-if [ "$QUICK" = 1 ]; then
-    stage "cargo test --offline (quick: single pass)"
-    cargo test -q --offline --workspace
-else
-    # Both pipelines (checkpoint writes and checkout reads) must behave
-    # identically at every worker count (the serial path is the
-    # differential-testing oracle), so the whole suite runs twice: once
-    # fully serial, once at the parallel defaults for both directions.
-    stage "cargo test --offline (CHECKPOINT/RESTORE_WORKERS=1, serial oracle)"
-    KISHU_CHECKPOINT_WORKERS=1 KISHU_RESTORE_WORKERS=1 \
-        cargo test -q --offline --workspace
-
-    stage "cargo test --offline (CHECKPOINT/RESTORE_WORKERS=4, parallel pipelines)"
-    KISHU_CHECKPOINT_WORKERS=4 KISHU_RESTORE_WORKERS=4 \
-        cargo test -q --offline --workspace
-fi
+# One pass over the whole workspace. The differential invariants (serial
+# oracle, representation-only chunking, VM = tree-walker, behavior-free
+# tracing, tenant isolation) run in-process as one table:
+# tests/invariant_matrix.rs.
+stage "cargo test --offline --workspace"
+cargo test -q --offline --workspace
 
 # kbench (the benchmark in BENCHMARK.json) is a package of its own with an
 # empty [workspace], so the workspace passes above never run its tests.
@@ -91,114 +103,38 @@ stage "trace smoke (validate target/trace.json parses with expected spans)"
 cargo run -q --release --offline -p kishu-bench --bin repro -- \
     trace-validate target/trace.json
 
-stage "storage engine v2 sweep (repro chunks -> target/CHUNKS.json)"
+stage "storage engine v2 sweep (repro chunks -> target/CHUNKS.json, reduction floor)"
 cargo run -q --release --offline -p kishu-bench --bin repro -- chunks
 
 # The VM-vs-tree speedup is asserted at full scale (--scale 1.0) even in
 # quick mode: the workload is a couple of seconds, and the acceptance bar
 # for the bytecode VM is defined at full scale, not at the smoke scale.
-stage "interp bench (bytecode VM vs tree-walker, scale 1.0 -> target/INTERP.json)"
+stage "interp bench (bytecode VM vs tree-walker, scale 1.0 -> target/INTERP.json, speedup floor)"
 cargo run -q --release --offline -p kishu-bench --bin repro -- interp
 
-stage "query surface bench (dashboard diff/history polling -> target/QUERIES.json)"
+stage "query surface bench (dashboard diff/history polling -> target/QUERIES.json, speedup floor)"
 cargo run -q --release --offline -p kishu-bench --bin repro -- queries
 
-stage "flight-recorder overhead bench (repro obs -> target/OBS.json)"
+stage "flight-recorder overhead bench (repro obs -> target/OBS.json, overhead ceiling)"
 cargo run -q --release --offline -p kishu-bench --bin repro -- obs
 
-stage "bench gate (vs BENCH_baseline.json; CHUNKS/INTERP/QUERIES floors, OBS ceiling)"
+stage "bench gate (vs BENCH_baseline.json)"
 ./scripts/bench_gate.sh
 
 if [ "$QUICK" != 1 ]; then
-    # The fault suites also run inside the workspace passes with their
+    # The fault suites also run inside the workspace pass with their
     # built-in seeds; this extra pass pins a second, independent seed so
     # determinism regressions (same seed, different faults) and
     # seed-specific breakage both surface.
     FAULT_SEED="${FAULT_SEED:-20250807}"
-    stage "fault injection & crash recovery (KISHU_TESTKIT_SEED=$FAULT_SEED)"
-    if ! { KISHU_TESTKIT_SEED="$FAULT_SEED" \
-            cargo test -q --offline -p kishu-repro --test crash_recovery \
+    stage "fault injection, recovery, isolation and the invariant matrix (KISHU_TESTKIT_SEED=$FAULT_SEED)"
+    if ! { KISHU_TESTKIT_SEED="$FAULT_SEED" cargo test -q --offline -p kishu-repro \
+            --test crash_recovery --test multi_tenant --test invariant_matrix \
         && KISHU_TESTKIT_SEED="$FAULT_SEED" \
             cargo test -q --offline -p kishu-bench --lib fault_sweep; }; then
         echo "error: fault suite failed; replay with KISHU_TESTKIT_SEED=$FAULT_SEED" >&2
         exit 1
     fi
-
-    # Multi-tenant isolation differential under the same pinned seed and
-    # both ends of the worker matrix (the suite also fixes worker counts
-    # internally; the env pass covers the defaulted paths). Each session's
-    # view of a shared store must be byte-identical to a private store.
-    stage "multi-tenant isolation (KISHU_TESTKIT_SEED=$FAULT_SEED, workers 1 and 4)"
-    if ! { KISHU_TESTKIT_SEED="$FAULT_SEED" \
-            KISHU_CHECKPOINT_WORKERS=1 KISHU_RESTORE_WORKERS=1 \
-            cargo test -q --offline -p kishu-repro --test multi_tenant \
-        && KISHU_TESTKIT_SEED="$FAULT_SEED" \
-            KISHU_CHECKPOINT_WORKERS=4 KISHU_RESTORE_WORKERS=4 \
-            cargo test -q --offline -p kishu-repro --test multi_tenant; }; then
-        echo "error: multi-tenant suite failed; replay with KISHU_TESTKIT_SEED=$FAULT_SEED" >&2
-        exit 1
-    fi
-
-    # Storage-engine-v2 kill-switch matrix: chunking/compression must be
-    # representation-only, so the storage crate and every integration
-    # differential run with the layer forced off (KISHU_CHUNKING=0, the v1
-    # bit-identical path) and forced on, under the same pinned seed, at
-    # both ends of the worker matrix. The workspace passes above already
-    # cover the default-on/default-seed paths; this matrix pins everything
-    # that could mask a chunking-dependent divergence.
-    stage "storage engine v2 matrix (KISHU_CHUNKING={0,1} x workers {1,4}, seed $FAULT_SEED)"
-    for CHUNKING in 0 1; do
-        for W in 1 4; do
-            if ! KISHU_CHUNKING=$CHUNKING KISHU_TESTKIT_SEED="$FAULT_SEED" \
-                KISHU_CHECKPOINT_WORKERS=$W KISHU_RESTORE_WORKERS=$W \
-                cargo test -q --offline -p kishu-storage -p kishu-repro; then
-                echo "error: v2 matrix failed at KISHU_CHUNKING=$CHUNKING workers=$W;" \
-                     "replay with KISHU_TESTKIT_SEED=$FAULT_SEED" >&2
-                exit 1
-            fi
-        done
-    done
-
-    # Flight-recorder differential: behavior-freedom must hold with the
-    # recorder fully on and under memory pressure, so the trace
-    # differential suite runs with a deliberately tiny ring (forced
-    # eviction + reservoir sampling) and the journal armed, at both ends
-    # of the worker matrix. The suite's own recorder arm hardcodes a small
-    # ring too; the env pass additionally covers every Trace::enabled()
-    # constructed from the environment.
-    stage "trace differential with recorder forced on (KISHU_OBS_RING_BYTES=16384, workers 1 and 4)"
-    if ! { KISHU_TESTKIT_SEED="$FAULT_SEED" \
-            KISHU_OBS_RING_BYTES=16384 KISHU_OBS_JOURNAL=64 \
-            KISHU_CHECKPOINT_WORKERS=1 KISHU_RESTORE_WORKERS=1 \
-            cargo test -q --offline -p kishu-repro --test trace_differential \
-        && KISHU_TESTKIT_SEED="$FAULT_SEED" \
-            KISHU_OBS_RING_BYTES=16384 KISHU_OBS_JOURNAL=64 \
-            KISHU_CHECKPOINT_WORKERS=4 KISHU_RESTORE_WORKERS=4 \
-            cargo test -q --offline -p kishu-repro --test trace_differential; }; then
-        echo "error: recorder-on trace differential failed;" \
-             "replay with KISHU_TESTKIT_SEED=$FAULT_SEED KISHU_OBS_RING_BYTES=16384" >&2
-        exit 1
-    fi
-
-    # Execution-engine matrix: the bytecode VM must be a drop-in for the
-    # tree-walking oracle under everything the sessions do — including the
-    # replay/recompute fallback paths that crash-recovery and the
-    # vm_differential suite drive under fault injection. Both engines run
-    # the interpreter and integration suites under the same pinned seed at
-    # both ends of the worker matrix (the workspace passes above only
-    # cover the default engine).
-    stage "execution engine matrix (KISHU_MINIPY_VM={0,1} x workers {1,4}, seed $FAULT_SEED)"
-    for VM in 0 1; do
-        for W in 1 4; do
-            if ! KISHU_MINIPY_VM=$VM KISHU_TESTKIT_SEED="$FAULT_SEED" \
-                KISHU_CHECKPOINT_WORKERS=$W KISHU_RESTORE_WORKERS=$W \
-                cargo test -q --offline -p kishu-minipy -p kishu-repro; then
-                echo "error: engine matrix failed at KISHU_MINIPY_VM=$VM workers=$W;" \
-                     "replay with KISHU_TESTKIT_SEED=$FAULT_SEED" >&2
-                exit 1
-            fi
-        done
-    done
 fi
 
 if cargo clippy --version >/dev/null 2>&1; then
@@ -214,7 +150,9 @@ fi
 # this also covers dumps left by crashed/killed runs.)
 stage "rotate trace/flightrec artifacts under target/"
 rotate_keep() { # rotate_keep GLOB... (keeps the 8 newest of the set)
-    ls -1t "$@" 2>/dev/null | tail -n +9 | while IFS= read -r f; do
+    # `ls` exits 2 when a glob matched nothing; under pipefail that must
+    # not fail the stage.
+    { ls -1t "$@" 2>/dev/null || true; } | tail -n +9 | while IFS= read -r f; do
         rm -f "$f"
     done
 }

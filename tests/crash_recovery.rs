@@ -10,6 +10,10 @@
 //!    Checkpoint Graph periodically must `resume` from any crash prefix that
 //!    still holds at least one intact graph snapshot, restoring exactly the
 //!    newest surviving persist point — and error (not panic) otherwise.
+//!
+//!    Both sweeps, and the GC sweep below, run over v1 frames
+//!    ([`ChunkConfig::disabled`]) and the default v2 representation (chunk
+//!    and manifest records).
 //! 3. **Acceptance under live faults**: a 50-cell scripted session running
 //!    over a [`FaultStore`] at 5% transient fault probability completes
 //!    every checkout with namespace state equivalent to a fault-free twin,
@@ -24,14 +28,17 @@
 //!
 //! Fault decisions are seeded; set `KISHU_TESTKIT_SEED` to replay a run.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
+mod common;
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::Path;
+
+use common::{snapshot, temp_dir, temp_path, Run, Script};
 use kishu::session::{KishuConfig, KishuSession};
 use kishu::NodeId;
-use kishu_minipy::repr::repr;
+use kishu_storage::chunk::ChunkConfig;
 use kishu_storage::{CheckpointStore, FaultPlan, FaultStore, FileStore, MemoryStore, SharedStore};
-use kishu_testkit::rng::env_seed;
+use kishu_testkit::rng::{env_seed, seed_override};
 
 /// Whether this run uses the test's built-in seed (for which fault-firing
 /// counts are known) rather than a caller-chosen `KISHU_TESTKIT_SEED`. A
@@ -39,26 +46,13 @@ use kishu_testkit::rng::env_seed;
 /// legitimately draw a fault-free run, so "faults fired" is only asserted
 /// for the default.
 fn default_seed() -> bool {
-    std::env::var("KISHU_TESTKIT_SEED").is_err()
+    seed_override().is_none()
 }
 
-/// Private temp dir per test process.
-fn temp_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("kishu-crash-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let p = dir.join(name);
-    let _ = std::fs::remove_file(&p);
-    p
-}
-
-/// Render every variable in the session namespace (ground truth for state
-/// equivalence).
-fn snapshot(s: &KishuSession) -> BTreeMap<String, String> {
-    s.interp
-        .globals
-        .bindings()
-        .map(|(n, o)| (n.to_string(), repr(&s.interp.heap, o)))
-        .collect()
+/// The two on-disk representations the recovery sweeps cover: v1 frames
+/// only, and the default chunked v2 records.
+fn representations() -> [ChunkConfig; 2] {
+    [ChunkConfig::disabled(), ChunkConfig::default()]
 }
 
 /// FileStore record framing: marker byte + u32 len + u32 crc.
@@ -91,8 +85,14 @@ fn record_ends(log: &[u8]) -> Vec<u64> {
 
 #[test]
 fn kill_at_any_byte_recovers_the_longest_intact_prefix() {
-    // A log with records of assorted sizes: empty through multi-KB, the
-    // large ones crossing the chunking threshold so the log mixes v1
+    for cfg in representations() {
+        kill_at_any_byte(cfg);
+    }
+}
+
+fn kill_at_any_byte(cfg: ChunkConfig) {
+    // A log with records of assorted sizes: empty through multi-KB. Under
+    // v2 the large ones cross the chunking threshold so the log mixes v1
     // records with chunk + manifest sequences (one compressible payload,
     // one incompressible, so both stored-chunk flags appear).
     let mut rng_state = 0x9E37_79B9_7F4A_7C15u64;
@@ -114,7 +114,7 @@ fn kill_at_any_byte_recovers_the_longest_intact_prefix() {
     ];
     let full = temp_path("kill.full.log");
     {
-        let mut s = FileStore::create(&full).expect("create");
+        let mut s = FileStore::create_with(&full, cfg.clone(), true).expect("create");
         for p in &payloads {
             s.put(p).expect("put");
         }
@@ -127,12 +127,13 @@ fn kill_at_any_byte_recovers_the_longest_intact_prefix() {
     let cut_path = temp_path("kill.cut.log");
     for cut in 0..=log.len() {
         std::fs::write(&cut_path, &log[..cut]).expect("write prefix");
-        let mut s = FileStore::open(&cut_path).expect("open never fails on a prefix");
+        let mut s =
+            FileStore::open_with(&cut_path, cfg.clone(), true).expect("open never fails on a prefix");
         let intact = ends.iter().filter(|e| **e <= cut as u64).count();
         assert_eq!(
             s.blob_count(),
             intact as u64,
-            "cut at byte {cut}: expected exactly the longest intact record prefix"
+            "{cfg:?} cut at byte {cut}: expected exactly the longest intact record prefix"
         );
         for (i, p) in payloads.iter().take(intact).enumerate() {
             assert_eq!(&s.get(i as u64).expect("surviving record reads"), p, "cut {cut}");
@@ -148,6 +149,12 @@ fn kill_at_any_byte_recovers_the_longest_intact_prefix() {
 
 #[test]
 fn resume_succeeds_from_any_prefix_with_an_intact_snapshot() {
+    for cfg in representations() {
+        resume_from_any_prefix(cfg);
+    }
+}
+
+fn resume_from_any_prefix(cfg: ChunkConfig) {
     // Scripted session on a FileStore, persisting the graph three times.
     let full = temp_path("resume.full.log");
     let cells = [
@@ -163,7 +170,7 @@ fn resume_succeeds_from_any_prefix_with_an_intact_snapshot() {
     // After each persist: (number of blobs the store holds, expected state).
     let mut persists: Vec<(u64, BTreeMap<String, String>)> = Vec::new();
     {
-        let store = FileStore::create(&full).expect("create");
+        let store = FileStore::create_with(&full, cfg.clone(), true).expect("create");
         let mut s = KishuSession::new(Box::new(store), KishuConfig::default());
         for (i, cell) in cells.iter().enumerate() {
             let r = s.run_cell(cell).expect("parses");
@@ -198,22 +205,22 @@ fn resume_succeeds_from_any_prefix_with_an_intact_snapshot() {
         // The newest persist whose snapshot blob (the last blob written by
         // that persist) survived the crash is what resume must restore.
         let expected = persists.iter().rev().find(|(blobs, _)| *blobs <= intact);
-        let store = FileStore::open(&cut_path).expect("open recovers");
+        let store = FileStore::open_with(&cut_path, cfg.clone(), true).expect("open recovers");
         match KishuSession::resume(Box::new(store), KishuConfig::default()) {
             Ok(resumed) => {
                 let (_, want) = expected.unwrap_or_else(|| {
-                    panic!("cut {cut}: resume succeeded with no intact snapshot")
+                    panic!("{cfg:?} cut {cut}: resume succeeded with no intact snapshot")
                 });
                 assert_eq!(
                     &snapshot(&resumed),
                     want,
-                    "cut {cut}: resumed state is not the newest surviving persist"
+                    "{cfg:?} cut {cut}: resumed state is not the newest surviving persist"
                 );
             }
             Err(e) => {
                 assert!(
                     expected.is_none(),
-                    "cut {cut}: resume failed despite an intact snapshot: {e}"
+                    "{cfg:?} cut {cut}: resume failed despite an intact snapshot: {e}"
                 );
             }
         }
@@ -222,58 +229,27 @@ fn resume_succeeds_from_any_prefix_with_an_intact_snapshot() {
     std::fs::remove_file(&cut_path).ok();
 }
 
-/// 50 deterministic cells over a small variable pool: creations, guarded
-/// mutations, aliasing, deletes — enough churn that checkpoints carry real
-/// deltas and fallback recomputation has work to do.
-fn scripted_cells() -> Vec<String> {
-    (0..50u32)
-        .map(|i| {
-            let k = i % 7;
-            if i < 7 {
-                return format!("v{k} = [{i}, {}]\n", i + 1);
-            }
-            match i % 5 {
-                0 => format!("v{k} = arange({})\n", (i % 11) + 4),
-                1 => format!(
-                    "if type(v{k}) == 'list':\n    v{k}.append({i})\nelse:\n    v{k} = [{i}]\n"
-                ),
-                2 => format!("v{k} = {{'i': {i}, 'l': [{i}, {}]}}\n", i * 2),
-                3 => format!("v{k} = v{}\n", (i + 3) % 7),
-                _ => format!("tmp = len(str(v{k}))\n"),
-            }
-        })
-        .collect()
-}
-
-/// Drive the faulty session and its fault-free twin through the same cells
-/// and checkouts; assert state equivalence throughout. Returns the faulty
-/// session's accumulated degradation (blobs dropped + integrity failures).
-fn run_twins(faulty: &mut KishuSession, clean: &mut KishuSession) -> (usize, usize) {
-    let mut dropped = 0usize;
-    let mut integrity = 0usize;
-    for (i, cell) in scripted_cells().iter().enumerate() {
-        let rf = faulty.run_cell(cell).expect("parses");
-        let rc = clean.run_cell(cell).expect("parses");
-        assert_eq!(rf.outcome.error, rc.outcome.error, "cell {i} outcome diverged");
+/// Drive the faulty session and a fault-free twin through
+/// [`Script::churn`] (cells, with a time-travel checkout after every 10th);
+/// assert state equivalence throughout. Returns the faulty run and its
+/// accumulated degradation (blobs dropped + integrity failures).
+fn run_twins(faulty: KishuSession) -> (Run, usize, usize) {
+    let script = Script::churn();
+    let f = Run::new(faulty).drive(&script);
+    let c = Run::new(KishuSession::in_memory(KishuConfig::default())).drive(&script);
+    let (fl, cl) = (&f.logical, &c.logical);
+    for (i, (rf, rc)) in fl.cells.iter().zip(&cl.cells).enumerate() {
+        assert_eq!(rf.error, rc.error, "cell {i} outcome diverged");
         assert_eq!(rf.node, rc.node, "cell {i} committed different nodes");
-        dropped += rf.blobs_dropped;
         assert_eq!(rc.blobs_dropped, 0, "the fault-free twin never drops blobs");
-        assert_eq!(snapshot(faulty), snapshot(clean), "state diverged after cell {i}");
-        // Every 10th cell: time-travel to an earlier checkpoint in both.
-        if (i + 1) % 10 == 0 {
-            let target = NodeId((i as u32).div_ceil(2));
-            let cf = faulty.checkout(target).expect("faulty checkout completes");
-            let cc = clean.checkout(target).expect("clean checkout completes");
-            integrity += cf.integrity_failures;
-            assert_eq!(cc.integrity_failures, 0);
-            assert_eq!(
-                snapshot(faulty),
-                snapshot(clean),
-                "checkout of {target:?} after cell {i} diverged"
-            );
-        }
     }
-    (dropped, integrity)
+    for (i, (sf, sc)) in f.values().iter().zip(c.values()).enumerate() {
+        assert_eq!(sf, &sc, "state diverged after step {i} ({:?})", script.steps[i]);
+    }
+    assert!(cl.checkouts.iter().all(|cc| cc.integrity_failures == 0));
+    let dropped = fl.cells.iter().map(|r| r.blobs_dropped).sum();
+    let integrity = fl.checkouts.iter().map(|r| r.integrity_failures).sum();
+    (f, dropped, integrity)
 }
 
 #[test]
@@ -283,9 +259,7 @@ fn faulty_session_matches_fault_free_twin_with_retries() {
     let seed = env_seed(0xC0FFEE);
     let store = FaultStore::new(Box::new(MemoryStore::new()), FaultPlan::transient(0.05), seed);
     let ledger = store.ledger_handle();
-    let mut faulty = KishuSession::new(Box::new(store), KishuConfig::default());
-    let mut clean = KishuSession::in_memory(KishuConfig::default());
-    run_twins(&mut faulty, &mut clean);
+    run_twins(KishuSession::new(Box::new(store), KishuConfig::default()));
     assert!(
         !default_seed() || ledger.total() > 0,
         "no faults fired at 5% over a 50-cell session (seed {seed})"
@@ -304,15 +278,13 @@ fn faulty_session_degrades_gracefully_without_retries() {
     };
     let store = FaultStore::new(Box::new(MemoryStore::new()), FaultPlan::transient(0.05), seed);
     let ledger = store.ledger_handle();
-    let mut faulty = KishuSession::new(Box::new(store), config);
-    let mut clean = KishuSession::in_memory(KishuConfig::default());
-    let (dropped, integrity) = run_twins(&mut faulty, &mut clean);
+    let (faulty, dropped, integrity) = run_twins(KishuSession::new(Box::new(store), config));
     assert!(
         !default_seed() || ledger.total() > 0,
         "no faults fired at 5% over a 50-cell session (seed {seed})"
     );
     assert_eq!(
-        faulty.metrics().total_blobs_dropped(),
+        faulty.session.metrics().total_blobs_dropped(),
         dropped,
         "session metrics agree with per-cell reports"
     );
@@ -331,24 +303,13 @@ fn corrupt_reads_fall_back_to_recomputation() {
     plan.bit_flip_p = 0.25;
     let store = FaultStore::new(Box::new(MemoryStore::new()), plan, seed);
     let ledger = store.ledger_handle();
-    let mut faulty = KishuSession::new(Box::new(store), KishuConfig::default());
-    let mut clean = KishuSession::in_memory(KishuConfig::default());
-    let (_, integrity) = run_twins(&mut faulty, &mut clean);
+    let (_, _, integrity) = run_twins(KishuSession::new(Box::new(store), KishuConfig::default()));
     let flips = ledger.snapshot().count(kishu_storage::FaultKind::BitFlip);
     assert!(!default_seed() || flips > 0, "no bit-flips fired (seed {seed})");
     assert!(
         flips == 0 || integrity > 0,
         "bit-flips fired but no integrity failures were counted (seed {seed})"
     );
-}
-
-/// Private temp *directory* per test process (the shared store is a
-/// directory of shard/tenant logs plus a manifest, not a single file).
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("kishu-crash-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir
 }
 
 /// Clone a store directory, so each simulated crash starts from the same
@@ -376,17 +337,26 @@ struct TenantTruth {
 /// pass always converges (reclaiming the garbage the killed pass did not).
 #[test]
 fn gc_compaction_killed_at_any_byte_recovers_every_tenant() {
+    for cfg in representations() {
+        gc_killed_at_any_byte(cfg);
+    }
+}
+
+fn gc_killed_at_any_byte(cfg: ChunkConfig) {
+    eprintln!("GC sweep under {cfg:?}");
     // ---- Build the pre-GC store: two tenants, interleaved cells, two
     // persists each (the first persist's snapshot becomes GC fodder).
     let base = temp_dir("gc-base");
+    // `data` seals past the default chunking minimum, so the v2 pass
+    // writes chunk and manifest records.
     let scripts: [&[&str]; 2] = [
-        &["data = [7, 7, 7, 7]\n", "a = [1, 2]\n", "a.append(3)\n", "b = a\n", "a.append(4)\n"],
-        &["data = [7, 7, 7, 7]\n", "x = {'k': 1}\n", "x['k'] = 2\n", "y = [9]\n", "del y\n"],
+        &["data = list(range(1000))\n", "a = [1, 2]\n", "a.append(3)\n", "b = a\n", "a.append(4)\n"],
+        &["data = list(range(1000))\n", "x = {'k': 1}\n", "x['k'] = 2\n", "y = [9]\n", "del y\n"],
     ];
     let mut live: BTreeMap<String, BTreeSet<u64>> = BTreeMap::new();
     let mut truths: Vec<TenantTruth> = Vec::new();
     {
-        let store = SharedStore::create(&base, 3).expect("create");
+        let store = SharedStore::create_with(&base, 3, cfg.clone()).expect("create");
         let mut sessions: Vec<(&str, KishuSession)> = ["ana", "ben"]
             .iter()
             .map(|n| (*n, KishuSession::on_shared(&store, n, KishuConfig::default()).expect("tenant")))
@@ -420,7 +390,7 @@ fn gc_compaction_killed_at_any_byte_recovers_every_tenant() {
     let reference = temp_dir("gc-ref");
     copy_dir(&base, &reference);
     let expected_reclaimed = {
-        let store = SharedStore::open(&reference).expect("open");
+        let store = SharedStore::open_with(&reference, cfg.clone()).expect("open");
         let r = store.collect(&live).expect("reference gc");
         assert!(r.reclaimed_blobs > 0, "superseded snapshots must be garbage: {r:?}");
         r.reclaimed_blobs
@@ -452,11 +422,12 @@ fn gc_compaction_killed_at_any_byte_recovers_every_tenant() {
     let work = temp_dir("gc-work");
     for &cut in &cuts {
         copy_dir(&base, &work);
-        let store = SharedStore::open(&work).expect("open pre-crash copy");
+        let store = SharedStore::open_with(&work, cfg.clone()).expect("open pre-crash copy");
         store.set_crash_after_bytes(Some(cut));
         let outcome = store.collect(&live);
         drop(store); // the machine dies here
-        let reopened = SharedStore::open(&work).expect("open after crash never fails");
+        let reopened =
+            SharedStore::open_with(&work, cfg.clone()).expect("open after crash never fails");
         match &outcome {
             Ok(r) => {
                 assert_eq!(reopened.generation(), 1, "cut {cut}: commit went through");

@@ -2,15 +2,13 @@
 //! (kernel → minipy → libsim → kishu → storage), plus cross-method state
 //! agreement.
 
+mod common;
+
+use common::probe;
 use kishu::session::{KishuConfig, KishuSession};
 use kishu_bench::methods::{Driver, MethodKind};
 use kishu_storage::FileStore;
 use kishu_workloads::{all_notebooks, notebooks};
-
-fn probe(s: &mut KishuSession, expr: &str) -> Option<String> {
-    let out = s.run_cell(&format!("{expr}\n")).ok()?;
-    out.outcome.error.is_none().then_some(out.outcome.value_repr)?
-}
 
 #[test]
 fn every_notebook_runs_under_kishu_with_per_cell_checkpoints() {

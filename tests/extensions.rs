@@ -4,18 +4,13 @@
 
 use std::sync::Arc;
 
+mod common;
+
+use common::probe;
 use kishu::session::{KishuConfig, KishuSession};
 use kishu::vargraph::{VarGraph, VarGraphConfig};
 use kishu_libsim::Registry;
 use kishu_storage::FileStore;
-
-fn probe(s: &mut KishuSession, expr: &str) -> Option<String> {
-    let out = s.run_cell(&format!("{expr}\n")).ok()?;
-    if out.outcome.error.is_some() {
-        return None;
-    }
-    out.outcome.value_repr
-}
 
 // ----------------------------------------------------------------------
 // rule-based read-only cells (§6.2 extension)

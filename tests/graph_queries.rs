@@ -15,21 +15,16 @@
 //!
 //! Scripts are generated from a seed; set `KISHU_TESTKIT_SEED` to replay.
 
-use std::collections::BTreeSet;
-use std::path::PathBuf;
+mod common;
 
+use std::collections::BTreeSet;
+
+use common::temp_dir;
 use kishu::graph::{CheckpointGraph, NodeId, StoredCoVar};
 use kishu::query::{diff_report, VarChange};
 use kishu::session::{KishuConfig, KishuSession};
 use kishu_storage::FileStore;
 use kishu_testkit::prelude::*;
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("kishu-queries-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
 
 // --- 1. diff report ≡ checkout plan --------------------------------------
 

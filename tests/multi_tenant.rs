@@ -15,25 +15,26 @@
 //! 3. **identical restored namespaces** at every checkpoint of every
 //!    session;
 //! 4. **an identical fault ledger** when the store injects faults —
-//!    [`FaultStore`] scope-keyed draws mean a neighbor's retries cannot
-//!    perturb a tenant's fault sequence (the latent single-store
-//!    assumption this PR fixed);
+//!    `FaultStore` scope-keyed draws mean a neighbor's retries cannot
+//!    perturb a tenant's fault sequence;
 //! 5. **GC as a pure space optimization**: collecting everything
 //!    unreferenced changes no restored state anywhere, and refcount
 //!    invariants hold after arbitrary interleavings.
 //!
 //! Scripts are generated from a seed; set `KISHU_TESTKIT_SEED` to replay.
 
+mod common;
+
 use std::collections::{BTreeMap, BTreeSet};
 
-use kishu::session::{CellReport, KishuConfig, KishuSession};
+use common::{assert_twins, observe, observe_shared, snapshot, Backend, Faults, Observation, Point};
+use common::{Run, Script, Step, ORACLE};
+use kishu::session::{KishuConfig, KishuSession};
 use kishu::NodeId;
-use kishu_minipy::repr::repr;
-use kishu_storage::{
-    tenant_scope, FaultLedger, FaultPlan, FaultStore, MemoryStore, SharedStore,
-};
+use kishu_storage::chunk::ChunkConfig;
+use kishu_storage::{MemoryStore, SharedStore};
 use kishu_testkit::prelude::*;
-use kishu_testkit::rng::{env_seed, Rng};
+use kishu_testkit::rng::{env_seed, seed_override};
 
 /// Tenants in the interleaved runs: the differential holds for *every* one
 /// of them (each is "the" session; the other K=3 are its neighbors).
@@ -43,190 +44,40 @@ const TENANTS: [&str; 4] = ["ana", "ben", "cho", "dia"];
 const WORKER_COUNTS: [usize; 2] = [1, 4];
 
 fn config(workers: usize) -> KishuConfig {
-    KishuConfig {
-        checkpoint_workers: workers,
-        restore_workers: workers,
-        dedup_blobs: true,
-        ..KishuConfig::default()
-    }
+    Point { workers, ..ORACLE }.config()
 }
 
-/// Scripted notebook for one tenant. Cells at indices divisible by 3 come
-/// from a **common stream** shared verbatim by every tenant (the same
-/// dataset loaded everywhere — the cross-user redundancy motivating
-/// store-wide dedup); the rest are tenant-private: fresh bindings, in-place
-/// mutations, re-created constants, shared structure.
-fn tenant_cells(base_seed: u64, tenant: usize, n_cells: usize) -> Vec<String> {
-    let mut common = Rng::seed_from_u64(base_seed);
-    let mut private = Rng::seed_from_u64(base_seed ^ (tenant as u64 + 1).wrapping_mul(0x9E37_79B9));
-    let mut live: Vec<String> = Vec::new();
-    let mut fresh = 0usize;
-    let mut cells = Vec::new();
-    for i in 0..n_cells {
-        if i % 3 == 0 {
-            // Common dataset cell: identical code (and payload bytes) in
-            // every tenant's notebook.
-            let len = common.random_range(4..12usize);
-            let vals: Vec<String> =
-                (0..len).map(|_| common.random_range(0..100i64).to_string()).collect();
-            cells.push(format!("d{i} = [{}]\n", vals.join(", ")));
-            continue;
-        }
-        let roll = private.random_range(0..10u32);
-        let cell = match roll {
-            0..=3 => {
-                let name = format!("v{fresh}");
-                fresh += 1;
-                let len = private.random_range(1..6usize);
-                let vals: Vec<String> =
-                    (0..len).map(|_| private.random_range(0..50i64).to_string()).collect();
-                live.push(name.clone());
-                format!("{name} = [{}]\n", vals.join(", "))
-            }
-            4..=5 if !live.is_empty() => {
-                let name = &live[private.random_range(0..live.len())];
-                format!("{name}.append({})\n", private.random_range(0..50i64))
-            }
-            6..=7 => {
-                let name = format!("v{fresh}");
-                fresh += 1;
-                live.push(name.clone());
-                format!("{name} = [1, 2, 3]\n")
-            }
-            8 if !live.is_empty() => {
-                let src = live[private.random_range(0..live.len())].clone();
-                let name = format!("v{fresh}");
-                fresh += 1;
-                live.push(name.clone());
-                format!("{name} = {src}\n")
-            }
-            _ => "probe = 1\ndel probe\n".to_string(),
-        };
-        cells.push(cell);
-    }
-    cells
-}
-
-type Fingerprint = (Option<NodeId>, u64, u64, usize, usize, Vec<String>);
-
-/// The fields of a [`CellReport`] that must agree solo vs interleaved.
-fn report_fingerprint(r: &CellReport) -> Fingerprint {
-    (
-        r.node,
-        r.checkpoint_bytes,
-        r.bytes_written,
-        r.blobs_dropped,
-        r.blobs_deduped,
-        r.updated.iter().map(|k| format!("{k:?}")).collect(),
-    )
-}
-
-/// Render the namespace (ground truth for state equivalence).
-fn snapshot(s: &KishuSession) -> BTreeMap<String, String> {
-    s.interp
-        .globals
-        .bindings()
-        .map(|(n, o)| (n.to_string(), repr(&s.interp.heap, o)))
-        .collect()
-}
-
-/// Everything a session can observe about its own world: per-cell reports,
-/// its store view (every blob id's bytes, in order), its logical store
-/// stats, the namespace restored at every one of its checkpoints, and its
-/// final namespace.
-#[derive(Debug, PartialEq, Eq)]
-struct Observation {
-    reports: Vec<Fingerprint>,
-    store_view: Vec<Vec<u8>>,
-    stats: (u64, u64, u64),
-    at_nodes: Vec<(NodeId, BTreeMap<String, String>)>,
-    final_ns: BTreeMap<String, String>,
-}
-
-/// Run `cells` to completion on `session`, then observe it: dump the store
-/// view and check out every checkpoint.
-fn observe(mut session: KishuSession, cells: &[String]) -> Observation {
-    let mut reports = Vec::new();
-    let mut nodes = Vec::new();
-    for cell in cells {
-        let r = session.run_cell(cell).expect("generated cells parse");
-        if let Some(n) = r.node {
-            nodes.push(n);
-        }
-        reports.push(report_fingerprint(&r));
-    }
-    let final_ns = snapshot(&session);
-    let store_view: Vec<Vec<u8>> = (0..session.store().blob_count())
-        .map(|i| session.store().get(i).expect("own blobs read back"))
-        .collect();
-    let st = session.store_stats();
-    let mut at_nodes = Vec::new();
-    for n in nodes {
-        session.checkout(n).expect("checkout own checkpoint");
-        at_nodes.push((n, snapshot(&session)));
-    }
-    Observation { reports, store_view, stats: (st.blobs, st.payload_bytes, st.physical_bytes), at_nodes, final_ns }
-}
-
-/// The solo oracle: each tenant alone on a private in-memory store.
-fn run_solo(base_seed: u64, n_cells: usize, workers: usize) -> Vec<Observation> {
+/// Every tenant's script: `n_cells` cells (a third shared verbatim by all
+/// tenants), then a checkout of every committed node.
+fn scripts(base_seed: u64, n_cells: usize) -> Vec<Script> {
     TENANTS
         .iter()
         .enumerate()
-        .map(|(ti, _)| {
-            let cells = tenant_cells(base_seed, ti, n_cells);
-            observe(KishuSession::in_memory(config(workers)), &cells)
-        })
+        .map(|(ti, name)| Script::tenant(name, base_seed, ti, n_cells).visiting_every_node())
         .collect()
 }
 
-/// The same tenants interleaved cell-by-cell on one shared store.
-fn run_interleaved(
-    base_seed: u64,
-    n_cells: usize,
-    workers: usize,
+/// Each tenant alone on a private in-memory store vs all of them
+/// interleaved on one shared store with `shards` shards: every tenant's
+/// observation — store view, reports, stats, every restored namespace,
+/// fault ledger — must be identical. Returns the interleaved observations
+/// and the shared store.
+fn assert_private(
+    point: &Point,
     shards: usize,
+    scripts: &[Script],
 ) -> (Vec<Observation>, SharedStore) {
-    let store = SharedStore::in_memory(shards);
-    let scripts: Vec<Vec<String>> =
-        (0..TENANTS.len()).map(|ti| tenant_cells(base_seed, ti, n_cells)).collect();
-    let mut sessions: Vec<KishuSession> = TENANTS
-        .iter()
-        .map(|name| KishuSession::on_shared(&store, name, config(workers)).expect("tenant"))
-        .collect();
-    let mut reports: Vec<Vec<Fingerprint>> = vec![Vec::new(); TENANTS.len()];
-    let mut nodes: Vec<Vec<NodeId>> = vec![Vec::new(); TENANTS.len()];
-    // Round-robin interleaving: cell 0 of every tenant, then cell 1, ...
-    for i in 0..n_cells {
-        for (ti, s) in sessions.iter_mut().enumerate() {
-            let r = s.run_cell(&scripts[ti][i]).expect("generated cells parse");
-            if let Some(n) = r.node {
-                nodes[ti].push(n);
-            }
-            reports[ti].push(report_fingerprint(&r));
-        }
+    let tenant = Point { store: Backend::SharedTenant, ..*point };
+    let (shared, store) = observe_shared(&tenant, point.config(), shards, scripts);
+    for (script, inter) in scripts.iter().zip(&shared) {
+        assert_twins(&observe(point, script), inter);
     }
-    let mut out = Vec::new();
-    for (ti, mut s) in sessions.into_iter().enumerate() {
-        let final_ns = snapshot(&s);
-        let store_view: Vec<Vec<u8>> = (0..s.store().blob_count())
-            .map(|i| s.store().get(i).expect("own blobs read back"))
-            .collect();
-        let st = s.store_stats();
-        let mut at_nodes = Vec::new();
-        for n in nodes[ti].clone() {
-            s.checkout(n).expect("checkout own checkpoint");
-            at_nodes.push((n, snapshot(&s)));
-        }
-        out.push(Observation {
-            reports: reports[ti].clone(),
-            store_view,
-            stats: (st.blobs, st.payload_bytes, st.physical_bytes),
-            at_nodes,
-            final_ns,
-        });
-    }
-    (out, store)
+    (shared, store)
+}
+
+/// The cell sources of tenant `ti`'s script.
+fn cells(base_seed: u64, ti: usize, n_cells: usize) -> Vec<String> {
+    Script::tenant(TENANTS[ti], base_seed, ti, n_cells).cell_sources()
 }
 
 /// The headline differential: every tenant's observable world — store view,
@@ -235,17 +86,10 @@ fn run_interleaved(
 /// 1 and 4 checkpoint/restore workers, for 1 and 4 shards.
 #[test]
 fn tenant_views_are_byte_identical_solo_vs_interleaved() {
-    let base_seed = env_seed(0x5EED_7E4A);
+    let scripts = scripts(env_seed(0x5EED_7E4A), 18);
     for workers in WORKER_COUNTS {
-        let solo = run_solo(base_seed, 18, workers);
         for shards in [1usize, 4] {
-            let (inter, store) = run_interleaved(base_seed, 18, workers, shards);
-            for (ti, name) in TENANTS.iter().enumerate() {
-                assert_eq!(
-                    solo[ti], inter[ti],
-                    "tenant {name} diverged at workers={workers} shards={shards}"
-                );
-            }
+            let (_, store) = assert_private(&Point { workers, ..ORACLE }, shards, &scripts);
             store.check_invariants(true).expect("refcount invariants");
             // The interleaved runs share identical dataset cells, so the
             // store-wide dedup must have found cross-tenant redundancy.
@@ -258,80 +102,21 @@ fn tenant_views_are_byte_identical_solo_vs_interleaved() {
     }
 }
 
-/// Fault-injection differential (and the regression for the latent
-/// single-store assumption): with a fault-injecting store shared by all
-/// tenants, each tenant's fault ledger and reports are identical to
-/// running alone over a private faulty store with the same scope — one
-/// session's retries never perturb another's deterministic draws.
+/// Fault-injection differential: with a fault-injecting store shared by
+/// all tenants, each tenant's fault ledger, reports and restored state are
+/// identical to running alone over a private faulty store with the same
+/// scope — one session's retries never perturb another's deterministic
+/// draws.
 #[test]
 fn fault_ledgers_are_identical_solo_vs_interleaved() {
     let base_seed = env_seed(0xFA17_5EED);
-    let plan = FaultPlan {
-        put_transient_p: 0.08,
-        get_transient_p: 0.05,
-        short_write_p: 0.02,
-        bit_flip_p: 0.02,
-        ..FaultPlan::none()
-    };
-    let fault_seed = base_seed ^ 0xFA17;
-    let n_cells = 16;
+    let scripts = scripts(base_seed, 16);
     for workers in WORKER_COUNTS {
-        // Solo oracles: private MemoryStore under a FaultStore scoped to
-        // the tenant's name.
-        let mut solo: Vec<(Vec<Fingerprint>, FaultLedger)> = Vec::new();
-        for (ti, name) in TENANTS.iter().enumerate() {
-            let cells = tenant_cells(base_seed, ti, n_cells);
-            let fs = FaultStore::scoped(
-                Box::new(MemoryStore::new()),
-                plan.clone(),
-                fault_seed,
-                tenant_scope(name),
-            );
-            let handle = fs.ledger_handle();
-            let mut s = KishuSession::new(Box::new(fs), config(workers));
-            let reports: Vec<Fingerprint> = cells
-                .iter()
-                .map(|c| report_fingerprint(&s.run_cell(c).expect("cells parse")))
-                .collect();
-            solo.push((reports, handle.snapshot_scoped(tenant_scope(name))));
-        }
-        // Interleaved: one shared store, one shared fault state, one
-        // FaultStore twin per tenant wrapping that tenant's view.
-        let store = SharedStore::in_memory(4);
-        let base = FaultStore::scoped(
-            Box::new(store.tenant(TENANTS[0]).expect("tenant")),
-            plan.clone(),
-            fault_seed,
-            tenant_scope(TENANTS[0]),
-        );
-        let handle = base.ledger_handle();
-        let mut faulty_views: Vec<FaultStore> = vec![base];
-        for name in &TENANTS[1..] {
-            let twin = faulty_views[0]
-                .twin(Box::new(store.tenant(name).expect("tenant")), tenant_scope(name));
-            faulty_views.push(twin);
-        }
-        let mut sessions: Vec<KishuSession> = faulty_views
-            .into_iter()
-            .map(|fs| KishuSession::new(Box::new(fs), config(workers)))
-            .collect();
-        let scripts: Vec<Vec<String>> =
-            (0..TENANTS.len()).map(|ti| tenant_cells(base_seed, ti, n_cells)).collect();
-        let mut reports: Vec<Vec<Fingerprint>> = vec![Vec::new(); TENANTS.len()];
-        for i in 0..n_cells {
-            for (ti, s) in sessions.iter_mut().enumerate() {
-                reports[ti]
-                    .push(report_fingerprint(&s.run_cell(&scripts[ti][i]).expect("cells parse")));
-            }
-        }
-        for (ti, name) in TENANTS.iter().enumerate() {
-            let ledger = handle.snapshot_scoped(tenant_scope(name));
-            assert_eq!(reports[ti], solo[ti].0, "tenant {name} reports diverged (workers={workers})");
-            assert_eq!(ledger, solo[ti].1, "tenant {name} fault ledger diverged (workers={workers})");
-        }
-        if std::env::var("KISHU_TESTKIT_SEED").is_err() {
-            let total: usize = solo.iter().map(|(_, l)| l.total()).sum();
-            assert!(total > 0, "default seed should fire at these probabilities");
+        let point = Point { workers, faults: Faults::Seeded(base_seed ^ 0xFA17), ..ORACLE };
+        let (shared, _) = assert_private(&point, 4, &scripts);
+        if seed_override().is_none() {
+            let fired: usize = shared.iter().map(|o| o.logical.ledger.total()).sum();
+            assert!(fired > 0, "default seed should fire at these probabilities");
         }
     }
 }
@@ -349,8 +134,7 @@ fn gc_preserves_every_commit_of_every_session() {
         .iter()
         .map(|name| KishuSession::on_shared(&store, name, config(2)).expect("tenant"))
         .collect();
-    let scripts: Vec<Vec<String>> =
-        (0..TENANTS.len()).map(|ti| tenant_cells(base_seed, ti, 15)).collect();
+    let scripts: Vec<Vec<String>> = (0..TENANTS.len()).map(|ti| cells(base_seed, ti, 15)).collect();
     let mut nodes: Vec<Vec<NodeId>> = vec![Vec::new(); TENANTS.len()];
     for i in 0..15 {
         for (ti, s) in sessions.iter_mut().enumerate() {
@@ -417,7 +201,7 @@ fn resume_through_a_tenant_view_is_isolation_blind() {
             }
         }
         let scripts: Vec<Vec<String>> =
-            (0..TENANTS.len()).map(|ti| tenant_cells(base_seed, ti, 12)).collect();
+            (0..TENANTS.len()).map(|ti| cells(base_seed, ti, 12)).collect();
         for i in 0..12 {
             for (ti, s) in sessions.iter_mut() {
                 s.run_cell(&scripts[*ti][i]).expect("cells parse");
@@ -463,52 +247,39 @@ proptest! {
         ops in prop::collection::vec(any::<u8>(), 8..40),
     ) {
         let scripts: Vec<Vec<String>> =
-            (0..n_tenants).map(|ti| tenant_cells(seed, ti, ops.len())).collect();
+            (0..n_tenants).map(|ti| cells(seed, ti, ops.len())).collect();
         let store = SharedStore::in_memory(4);
-        let mut shared: Vec<KishuSession> = (0..n_tenants)
-            .map(|ti| KishuSession::on_shared(&store, TENANTS[ti], config(1)).expect("tenant"))
-            .collect();
-        let mut private: Vec<KishuSession> =
-            (0..n_tenants).map(|_| KishuSession::in_memory(config(1))).collect();
-        let mut cursors = vec![0usize; n_tenants];
-        let mut nodes: Vec<Vec<NodeId>> = vec![Vec::new(); n_tenants];
+        let tenant = |ti: usize| KishuSession::on_shared(&store, TENANTS[ti], config(1));
+        let mut shared: Vec<Run> =
+            (0..n_tenants).map(|ti| Run::new(tenant(ti).expect("tenant"))).collect();
+        // A tenant view reports sizes exactly as a private v1 store does.
+        let private_store = || Box::new(MemoryStore::with_config(ChunkConfig::disabled()));
+        let private_session = || KishuSession::new(private_store(), config(1));
+        let mut private: Vec<Run> = (0..n_tenants).map(|_| Run::new(private_session())).collect();
+        let mut ran = vec![0usize; n_tenants];
+        let mut apply = |ti: usize, step: &Step| {
+            shared[ti].step(step);
+            private[ti].step(step);
+        };
         for &b in &ops {
             let (ti, checkout, pick) = decode_op(b, n_tenants);
-            if checkout && !nodes[ti].is_empty() {
-                let n = nodes[ti][pick % nodes[ti].len()];
-                shared[ti].checkout(n).expect("shared checkout");
-                private[ti].checkout(n).expect("private checkout");
-                prop_assert_eq!(
-                    snapshot(&shared[ti]),
-                    snapshot(&private[ti]),
-                    "checkout diverged for tenant {} at node {:?}",
-                    ti,
-                    n
-                );
+            if checkout && ran[ti] > 0 {
+                apply(ti, &Step::Checkout(pick));
             } else {
-                let cell = &scripts[ti][cursors[ti]];
-                cursors[ti] += 1;
-                let a = shared[ti].run_cell(cell).expect("cells parse");
-                let b2 = private[ti].run_cell(cell).expect("cells parse");
-                prop_assert_eq!(
-                    report_fingerprint(&a),
-                    report_fingerprint(&b2),
-                    "report diverged for tenant {}",
-                    ti
-                );
-                if let Some(n) = a.node {
-                    nodes[ti].push(n);
-                }
+                ran[ti] += 1;
+                apply(ti, &Step::Cell { src: scripts[ti][ran[ti] - 1].clone(), store: true });
             }
         }
         // Final sweep: every checkpoint of every tenant restores the same
         // namespace from the shared store as from the private one.
-        for ti in 0..n_tenants {
-            for &n in &nodes[ti] {
-                shared[ti].checkout(n).expect("shared checkout");
-                private[ti].checkout(n).expect("private checkout");
-                prop_assert_eq!(snapshot(&shared[ti]), snapshot(&private[ti]));
+        for (ti, &n) in ran.iter().enumerate() {
+            for k in 0..n {
+                apply(ti, &Step::Checkout(k));
             }
+        }
+        for (ti, (a, b)) in shared.iter().zip(&private).enumerate() {
+            prop_assert_eq!(&a.logical, &b.logical, "tenant {} diverged", ti);
+            prop_assert_eq!(&a.physical, &b.physical, "tenant {} sizes diverged", ti);
         }
         if let Err(e) = store.check_invariants(true) {
             return Err(TestCaseError::fail(format!("store invariant violated: {e}")));

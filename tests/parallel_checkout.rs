@@ -21,202 +21,20 @@
 //!
 //! Scripts are generated from a seed; set `KISHU_TESTKIT_SEED` to replay.
 
-use std::collections::BTreeMap;
+mod common;
 
-use kishu::session::{CheckoutReport, KishuConfig, KishuSession};
-use kishu::NodeId;
+use common::{assert_twins, observe, observe_with, Faults, Point, Script, ORACLE};
+use kishu::session::{KishuConfig, KishuSession};
 use kishu_minipy::repr::repr;
-use kishu_storage::{FaultLedgerHandle, FaultPlan, FaultStore, MemoryStore};
+use kishu_storage::{FaultKind, FaultOp, FaultPlan, FaultStore, MemoryStore};
 use kishu_testkit::prelude::*;
-use kishu_testkit::rng::Rng;
 
 /// Restore worker counts under differential test; 1 is the oracle.
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// Default read-cache capacity used by the fixtures (the config default is
-/// environment-sensitive; tests pin it).
-const CACHE_BYTES: u64 = 32 * 1024 * 1024;
-
-/// Generate a scripted notebook: fresh bindings, in-place mutations,
-/// deletes, and shared structure — enough churn that checkouts mix loads,
-/// removals, and identical skips.
-fn scripted_cells(seed: u64, n_cells: usize) -> Vec<String> {
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut live: Vec<String> = Vec::new();
-    let mut cells = Vec::new();
-    let mut fresh = 0usize;
-    for _ in 0..n_cells {
-        let roll = rng.random_range(0..10u32);
-        let cell = match roll {
-            0..=3 => {
-                let name = format!("v{fresh}");
-                fresh += 1;
-                let len = rng.random_range(1..6usize);
-                let vals: Vec<String> =
-                    (0..len).map(|_| rng.random_range(0..50i64).to_string()).collect();
-                live.push(name.clone());
-                format!("{name} = [{}]\n", vals.join(", "))
-            }
-            4..=6 if !live.is_empty() => {
-                let name = &live[rng.random_range(0..live.len())];
-                format!("{name}.append({})\n", rng.random_range(0..50i64))
-            }
-            7 if live.len() > 1 => {
-                let name = live.remove(rng.random_range(0..live.len()));
-                format!("del {name}\n")
-            }
-            8 if !live.is_empty() => {
-                let src = live[rng.random_range(0..live.len())].clone();
-                let name = format!("v{fresh}");
-                fresh += 1;
-                live.push(name.clone());
-                format!("{name} = {src}\n")
-            }
-            _ => "probe = 1\ndel probe\n".to_string(),
-        };
-        cells.push(cell);
-    }
-    cells
-}
-
-/// The fields of a [`CheckoutReport`] that must agree across restore worker
-/// counts (everything except wall time).
-type CoFingerprint = (
-    NodeId,
-    Vec<String>,
-    Vec<String>,
-    Vec<String>,
-    usize,
-    u64,
-    usize,
-    usize,
-    usize,
-);
-
-fn co_fingerprint(r: &CheckoutReport) -> CoFingerprint {
-    (
-        r.target,
-        r.loaded.iter().map(|k| format!("{k:?}")).collect(),
-        r.recomputed.iter().map(|k| format!("{k:?}")).collect(),
-        r.removed.iter().map(|k| format!("{k:?}")).collect(),
-        r.identical,
-        r.bytes_loaded,
-        r.integrity_failures,
-        r.flushed,
-        r.blobs_cached,
-    )
-}
-
-/// Zero out `blobs_cached`, for comparing runs whose cache configuration
-/// legitimately differs.
-fn without_cache_field(fps: &[CoFingerprint]) -> Vec<CoFingerprint> {
-    fps.iter()
-        .map(|f| {
-            let mut f = f.clone();
-            f.8 = 0;
-            f
-        })
-        .collect()
-}
-
-/// Render the namespace (ground truth for state equivalence).
-fn snapshot(s: &KishuSession) -> BTreeMap<String, String> {
-    s.interp
-        .globals
-        .bindings()
-        .map(|(n, o)| (n.to_string(), repr(&s.interp.heap, o)))
-        .collect()
-}
-
-/// A deterministic time-travel itinerary over the committed nodes: jump
-/// back, bounce around the middle, and return to the tip — revisits
-/// included, so the read cache actually gets hits.
-fn itinerary(nodes: &[NodeId], seed: u64) -> Vec<NodeId> {
-    let mut rng = Rng::seed_from_u64(seed ^ 0x17_17);
-    let mut stops = Vec::new();
-    if nodes.is_empty() {
-        return stops;
-    }
-    stops.push(nodes[0]);
-    for _ in 0..6 {
-        stops.push(nodes[rng.random_range(0..nodes.len())]);
-    }
-    stops.push(nodes[nodes.len() - 1]);
-    stops.push(nodes[0]);
-    stops.push(nodes[nodes.len() - 1]);
-    stops
-}
-
-/// Run `cells`, then execute the checkout itinerary with `workers` restore
-/// threads; return per-checkout fingerprints and post-checkout snapshots.
-fn run_restore(
-    cells: &[String],
-    seed: u64,
-    workers: usize,
-    cache_bytes: u64,
-) -> (Vec<CoFingerprint>, Vec<BTreeMap<String, String>>, kishu_storage::CacheStats) {
-    let config = KishuConfig {
-        checkpoint_workers: 1,
-        restore_workers: workers,
-        checkout_cache_bytes: cache_bytes,
-        ..KishuConfig::default()
-    };
-    let mut s = KishuSession::in_memory(config);
-    let mut nodes = Vec::new();
-    for cell in cells {
-        let r = s.run_cell(cell).expect("generated cells parse");
-        if let Some(n) = r.node {
-            nodes.push(n);
-        }
-    }
-    let mut fingerprints = Vec::new();
-    let mut snapshots = Vec::new();
-    for target in itinerary(&nodes, seed) {
-        let r = s.checkout(target).expect("checkout");
-        fingerprints.push(co_fingerprint(&r));
-        snapshots.push(snapshot(&s));
-    }
-    let cache = s.read_cache_stats();
-    (fingerprints, snapshots, cache)
-}
-
-/// Same itinerary over a fault-injecting store (read-heavy fault plan);
-/// also returns the final fault ledger.
-fn run_faulty_restore(
-    cells: &[String],
-    seed: u64,
-    workers: usize,
-) -> (Vec<CoFingerprint>, Vec<BTreeMap<String, String>>, kishu_storage::FaultLedger) {
-    let plan = FaultPlan {
-        get_transient_p: 0.10,
-        bit_flip_p: 0.05,
-        put_transient_p: 0.02,
-        ..FaultPlan::none()
-    };
-    let fault_store = FaultStore::new(Box::new(MemoryStore::new()), plan, seed ^ 0xFA17);
-    let ledger: FaultLedgerHandle = fault_store.ledger_handle();
-    let config = KishuConfig {
-        checkpoint_workers: 1,
-        restore_workers: workers,
-        checkout_cache_bytes: CACHE_BYTES,
-        ..KishuConfig::default()
-    };
-    let mut s = KishuSession::new(Box::new(fault_store), config);
-    let mut nodes = Vec::new();
-    for cell in cells {
-        let r = s.run_cell(cell).expect("generated cells parse");
-        if let Some(n) = r.node {
-            nodes.push(n);
-        }
-    }
-    let mut fingerprints = Vec::new();
-    let mut snapshots = Vec::new();
-    for target in itinerary(&nodes, seed) {
-        let r = s.checkout(target).expect("checkout degrades, never fails");
-        fingerprints.push(co_fingerprint(&r));
-        snapshots.push(snapshot(&s));
-    }
-    (fingerprints, snapshots, ledger.snapshot())
+/// `point` at `workers` restore threads, checkpointing serially.
+fn restoring(point: &Point, workers: usize) -> KishuConfig {
+    KishuConfig { checkpoint_workers: 1, restore_workers: workers, ..point.config() }
 }
 
 proptest! {
@@ -226,12 +44,10 @@ proptest! {
     /// identical restored namespaces vs the serial oracle.
     #[test]
     fn parallel_checkout_matches_serial_oracle(seed in any::<u64>()) {
-        let cells = scripted_cells(seed, 24);
-        let (oracle_fp, oracle_snaps, _) = run_restore(&cells, seed, 1, CACHE_BYTES);
+        let script = Script::notebook(seed, 24);
+        let oracle = observe(&ORACLE, &script);
         for workers in WORKER_COUNTS {
-            let (fp, snaps, _) = run_restore(&cells, seed, workers, CACHE_BYTES);
-            prop_assert_eq!(&fp, &oracle_fp, "reports diverged at restore_workers={}", workers);
-            prop_assert_eq!(&snaps, &oracle_snaps, "namespaces diverged at restore_workers={}", workers);
+            assert_twins(&oracle, &observe_with(&ORACLE, restoring(&ORACLE, workers), &script));
         }
     }
 
@@ -241,13 +57,11 @@ proptest! {
     /// state (by load or by counted fallback recomputation).
     #[test]
     fn checkout_fault_ledger_is_identical_at_every_worker_count(seed in any::<u64>()) {
-        let cells = scripted_cells(seed, 20);
-        let (oracle_fp, oracle_snaps, oracle_ledger) = run_faulty_restore(&cells, seed, 1);
+        let script = Script::notebook(seed, 20);
+        let point = Point { faults: Faults::Seeded(seed ^ 0xFA17), ..ORACLE };
+        let oracle = observe(&point, &script);
         for workers in WORKER_COUNTS {
-            let (fp, snaps, ledger) = run_faulty_restore(&cells, seed, workers);
-            prop_assert_eq!(&fp, &oracle_fp, "reports diverged at restore_workers={}", workers);
-            prop_assert_eq!(&snaps, &oracle_snaps, "namespaces diverged at restore_workers={}", workers);
-            prop_assert_eq!(&ledger, &oracle_ledger, "fault ledger diverged at restore_workers={}", workers);
+            assert_twins(&oracle, &observe_with(&point, restoring(&point, workers), &script));
         }
     }
 
@@ -256,24 +70,24 @@ proptest! {
     /// reports the same attribution (only `blobs_cached` may differ).
     #[test]
     fn read_cache_is_transparent(seed in any::<u64>()) {
-        let cells = scripted_cells(seed, 18);
-        let (with_fp, with_snaps, with_cache) = run_restore(&cells, seed, 4, CACHE_BYTES);
-        let (without_fp, without_snaps, off_cache) = run_restore(&cells, seed, 4, 0);
-        prop_assert_eq!(
-            without_cache_field(&with_fp),
-            without_cache_field(&without_fp),
-            "cache changed checkout attribution"
-        );
-        prop_assert_eq!(&with_snaps, &without_snaps, "cache changed restored state");
+        let script = Script::notebook(seed, 18);
+        let point = Point { workers: 4, ..ORACLE };
+        let with = observe(&point, &script);
+        let config = KishuConfig { checkout_cache_bytes: 0, ..point.config() };
+        let without = observe_with(&point, config, &script);
+        assert_twins(&with, &without);
         // And with the cache off, nothing may ever report as cached.
-        prop_assert!(without_fp.iter().all(|f| f.8 == 0), "cache off but hits reported");
+        let cached = &without.physical.blobs_cached;
+        prop_assert!(cached.iter().all(|&c| c == 0), "cache off but hits reported");
         // The disabled cache is not a 100%-miss cache: its lookups land in
         // the `disabled` counter, never in `misses` — and since the cache
         // is behavior-free, the off run makes exactly as many lookups as
         // the on run resolved to hits + misses.
-        prop_assert_eq!((off_cache.hits, off_cache.misses), (0, 0), "{:?}", off_cache);
-        prop_assert_eq!(off_cache.disabled, with_cache.hits + with_cache.misses);
-        prop_assert_eq!(with_cache.disabled, 0, "enabled cache drew a disabled count");
+        let (hits, misses, disabled) = with.physical.cache;
+        let (off_hits, off_misses, off_disabled) = without.physical.cache;
+        prop_assert_eq!((off_hits, off_misses), (0, 0), "{:?}", without.physical.cache);
+        prop_assert_eq!(off_disabled, hits + misses);
+        prop_assert_eq!(disabled, 0, "enabled cache drew a disabled count");
     }
 }
 
@@ -282,13 +96,11 @@ proptest! {
 /// value is right.
 #[test]
 fn corrupt_read_degrades_at_every_worker_count() {
-    use kishu_storage::{FaultKind, FaultOp};
     for workers in WORKER_COUNTS {
         let plan = FaultPlan::none().schedule(FaultOp::Get, 0, FaultKind::BitFlip);
         let store = FaultStore::new(Box::new(MemoryStore::new()), plan, 5);
         let config = KishuConfig {
             restore_workers: workers,
-            checkout_cache_bytes: CACHE_BYTES,
             ..KishuConfig::default()
         };
         let mut s = KishuSession::new(Box::new(store), config);
@@ -304,21 +116,11 @@ fn corrupt_read_degrades_at_every_worker_count() {
             report.recomputed.iter().any(|k| k.contains("xs")),
             "xs must be recomputed at restore_workers={workers}"
         );
-        assert_eq!(report.blobs_cached, 0, "a corrupt payload must never be cached");
+        assert_eq!(
+            report.blobs_cached, 0,
+            "a corrupt payload must never be cached"
+        );
         let xs = s.interp.globals.peek("xs").expect("xs restored");
         assert_eq!(repr(&s.interp.heap, xs), "[1, 2]");
     }
-}
-
-/// The resolution logic's floor and the config plumbing for the new knobs.
-#[test]
-fn restore_worker_default_honors_env() {
-    assert!(kishu::session::default_restore_workers() >= 1);
-    let cfg = KishuConfig {
-        restore_workers: 7,
-        checkout_cache_bytes: 12_345,
-        ..KishuConfig::default()
-    };
-    assert_eq!(cfg.restore_workers, 7);
-    assert_eq!(cfg.checkout_cache_bytes, 12_345);
 }

@@ -3,11 +3,13 @@
 //! cell sequences — creations, in-place mutations, rebinds, aliases, merges,
 //! and deletions over a small variable pool.
 
+mod common;
+
 use std::collections::BTreeMap;
 
+use common::snapshot;
 use kishu::session::{KishuConfig, KishuSession};
 use kishu::NodeId;
-use kishu_minipy::repr::repr;
 use kishu_testkit::prelude::*;
 
 const NAMES: [&str; 5] = ["a", "b", "c", "d", "e"];
@@ -89,16 +91,6 @@ impl Op {
             _ => {}
         }
     }
-}
-
-/// Snapshot every variable's rendered value (read-only; uses `peek` so no
-/// access is recorded).
-fn snapshot(s: &KishuSession) -> BTreeMap<String, String> {
-    s.interp
-        .globals
-        .bindings()
-        .map(|(n, o)| (n.to_string(), repr(&s.interp.heap, o)))
-        .collect()
 }
 
 proptest! {
