@@ -156,7 +156,7 @@ pub fn table_from(r: &ChunksRun) -> Table {
             fmt_bytes(a.bytes_compressed),
         ]);
     }
-    t.note(&format!(
+    t.note(format!(
         "physical reduction {:.2}x; chunk dedup ratio {:.2}; compression ratio {:.2} \
          — logical views are byte-identical across arms (tests/chunking_differential.rs)",
         r.reduction, r.dedup_ratio, r.compression_ratio

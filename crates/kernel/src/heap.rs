@@ -605,7 +605,7 @@ mod proptests {
                         heap.modify(id, |k| {
                             if let ObjKind::NdArray(v) = k {
                                 let extra = v.len().max(64);
-                                v.extend(std::iter::repeat(1.0).take(extra));
+                                v.extend(std::iter::repeat_n(1.0, extra));
                             }
                         });
                     }
@@ -616,7 +616,7 @@ mod proptests {
                     let keep: Vec<ObjId> = objs
                         .iter()
                         .enumerate()
-                        .filter(|(i, _)| (i + b as usize) % 3 != 0)
+                        .filter(|(i, _)| !(i + b as usize).is_multiple_of(3))
                         .map(|(_, &id)| id)
                         .collect();
                     heap.collect_garbage(keep.iter().copied());

@@ -5,6 +5,9 @@ use crate::error::{RunError, RunErrorKind};
 use crate::lexer::tokenize;
 use crate::token::{Kw, Op, TokKind, Token};
 
+/// A call's positional arguments and `name=value` keyword arguments.
+type CallArgs = (Vec<Expr>, Vec<(String, Expr)>);
+
 /// Parser over a token stream. Construct with [`Parser::new`] and consume
 /// with [`Parser::parse_program`].
 pub struct Parser {
@@ -484,7 +487,7 @@ impl Parser {
         Ok(lo)
     }
 
-    fn call_args(&mut self) -> Result<(Vec<Expr>, Vec<(String, Expr)>), RunError> {
+    fn call_args(&mut self) -> Result<CallArgs, RunError> {
         let mut args = Vec::new();
         let mut kwargs = Vec::new();
         if !self.check(&TokKind::Op(Op::RParen)) {

@@ -420,7 +420,7 @@ mod tests {
         let cfg = ChunkConfig::default();
         let mut ledger = ChunkLedger::new();
         let mut store: Vec<Vec<u8>> = Vec::new();
-        let mut append = |chunks: &mut Vec<Vec<u8>>, stored: &[u8]| -> io::Result<u32> {
+        let append = |chunks: &mut Vec<Vec<u8>>, stored: &[u8]| -> io::Result<u32> {
             chunks.push(stored.to_vec());
             Ok((chunks.len() - 1) as u32)
         };

@@ -27,7 +27,7 @@ use crate::BlobId;
 
 /// Seed for the content hash, fixed so content keys are stable across
 /// sessions and across the serial/parallel pipelines.
-const CONTENT_SEED: u64 = 0xC0_7E17_DE_D0;
+const CONTENT_SEED: u64 = 0xC0_7E17_DED0;
 
 /// The content key of a sealed payload: `(xxh64, byte length)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -5,10 +5,10 @@
 //! Spans answer "what did this run do"; events answer "what went *wrong*
 //! lately" without replaying a trace. The journal is append-only and
 //! bounded ([`crate::ObsConfig::journal_events`] — older entries are dropped with
-//! truthful accounting, same contract as the span ring), and its export
-//! format is line-delimited JSON so a crash dump or a `tail -f` both
-//! work. [`events_jsonl`] is a pure function over `&[Event]`, pinned by a
-//! golden-bytes test like the Chrome exporter.
+//! truthful accounting, same contract as the span ring). Each event
+//! renders as one JSON object ([`event_json`]), the line format of the
+//! crash black box, pinned by a golden-bytes test like the Chrome
+//! exporter.
 
 use std::collections::VecDeque;
 
@@ -127,19 +127,6 @@ pub fn event_json(e: &Event) -> Json {
     ])
 }
 
-/// The journal's interchange format: one JSON object per line,
-/// newline-terminated (valid JSONL; empty input yields the empty
-/// string). Golden-pinned — changes to field order or shape must be
-/// deliberate.
-pub fn events_jsonl(events: &[Event]) -> String {
-    let mut out = String::new();
-    for e in events {
-        out.push_str(&event_json(e).dump());
-        out.push('\n');
-    }
-    out
-}
-
 /// The slow-span threshold for an op name: the configured base
 /// ([`crate::ObsConfig::slow_ns`], default 50ms) scaled per op family — whole-cell
 /// and whole-checkout spans are expected to be much slower than a single
@@ -196,11 +183,11 @@ mod tests {
         assert_eq!(snap[2].seq, 5);
     }
 
-    /// Golden bytes: the JSONL journal format is what the black box and
-    /// operators consume — pin it exactly, like the Chrome exporter.
+    /// Golden bytes: one event per line is what the black box writes —
+    /// pin it exactly, like the Chrome exporter.
     #[test]
     fn golden_bytes_pin_the_jsonl_event_format() {
-        let events = vec![
+        let events = [
             Event {
                 seq: 1,
                 t_ns: 1_500,
@@ -219,20 +206,19 @@ mod tests {
                 fields: vec![],
             },
         ];
-        let expected = concat!(
-            r#"{"seq":1,"t_ns":1500,"sev":"warn","kind":"slow_span","#,
-            r#""fields":{"op":"ckpt","dur_ns":"80000000"}}"#,
-            "\n",
+        let expected = [
+            concat!(
+                r#"{"seq":1,"t_ns":1500,"sev":"warn","kind":"slow_span","#,
+                r#""fields":{"op":"ckpt","dur_ns":"80000000"}}"#,
+            ),
             r#"{"seq":2,"t_ns":2000,"sev":"error","kind":"barrier_failed","fields":{}}"#,
-            "\n",
-        );
-        assert_eq!(events_jsonl(&events), expected);
-        // Every line parses back as standalone JSON.
-        for line in events_jsonl(&events).lines() {
-            let j = Json::parse(line).expect("line parses");
-            assert!(j.get("seq").is_some());
+        ];
+        for (e, want) in events.iter().zip(expected) {
+            let line = event_json(e).dump();
+            assert_eq!(line, want);
+            // Each line parses back as standalone JSON.
+            assert!(Json::parse(&line).expect("line parses").get("seq").is_some());
         }
-        assert_eq!(events_jsonl(&[]), "");
     }
 
     #[test]

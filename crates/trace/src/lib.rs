@@ -47,7 +47,6 @@ pub mod blackbox;
 pub mod chrome;
 pub mod events;
 pub mod metrics;
-pub mod prom;
 pub mod ring;
 
 pub use events::{Event, EventJournal, Severity};
@@ -298,17 +297,6 @@ impl Trace {
     /// The flight-recorder configuration, when enabled.
     pub fn obs_config(&self) -> Option<&ObsConfig> {
         self.0.as_deref().map(|inner| &inner.obs)
-    }
-
-    /// Prometheus-style text exposition of metrics plus ring accounting
-    /// (see [`prom::prometheus_text`]).
-    pub fn prometheus_text(&self) -> String {
-        prom::prometheus_text(&self.metrics(), Some(&self.ring_stats()))
-    }
-
-    /// The retained journal in its JSONL interchange format.
-    pub fn events_jsonl(&self) -> String {
-        events::events_jsonl(&self.events())
     }
 
     /// Chrome `trace_event` JSON of everything recorded so far (see
@@ -762,7 +750,6 @@ mod tests {
         let m = t.metrics();
         let w = m.latency("store.get").expect("window recorded on flush");
         assert_eq!(w.total, 10);
-        assert!(t.prometheus_text().contains("kishu_latency_store_get_ns"));
     }
 
     #[test]

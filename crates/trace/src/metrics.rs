@@ -105,26 +105,16 @@ pub const WINDOW_CAP: usize = 512;
 
 /// A rolling window over the last [`WINDOW_CAP`] latency samples of one
 /// op family, answering p50/p95/p99 for the operator surface
-/// (`%health`, the Prometheus exposition). A window, not an all-time
-/// histogram: operators care about *current* tail latency, and a
-/// fixed-size buffer keeps the always-on recorder's memory bounded.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// (`%health`). A window, not an all-time histogram: operators care about
+/// *current* tail latency, and a fixed-size buffer keeps the always-on
+/// recorder's memory bounded.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RollingWindow {
     samples: Vec<u64>,
     /// Next overwrite position once the buffer is full.
     next: usize,
     /// Samples ever recorded (may exceed `samples.len()`).
     pub total: u64,
-}
-
-impl Default for RollingWindow {
-    fn default() -> RollingWindow {
-        RollingWindow {
-            samples: Vec::new(),
-            next: 0,
-            total: 0,
-        }
-    }
 }
 
 impl RollingWindow {

@@ -138,8 +138,8 @@ if [ "$QUICK" != 1 ]; then
 fi
 
 if cargo clippy --version >/dev/null 2>&1; then
-    stage "cargo clippy"
-    cargo clippy -q --offline --workspace --benches
+    stage "cargo clippy (-D warnings)"
+    cargo clippy -q --offline --workspace --benches -- -D warnings
 else
     stage "cargo clippy (unavailable; skipped)"
 fi

@@ -552,8 +552,9 @@ pub struct Logical {
     pub allocated: Vec<u64>,
     /// `persist` after the script: `None`, or the error's text.
     pub persist_error: Option<String>,
-    /// Shallow diffs between consecutive checkout targets (each twice, so
-    /// the second is a memo hit) and all-branch searches.
+    /// Between consecutive checkout targets, two shallow diffs (the second
+    /// a memo hit) and a deep diff (which reads blobs through the checkout
+    /// fetch); then all-branch searches.
     pub queries: Vec<String>,
     /// The tenant's fault ledger (injected faults and operation counts).
     pub ledger: FaultLedger,
@@ -710,6 +711,7 @@ impl Run {
             for _ in 0..2 {
                 l.queries.push(format!("{:?}", s.diff(pair[0], pair[1]).map(|d| d.entries)));
             }
+            l.queries.push(format!("{:?}", s.diff_deep(pair[0], pair[1]).map(|d| d.entries)));
         }
         let names: Vec<String> =
             l.namespaces.last().into_iter().flat_map(|b| b.keys().cloned()).collect();

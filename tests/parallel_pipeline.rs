@@ -12,13 +12,16 @@
 //!    `FaultStore` decisions are keyed, not drawn from a shared stream, so
 //!    interleaving cannot perturb them;
 //! 4. **dedup that never suppresses a changed payload** — with dedup on
-//!    and off, every checkpoint restores the same namespace at every node.
+//!    and off, every checkpoint restores the same namespace at every node;
+//! 5. **deferral that only moves writes** — think-time deferral writes
+//!    the same store through the same write loop as immediate writes.
 //!
 //! Scripts are generated from a seed; set `KISHU_TESTKIT_SEED` to replay.
 
 mod common;
 
-use common::{assert_twins, observe, observe_with, Faults, Point, Script, ORACLE};
+use common::{assert_twins, observe, observe_with, CheckoutFields, Faults, Logical, Point};
+use common::{Script, ORACLE};
 use kishu::session::{KishuConfig, KishuSession};
 use kishu_minipy::repr::repr;
 use kishu_testkit::prelude::*;
@@ -70,6 +73,34 @@ proptest! {
         // state restores identically from both stores.
         prop_assert_eq!(&with.checkouts, &without.checkouts);
         prop_assert_eq!(&with.namespaces, &without.namespaces);
+    }
+
+    /// Think-time deferral moves writes, never changes them: under seeded
+    /// faults, the store, the fault ledger, every namespace and query, and
+    /// every checkout report bar `flushed` match immediate writes, and the
+    /// first checkout flushes exactly what the last cell wrote at once.
+    #[test]
+    fn deferred_writes_match_immediate_writes(seed in any::<u64>()) {
+        let script = Script::notebook(seed, 20).visiting_every_node();
+        let unflushed = |l: &Logical| -> Vec<CheckoutFields> {
+            l.checkouts.iter().map(|c| CheckoutFields { flushed: 0, ..c.clone() }).collect()
+        };
+        for workers in [1, 4] {
+            let point = Point { workers, faults: Faults::Seeded(seed ^ 0xFA17), ..ORACLE };
+            let now = observe(&point, &script).logical;
+            let config = KishuConfig { defer_serialization: true, ..point.config() };
+            let later = observe_with(&point, config, &script).logical;
+            prop_assert!(now.store_view == later.store_view, "store views diverged");
+            prop_assert_eq!(&now.ledger, &later.ledger);
+            prop_assert_eq!(&now.namespaces, &later.namespaces);
+            prop_assert_eq!(&now.queries, &later.queries);
+            prop_assert_eq!(&now.persist_error, &later.persist_error);
+            prop_assert_eq!(now.stats, later.stats);
+            prop_assert_eq!(unflushed(&now), unflushed(&later));
+            let last = now.cells.last().expect("the script runs cells");
+            let flushed: usize = later.checkouts.iter().map(|c| c.flushed).sum();
+            prop_assert_eq!(flushed, last.updated.len() - last.blobs_dropped);
+        }
     }
 }
 
