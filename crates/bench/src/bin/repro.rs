@@ -2,9 +2,7 @@
 //!
 //! ```text
 //! repro all [--scale S] [--json FILE]
-//! repro table2|fig2|fig4|fig12|table5|fig13|fig14|fig15|fig16|table6|fig17|table7|table8|fig18|fig19|faults|pipeline|restore|multi|chunks|interp|queries|obs
-//! repro bench [--scale S] [--out FILE]        # bench-gate metrics JSON
-//! repro bench-compare BASELINE PR [--tolerance T]
+//! repro table2|fig2|fig4|fig12|table4|table5|fig13|fig14|fig15|fig16|table6|fig17|table7|table8|fig18|fig19|faults|pipeline|restore|multi|chunks|interp|queries|obs
 //! repro trace [--scale S] [--out FILE]        # Chrome-trace export of the pipelines
 //! repro trace-validate FILE                   # CI smoke: parse + expected spans
 //! ```
@@ -13,9 +11,13 @@
 //! trace records spans across the session/pipeline/storage stack and a
 //! Perfetto-loadable Chrome trace is written to `path` on exit.
 //!
+//! `chunks`, `interp`, `queries` and `obs` exit 1 when their number misses
+//! the floor constant in their experiment module. Timing comparisons
+//! between two builds are kbench's job (`crates/bench/src/bin/kbench`).
+//!
 //! Outputs land under `target/` by default (`target/repro_output.txt`,
-//! `target/repro_results.json`, `target/BENCH_pr.json`) so a repro run
-//! never litters the source tree; `--json` / `--out` override the paths.
+//! `target/repro_results.json`) so a repro run never litters the source
+//! tree; `--json` / `--out` override the paths.
 
 use std::io::Write as _;
 
@@ -32,7 +34,6 @@ struct Args {
     scale_set: bool,
     json: Option<String>,
     out: Option<String>,
-    tolerance: f64,
 }
 
 fn parse_args() -> Args {
@@ -41,7 +42,6 @@ fn parse_args() -> Args {
     let mut scale_set = false;
     let mut json = None;
     let mut out = None;
-    let mut tolerance = 0.25;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -58,19 +58,12 @@ fn parse_args() -> Args {
             "--out" => {
                 out = Some(args.next().unwrap_or_else(|| die("--out needs a path")));
             }
-            "--tolerance" => {
-                tolerance = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--tolerance needs a number"));
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: repro [all|table2|fig2|fig4|fig12|table4|table5|fig13|fig14|fig15|fig16|table6|fig17|table7|table8|fig18|fig19|faults|pipeline|restore|multi|chunks|interp|queries|obs]... [--scale S] [--json FILE]\n\
-                            repro bench [--scale S] [--out FILE]\n\
-                            repro bench-compare BASELINE PR [--tolerance T]\n\
                             repro trace [--scale S] [--out FILE]\n\
                             repro trace-validate FILE\n\
+                     chunks, interp, queries and obs exit 1 below their floor\n\
                      KISHU_TRACE=path exports a Chrome trace from any of the above"
                 );
                 std::process::exit(0);
@@ -81,7 +74,7 @@ fn parse_args() -> Args {
     if targets.is_empty() {
         targets.push("all".to_string());
     }
-    Args { targets, scale, scale_set, json, out, tolerance }
+    Args { targets, scale, scale_set, json, out }
 }
 
 fn die(msg: &str) -> ! {
@@ -214,67 +207,8 @@ fn run_trace_validate(args: &Args) -> ! {
     std::process::exit(0);
 }
 
-/// `repro bench`: emit the CI gate's metrics JSON. `KISHU_BENCH_QUICK=1`
-/// shrinks the scale for the smoke stage unless `--scale` is explicit.
-fn run_bench(args: &Args) -> ! {
-    let quick = kishu_testkit::bench::quick();
-    let scale = if args.scale_set {
-        args.scale
-    } else if quick {
-        0.1
-    } else {
-        args.scale
-    };
-    eprintln!("[repro] bench (scale {scale}{}) ...", if quick { ", quick" } else { "" });
-    let start = std::time::Instant::now();
-    let json = pipeline::bench_json(scale);
-    eprintln!("[repro] bench done in {:.1}s", start.elapsed().as_secs_f64());
-    let path = args.out.clone().unwrap_or_else(|| "target/BENCH_pr.json".to_string());
-    write_file(&path, &(json.pretty() + "\n"));
-    eprintln!("[repro] wrote {path}");
-    export_global_trace();
-    std::process::exit(0);
-}
-
-/// `repro bench-compare BASELINE PR`: fail (exit 1) on any metric more than
-/// `--tolerance` slower than baseline.
-fn run_bench_compare(args: &Args) -> ! {
-    let [_, baseline_path, pr_path] = &args.targets[..] else {
-        die("bench-compare needs exactly two paths: BASELINE PR");
-    };
-    let load = |p: &str| -> Json {
-        let text = std::fs::read_to_string(p)
-            .unwrap_or_else(|e| die(&format!("cannot read {p}: {e}")));
-        Json::parse(&text).unwrap_or_else(|e| die(&format!("{p}: {e}")))
-    };
-    let baseline = load(baseline_path);
-    let pr = load(pr_path);
-    match pipeline::compare(&baseline, &pr, args.tolerance) {
-        Ok(lines) => {
-            for l in lines {
-                println!("bench-gate: {l}");
-            }
-            println!("bench-gate: OK (tolerance {:.0}%)", args.tolerance * 100.0);
-            std::process::exit(0);
-        }
-        Err(lines) => {
-            for l in lines {
-                println!("bench-gate: {l}");
-            }
-            eprintln!("bench-gate: FAILED");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn main() {
     let args = parse_args();
-    if args.targets.iter().any(|t| t == "bench") {
-        run_bench(&args);
-    }
-    if args.targets.first().is_some_and(|t| t == "bench-compare") {
-        run_bench_compare(&args);
-    }
     if args.targets.first().is_some_and(|t| t == "trace") {
         run_trace(&args);
     }

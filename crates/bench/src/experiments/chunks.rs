@@ -14,8 +14,7 @@
 //! ratio, and the chunk/dedup/compression attribution that flowed through
 //! the session's [`kishu::session::CellReport`]s. `repro chunks` emits the
 //! machine-readable form under `target/CHUNKS.json` and exits 1 when the
-//! reduction misses [`MIN_REDUCTION`]; the headline byte metrics ride the
-//! bench gate via [`super::pipeline::bench_json`].
+//! reduction misses [`MIN_REDUCTION`].
 
 use kishu::session::{KishuConfig, KishuSession};
 use kishu_storage::chunk::ChunkConfig;
@@ -185,24 +184,6 @@ pub fn json_from(r: &ChunksRun, scale: f64) -> Json {
         ("chunks_deduped", Json::Int(r.v2.chunks_deduped as i64)),
         ("bytes_compressed", Json::Int(r.v2.bytes_compressed as i64)),
     ])
-}
-
-/// The bench-gate fragment: byte metrics where lower is better, so the
-/// existing ratio-plus-noise-floor comparator gates a representation
-/// regression (v2 suddenly writing v1-sized logs) like a latency one.
-pub fn bench_fragment(scale: f64) -> (Vec<(&'static str, Json)>, Json) {
-    let r = run(scale);
-    (
-        vec![
-            ("chunks_v2_physical_bytes", Json::Int(r.v2.physical_bytes as i64)),
-            ("chunks_v2_written_bytes", Json::Int(r.v2.bytes_written as i64)),
-        ],
-        Json::obj(vec![
-            ("reduction", Json::Float(r.reduction)),
-            ("dedup_ratio", Json::Float(r.dedup_ratio)),
-            ("compression_ratio", Json::Float(r.compression_ratio)),
-        ]),
-    )
 }
 
 #[cfg(test)]

@@ -12,8 +12,7 @@
 //! `repro interp` runs it at full scale (`--scale 1.0` unless overridden;
 //! `KISHU_BENCH_QUICK=1` drops to 0.1 for the CI smoke), writes
 //! `target/INTERP.json`, and exits 1 when `speedup` misses
-//! [`MIN_SPEEDUP`]. The two wall times also ride the bench-gate metrics as
-//! `interp_tree_ns` / `interp_vm_ns`.
+//! [`MIN_SPEEDUP`].
 
 use std::time::Instant;
 
@@ -210,20 +209,6 @@ pub fn json_from(r: &InterpRun, scale: f64) -> Json {
         ("interp_vm_ns", Json::Int(r.vm.wall_ns as i64)),
         ("speedup", Json::Float(r.speedup)),
     ])
-}
-
-/// The bench-gate fragment: both engines' wall times (lower is better), so
-/// a regression in either engine — or the VM silently losing its lead —
-/// shows up against the baseline like any latency metric.
-pub fn bench_fragment(scale: f64) -> (Vec<(&'static str, Json)>, Json) {
-    let r = run(scale);
-    (
-        vec![
-            ("interp_tree_ns", Json::Int(r.tree.wall_ns as i64)),
-            ("interp_vm_ns", Json::Int(r.vm.wall_ns as i64)),
-        ],
-        Json::obj(vec![("speedup", Json::Float(r.speedup))]),
-    )
 }
 
 #[cfg(test)]

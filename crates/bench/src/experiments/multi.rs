@@ -24,7 +24,6 @@ use std::time::{Duration, Instant};
 
 use kishu::session::{KishuConfig, KishuSession};
 use kishu_storage::{GcReport, SharedStore, DEFAULT_SHARDS};
-use kishu_testkit::json::Json;
 
 use crate::report::{fmt_bytes, fmt_duration, Table};
 
@@ -221,27 +220,6 @@ pub fn table(scale: f64) -> Table {
     t
 }
 
-/// Bench-JSON fragment: the gate-comparable latency plus report-only
-/// shared-store facts (new metrics never fail the gate until the baseline
-/// is refreshed; the `multi` object is informational).
-pub fn bench_fragment(scale: f64) -> (Vec<(&'static str, Json)>, Json) {
-    let r = run(scale, 4);
-    let metrics = vec![("multi_interleaved_ns", Json::Int(r.shared_wall.as_nanos() as i64))];
-    let info = Json::obj(vec![
-        ("sessions", Json::Int(r.sessions as i64)),
-        ("shards", Json::Int(r.shards as i64)),
-        ("dedup_ratio", Json::Float(r.dedup_ratio)),
-        ("logical_bytes", Json::Int(r.logical_bytes as i64)),
-        ("shared_physical_bytes", Json::Int(r.shared_physical as i64)),
-        ("private_physical_bytes", Json::Int(r.private_physical as i64)),
-        ("aggregate_throughput_bps", Json::Float(r.throughput_bps)),
-        ("gc", r.gc.to_json()),
-        ("gc_complete", Json::Bool(r.gc_complete)),
-        ("checkouts_verified", Json::Int(r.checkouts_verified as i64)),
-    ]);
-    (metrics, info)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,9 +242,5 @@ mod tests {
     fn table_and_fragment_render() {
         let t = table(0.02);
         assert!(t.render().contains("shared"));
-        let (metrics, info) = bench_fragment(0.02);
-        assert!(metrics.iter().any(|(k, _)| *k == "multi_interleaved_ns"));
-        assert!(info.get("dedup_ratio").is_some());
-        Json::parse(&info.dump()).expect("round trips");
     }
 }

@@ -12,9 +12,7 @@
 //!
 //! * **latency percentiles** (`query_diff_p50/p99_ns`,
 //!   `query_history_p50/p99_ns`) and the whole sweep's wall time
-//!   (`query_poll_total_ns`) ride the bench-gate metrics — a quadratic
-//!   traversal sneaking back into `diff` or `history` shows up against
-//!   `BENCH_baseline.json` like any pipeline latency;
+//!   (`query_poll_total_ns`), reported in `target/QUERIES.json`;
 //! * the **index-vs-scan speedup**: `history` is backed by the
 //!   incrementally-maintained modified-in index, and this experiment times
 //!   the same query set against `history_bruteforce` (the ancestor-chain
@@ -284,26 +282,6 @@ pub fn json_from(r: &QueriesRun, scale: f64) -> Json {
         ("bruteforce_ns", Json::Int(r.bruteforce_ns as i64)),
         ("speedup", Json::Float(r.speedup)),
     ])
-}
-
-/// The bench-gate fragment: query latencies (lower is better) plus the
-/// report-only info object carrying the index speedup.
-pub fn bench_fragment(scale: f64) -> (Vec<(&'static str, Json)>, Json) {
-    let r = run(scale);
-    (
-        vec![
-            ("query_diff_p50_ns", Json::Int(r.diff_p50_ns as i64)),
-            ("query_diff_p99_ns", Json::Int(r.diff_p99_ns as i64)),
-            ("query_history_p50_ns", Json::Int(r.history_p50_ns as i64)),
-            ("query_history_p99_ns", Json::Int(r.history_p99_ns as i64)),
-            ("query_poll_total_ns", Json::Int(r.poll_total_ns as i64)),
-        ],
-        Json::obj(vec![
-            ("speedup", Json::Float(r.speedup)),
-            ("commits", Json::Int(r.commits as i64)),
-            ("queries", Json::Int((r.diffs + r.histories) as i64)),
-        ]),
-    )
 }
 
 #[cfg(test)]

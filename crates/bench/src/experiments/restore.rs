@@ -12,9 +12,6 @@
 //!   session thread, so reports and fault ledgers are width-independent);
 //! * warm round trips collapse to near-zero with the cache on, because a
 //!   hit skips the store read, the CRC pass, and the decode charge.
-//!
-//! [`super::pipeline::bench_json`] feeds the cold serial, cold parallel,
-//! and warm cached numbers to the CI bench gate.
 
 use std::time::Duration;
 

@@ -14,6 +14,7 @@
 //! computation linear in the number of cell executions on the two paths,
 //! the scaling Fig 19 measures.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use kishu_testkit::json::Json;
@@ -84,6 +85,10 @@ pub struct CheckpointGraph {
     /// functions of the graph — diff reports, search results — can be
     /// cached under a `(inputs, epoch)` key and invalidated for free.
     epoch: u64,
+    /// Nodes [`Self::ancestors`] has yielded plus parent steps
+    /// [`Self::lca`] has taken. Derived data (never serialized), read only
+    /// through [`Self::nodes_walked`].
+    walked: Cell<u64>,
 }
 
 /// What a checkout must do: which versioned co-variables to load and which
@@ -126,6 +131,7 @@ impl CheckpointGraph {
             tags: BTreeMap::new(),
             modified_in: HashMap::new(),
             epoch: 0,
+            walked: Cell::new(0),
         }
     }
 
@@ -144,6 +150,15 @@ impl CheckpointGraph {
     /// guarantee equal answers.
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// Graph nodes walked so far: every node [`Self::ancestors`] yielded
+    /// (so [`Self::state_at`] and [`Self::history`] count `depth + 1`) plus
+    /// every parent step [`Self::lca`] took. Commits and decoding walk
+    /// nothing. A work count, not a clock: it repeats exactly for a fixed
+    /// sequence of calls.
+    pub fn nodes_walked(&self) -> u64 {
+        self.walked.get()
     }
 
     /// Move the head (used by checkout).
@@ -419,6 +434,7 @@ impl CheckpointGraph {
         std::iter::from_fn(move || {
             let here = cur?;
             cur = self.node(here).parent;
+            self.walked.set(self.walked.get() + 1);
             Some(here)
         })
     }
@@ -426,6 +442,8 @@ impl CheckpointGraph {
     /// Lowest common ancestor of two nodes (depth-stepping walk — the
     /// "off-the-shelf algorithm" of §7.7.2, linear in the branch lengths).
     pub fn lca(&self, a: NodeId, b: NodeId) -> NodeId {
+        let depth = |n: NodeId| u64::from(self.node(n).depth);
+        let depths = depth(a) + depth(b);
         let (mut a, mut b) = (a, b);
         while self.node(a).depth > self.node(b).depth {
             a = self.node(a).parent.expect("deeper node has a parent");
@@ -437,6 +455,8 @@ impl CheckpointGraph {
             a = self.node(a).parent.expect("non-root while differing");
             b = self.node(b).parent.expect("non-root while differing");
         }
+        // Parent steps taken from both sides.
+        self.walked.set(self.walked.get() + depths - 2 * depth(a));
         a
     }
 
@@ -580,7 +600,9 @@ impl CheckpointGraph {
 
     /// Parse a graph from the persisted JSON form (v2, or legacy v1 blobs
     /// written before named refs existed), validating structural invariants
-    /// (parents precede children, head and ref targets in range).
+    /// (parents precede children, each depth is its parent's plus one, dep
+    /// versions name earlier nodes, head and ref targets in range), so
+    /// [`Self::lca`]'s `expect`s hold on every decoded graph.
     pub fn from_json(json: &Json) -> Result<CheckpointGraph, String> {
         let version = json
             .get("format_version")
@@ -589,11 +611,7 @@ impl CheckpointGraph {
         if version != 1 && version != 2 {
             return Err(format!("unsupported graph format_version {version}"));
         }
-        let head = NodeId(
-            json.get("head")
-                .and_then(Json::as_u64)
-                .ok_or("missing head")? as u32,
-        );
+        let head = node_id(json.get("head").ok_or("missing head")?, "head")?;
         let next_timestamp = json
             .get("next_timestamp")
             .and_then(Json::as_u64)
@@ -612,12 +630,19 @@ impl CheckpointGraph {
             return Err(format!("head {} out of range", head.0));
         }
         for (i, node) in nodes.iter().enumerate() {
-            match node.parent {
+            let expected_depth = match node.parent {
                 None if i != 0 => return Err(format!("non-root node {i} has no parent")),
+                None => 0,
                 Some(p) if p.0 as usize >= i => {
                     return Err(format!("node {i} has forward parent {}", p.0))
                 }
-                _ => {}
+                Some(p) => nodes[p.0 as usize].depth + 1,
+            };
+            if node.depth != expected_depth {
+                return Err(format!("node {i} has depth {}, not {expected_depth}", node.depth));
+            }
+            if let Some((_, v)) = node.deps.iter().find(|(_, v)| v.0 as usize >= i) {
+                return Err(format!("node {i} depends on node {}, not an earlier one", v.0));
             }
         }
         let refs_from_json = |field: &str| -> Result<BTreeMap<String, NodeId>, String> {
@@ -627,11 +652,7 @@ impl CheckpointGraph {
                 Some(Json::Object(entries)) => entries
                     .iter()
                     .map(|(name, v)| {
-                        let node = NodeId(
-                            v.as_u64()
-                                .ok_or_else(|| format!("{field} target is not an integer"))?
-                                as u32,
-                        );
+                        let node = node_id(v, field)?;
                         if node.0 as usize >= nodes.len() {
                             return Err(format!("{field} '{name}' targets missing node {}", node.0));
                         }
@@ -651,6 +672,7 @@ impl CheckpointGraph {
             tags,
             modified_in: HashMap::new(),
             epoch: 0,
+            walked: Cell::new(0),
         };
         graph.rebuild_index();
         Ok(graph)
@@ -758,6 +780,14 @@ fn int_u64(v: u64) -> Json {
     Json::Int(i64::try_from(v).expect("counter exceeds i64 range"))
 }
 
+/// A node id field: an integer that fits `u32`, never truncated.
+fn node_id(json: &Json, what: &str) -> Result<NodeId, String> {
+    json.as_u64()
+        .and_then(|n| u32::try_from(n).ok())
+        .map(NodeId)
+        .ok_or_else(|| format!("{what} is not a node id"))
+}
+
 fn key_to_json(key: &CoVarKey) -> Json {
     Json::Array(key.iter().map(|n| Json::Str(n.clone())).collect())
 }
@@ -826,9 +856,7 @@ fn node_to_json(node: &CpNode) -> Json {
 fn node_from_json(json: &Json) -> Result<CpNode, String> {
     let parent = match json.get("parent") {
         Some(Json::Null) | None => None,
-        Some(p) => Some(NodeId(
-            p.as_u64().ok_or("parent is not an integer")? as u32
-        )),
+        Some(p) => Some(node_id(p, "parent")?),
     };
     let delta = json
         .get("delta")
@@ -868,7 +896,7 @@ fn node_from_json(json: &Json) -> Result<CpNode, String> {
             }
             Ok((
                 key_from_json(&pair[0])?,
-                NodeId(pair[1].as_u64().ok_or("dep version is not an integer")? as u32),
+                node_id(&pair[1], "dep version")?,
             ))
         })
         .collect::<Result<_, String>>()?;
@@ -877,7 +905,8 @@ fn node_from_json(json: &Json) -> Result<CpNode, String> {
         depth: json
             .get("depth")
             .and_then(Json::as_u64)
-            .ok_or("missing depth")? as u32,
+            .and_then(|d| u32::try_from(d).ok())
+            .ok_or("missing depth")?,
         timestamp: json
             .get("timestamp")
             .and_then(Json::as_u64)
@@ -1144,6 +1173,31 @@ mod tests {
         assert!(g.set_branch("has space", t1).is_err());
         assert!(g.set_branch("42", t1).is_err(), "numeric name would shadow node ids");
         assert!(g.set_branch("ok", NodeId(999)).is_err(), "missing node");
+    }
+
+    /// Pins what [`CheckpointGraph::nodes_walked`] counts, because the
+    /// work ledger (`tests/work_ledger.rs`) gates on it.
+    #[test]
+    fn nodes_walked_counts_ancestor_yields_and_lca_steps() {
+        let (g, [t1, t2, t3, t4, t5]) = fig10();
+        assert_eq!(g.nodes_walked(), 0, "commit walks nothing");
+        let walked = |f: &dyn Fn()| {
+            let before = g.nodes_walked();
+            f();
+            g.nodes_walked() - before
+        };
+        // state_at(t) yields t and each ancestor: depth(t) + 1.
+        for t in [g.root(), t1, t3, t5] {
+            assert_eq!(walked(&|| drop(g.state_at(t))), u64::from(g.node(t).depth) + 1);
+        }
+        // lca counts parent steps from both sides.
+        assert_eq!(walked(&|| assert_eq!(g.lca(t3, t5), t1)), 4);
+        assert_eq!(walked(&|| assert_eq!(g.lca(t2, t4), t1)), 2);
+        assert_eq!(walked(&|| assert_eq!(g.lca(t3, t1), t1)), 2);
+        assert_eq!(walked(&|| assert_eq!(g.lca(t5, t5), t5)), 0);
+        // Decoding walks nothing; the counter is not part of the format.
+        let back = CheckpointGraph::from_json(&g.to_json()).expect("round trip");
+        assert_eq!(back.nodes_walked(), 0);
     }
 
     #[test]
@@ -1518,6 +1572,26 @@ mod json_format_tests {
             (
                 "tags not an object",
                 r#"{"format_version":2,"head":0,"next_timestamp":1,"branches":{},"tags":[],"nodes":[{"parent":null,"depth":0,"timestamp":0,"cell_code":"","delta":[],"deleted":[],"deps":[]}]}"#,
+            ),
+            (
+                "root depth not 0",
+                r#"{"format_version":2,"head":1,"next_timestamp":2,"branches":{},"tags":{},"nodes":[{"parent":null,"depth":3,"timestamp":0,"cell_code":"","delta":[],"deleted":[],"deps":[]},{"parent":0,"depth":4,"timestamp":1,"cell_code":"","delta":[],"deleted":[],"deps":[]}]}"#,
+            ),
+            (
+                "child depth not parent's + 1",
+                r#"{"format_version":2,"head":1,"next_timestamp":2,"branches":{},"tags":{},"nodes":[{"parent":null,"depth":0,"timestamp":0,"cell_code":"","delta":[],"deleted":[],"deps":[]},{"parent":0,"depth":5,"timestamp":1,"cell_code":"","delta":[],"deleted":[],"deps":[]}]}"#,
+            ),
+            (
+                "parent past u32",
+                r#"{"format_version":2,"head":1,"next_timestamp":2,"branches":{},"tags":{},"nodes":[{"parent":null,"depth":0,"timestamp":0,"cell_code":"","delta":[],"deleted":[],"deps":[]},{"parent":4294967296,"depth":1,"timestamp":1,"cell_code":"","delta":[],"deleted":[],"deps":[]}]}"#,
+            ),
+            (
+                "head past u32",
+                r#"{"format_version":2,"head":4294967296,"next_timestamp":1,"branches":{},"tags":{},"nodes":[{"parent":null,"depth":0,"timestamp":0,"cell_code":"","delta":[],"deleted":[],"deps":[]}]}"#,
+            ),
+            (
+                "dep version names no earlier node",
+                r#"{"format_version":2,"head":1,"next_timestamp":2,"branches":{},"tags":{},"nodes":[{"parent":null,"depth":0,"timestamp":0,"cell_code":"","delta":[],"deleted":[],"deps":[]},{"parent":0,"depth":1,"timestamp":1,"cell_code":"","delta":[],"deleted":[],"deps":[[["x"],7]]}]}"#,
             ),
         ] {
             let json = Json::parse(text).expect("well-formed JSON");

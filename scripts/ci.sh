@@ -4,8 +4,7 @@
 # criterion/parking_lot), so everything below runs fully offline.
 #
 # usage: ci.sh [--quick]
-#   --quick   build + test pass + bench smoke/gate; skips the pinned-seed
-#             fault pass.
+#   --quick   skips the pinned-seed fault pass.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -46,11 +45,6 @@ on_exit() {
 }
 trap on_exit EXIT
 
-# A stale warnings file from a previous run must not resurface in this
-# run's summary (the bench gate only rewrites it when it actually runs).
-mkdir -p target
-: > target/bench_gate_warnings.txt
-
 stage "guard: no external registry dependencies"
 if grep -nE '^\s*(rand|proptest|criterion|crossbeam|parking_lot|bytes|serde|serde_json)[ .=]' \
     Cargo.toml crates/*/Cargo.toml; then
@@ -86,7 +80,9 @@ cargo build --release --offline --workspace --benches
 # One pass over the whole workspace. The differential invariants (serial
 # oracle, representation-only chunking, VM = tree-walker, behavior-free
 # tracing, tenant isolation) run in-process as one table:
-# tests/invariant_matrix.rs.
+# tests/invariant_matrix.rs. The performance gate runs here too:
+# tests/work_ledger.rs compares host-independent work counts exactly with
+# LEDGER.json; timing claims are judged by paired `kbench compare` runs.
 stage "cargo test --offline --workspace"
 cargo test -q --offline --workspace
 
@@ -95,11 +91,9 @@ cargo test -q --offline --workspace
 stage "kbench unit tests (own package)"
 cargo test -q --release --offline --manifest-path crates/bench/src/bin/kbench/Cargo.toml
 
-stage "bench smoke (KISHU_BENCH_QUICK=1, KISHU_TRACE -> target/trace.json)"
-KISHU_BENCH_QUICK=1 KISHU_TRACE=target/trace.json \
-    cargo run -q --release --offline -p kishu-bench --bin repro -- bench
-
-stage "trace smoke (validate target/trace.json parses with expected spans)"
+stage "trace smoke (repro trace -> target/trace.json, validate expected spans)"
+cargo run -q --release --offline -p kishu-bench --bin repro -- \
+    trace --out target/trace.json > /dev/null
 cargo run -q --release --offline -p kishu-bench --bin repro -- \
     trace-validate target/trace.json
 
@@ -118,9 +112,6 @@ cargo run -q --release --offline -p kishu-bench --bin repro -- queries
 stage "flight-recorder overhead bench (repro obs -> target/OBS.json, overhead ceiling)"
 cargo run -q --release --offline -p kishu-bench --bin repro -- obs
 
-stage "bench gate (vs BENCH_baseline.json)"
-./scripts/bench_gate.sh
-
 if [ "$QUICK" != 1 ]; then
     # The fault suites also run inside the workspace pass with their
     # built-in seeds; this extra pass pins a second, independent seed so
@@ -138,8 +129,8 @@ if [ "$QUICK" != 1 ]; then
 fi
 
 if cargo clippy --version >/dev/null 2>&1; then
-    stage "cargo clippy (-D warnings)"
-    cargo clippy -q --offline --workspace --benches -- -D warnings
+    stage "cargo clippy (all targets, -D warnings)"
+    cargo clippy -q --offline --workspace --all-targets -- -D warnings
 else
     stage "cargo clippy (unavailable; skipped)"
 fi
@@ -161,8 +152,4 @@ rotate_keep target/flightrec/flightrec-*.jsonl
 echo "kept: $(ls -1 target/flightrec/ 2>/dev/null | wc -l) flightrec dump(s)"
 
 stage ""
-if [ -s target/bench_gate_warnings.txt ]; then
-    echo "CI OK, WITH BENCH-GATE WARNINGS (metrics missing vs baseline):"
-    sed 's/^/  /' target/bench_gate_warnings.txt
-fi
 echo "CI OK in $(( $(date +%s) - CI_T0 ))s$([ "$QUICK" = 1 ] && echo ' (quick)')"

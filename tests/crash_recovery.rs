@@ -362,8 +362,8 @@ fn gc_killed_at_any_byte(cfg: ChunkConfig) {
             .map(|n| (*n, KishuSession::on_shared(&store, n, KishuConfig::default()).expect("tenant")))
             .collect();
         for i in 0..scripts[0].len() {
-            for (ti, (_, s)) in sessions.iter_mut().enumerate() {
-                let r = s.run_cell(scripts[ti][i]).expect("parses");
+            for ((_, s), script) in sessions.iter_mut().zip(&scripts) {
+                let r = s.run_cell(script[i]).expect("parses");
                 assert!(r.outcome.error.is_none(), "cell {i}");
                 if i == 2 {
                     s.persist().expect("mid persist (superseded later)");

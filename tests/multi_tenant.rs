@@ -137,9 +137,9 @@ fn gc_preserves_every_commit_of_every_session() {
     let scripts: Vec<Vec<String>> = (0..TENANTS.len()).map(|ti| cells(base_seed, ti, 15)).collect();
     let mut nodes: Vec<Vec<NodeId>> = vec![Vec::new(); TENANTS.len()];
     for i in 0..15 {
-        for (ti, s) in sessions.iter_mut().enumerate() {
-            if let Some(n) = s.run_cell(&scripts[ti][i]).expect("cells parse").node {
-                nodes[ti].push(n);
+        for ((s, script), nodes) in sessions.iter_mut().zip(&scripts).zip(&mut nodes) {
+            if let Some(n) = s.run_cell(&script[i]).expect("cells parse").node {
+                nodes.push(n);
             }
             // Periodic persists create superseded snapshots — GC fodder.
             if i % 5 == 4 {
@@ -204,7 +204,8 @@ fn resume_through_a_tenant_view_is_isolation_blind() {
             (0..TENANTS.len()).map(|ti| cells(base_seed, ti, 12)).collect();
         for i in 0..12 {
             for (ti, s) in sessions.iter_mut() {
-                s.run_cell(&scripts[*ti][i]).expect("cells parse");
+                let script = &scripts[*ti];
+                s.run_cell(&script[i]).expect("cells parse");
             }
         }
         for (_, s) in sessions.iter_mut() {

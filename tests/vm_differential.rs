@@ -38,12 +38,15 @@ use kishu_testkit::rng::env_seed;
 // Level 1: interpreter differential on random programs
 // ---------------------------------------------------------------------------
 
+/// One cell's observables: error-as-string, output lines, Out[n] repr,
+/// stmt count, access record.
+type CellObserved = (Option<String>, Vec<String>, Option<String>, u64, AccessRecord);
+
 /// Everything one engine lets a caller observe after running some cells.
 #[derive(Debug, PartialEq)]
 struct Observed {
-    /// Per cell: (error-as-string, output lines, Out[n] repr, stmt count,
-    /// access record).
-    cells: Vec<(Option<String>, Vec<String>, Option<String>, u64, AccessRecord)>,
+    /// Per cell, in order.
+    cells: Vec<CellObserved>,
     /// Final namespace with object ids: ObjId equality is the
     /// allocation-order parity the session layer depends on.
     bindings: Bindings,
