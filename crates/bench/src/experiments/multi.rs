@@ -6,10 +6,9 @@
 //!
 //! * **physical bytes** — N private stores each hold a full copy of the
 //!   common data; the shared store holds it once (store-wide dedup), so
-//!   the interesting number is the dedup ratio `logical / physical`;
+//!   the interesting number is the dedup ratio `logical / stored payload`;
 //! * **aggregate checkpoint throughput** — all sessions' logical bytes
-//!   over the interleaved wall time (per-shard ordered writers mean the
-//!   sessions don't serialize against one store-wide lock);
+//!   over the interleaved wall time;
 //! * **GC** — after every session persists, superseded graph snapshots are
 //!   garbage; one collection must reclaim 100% of it (a second pass finds
 //!   nothing) while every historical commit of every session still checks
@@ -23,7 +22,7 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use kishu::session::{KishuConfig, KishuSession};
-use kishu_storage::{GcReport, SharedStore, DEFAULT_SHARDS};
+use kishu_storage::{GcReport, SharedStore};
 
 use crate::report::{fmt_bytes, fmt_duration, Table};
 
@@ -32,19 +31,17 @@ use crate::report::{fmt_bytes, fmt_duration, Table};
 pub struct MultiRun {
     /// Concurrent sessions (tenants).
     pub sessions: usize,
-    /// Shards in the shared store's blob log.
-    pub shards: usize,
     /// Wall time for the interleaved run on the shared store.
     pub shared_wall: Duration,
     /// Wall time for the same sessions on private stores.
     pub private_wall: Duration,
     /// Sum of every session's logical payload bytes.
     pub logical_bytes: u64,
-    /// Physical payload bytes in the shared store (before GC).
+    /// Physical bytes (framing included) in the shared store before GC.
     pub shared_physical: u64,
     /// Sum of the private stores' physical bytes.
     pub private_physical: u64,
-    /// `logical / shared physical` — the cross-session dedup win.
+    /// `logical / shared payload bytes` — the cross-session dedup win.
     pub dedup_ratio: f64,
     /// Aggregate checkpoint throughput on the shared store (bytes/sec).
     pub throughput_bps: f64,
@@ -94,7 +91,7 @@ pub fn run(scale: f64, sessions: usize) -> MultiRun {
     let private_wall = private_t0.elapsed();
 
     // Shared store, cells interleaved round-robin across the sessions.
-    let store = SharedStore::in_memory(DEFAULT_SHARDS);
+    let store = SharedStore::in_memory();
     let mut shared: Vec<KishuSession> = names
         .iter()
         .map(|n| KishuSession::on_shared(&store, n, config()).expect("tenant"))
@@ -121,7 +118,7 @@ pub fn run(scale: f64, sessions: usize) -> MultiRun {
     }
     let shared_wall = shared_t0.elapsed();
     let logical_bytes = store.logical_payload_bytes();
-    let shared_physical = store.stats().payload_bytes;
+    let shared_physical = store.stats().physical_bytes;
     let dedup_ratio = store.dedup_ratio();
 
     // Collect, then prove the history is intact and the garbage is gone.
@@ -156,7 +153,6 @@ pub fn run(scale: f64, sessions: usize) -> MultiRun {
 
     MultiRun {
         sessions,
-        shards: store.shard_count(),
         shared_wall,
         private_wall,
         logical_bytes,
@@ -194,7 +190,7 @@ pub fn table(scale: f64) -> Table {
         format!("{:.1} MB/s", r.logical_bytes as f64 / r.private_wall.as_secs_f64().max(1e-9) / 1e6),
     ]);
     t.row(vec![
-        format!("shared, {} shards", r.shards),
+        "shared store".to_string(),
         fmt_bytes(r.shared_physical),
         fmt_duration(r.shared_wall),
         format!("{:.2}x", r.dedup_ratio),

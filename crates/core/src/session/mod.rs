@@ -418,10 +418,11 @@ pub struct KishuSession {
     /// disabled — that is where the report's wall-clock fields come from.
     trace: Trace,
     /// Memoized [`Self::diff`] reports keyed `(base, target, graph epoch)`.
-    /// The epoch key makes commit/ref invalidation free; the cache is also
-    /// cleared whenever the session *learns* a blob's content key (checkout
-    /// reads, deep diffs) because shallow refinement consults those keys —
-    /// a cached report must be byte-identical to a fresh recompute.
+    /// The epoch key makes commit/ref invalidation free, and only the
+    /// current epoch's reports are kept; the cache is also cleared whenever
+    /// the session *learns* a blob's content key (checkout reads, deep
+    /// diffs) because shallow refinement consults those keys — a cached
+    /// report must be byte-identical to a fresh recompute.
     diff_cache: RefCell<HashMap<(u32, u32, u64), crate::query::DiffReport>>,
     /// Diff-cache lookups answered from memory ([`Self::health`] reads it).
     diff_cache_hits: Cell<u64>,
@@ -1317,12 +1318,14 @@ mod tests {
         run(&mut s, "z = 4\n");
         s.diff(t1, t2).expect("diff after commit");
         assert_eq!(s.health().diff_cache_misses, 2, "epoch invalidated");
+        assert_eq!(s.health().diff_cache_entries, 1, "past epochs' reports dropped");
         // Ref mutations invalidate too.
         s.diff(t1, t2).expect("warm again");
         s.set_branch("b", None).expect("branch");
         s.diff(t1, t2).expect("diff after ref mutation");
         let h = s.health();
         assert_eq!((h.diff_cache_hits, h.diff_cache_misses), (2, 3));
+        assert_eq!(h.diff_cache_entries, 1, "past epochs' reports dropped");
         // A checkout teaches the session blob content keys (shallow
         // refinement input), so memoized reports are dropped even though
         // the epoch is unchanged.

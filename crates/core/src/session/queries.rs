@@ -60,9 +60,13 @@ impl KishuSession {
         }
         sp.arg("entries", report.entries.len());
         sp.arg("refined", refined);
-        self.diff_cache
-            .borrow_mut()
-            .insert(cache_key, report.clone());
+        // Keep only the current epoch's reports: the epoch never goes
+        // back, so an older entry could never be hit again.
+        let mut cache = self.diff_cache.borrow_mut();
+        if cache.keys().next().is_some_and(|&(_, _, epoch)| epoch != cache_key.2) {
+            cache.clear();
+        }
+        cache.insert(cache_key, report.clone());
         Ok(report)
     }
 

@@ -1,6 +1,6 @@
 //! The stack VM: dispatch loop, call frames, and error mapping.
 //!
-//! Frames are Rust stack frames ([`run_frame`] recurses for user-function
+//! Frames are Rust stack frames (`run_frame` recurses for user-function
 //! calls, bounded by the interpreter's shared `MAX_DEPTH`). Each frame owns
 //! a value stack, slot-allocated locals, an iterator stack for `for`
 //! loops, a staged-int stack for slice bounds, and a callee stack for

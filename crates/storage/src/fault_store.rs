@@ -41,11 +41,8 @@
 //! derives a second entry point over the same shared fault state with its
 //! own scope (one per tenant, via [`tenant_scope`]), and
 //! [`FaultLedgerHandle::snapshot_scoped`] projects the shared ledger down
-//! to one tenant's view. Because a tenant's shard assignment is a pure
-//! function of `(tenant, op key)` — puts shard by content key, gets by the
-//! tenant-local blob id — scoping draws by `(tenant, op key)` is equivalent
-//! to keying them by `(tenant, shard, op key)`. Scope `0` (the default) is
-//! bit-for-bit the historical single-tenant behavior.
+//! to one tenant's view. Scope `0` (the default) is bit-for-bit the
+//! historical single-tenant behavior.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
@@ -161,7 +158,7 @@ pub struct InjectedFault {
     pub blob: Option<BlobId>,
     /// The operation key the decision was drawn against (payload XXH64 for
     /// `put`, blob id for `get`, 0 for `sync`) — with `scope` and `attempt`,
-    /// enough to replay the exact [`keyed_draw`] without a debugger.
+    /// enough to replay the exact `keyed_draw` without a debugger.
     pub key: u64,
     /// Per-`(scope, op, key)` attempt number (0-based) the draw used.
     pub attempt: u64,

@@ -10,8 +10,8 @@
 //!    (`KishuSession::live_blobs`). A physical blob is live iff some
 //!    tenant's live mapping references it. Requiring every tenant to appear
 //!    makes "I forgot a session" a hard error instead of silent data loss.
-//! 2. **Sweep** — each shard is compacted into a new generation containing
-//!    only live payloads (renumbered densely); tenant mappings are
+//! 2. **Sweep** — the payload log is compacted into a new generation
+//!    containing only live payloads (renumbered densely); tenant mappings are
 //!    rewritten against the new indices, with reclaimed ids tombstoned so
 //!    tenant ids stay dense forever.
 //! 3. **Commit** — for a file-backed store, all new-generation files are
@@ -22,25 +22,25 @@
 //!    [`SharedStore::set_crash_after_bytes`] hook exists precisely to prove
 //!    this at every byte.
 //!
-//! GC is **stop-the-world between checkpoints**: it holds the store's meta
-//! lock and every shard lock for its whole run, so it cannot interleave
-//! with tenant operations; callers run it when their sessions are parked
-//! (which is also when live sets are well-defined). It is a pure space
-//! optimization — after a collection, every live blob of every tenant reads
-//! back byte-identically under the same tenant id. It runs only when a
-//! caller invokes [`SharedStore::collect`].
+//! GC is **stop-the-world between checkpoints**: it holds the store's one
+//! lock for its whole run, so it cannot interleave with tenant operations;
+//! callers run it when their sessions are parked (which is also when live
+//! sets are well-defined). It is a pure space optimization — after a
+//! collection, every live blob of every tenant reads back byte-identically
+//! under the same tenant id. It runs only when a caller invokes
+//! [`SharedStore::collect`].
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::Path;
 
 use kishu_testkit::json::Json;
 
-use crate::dedup::content_key;
+use crate::chunk::ChunkConfig;
 use crate::file_store::{build_log_image, frame_record, FileStore};
 use crate::shared::{
-    encode_mapping, manifest_json, manifest_path, remove_stale_generations, shard_path,
-    tenant_path, Backend, Phys,
+    encode_mapping, lock, manifest_json, manifest_path, payload_index, payload_path,
+    remove_stale_generations, tenant_path, Mapping,
 };
 use crate::{BlobId, CheckpointStore, MemoryStore, SharedStore};
 
@@ -123,88 +123,75 @@ impl SharedStore {
     /// untouched; a file-backed store additionally survives a kill at any
     /// byte of the commit (see the module docs).
     pub fn collect(&self, live: &BTreeMap<String, BTreeSet<BlobId>>) -> io::Result<GcReport> {
-        let trace = self.inner.trace.lock().expect("trace lock").clone();
-        let mut meta = self.inner.meta.lock().expect("meta lock");
-        let mut shards: Vec<_> =
-            self.inner.shards.iter().map(|s| s.lock().expect("shard lock")).collect();
-        let physical_before: u64 = shards.iter().map(|sh| sh.store.stats().physical_bytes).sum();
+        let mut guard = lock(&self.state);
+        let st = &mut *guard;
+        let trace = st.trace.clone();
+        let mut report =
+            GcReport { physical_before: st.payloads.stats().physical_bytes, ..GcReport::default() };
 
         // ---- Mark ---------------------------------------------------
-        let mut new_refs: Vec<Vec<u64>> = shards.iter().map(|sh| vec![0u64; sh.refs.len()]).collect();
-        let mut new_mappings: BTreeMap<String, Vec<Option<(Phys, u64)>>> = BTreeMap::new();
+        // New refcounts, and each tenant's surviving mappings in tenant
+        // order (the order of `st.tenants`, which `live` must match).
+        let mut new_refs = vec![0u64; st.refs.len()];
+        let mut new_maps: Vec<Vec<Option<Mapping>>> = Vec::with_capacity(st.tenants.len());
         {
             let mut sp = trace.span("gc.mark");
-            for name in meta.tenants.keys() {
-                if !live.contains_key(name) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!("gc live sets missing registered tenant {name:?}"),
-                    ));
-                }
+            if let Some(name) = st.tenants.keys().find(|n| !live.contains_key(*n)) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("gc live sets missing registered tenant {name:?}"),
+                ));
             }
-            for name in live.keys() {
-                if !meta.tenants.contains_key(name) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!("gc live set names unregistered tenant {name:?}"),
-                    ));
-                }
+            if let Some(name) = live.keys().find(|n| !st.tenants.contains_key(*n)) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("gc live set names unregistered tenant {name:?}"),
+                ));
             }
-            for (name, t) in &meta.tenants {
+            for (name, t) in &st.tenants {
                 let keep = &live[name];
-                let mapped: Vec<Option<(Phys, u64)>> = t
-                    .blobs
-                    .iter()
-                    .enumerate()
-                    .map(|(id, m)| match m {
-                        Some((p, len)) if keep.contains(&(id as u64)) => {
-                            new_refs[p.shard as usize][p.idx as usize] += 1;
-                            Some((*p, *len))
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                new_mappings.insert(name.clone(), mapped);
+                let mut maps = Vec::with_capacity(t.blobs.len());
+                for (id, m) in t.blobs.iter().enumerate() {
+                    let m = m.filter(|_| keep.contains(&(id as u64)));
+                    if let Some((idx, _)) = m {
+                        new_refs[idx as usize] += 1;
+                    }
+                    maps.push(m);
+                }
+                new_maps.push(maps);
             }
-            sp.arg("tenants", meta.tenants.len());
+            sp.arg("tenants", st.tenants.len());
         }
         trace.event(
             kishu_trace::Severity::Info,
             "gc",
             vec![
                 ("phase".into(), "mark".into()),
-                ("tenants".into(), meta.tenants.len().to_string()),
+                ("tenants".into(), st.tenants.len().to_string()),
             ],
         );
 
         // ---- Sweep --------------------------------------------------
-        // remap[shard][old idx] → new idx for survivors; kept payload bytes
-        // are read out now so the commit below is write-only.
-        let mut remap: Vec<Vec<Option<u32>>> = Vec::with_capacity(shards.len());
-        let mut kept: Vec<Vec<Vec<u8>>> = Vec::with_capacity(shards.len());
-        let mut report = GcReport { physical_before, ..GcReport::default() };
+        // remap[old idx] → new idx for survivors; kept payload bytes are
+        // read out now so the commit below is write-only.
+        let mut remap: Vec<Option<u32>> = Vec::with_capacity(new_refs.len());
+        let mut kept: Vec<Vec<u8>> = Vec::new();
         {
             let mut sp = trace.span("gc.sweep");
-            for (i, sh) in shards.iter().enumerate() {
-                let mut shard_remap = Vec::with_capacity(sh.refs.len());
-                let mut shard_kept = Vec::new();
-                for (idx, &nref) in new_refs[i].iter().enumerate() {
-                    if nref > 0 {
-                        // A live blob that cannot be read back aborts the
-                        // collection before anything is mutated: GC must
-                        // never turn an injected read fault into data loss.
-                        let bytes = sh.store.get(idx as u64)?;
-                        shard_remap.push(Some(shard_kept.len() as u32));
-                        shard_kept.push(bytes);
-                        report.live_blobs += 1;
-                    } else {
-                        shard_remap.push(None);
-                        report.reclaimed_blobs += 1;
-                        report.reclaimed_payload_bytes += sh.lens[idx];
-                    }
+            for (idx, &nref) in new_refs.iter().enumerate() {
+                if nref > 0 {
+                    // A live blob that cannot be read back aborts the
+                    // collection before anything is mutated: GC must never
+                    // turn an injected read fault into data loss.
+                    let bytes = st.payloads.get(idx as u64)?;
+                    remap.push(Some(kept.len() as u32));
+                    kept.push(bytes);
+                    report.live_blobs += 1;
+                } else {
+                    remap.push(None);
+                    report.reclaimed_blobs += 1;
+                    report.reclaimed_payload_bytes += st.lens[idx];
                 }
-                remap.push(shard_remap);
-                kept.push(shard_kept);
             }
             sp.arg("live", report.live_blobs);
             sp.arg("reclaimed", report.reclaimed_blobs);
@@ -218,109 +205,65 @@ impl SharedStore {
                 ("reclaimed".into(), report.reclaimed_blobs.to_string()),
             ],
         );
-        for mappings in new_mappings.values_mut() {
-            for m in mappings.iter_mut().flatten() {
-                let p = &mut m.0;
-                p.idx = remap[p.shard as usize][p.idx as usize]
-                    .expect("marked blob survived the sweep");
-            }
+        for (idx, _) in new_maps.iter_mut().flatten().flatten() {
+            *idx = remap[*idx as usize].expect("marked blob survived the sweep");
         }
 
         // ---- Commit -------------------------------------------------
         let mut sp = trace.span("gc.commit");
-        let next_gen = meta.generation + 1;
+        let next_gen = st.generation + 1;
         sp.arg("generation", next_gen);
-        match &self.inner.backend {
-            Backend::Memory => {
-                for (i, sh) in shards.iter_mut().enumerate() {
-                    // Rebuild under the shard's own representation config —
-                    // `MemoryStore::new()` would silently swap a pinned
-                    // chunking setup for the default across the GC.
-                    let cfg = sh
-                        .store
-                        .chunk_config()
-                        .unwrap_or_else(crate::chunk::ChunkConfig::disabled);
-                    let mut store = MemoryStore::with_config(cfg);
-                    let mut dedup = HashMap::new();
-                    let mut lens = Vec::new();
-                    for bytes in &kept[i] {
-                        let idx = store.put(bytes).expect("memory put") as u32;
-                        dedup.entry(content_key(bytes)).or_insert(idx);
-                        lens.push(bytes.len() as u64);
-                    }
-                    sh.store = Box::new(store);
-                    sh.dedup = dedup;
-                    sh.lens = lens;
-                    sh.refs = new_refs[i].iter().copied().filter(|&r| r > 0).collect();
+        // Rebuild under the log's own representation config: chunked blobs
+        // stay chunked (one ledger keeps cross-blob dedup), so reclaimed
+        // chunk bytes actually leave the log, and a pinned chunking setup
+        // is not swapped for the default across the GC.
+        let cfg = st.payloads.chunk_config().unwrap_or_else(ChunkConfig::disabled);
+        let mut payloads: Box<dyn CheckpointStore> = match &st.dir {
+            None => {
+                let mut store = MemoryStore::with_config(cfg);
+                for bytes in &kept {
+                    store.put(bytes)?;
                 }
+                Box::new(store)
             }
-            Backend::File { dir } => {
-                let mut budget = self.inner.crash_after.lock().expect("crash lock");
-                // Re-image each shard under its own representation config:
-                // chunked blobs stay chunked (one ledger across the shard
-                // keeps cross-blob dedup), so reclaimed chunk bytes
-                // actually leave the log instead of every survivor
-                // re-expanding to a v1 frame.
-                let cfgs: Vec<_> = shards
-                    .iter()
-                    .map(|sh| {
-                        sh.store
-                            .chunk_config()
-                            .unwrap_or_else(crate::chunk::ChunkConfig::disabled)
-                    })
-                    .collect();
-                for (i, shard_kept) in kept.iter().enumerate() {
-                    let image = build_log_image(shard_kept, &cfgs[i])?;
-                    write_budgeted(&shard_path(dir, i, next_gen), &image, &mut budget)?;
-                }
-                for (name, mappings) in &new_mappings {
+            Some(dir) => {
+                let budget = &mut st.crash_after;
+                let image = build_log_image(&kept, &cfg)?;
+                write_budgeted(&payload_path(dir, next_gen), &image, budget)?;
+                for (name, maps) in st.tenants.keys().zip(&new_maps) {
                     let mut image = Vec::new();
-                    for m in mappings {
+                    for m in maps {
                         frame_record(&mut image, &encode_mapping(*m));
                     }
-                    write_budgeted(&tenant_path(dir, name, next_gen), &image, &mut budget)?;
+                    write_budgeted(&tenant_path(dir, name, next_gen), &image, budget)?;
                 }
-                let names: Vec<&str> = meta.tenants.keys().map(String::as_str).collect();
-                let manifest = manifest_json(self.inner.nshards, next_gen, &names);
+                let names: Vec<&str> = st.tenants.keys().map(String::as_str).collect();
                 let tmp = dir.join("MANIFEST.tmp");
-                write_budgeted(&tmp, manifest.dump().as_bytes(), &mut budget)?;
-                rename_budgeted(&tmp, &manifest_path(dir), &mut budget)?;
+                write_budgeted(&tmp, manifest_json(next_gen, &names).dump().as_bytes(), budget)?;
+                rename_budgeted(&tmp, &manifest_path(dir), budget)?;
                 // Committed. Swap the in-memory state over to the new
                 // generation; failures past this point must not un-commit,
-                // so reopen errors propagate but the manifest stays.
-                for (i, sh) in shards.iter_mut().enumerate() {
-                    // Reopen under the same config the image was built
-                    // with, so a pinned setup survives the generation swap.
-                    let store = FileStore::open_with(
-                        shard_path(dir, i, next_gen),
-                        cfgs[i].clone(),
-                        true,
-                    )?;
-                    let mut dedup = HashMap::new();
-                    let mut lens = Vec::new();
-                    for (idx, bytes) in kept[i].iter().enumerate() {
-                        dedup.entry(content_key(bytes)).or_insert(idx as u32);
-                        lens.push(bytes.len() as u64);
-                    }
-                    sh.store = Box::new(store);
-                    sh.dedup = dedup;
-                    sh.lens = lens;
-                    sh.refs = new_refs[i].iter().copied().filter(|&r| r > 0).collect();
-                }
-                for (name, t) in meta.tenants.iter_mut() {
+                // so reopen errors propagate but the manifest stays. The
+                // log reopens under the config its image was built with.
+                let store = FileStore::open_with(payload_path(dir, next_gen), cfg, true)?;
+                for (name, t) in st.tenants.iter_mut() {
                     t.log = Some(FileStore::open(tenant_path(dir, name, next_gen))?);
                 }
                 remove_stale_generations(dir, next_gen);
+                Box::new(store)
             }
+        };
+        payloads.attach_trace(&st.trace);
+        st.payloads = payloads;
+        (st.dedup, st.lens) = payload_index(kept.iter().map(Some));
+        st.refs = new_refs.into_iter().filter(|&r| r > 0).collect();
+        for (t, maps) in st.tenants.values_mut().zip(new_maps) {
+            t.payload_bytes = maps.iter().flatten().map(|&(_, len)| len).sum();
+            t.blobs = maps;
         }
-        for (name, t) in meta.tenants.iter_mut() {
-            let mappings = new_mappings.remove(name).expect("mapping built in mark");
-            t.payload_bytes = mappings.iter().flatten().map(|(_, len)| len).sum();
-            t.blobs = mappings;
-        }
-        meta.generation = next_gen;
+        st.generation = next_gen;
         report.generation = next_gen;
-        report.physical_after = shards.iter().map(|sh| sh.store.stats().physical_bytes).sum();
+        report.physical_after = st.payloads.stats().physical_bytes;
         trace.event(
             kishu_trace::Severity::Info,
             "gc",
@@ -353,7 +296,7 @@ mod tests {
 
     #[test]
     fn unreferenced_blobs_are_fully_reclaimed() {
-        let store = SharedStore::in_memory(4);
+        let store = SharedStore::in_memory();
         let mut a = store.tenant("a").expect("tenant");
         let mut b = store.tenant("b").expect("tenant");
         a.put(b"a's live payload").expect("put"); // a/0: live
@@ -381,7 +324,7 @@ mod tests {
 
     #[test]
     fn gc_never_reclaims_a_blob_any_tenant_reaches() {
-        let store = SharedStore::in_memory(2);
+        let store = SharedStore::in_memory();
         let mut a = store.tenant("a").expect("tenant");
         let mut b = store.tenant("b").expect("tenant");
         let shared = vec![7u8; 2000];
@@ -400,7 +343,7 @@ mod tests {
 
     #[test]
     fn live_sets_must_cover_every_tenant_exactly() {
-        let store = SharedStore::in_memory(2);
+        let store = SharedStore::in_memory();
         let mut a = store.tenant("a").expect("tenant");
         store.tenant("b").expect("tenant");
         a.put(b"x").expect("put");
@@ -419,7 +362,7 @@ mod tests {
     fn file_backed_gc_commits_a_new_generation_and_reopens() {
         let dir = temp_dir("commit");
         {
-            let store = SharedStore::create(&dir, 3).expect("create");
+            let store = SharedStore::create(&dir).expect("create");
             let mut a = store.tenant("a").expect("tenant");
             for i in 0..20u32 {
                 a.put(format!("payload {i} {}", "x".repeat(50)).as_bytes()).expect("put");
@@ -474,7 +417,7 @@ mod tests {
     #[test]
     fn file_gc_preserves_chunk_dedup_and_reclaims_chunk_bytes() {
         let dir = temp_dir("v2-framing");
-        let store = SharedStore::create_with(&dir, 1, crate::chunk::ChunkConfig::default())
+        let store = SharedStore::create_with(&dir, crate::chunk::ChunkConfig::default())
             .expect("create");
         let mut a = store.tenant("a").expect("tenant");
         // Three near-duplicates (almost all chunks shared) plus one
@@ -533,7 +476,7 @@ mod tests {
     /// reverting to the default configuration).
     #[test]
     fn memory_gc_preserves_pinned_chunk_config() {
-        let store = SharedStore::in_memory_with(1, crate::chunk::ChunkConfig::default());
+        let store = SharedStore::in_memory_with(crate::chunk::ChunkConfig::default());
         let mut a = store.tenant("a").expect("tenant");
         for tweak in [0u8, 0x11] {
             a.put(&chunky_payload(tweak)).expect("put");
@@ -555,7 +498,7 @@ mod tests {
     #[test]
     fn crash_budget_zero_aborts_before_any_commit() {
         let dir = temp_dir("crash0");
-        let store = SharedStore::create(&dir, 2).expect("create");
+        let store = SharedStore::create(&dir).expect("create");
         let mut a = store.tenant("a").expect("tenant");
         a.put(b"keep me").expect("put");
         a.put(b"reclaim me").expect("put");
@@ -575,7 +518,7 @@ mod tests {
 
     #[test]
     fn gc_spans_cover_every_phase() {
-        let store = SharedStore::in_memory(2);
+        let store = SharedStore::in_memory();
         let trace = kishu_trace::Trace::enabled();
         store.attach_trace(&trace);
         let mut a = store.tenant("a").expect("tenant");

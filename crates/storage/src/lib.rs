@@ -22,10 +22,10 @@
 //! * [`BlobCache`] — the read-side twin: a bounded LRU cache of verified
 //!   checkout payloads keyed by the same content keys, so undo/redo
 //!   time-travel over the same states becomes memory-speed;
-//! * [`SharedStore`] — the multi-tenant deployment: store-wide
-//!   content-addressed dedup with refcounting, a blob log sharded by
-//!   content-key prefix, and observationally private per-tenant
-//!   [`TenantHandle`] views ([`shared`] module docs);
+//! * [`SharedStore`] — the multi-tenant deployment: one payload log with
+//!   store-wide content-addressed dedup and refcounting, and
+//!   observationally private per-tenant [`TenantHandle`] views ([`shared`]
+//!   module docs);
 //! * [`gc`] — stop-the-world mark-and-sweep compaction over a shared
 //!   store, committing new generations crash-consistently via an atomic
 //!   manifest rename.
@@ -50,7 +50,7 @@ pub use fault_store::{
 };
 pub use file_store::FileStore;
 pub use memory_store::MemoryStore;
-pub use shared::{SharedStore, TenantHandle, TenantOpStats, DEFAULT_SHARDS};
+pub use shared::{SharedStore, TenantHandle, TenantOpStats};
 
 use std::io;
 

@@ -1,125 +1,81 @@
 //! Multi-tenant shared checkpoint store.
 //!
-//! The paper's demo checkpoints one notebook session into one store; the
-//! north star is millions of users, where cross-user redundancy (the same
-//! dataset loaded, the same model trained) is the dominant storage win.
-//! [`SharedStore`] is that deployment shape:
+//! The paper's demo checkpoints one notebook session into one store. When
+//! several sessions load the same datasets and train the same models,
+//! cross-session redundancy is the dominant storage win; [`SharedStore`]
+//! is that deployment shape:
 //!
 //! * **Store-wide dedup** — every sealed payload is content-addressed
 //!   ([`crate::dedup::content_key`]); identical bytes written by *any*
 //!   tenant land in the store once and are refcounted. Dedup here is
 //!   load-bearing (unlike the advisory per-session [`crate::BlobIndex`]):
 //!   a repeat write increments a refcount instead of appending.
-//! * **Sharded blob log** — payloads are routed to one of N shards by
-//!   content-key prefix, each with its own ordered writer behind its own
-//!   lock, so concurrent sessions stop serializing on a single file lock.
-//!   One tenant's writes stay in-order per shard, and since a tenant's
-//!   blob ids are assigned by its own dense counter, the per-session
-//!   serial-oracle invariant survives.
+//! * **One payload log behind one lock** — every payload goes to one
+//!   ordered log. The log, its dedup index and refcounts, the tenants and
+//!   the generation sit behind a single mutex that each public method
+//!   takes once. Callers drive their tenants on one thread, so there is
+//!   no contention to spread. A tenant's blob ids come from its own dense
+//!   counter, so the per-session serial-oracle invariant holds.
 //! * **Per-tenant views** — [`SharedStore::tenant`] returns a
 //!   [`TenantHandle`] implementing [`CheckpointStore`] with *dense,
 //!   private blob ids*: tenant blob `k` is its `k`-th successful `put`,
 //!   exactly as on a private store. Gets resolve through the tenant's
-//!   mapping to physical `(shard, index)` pairs. Stats are logical
-//!   (mirroring [`crate::MemoryStore`]'s accounting), so a session cannot
-//!   observe its neighbors through sizes either. The shared store is
+//!   mapping to payload-log indices. Stats are logical (mirroring
+//!   [`crate::MemoryStore`]'s accounting), so a session cannot observe its
+//!   neighbors through sizes either. The shared store is
 //!   **observationally private**: every read, id, size, and error a
 //!   tenant sees is byte-identical to running alone — the property
-//!   `tests/multi_tenant.rs` proves differentially.
-//! * **Chunk dedup under the id layer** — shard backends run the
+//!   `tests/multi_tenant.rs` proves differentially. Each handle carries
+//!   its own trace, so a tenant's `shared.*` spans land in its session's
+//!   trace.
+//! * **Chunk dedup under the id layer** — the payload log runs the
 //!   storage-engine-v2 representation (content-defined chunking +
 //!   per-chunk compression, [`crate::chunk`]), so two tenants' *distinct*
 //!   blobs that share most of their bytes (the same dataframe, one cell's
-//!   edit apart) share chunks physically. Chunk dedup scope is the shard:
-//!   blob-level routing sends whole payloads to one shard, so similar
-//!   payloads that route differently don't share chunks — an accepted
-//!   trade against cross-shard coordination on every chunk. Aggregate
-//!   counters: [`SharedStore::chunk_stats`].
+//!   edit apart) share chunks physically, store-wide. Aggregate counters:
+//!   [`SharedStore::chunk_stats`].
 //! * **GC** — see [`crate::gc`]: a stop-the-world mark-and-sweep pass over
-//!   caller-supplied live sets that compacts shards into a new generation
-//!   and commits via an atomic manifest rename, crash-consistent with
-//!   [`SharedStore::open`].
+//!   caller-supplied live sets that compacts the payload log into a new
+//!   generation and commits via an atomic manifest rename,
+//!   crash-consistent with [`SharedStore::open`].
 //!
 //! ## File layout
 //!
 //! A file-backed store is a directory:
 //!
 //! ```text
-//! MANIFEST.json            {"schema","shards","generation","tenants"}
-//! shard-<i>.g<G>.log       payload log (FileStore framing), shard i, gen G
+//! MANIFEST.json            {"schema":"kishu-shared-v2","generation":G,"tenants":[…]}
+//! payload.g<G>.log         payload log (FileStore framing), generation G
 //! tenant-<hex>.g<G>.log    mapping log: tenant blob k = k-th record
 //! ```
 //!
-//! Mapping records are `[1, shard: u32, idx: u32, len: u64]` (all LE) for a
-//! live mapping or `[0]` for a tombstone (a blob GC reclaimed; the id stays
+//! Mapping records are `[1, idx: u32, len: u64]` (all LE) for a live
+//! mapping or `[0]` for a tombstone (a blob GC reclaimed; the id stays
 //! allocated so tenant ids remain dense forever). Everything outside the
-//! manifest is append-only between GCs; `open` rebuilds dedup maps and
-//! refcounts by scanning, so no index file can go stale.
+//! manifest is append-only between GCs; `open` rebuilds the dedup index
+//! and refcounts by scanning, so no index file can go stale. `open`
+//! rejects a manifest it cannot read in full, any other schema included,
+//! with `InvalidData` before it touches a file.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use kishu_testkit::hash::xxh64;
 use kishu_testkit::json::Json;
 use kishu_trace::Trace;
 
+use crate::chunk::ChunkConfig;
 use crate::dedup::{content_key, ContentKey};
 use crate::file_store::FileStore;
 use crate::{BlobId, CheckpointStore, MemoryStore, StoreStats};
 
 /// Schema tag of `MANIFEST.json`.
-pub const SHARED_SCHEMA: &str = "kishu-shared-v1";
+pub const SHARED_SCHEMA: &str = "kishu-shared-v2";
 
-/// The shard count callers use when they have no reason to pick another.
-pub const DEFAULT_SHARDS: usize = 4;
-
-/// Physical address of a stored payload: `(shard, index within shard)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct Phys {
-    pub(crate) shard: u32,
-    pub(crate) idx: u32,
-}
-
-/// Which shard a content key routes to. A pure function, so a tenant's
-/// shard assignment for a payload never depends on its neighbors.
-///
-/// The full 64-bit hash is remixed with the splitmix64 finalizer and then
-/// reduced by multiply-shift. The original routing (`(hash >> 48) % n`)
-/// had two skews: it consulted only the top 16 hash bits, and the modulo
-/// was biased for non-power-of-two shard counts; both showed up as uneven
-/// shard loads. The finalizer spreads every input bit over the output and
-/// the multiply-shift reduction is bias-free for any `n`.
-///
-/// **Compat:** changing this function re-routes *future* puts only.
-/// Existing blobs are always read through their tenants' persisted
-/// `(shard, idx)` mappings — never by recomputing `shard_of` — so logs
-/// written under the old routing stay fully readable on `open`; the worst
-/// case is a payload stored on two shards (old copy + newly routed copy)
-/// until GC compacts, which costs space, never correctness.
-pub(crate) fn shard_of(key: ContentKey, nshards: usize) -> usize {
-    let mut z = key.0;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    ((z as u128 * nshards.max(1) as u128) >> 64) as usize
-}
-
-/// One shard: its ordered payload log plus the store-wide dedup index and
-/// refcounts for the contents that route here.
-pub(crate) struct ShardState {
-    pub(crate) store: Box<dyn CheckpointStore>,
-    /// Content key → local index. Load-bearing (a hit suppresses a write),
-    /// safe because the key pairs a 64-bit hash with the exact length.
-    pub(crate) dedup: HashMap<ContentKey, u32>,
-    /// Live references per local blob, across all tenants. Only GC ever
-    /// decreases these (by recomputation, so they structurally cannot go
-    /// negative).
-    pub(crate) refs: Vec<u64>,
-    /// Payload length per local blob.
-    pub(crate) lens: Vec<u64>,
-}
+/// Where a tenant blob lives: `(payload-log index, payload length)`.
+pub(crate) type Mapping = (u32, u64);
 
 /// Per-tenant operator counters: physical truth (dedup hits include
 /// cross-tenant sharing), so they live *below* the dense-id layer and are
@@ -141,11 +97,12 @@ pub struct TenantOpStats {
     pub syncs: u64,
 }
 
-/// One tenant's view state: its dense id → physical mapping.
+/// One tenant's view state: its dense id → payload mapping.
+#[derive(Default)]
 pub(crate) struct TenantState {
-    /// Tenant blob `k` ↦ `(phys, payload len)`, or `None` once reclaimed
-    /// (ids stay dense forever; a reclaimed id reads as `NotFound`).
-    pub(crate) blobs: Vec<Option<(Phys, u64)>>,
+    /// Tenant blob `k` ↦ its mapping, or `None` once reclaimed (ids stay
+    /// dense forever; a reclaimed id reads as `NotFound`).
+    pub(crate) blobs: Vec<Option<Mapping>>,
     /// Cumulative payload bytes over live mappings (what a private
     /// [`MemoryStore`] would report after the same puts).
     pub(crate) payload_bytes: u64,
@@ -155,49 +112,94 @@ pub(crate) struct TenantState {
     pub(crate) ops: TenantOpStats,
 }
 
-/// Registry + generation behind one lock: lock ordering everywhere is
-/// meta before shard, and `put` never holds both at once.
-pub(crate) struct Meta {
+/// Everything the store holds, behind its one lock.
+pub(crate) struct State {
+    /// The store directory; `None` for the in-memory backend.
+    pub(crate) dir: Option<PathBuf>,
+    /// The payload log.
+    pub(crate) payloads: Box<dyn CheckpointStore>,
+    /// Content key → payload index. Load-bearing (a hit suppresses a
+    /// write), safe because the key pairs a 64-bit hash with the exact
+    /// length.
+    pub(crate) dedup: HashMap<ContentKey, u32>,
+    /// Live references per payload, across all tenants. Only GC ever
+    /// decreases these (by recomputation, so they structurally cannot go
+    /// negative).
+    pub(crate) refs: Vec<u64>,
+    /// Length per payload.
+    pub(crate) lens: Vec<u64>,
     pub(crate) tenants: BTreeMap<String, TenantState>,
     pub(crate) generation: u64,
-}
-
-pub(crate) enum Backend {
-    Memory,
-    File { dir: PathBuf },
-}
-
-pub(crate) struct Inner {
-    pub(crate) backend: Backend,
-    pub(crate) nshards: usize,
-    pub(crate) shards: Vec<Mutex<ShardState>>,
-    pub(crate) meta: Mutex<Meta>,
-    pub(crate) trace: Mutex<Trace>,
+    /// The operator trace: GC phases and the payload log's own spans.
+    pub(crate) trace: Trace,
     /// GC crash-test hook: remaining byte budget for generation writes.
     /// `None` = unlimited. See [`SharedStore::set_crash_after_bytes`].
-    pub(crate) crash_after: Mutex<Option<u64>>,
+    pub(crate) crash_after: Option<u64>,
 }
 
-/// A multi-tenant, store-wide-deduplicating, sharded checkpoint store.
-/// Cheap to clone (a handle); see the module docs for the architecture.
+impl State {
+    /// A tenant-less state over an empty payload log.
+    fn new(dir: Option<PathBuf>, payloads: Box<dyn CheckpointStore>, generation: u64) -> Self {
+        State {
+            dir,
+            payloads,
+            dedup: HashMap::new(),
+            refs: Vec::new(),
+            lens: Vec::new(),
+            tenants: BTreeMap::new(),
+            generation,
+            trace: Trace::disabled(),
+            crash_after: None,
+        }
+    }
+
+    fn tenant(&mut self, name: &str) -> &mut TenantState {
+        self.tenants.get_mut(name).expect("tenant registered by SharedStore::tenant")
+    }
+}
+
+/// Take the store's one lock.
+pub(crate) fn lock(state: &Mutex<State>) -> MutexGuard<'_, State> {
+    state.lock().expect("shared store lock")
+}
+
+/// The dedup index and lengths of a payload log holding `payloads` in
+/// order. An unreadable payload (`None`) keeps its slot, since indices are
+/// positional, but never takes a dedup hit. The first copy of repeated
+/// bytes wins, matching `put`.
+pub(crate) fn payload_index<B: AsRef<[u8]>>(
+    payloads: impl IntoIterator<Item = Option<B>>,
+) -> (HashMap<ContentKey, u32>, Vec<u64>) {
+    let mut dedup = HashMap::new();
+    let mut lens = Vec::new();
+    for (idx, bytes) in payloads.into_iter().enumerate() {
+        lens.push(bytes.map_or(0, |b| {
+            dedup.entry(content_key(b.as_ref())).or_insert(idx as u32);
+            b.as_ref().len() as u64
+        }));
+    }
+    (dedup, lens)
+}
+
+/// A multi-tenant, store-wide-deduplicating checkpoint store. Cheap to
+/// clone (a handle); see the module docs for the architecture.
 #[derive(Clone)]
 pub struct SharedStore {
-    pub(crate) inner: Arc<Inner>,
+    pub(crate) state: Arc<Mutex<State>>,
 }
 
 impl std::fmt::Debug for SharedStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let meta = self.inner.meta.lock().expect("meta lock");
+        let st = lock(&self.state);
         f.debug_struct("SharedStore")
-            .field("shards", &self.inner.nshards)
-            .field("tenants", &meta.tenants.len())
-            .field("generation", &meta.generation)
+            .field("tenants", &st.tenants.len())
+            .field("generation", &st.generation)
             .finish()
     }
 }
 
-pub(crate) fn shard_path(dir: &Path, shard: usize, generation: u64) -> PathBuf {
-    dir.join(format!("shard-{shard}.g{generation}.log"))
+pub(crate) fn payload_path(dir: &Path, generation: u64) -> PathBuf {
+    dir.join(format!("payload.g{generation}.log"))
 }
 
 pub(crate) fn tenant_path(dir: &Path, name: &str, generation: u64) -> PathBuf {
@@ -208,44 +210,64 @@ pub(crate) fn manifest_path(dir: &Path) -> PathBuf {
     dir.join("MANIFEST.json")
 }
 
+/// Whether `name` is one of the store's generation-suffixed logs.
+fn is_generational(name: &str) -> bool {
+    (name.starts_with("payload.") || name.starts_with("tenant-"))
+        && name.ends_with(".log")
+        && name.contains(".g")
+}
+
 /// Serialize one mapping-log record.
-pub(crate) fn encode_mapping(m: Option<(Phys, u64)>) -> Vec<u8> {
+pub(crate) fn encode_mapping(m: Option<Mapping>) -> Vec<u8> {
     match m {
-        Some((p, len)) => {
-            let mut v = Vec::with_capacity(17);
-            v.push(1);
-            v.extend_from_slice(&p.shard.to_le_bytes());
-            v.extend_from_slice(&p.idx.to_le_bytes());
-            v.extend_from_slice(&len.to_le_bytes());
-            v
-        }
+        Some((idx, len)) => [&[1][..], &idx.to_le_bytes(), &len.to_le_bytes()].concat(),
         None => vec![0],
     }
 }
 
 /// Parse one mapping-log record; `None` if malformed (treated as a
 /// tombstone by recovery — degraded, never wrong bytes).
-fn decode_mapping(b: &[u8]) -> Option<(Phys, u64)> {
-    if b.len() != 17 || b[0] != 1 {
-        return None;
-    }
-    let shard = u32::from_le_bytes([b[1], b[2], b[3], b[4]]);
-    let idx = u32::from_le_bytes([b[5], b[6], b[7], b[8]]);
-    let len = u64::from_le_bytes([b[9], b[10], b[11], b[12], b[13], b[14], b[15], b[16]]);
-    Some((Phys { shard, idx }, len))
+fn decode_mapping(b: &[u8]) -> Option<Mapping> {
+    let [1, rest @ ..] = b else { return None };
+    let (idx, len) = rest.split_first_chunk::<4>()?;
+    Some((u32::from_le_bytes(*idx), u64::from_le_bytes(len.try_into().ok()?)))
 }
 
 /// Render the manifest JSON for the given state.
-pub(crate) fn manifest_json(nshards: usize, generation: u64, tenants: &[&str]) -> Json {
+pub(crate) fn manifest_json(generation: u64, tenants: &[&str]) -> Json {
     Json::obj(vec![
         ("schema", Json::Str(SHARED_SCHEMA.to_string())),
-        ("shards", Json::Int(nshards as i64)),
         ("generation", Json::Int(generation as i64)),
         (
             "tenants",
             Json::Array(tenants.iter().map(|t| Json::Str(t.to_string())).collect()),
         ),
     ])
+}
+
+/// Parse `MANIFEST.json` into its generation and tenant names. Anything
+/// short of a complete manifest of this schema is `InvalidData`: a guessed
+/// generation would have `open` delete the real one as stale, and a
+/// guessed tenant list would have `tenant` truncate a real mapping log.
+fn read_manifest(dir: &Path) -> io::Result<(u64, Vec<String>)> {
+    let bad = |what: String| io::Error::new(io::ErrorKind::InvalidData, format!("manifest: {what}"));
+    let j = Json::parse(&std::fs::read_to_string(manifest_path(dir))?)
+        .map_err(|e| bad(format!("{e:?}")))?;
+    if j.get("schema").and_then(Json::as_str) != Some(SHARED_SCHEMA) {
+        return Err(bad("unknown schema".into()));
+    }
+    let generation = j
+        .get("generation")
+        .and_then(Json::as_u64)
+        .ok_or_else(|| bad("generation is not a non-negative integer".into()))?;
+    let names = j
+        .get("tenants")
+        .and_then(Json::as_array)
+        .ok_or_else(|| bad("no tenant list".into()))?
+        .iter()
+        .map(|t| t.as_str().map(str::to_string).ok_or_else(|| bad(format!("tenant {t:?}"))))
+        .collect::<io::Result<_>>()?;
+    Ok((generation, names))
 }
 
 /// Durably replace `MANIFEST.json`: write a temp file, sync it, rename it
@@ -271,299 +293,164 @@ pub(crate) fn remove_stale_generations(dir: &Path, keep_gen: u64) {
     for entry in entries.flatten() {
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        if name == "MANIFEST.tmp" {
-            let _ = std::fs::remove_file(entry.path());
-            continue;
-        }
-        let generational = (name.starts_with("shard-") || name.starts_with("tenant-"))
-            && name.ends_with(".log")
-            && name.contains(".g");
-        if generational && !name.ends_with(&keep) {
+        if name == "MANIFEST.tmp" || (is_generational(name) && !name.ends_with(&keep)) {
             let _ = std::fs::remove_file(entry.path());
         }
     }
 }
 
-// `Inner` holds `Box<dyn CheckpointStore>` (the trait is not `Send`-bounded);
-// handles are cloned across sessions on one thread, and the `Arc` keeps the
-// sharing shape right for a future `Send`-bounded store trait.
-#[allow(clippy::arc_with_non_send_sync)]
 impl SharedStore {
-    /// Fresh in-memory shared store with `nshards` shards (clamped ≥ 1)
-    /// and the default chunking.
-    pub fn in_memory(nshards: usize) -> Self {
-        Self::in_memory_with(nshards, crate::chunk::ChunkConfig::default())
+    // `State` holds `Box<dyn CheckpointStore>` (the trait is not
+    // `Send`-bounded), so the store stays on one thread; the `Arc` is what
+    // lets its tenant handles share it.
+    #[allow(clippy::arc_with_non_send_sync)]
+    fn from_state(state: State) -> Self {
+        SharedStore { state: Arc::new(Mutex::new(state)) }
     }
 
-    /// Fresh in-memory shared store with an explicit per-shard chunk
+    /// Fresh in-memory shared store with the default chunking.
+    pub fn in_memory() -> Self {
+        Self::in_memory_with(ChunkConfig::default())
+    }
+
+    /// Fresh in-memory shared store with an explicit payload-log chunk
     /// configuration.
-    pub fn in_memory_with(nshards: usize, cfg: crate::chunk::ChunkConfig) -> Self {
-        let nshards = nshards.max(1);
-        let shards = (0..nshards)
-            .map(|_| {
-                Mutex::new(ShardState {
-                    store: Box::new(MemoryStore::with_config(cfg.clone()))
-                        as Box<dyn CheckpointStore>,
-                    dedup: HashMap::new(),
-                    refs: Vec::new(),
-                    lens: Vec::new(),
-                })
-            })
-            .collect();
-        SharedStore {
-            inner: Arc::new(Inner {
-                backend: Backend::Memory,
-                nshards,
-                shards,
-                meta: Mutex::new(Meta { tenants: BTreeMap::new(), generation: 0 }),
-                trace: Mutex::new(Trace::disabled()),
-                crash_after: Mutex::new(None),
-            }),
-        }
+    pub fn in_memory_with(cfg: ChunkConfig) -> Self {
+        Self::from_state(State::new(None, Box::new(MemoryStore::with_config(cfg)), 0))
     }
 
     /// Create a fresh file-backed store in `dir` (wiping any store files
-    /// already there), with `nshards` shards at generation 0 and the
-    /// default chunking.
-    pub fn create(dir: impl AsRef<Path>, nshards: usize) -> io::Result<Self> {
-        Self::create_with(dir, nshards, crate::chunk::ChunkConfig::default())
+    /// already there) at generation 0, with the default chunking.
+    pub fn create(dir: impl AsRef<Path>) -> io::Result<Self> {
+        Self::create_with(dir, ChunkConfig::default())
     }
 
-    /// Create a fresh file-backed store with an explicit per-shard chunk
+    /// Create a fresh file-backed store with an explicit payload-log chunk
     /// configuration. GC compaction preserves the configuration when it
     /// rewrites a generation.
-    pub fn create_with(
-        dir: impl AsRef<Path>,
-        nshards: usize,
-        cfg: crate::chunk::ChunkConfig,
-    ) -> io::Result<Self> {
+    pub fn create_with(dir: impl AsRef<Path>, cfg: ChunkConfig) -> io::Result<Self> {
         let dir = dir.as_ref();
-        let nshards = nshards.max(1);
         std::fs::create_dir_all(dir)?;
         // Wipe every file of the store's naming scheme, any generation.
         for entry in std::fs::read_dir(dir)?.flatten() {
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
-            if name.starts_with("shard-")
-                || name.starts_with("tenant-")
-                || name == "MANIFEST.json"
-                || name == "MANIFEST.tmp"
-            {
+            if is_generational(name) || name == "MANIFEST.json" || name == "MANIFEST.tmp" {
                 let _ = std::fs::remove_file(entry.path());
             }
         }
-        let mut shards = Vec::with_capacity(nshards);
-        for i in 0..nshards {
-            let store =
-                FileStore::create_with(shard_path(dir, i, 0), cfg.clone(), true)?;
-            shards.push(Mutex::new(ShardState {
-                store: Box::new(store) as Box<dyn CheckpointStore>,
-                dedup: HashMap::new(),
-                refs: Vec::new(),
-                lens: Vec::new(),
-            }));
-        }
-        commit_manifest(dir, &manifest_json(nshards, 0, &[]))?;
-        Ok(SharedStore {
-            inner: Arc::new(Inner {
-                backend: Backend::File { dir: dir.to_path_buf() },
-                nshards,
-                shards,
-                meta: Mutex::new(Meta { tenants: BTreeMap::new(), generation: 0 }),
-                trace: Mutex::new(Trace::disabled()),
-                crash_after: Mutex::new(None),
-            }),
-        })
+        let payloads = FileStore::create_with(payload_path(dir, 0), cfg, true)?;
+        commit_manifest(dir, &manifest_json(0, &[]))?;
+        Ok(Self::from_state(State::new(Some(dir.to_path_buf()), Box::new(payloads), 0)))
     }
 
     /// Open an existing file-backed store, recovering from whatever a crash
-    /// left behind: the manifest names the committed generation; shard and
-    /// mapping logs recover their torn tails via [`FileStore::open`]; dedup
-    /// maps and refcounts are rebuilt by scanning; files from uncommitted
-    /// generations are swept away. Future shard writes use the default
-    /// chunking.
+    /// left behind: the manifest names the committed generation; the
+    /// payload and mapping logs recover their torn tails via
+    /// [`FileStore::open`]; the dedup index and refcounts are rebuilt by
+    /// scanning; files from uncommitted generations are swept away. Future
+    /// payload writes use the default chunking.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
-        Self::open_with(dir, crate::chunk::ChunkConfig::default())
+        Self::open_with(dir, ChunkConfig::default())
     }
 
-    /// [`SharedStore::open`] with an explicit per-shard chunk configuration
-    /// for future writes (GC compaction preserves it).
-    pub fn open_with(dir: impl AsRef<Path>, cfg: crate::chunk::ChunkConfig) -> io::Result<Self> {
+    /// [`SharedStore::open`] with an explicit payload-log chunk
+    /// configuration for future writes (GC compaction preserves it).
+    pub fn open_with(dir: impl AsRef<Path>, cfg: ChunkConfig) -> io::Result<Self> {
         let dir = dir.as_ref();
-        let text = std::fs::read_to_string(manifest_path(dir))?;
-        let j = Json::parse(&text)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("manifest: {e:?}")))?;
-        if j.get("schema").and_then(Json::as_str) != Some(SHARED_SCHEMA) {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "unknown manifest schema"));
-        }
-        let nshards = j
-            .get("shards")
-            .and_then(Json::as_i64)
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "manifest shard count"))?
-            as usize;
-        let generation = j.get("generation").and_then(Json::as_i64).unwrap_or(0) as u64;
-        let tenant_names: Vec<String> = j
-            .get("tenants")
-            .and_then(Json::as_array)
-            .map(|a| a.iter().filter_map(|t| t.as_str().map(str::to_string)).collect())
-            .unwrap_or_default();
+        let (generation, names) = read_manifest(dir)?;
         remove_stale_generations(dir, generation);
 
-        let mut shards = Vec::with_capacity(nshards);
-        for i in 0..nshards {
-            let path = shard_path(dir, i, generation);
-            let store = if path.exists() {
-                FileStore::open_with(&path, cfg.clone(), true)?
-            } else {
-                FileStore::create_with(&path, cfg.clone(), true)?
-            };
-            let count = store.blob_count();
-            let mut dedup = HashMap::new();
-            let mut lens = Vec::with_capacity(count as usize);
-            for idx in 0..count {
-                match store.get(idx) {
-                    Ok(bytes) => {
-                        // First writer wins, matching put's behavior.
-                        dedup.entry(content_key(&bytes)).or_insert(idx as u32);
-                        lens.push(bytes.len() as u64);
-                    }
-                    // Unreadable payload: keep the slot (ids are positional)
-                    // but never dedup onto it.
-                    Err(_) => lens.push(0),
-                }
-            }
-            shards.push(Mutex::new(ShardState {
-                store: Box::new(store) as Box<dyn CheckpointStore>,
-                dedup,
-                refs: vec![0; count as usize],
-                lens,
-            }));
-        }
+        let path = payload_path(dir, generation);
+        let payloads = if path.exists() {
+            FileStore::open_with(&path, cfg, true)?
+        } else {
+            FileStore::create_with(&path, cfg, true)?
+        };
+        let mut st = State::new(Some(dir.to_path_buf()), Box::new(payloads), generation);
+        (st.dedup, st.lens) =
+            payload_index((0..st.payloads.blob_count()).map(|i| st.payloads.get(i).ok()));
+        st.refs = vec![0; st.lens.len()];
 
-        let mut tenants = BTreeMap::new();
-        for name in tenant_names {
+        for name in names {
             let path = tenant_path(dir, &name, generation);
             let log = if path.exists() { FileStore::open(&path)? } else { FileStore::create(&path)? };
-            let mut blobs = Vec::new();
-            let mut payload_bytes = 0u64;
+            let mut t = TenantState::default();
             for rec in 0..log.blob_count() {
-                let bytes = log.get(rec)?;
-                let mapping = decode_mapping(&bytes).filter(|(p, _)| {
-                    // A mapping may outrun its payload if the shard log lost
-                    // a tail the mapping log kept: degrade to a tombstone.
-                    (p.shard as usize) < nshards && {
-                        let sh = shards[p.shard as usize].lock().expect("shard lock");
-                        (p.idx as u64) < sh.store.blob_count()
-                    }
-                });
-                if let Some((p, len)) = mapping {
-                    let mut sh = shards[p.shard as usize].lock().expect("shard lock");
-                    sh.refs[p.idx as usize] += 1;
-                    payload_bytes += len;
-                    blobs.push(Some((p, len)));
-                } else {
-                    blobs.push(None);
+                // A mapping may outrun its payload if the payload log lost
+                // a tail the mapping log kept: degrade to a tombstone.
+                let m = decode_mapping(&log.get(rec)?)
+                    .filter(|&(idx, _)| (idx as usize) < st.refs.len());
+                if let Some((idx, len)) = m {
+                    st.refs[idx as usize] += 1;
+                    t.payload_bytes += len;
                 }
+                t.blobs.push(m);
             }
-            tenants.insert(
-                name,
-                TenantState { blobs, payload_bytes, log: Some(log), ops: TenantOpStats::default() },
-            );
+            t.log = Some(log);
+            st.tenants.insert(name, t);
         }
-
-        Ok(SharedStore {
-            inner: Arc::new(Inner {
-                backend: Backend::File { dir: dir.to_path_buf() },
-                nshards,
-                shards,
-                meta: Mutex::new(Meta { tenants, generation }),
-                trace: Mutex::new(Trace::disabled()),
-                crash_after: Mutex::new(None),
-            }),
-        })
+        Ok(Self::from_state(st))
     }
 
     /// The tenant view named `name`, registering it (durably, for a
     /// file-backed store) on first use. Tenant blob ids are dense and
     /// private to the view; see the module docs for the privacy contract.
+    /// The view starts on the store's operator trace; a session moves it
+    /// to its own with [`CheckpointStore::attach_trace`].
     pub fn tenant(&self, name: &str) -> io::Result<TenantHandle> {
-        let mut meta = self.inner.meta.lock().expect("meta lock");
-        if !meta.tenants.contains_key(name) {
-            let log = match &self.inner.backend {
-                Backend::Memory => None,
-                Backend::File { dir } => {
-                    Some(FileStore::create(tenant_path(dir, name, meta.generation))?)
-                }
-            };
-            meta.tenants.insert(
-                name.to_string(),
-                TenantState { blobs: Vec::new(), payload_bytes: 0, log, ops: TenantOpStats::default() },
-            );
-            if let Backend::File { dir } = &self.inner.backend {
-                let names: Vec<&str> = meta.tenants.keys().map(String::as_str).collect();
-                commit_manifest(dir, &manifest_json(self.inner.nshards, meta.generation, &names))?;
+        let mut guard = lock(&self.state);
+        let st = &mut *guard;
+        if !st.tenants.contains_key(name) {
+            let log = st
+                .dir
+                .as_ref()
+                .map(|dir| FileStore::create(tenant_path(dir, name, st.generation)))
+                .transpose()?;
+            st.tenants.insert(name.to_string(), TenantState { log, ..TenantState::default() });
+            if let Some(dir) = &st.dir {
+                let names: Vec<&str> = st.tenants.keys().map(String::as_str).collect();
+                commit_manifest(dir, &manifest_json(st.generation, &names))?;
             }
         }
-        Ok(TenantHandle { inner: Arc::clone(&self.inner), name: name.to_string() })
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.inner.nshards
+        Ok(TenantHandle {
+            state: Arc::clone(&self.state),
+            name: name.to_string(),
+            trace: st.trace.clone(),
+        })
     }
 
     /// Current GC generation (0 until the first collection commits).
     pub fn generation(&self) -> u64 {
-        self.inner.meta.lock().expect("meta lock").generation
+        lock(&self.state).generation
     }
 
     /// Registered tenant names, sorted.
     pub fn tenant_names(&self) -> Vec<String> {
-        self.inner.meta.lock().expect("meta lock").tenants.keys().cloned().collect()
+        lock(&self.state).tenants.keys().cloned().collect()
     }
 
-    /// True aggregate storage accounting across all shards — what the
-    /// shared deployment actually costs, as opposed to the logical view
-    /// each [`TenantHandle::stats`] reports.
+    /// True storage accounting of the payload log — what the shared
+    /// deployment actually costs, as opposed to the logical view each
+    /// [`TenantHandle::stats`] reports.
     pub fn stats(&self) -> StoreStats {
-        let mut total = StoreStats::default();
-        for shard in &self.inner.shards {
-            let st = shard.lock().expect("shard lock").store.stats();
-            total.blobs += st.blobs;
-            total.payload_bytes += st.payload_bytes;
-            total.physical_bytes += st.physical_bytes;
-        }
-        total
+        lock(&self.state).payloads.stats()
     }
 
-    /// Aggregate chunk-level accounting across all shards, for shards
-    /// running the v2 chunked representation. `None` when no shard has a
+    /// Chunk-level accounting of the payload log; `None` when it has no
     /// chunk layer. Like [`SharedStore::stats`], this is the operator's
     /// view — tenant handles never expose chunk counters (their
     /// [`CheckpointStore::chunk_stats`] stays `None`), because physical
     /// chunk sharing is exactly the cross-tenant signal the privacy
     /// contract forbids leaking.
     pub fn chunk_stats(&self) -> Option<crate::ChunkStats> {
-        let mut total = crate::ChunkStats::default();
-        let mut any = false;
-        for shard in &self.inner.shards {
-            if let Some(cs) = shard.lock().expect("shard lock").store.chunk_stats() {
-                any = true;
-                total.chunks += cs.chunks;
-                total.chunk_refs += cs.chunk_refs;
-                total.raw_bytes += cs.raw_bytes;
-                total.stored_bytes += cs.stored_bytes;
-            }
-        }
-        any.then_some(total)
+        lock(&self.state).payloads.chunk_stats()
     }
 
     /// Sum of every tenant's logical payload bytes (what N private stores
     /// would have stored).
     pub fn logical_payload_bytes(&self) -> u64 {
-        let meta = self.inner.meta.lock().expect("meta lock");
-        meta.tenants.values().map(|t| t.payload_bytes).sum()
+        lock(&self.state).tenants.values().map(|t| t.payload_bytes).sum()
     }
 
     /// Store-wide dedup ratio: logical bytes over physical payload bytes
@@ -583,17 +470,17 @@ impl SharedStore {
     /// store handle itself, below the id layer. In-memory accounting
     /// (resets on `open`).
     pub fn tenant_metrics(&self) -> BTreeMap<String, TenantOpStats> {
-        let meta = self.inner.meta.lock().expect("meta lock");
-        meta.tenants.iter().map(|(k, t)| (k.clone(), t.ops)).collect()
+        lock(&self.state).tenants.iter().map(|(k, t)| (k.clone(), t.ops)).collect()
     }
 
-    /// Attach an observability trace to the store and its shard backends.
-    /// Purely observational, like every trace in this codebase.
+    /// Attach the operator trace: GC phases and the payload log's own
+    /// spans go to it, as do tenant views registered after this call until
+    /// they attach their own. Purely observational, like every trace in
+    /// this codebase.
     pub fn attach_trace(&self, trace: &Trace) {
-        *self.inner.trace.lock().expect("trace lock") = trace.clone();
-        for shard in &self.inner.shards {
-            shard.lock().expect("shard lock").store.attach_trace(trace);
-        }
+        let mut st = lock(&self.state);
+        st.trace = trace.clone();
+        st.payloads.attach_trace(trace);
     }
 
     /// Crash-test hook for GC: the next collection may write at most
@@ -602,19 +489,16 @@ impl SharedStore {
     /// collection aborts with `ErrorKind::Interrupted`, leaving the
     /// committed generation untouched. File backend only. `None` disables.
     pub fn set_crash_after_bytes(&self, budget: Option<u64>) {
-        *self.inner.crash_after.lock().expect("crash lock") = budget;
+        lock(&self.state).crash_after = budget;
     }
 
-    /// Sync every shard log and mapping log to the durable medium.
+    /// Sync the payload log and every mapping log to the durable medium.
     pub fn sync_all(&self) -> io::Result<()> {
-        for shard in &self.inner.shards {
-            shard.lock().expect("shard lock").store.sync()?;
-        }
-        let mut meta = self.inner.meta.lock().expect("meta lock");
-        for t in meta.tenants.values_mut() {
-            if let Some(log) = &mut t.log {
-                log.sync()?;
-            }
+        let mut guard = lock(&self.state);
+        let st = &mut *guard;
+        st.payloads.sync()?;
+        for log in st.tenants.values_mut().filter_map(|t| t.log.as_mut()) {
+            log.sync()?;
         }
         Ok(())
     }
@@ -626,50 +510,44 @@ impl SharedStore {
     /// reachable from tenant mappings; dedup entries are in range. Returns
     /// a description of the first violation.
     pub fn check_invariants(&self, strict: bool) -> Result<(), String> {
-        let meta = self.inner.meta.lock().expect("meta lock");
-        let mut recomputed: Vec<Vec<u64>> = Vec::with_capacity(self.inner.nshards);
-        for shard in &self.inner.shards {
-            recomputed.push(vec![0; shard.lock().expect("shard lock").refs.len()]);
+        let st = lock(&self.state);
+        let n = st.refs.len();
+        if n as u64 != st.payloads.blob_count() || st.lens.len() != n {
+            return Err(format!(
+                "{n} refcounts and {} lengths for {} payloads",
+                st.lens.len(),
+                st.payloads.blob_count()
+            ));
         }
-        for (name, t) in &meta.tenants {
+        let mut reachable = vec![0u64; n];
+        for (name, t) in &st.tenants {
             for (id, m) in t.blobs.iter().enumerate() {
-                let Some((p, len)) = m else { continue };
-                let counts = recomputed
-                    .get_mut(p.shard as usize)
-                    .ok_or_else(|| format!("{name}/{id}: shard {} out of range", p.shard))?;
-                let slot = counts
-                    .get_mut(p.idx as usize)
-                    .ok_or_else(|| format!("{name}/{id}: idx {} out of range", p.idx))?;
-                *slot += 1;
-                let sh = self.inner.shards[p.shard as usize].lock().expect("shard lock");
-                if sh.lens[p.idx as usize] != *len {
+                let Some((idx, len)) = *m else { continue };
+                let idx = idx as usize;
+                if idx >= n {
+                    return Err(format!("{name}/{id}: idx {idx} out of range"));
+                }
+                reachable[idx] += 1;
+                if st.lens[idx] != len {
                     return Err(format!(
                         "{name}/{id}: recorded len {len} != stored len {}",
-                        sh.lens[p.idx as usize]
+                        st.lens[idx]
                     ));
                 }
             }
         }
-        for (i, shard) in self.inner.shards.iter().enumerate() {
-            let sh = shard.lock().expect("shard lock");
-            if sh.refs.len() as u64 != sh.store.blob_count() {
-                return Err(format!("shard {i}: refs len != blob count"));
+        for (idx, (&stored, &actual)) in st.refs.iter().zip(&reachable).enumerate() {
+            if strict && stored != actual {
+                return Err(format!("blob {idx}: refcount {stored} != {actual}"));
             }
-            for (idx, (&stored, &actual)) in sh.refs.iter().zip(&recomputed[i]).enumerate() {
-                if strict && stored != actual {
-                    return Err(format!("shard {i} blob {idx}: refcount {stored} != {actual}"));
-                }
-                if stored < actual {
-                    return Err(format!(
-                        "shard {i} blob {idx}: refcount {stored} below live references {actual}"
-                    ));
-                }
+            if stored < actual {
+                return Err(format!(
+                    "blob {idx}: refcount {stored} below live references {actual}"
+                ));
             }
-            for (key, &idx) in &sh.dedup {
-                if idx as usize >= sh.refs.len() {
-                    return Err(format!("shard {i}: dedup entry {key:?} out of range"));
-                }
-            }
+        }
+        if let Some(key) = st.dedup.iter().find(|(_, &idx)| idx as usize >= n).map(|(k, _)| k) {
+            return Err(format!("dedup entry {key:?} out of range"));
         }
         Ok(())
     }
@@ -679,8 +557,9 @@ impl SharedStore {
 /// private blob ids; observationally identical to a private store.
 #[derive(Clone)]
 pub struct TenantHandle {
-    inner: Arc<Inner>,
+    state: Arc<Mutex<State>>,
     name: String,
+    trace: Trace,
 }
 
 impl TenantHandle {
@@ -699,91 +578,67 @@ impl std::fmt::Debug for TenantHandle {
 impl CheckpointStore for TenantHandle {
     fn put(&mut self, bytes: &[u8]) -> io::Result<BlobId> {
         let key = content_key(bytes);
-        let shard_i = shard_of(key, self.inner.nshards);
-        let trace = self.inner.trace.lock().expect("trace lock").clone();
-        let mut sp = trace.span("shared.put");
-        sp.arg("shard", shard_i);
+        let len = bytes.len() as u64;
+        let mut sp = self.trace.span("shared.put");
         sp.arg("bytes", bytes.len());
-        // Phase 1 under the shard lock only: dedup-or-append + refcount.
-        // The lock is released before the meta lock is taken, so `put`
-        // never holds two locks (no ordering edge against GC or `get`).
-        let (phys, fresh) = {
-            let mut sh = self.inner.shards[shard_i].lock().expect("shard lock");
-            match sh.dedup.get(&key).copied() {
-                Some(idx) => {
-                    sh.refs[idx as usize] += 1;
-                    (Phys { shard: shard_i as u32, idx }, false)
-                }
-                None => {
-                    let idx = sh.store.put(bytes)? as u32;
-                    sh.dedup.insert(key, idx);
-                    sh.refs.push(1);
-                    sh.lens.push(bytes.len() as u64);
-                    debug_assert_eq!(sh.refs.len() - 1, idx as usize);
-                    (Phys { shard: shard_i as u32, idx }, true)
-                }
+        let mut guard = lock(&self.state);
+        let st = &mut *guard;
+        let (idx, fresh) = match st.dedup.get(&key) {
+            Some(&idx) => (idx, false),
+            None => {
+                let idx = st.payloads.put(bytes)? as u32;
+                st.dedup.insert(key, idx);
+                st.refs.push(0);
+                st.lens.push(len);
+                debug_assert_eq!(st.refs.len() - 1, idx as usize);
+                (idx, true)
             }
         };
         sp.arg("dedup_hit", !fresh);
-        trace.observe("shared.put_bytes", bytes.len() as u64);
-        // Phase 2 under the meta lock: assign the dense tenant id and
-        // append the mapping record.
-        let mut meta = self.inner.meta.lock().expect("meta lock");
-        let t = meta.tenants.get_mut(&self.name).expect("tenant registered by SharedStore::tenant");
-        let len = bytes.len() as u64;
+        self.trace.observe("shared.put_bytes", len);
+        let t = st.tenant(&self.name);
         if let Some(log) = &mut t.log {
-            if let Err(e) = log.put(&encode_mapping(Some((phys, len)))) {
-                // The mapping never existed, so the tenant id is not
-                // allocated; release the reference taken in phase 1 (a
-                // fresh payload stays in the shard at refcount 0 — dead
-                // weight the next GC reclaims, never a correctness issue).
-                drop(meta);
-                let mut sh = self.inner.shards[shard_i].lock().expect("shard lock");
-                sh.refs[phys.idx as usize] -= 1;
-                return Err(e);
-            }
+            // On failure the mapping never existed: the tenant id is not
+            // allocated and the reference is not taken (a fresh payload
+            // stays at refcount 0 — dead weight the next GC reclaims,
+            // never a correctness issue).
+            log.put(&encode_mapping(Some((idx, len))))?;
         }
-        t.blobs.push(Some((phys, len)));
+        t.blobs.push(Some((idx, len)));
         t.payload_bytes += len;
         t.ops.puts += 1;
         t.ops.put_bytes += len;
-        if !fresh {
-            t.ops.dedup_hits += 1;
-        }
-        Ok((t.blobs.len() - 1) as BlobId)
+        t.ops.dedup_hits += u64::from(!fresh);
+        let id = (t.blobs.len() - 1) as BlobId;
+        st.refs[idx as usize] += 1;
+        Ok(id)
     }
 
     fn get(&self, id: BlobId) -> io::Result<Vec<u8>> {
         // Error shape matches MemoryStore so a tenant cannot tell the
         // difference between its view and a private store.
         let not_found = || io::Error::new(io::ErrorKind::NotFound, format!("no blob {id}"));
-        let (phys, _len) = {
-            let mut meta = self.inner.meta.lock().expect("meta lock");
-            let t = meta.tenants.get_mut(&self.name).expect("tenant registered");
-            // Counted before the lookup resolves: operator traffic
-            // accounting includes misses.
-            t.ops.gets += 1;
-            t.blobs.get(id as usize).copied().ok_or_else(not_found)?.ok_or_else(not_found)?
-        };
-        let trace = self.inner.trace.lock().expect("trace lock").clone();
-        let mut sp = trace.span("shared.get");
-        sp.arg("shard", phys.shard);
+        let mut st = lock(&self.state);
+        let t = st.tenant(&self.name);
+        // Counted before the lookup resolves: operator traffic accounting
+        // includes misses.
+        t.ops.gets += 1;
+        let (idx, _) = t.blobs.get(id as usize).copied().flatten().ok_or_else(not_found)?;
+        let mut sp = self.trace.span("shared.get");
         sp.arg("blob", id);
-        let sh = self.inner.shards[phys.shard as usize].lock().expect("shard lock");
-        sh.store.get(phys.idx as u64)
+        st.payloads.get(idx as u64)
     }
 
     fn blob_count(&self) -> u64 {
-        let meta = self.inner.meta.lock().expect("meta lock");
-        meta.tenants.get(&self.name).expect("tenant registered").blobs.len() as u64
+        lock(&self.state).tenant(&self.name).blobs.len() as u64
     }
 
     fn stats(&self) -> StoreStats {
         // Logical accounting, mirroring MemoryStore: a tenant must not be
         // able to observe its neighbors (or the dedup they induce) through
         // sizes. True physical usage lives on SharedStore::stats.
-        let meta = self.inner.meta.lock().expect("meta lock");
-        let t = meta.tenants.get(&self.name).expect("tenant registered");
+        let mut st = lock(&self.state);
+        let t = st.tenant(&self.name);
         StoreStats {
             blobs: t.blobs.len() as u64,
             payload_bytes: t.payload_bytes,
@@ -792,13 +647,10 @@ impl CheckpointStore for TenantHandle {
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        let trace = self.inner.trace.lock().expect("trace lock").clone();
-        let _sp = trace.span("shared.sync");
-        for shard in &self.inner.shards {
-            shard.lock().expect("shard lock").store.sync()?;
-        }
-        let mut meta = self.inner.meta.lock().expect("meta lock");
-        let t = meta.tenants.get_mut(&self.name).expect("tenant registered");
+        let _sp = self.trace.span("shared.sync");
+        let mut st = lock(&self.state);
+        st.payloads.sync()?;
+        let t = st.tenant(&self.name);
         t.ops.syncs += 1;
         if let Some(log) = &mut t.log {
             log.sync()?;
@@ -807,15 +659,13 @@ impl CheckpointStore for TenantHandle {
     }
 
     fn flush_barrier(&mut self) -> io::Result<()> {
-        // Group-commit barrier: drain every shard's pending buffer and the
-        // tenant's mapping log so a reopened store sees everything put so
-        // far. No fault draw and no per-put work — purely an ordering
+        // Group-commit barrier: drain the payload log's pending buffer and
+        // the tenant's mapping log so a reopened store sees everything put
+        // so far. No fault draw and no per-put work — purely an ordering
         // point, matching the trait contract.
-        for shard in &self.inner.shards {
-            shard.lock().expect("shard lock").store.flush_barrier()?;
-        }
-        let mut meta = self.inner.meta.lock().expect("meta lock");
-        if let Some(log) = &mut meta.tenants.get_mut(&self.name).expect("tenant registered").log {
+        let mut st = lock(&self.state);
+        st.payloads.flush_barrier()?;
+        if let Some(log) = &mut st.tenant(&self.name).log {
             log.flush_barrier()?;
         }
         Ok(())
@@ -829,13 +679,14 @@ impl CheckpointStore for TenantHandle {
     // [`SharedStore::stats`] / [`SharedStore::chunk_stats`].
 
     fn attach_trace(&mut self, trace: &Trace) {
-        *self.inner.trace.lock().expect("trace lock") = trace.clone();
+        self.trace = trace.clone();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("kishu-shared-{}-{name}", std::process::id()));
@@ -844,9 +695,25 @@ mod tests {
         dir
     }
 
+    fn live(sets: &[(&str, &[u64])]) -> BTreeMap<String, BTreeSet<BlobId>> {
+        sets.iter().map(|(n, ids)| (n.to_string(), ids.iter().copied().collect())).collect()
+    }
+
+    /// Every file in `dir`, by name.
+    fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .expect("read dir")
+            .flatten()
+            .map(|e| {
+                let bytes = std::fs::read(e.path()).expect("read");
+                (e.file_name().to_string_lossy().into_owned(), bytes)
+            })
+            .collect()
+    }
+
     #[test]
     fn tenant_ids_are_dense_and_private() {
-        let store = SharedStore::in_memory(4);
+        let store = SharedStore::in_memory();
         let mut a = store.tenant("alice").expect("tenant");
         let mut b = store.tenant("bob").expect("tenant");
         assert_eq!(a.put(b"shared bytes").expect("put"), 0);
@@ -862,7 +729,7 @@ mod tests {
 
     #[test]
     fn tenant_metrics_count_traffic_below_the_id_layer() {
-        let store = SharedStore::in_memory(2);
+        let store = SharedStore::in_memory();
         let mut a = store.tenant("alice").expect("tenant");
         let mut b = store.tenant("bob").expect("tenant");
         a.put(b"shared payload").expect("put");
@@ -885,7 +752,7 @@ mod tests {
 
     #[test]
     fn cross_tenant_dedup_stores_identical_bytes_once() {
-        let store = SharedStore::in_memory(4);
+        let store = SharedStore::in_memory();
         let mut a = store.tenant("alice").expect("tenant");
         let mut b = store.tenant("bob").expect("tenant");
         let payload = vec![42u8; 10_000];
@@ -905,29 +772,10 @@ mod tests {
     }
 
     #[test]
-    fn payloads_spread_across_shards() {
-        let store = SharedStore::in_memory(4);
-        let mut t = store.tenant("t").expect("tenant");
-        for i in 0..64u32 {
-            t.put(format!("payload number {i}").as_bytes()).expect("put");
-        }
-        let occupied = store
-            .inner
-            .shards
-            .iter()
-            .filter(|s| s.lock().expect("lock").store.blob_count() > 0)
-            .count();
-        assert!(occupied > 1, "content-key prefix routing uses multiple shards");
-        for i in 0..64u64 {
-            assert_eq!(t.get(i).expect("get"), format!("payload number {i}").as_bytes());
-        }
-    }
-
-    #[test]
     fn file_backed_store_reopens_with_views_intact() {
         let dir = temp_dir("reopen");
         {
-            let store = SharedStore::create(&dir, 3).expect("create");
+            let store = SharedStore::create(&dir).expect("create");
             let mut a = store.tenant("alice").expect("tenant");
             let mut b = store.tenant("bob").expect("tenant");
             a.put(b"common").expect("put");
@@ -957,7 +805,7 @@ mod tests {
     fn torn_mapping_tail_degrades_to_missing_blob() {
         let dir = temp_dir("torn-map");
         let tenant_log = {
-            let store = SharedStore::create(&dir, 2).expect("create");
+            let store = SharedStore::create(&dir).expect("create");
             let mut a = store.tenant("alice").expect("tenant");
             a.put(b"first").expect("put");
             a.put(b"second").expect("put");
@@ -977,39 +825,78 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A manifest `open` cannot read in full must fail closed: a guessed
+    /// generation would sweep the real one away as stale, and a guessed
+    /// tenant list would let `tenant` truncate a real mapping log.
     #[test]
-    fn shard_routing_is_uniform_for_any_shard_count() {
-        // Regression for the original router, which consulted only the top
-        // 16 hash bits and reduced with a biased modulo: over real content
-        // keys some shards ran hot while others sat near-empty. With the
-        // remixed multiply-shift router, 10k distinct keys must land close
-        // to uniformly for small prime and non-prime shard counts alike.
-        let keys: Vec<ContentKey> =
-            (0..10_000u32).map(|i| content_key(format!("cell output #{i}").as_bytes())).collect();
-        for &n in &[3usize, 5, 7] {
-            let mut loads = vec![0u64; n];
-            for &k in &keys {
-                let s = shard_of(k, n);
-                assert!(s < n, "routing must stay in range");
-                loads[s] += 1;
-            }
-            let max = *loads.iter().max().expect("nonempty");
-            let min = *loads.iter().min().expect("nonempty");
-            assert!(min > 0, "n={n}: some shard got nothing: {loads:?}");
-            assert!(
-                (max as f64) / (min as f64) < 1.25,
-                "n={n}: shard load skew {loads:?} (max/min = {:.3})",
-                max as f64 / min as f64
-            );
+    fn damaged_manifests_fail_closed_and_touch_no_file() {
+        let dir = temp_dir("damaged");
+        {
+            let store = SharedStore::create(&dir).expect("create");
+            let mut a = store.tenant("ana").expect("tenant");
+            a.put(b"one").expect("put");
+            a.put(b"two").expect("put");
+            store.collect(&live(&[("ana", &[1])])).expect("gc");
+            a.put(b"three").expect("put");
+            store.sync_all().expect("sync");
         }
+        let good = std::fs::read(manifest_path(&dir)).expect("manifest");
+        for (what, manifest) in [
+            ("no generation", r#"{"schema":"kishu-shared-v2","tenants":["ana"]}"#),
+            ("string generation", r#"{"schema":"kishu-shared-v2","generation":"1","tenants":["ana"]}"#),
+            ("negative generation", r#"{"schema":"kishu-shared-v2","generation":-1,"tenants":["ana"]}"#),
+            ("non-string tenant", r#"{"schema":"kishu-shared-v2","generation":1,"tenants":[7]}"#),
+            ("no tenant list", r#"{"schema":"kishu-shared-v2","generation":1}"#),
+            ("v1 schema", r#"{"schema":"kishu-shared-v1","generation":1,"tenants":["ana"]}"#),
+        ] {
+            std::fs::write(manifest_path(&dir), manifest).expect("damage manifest");
+            let before = files(&dir);
+            let err = SharedStore::open(&dir).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+            assert!(files(&dir) == before, "{what}: open touched a file");
+        }
+        std::fs::write(manifest_path(&dir), good).expect("restore manifest");
+        let store = SharedStore::open(&dir).expect("intact store opens");
+        let a = store.tenant("ana").expect("tenant");
+        assert_eq!(a.get(1).expect("get"), b"two");
+        assert_eq!(a.get(2).expect("get"), b"three");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The v2 on-disk layout, pinned: a change to any of these bytes is a
+    /// format change and must be deliberate.
+    #[test]
+    fn golden_bytes_pin_the_v2_layout() {
+        const TENANT_ANA_G1: &str = "tenant-8a7be289dd941a38.g1.log";
+        const TENANT_BEN_G1: &str = "tenant-8efe69e808b3da5d.g1.log";
+        let dir = temp_dir("golden");
+        let store = SharedStore::create(&dir).expect("create");
+        let mut ana = store.tenant("ana").expect("tenant");
+        let mut ben = store.tenant("ben").expect("tenant");
+        ana.put(b"dropped").expect("put");
+        ana.put(b"shared").expect("put");
+        ben.put(b"shared").expect("put");
+        ben.put(b"ben's own").expect("put");
+        store.collect(&live(&[("ana", &[1]), ("ben", &[0, 1])])).expect("gc");
+        assert_eq!(
+            std::fs::read_to_string(manifest_path(&dir)).expect("manifest"),
+            r#"{"schema":"kishu-shared-v2","generation":1,"tenants":["ana","ben"]}"#
+        );
+        let names: Vec<String> = files(&dir).into_keys().collect();
+        assert_eq!(names, ["MANIFEST.json", "payload.g1.log", TENANT_ANA_G1, TENANT_BEN_G1]);
+        // ana's blob 0 was reclaimed (a tombstone); its blob 1 and ben's
+        // blob 0 share payload 0, and ben's blob 1 is payload 1.
+        let ana_log = FileStore::open(dir.join(TENANT_ANA_G1)).expect("ana log");
+        assert_eq!(ana_log.get(0).expect("tombstone"), [0]);
+        assert_eq!(ana_log.get(1).expect("mapping"), [1, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0]);
+        let ben_log = FileStore::open(dir.join(TENANT_BEN_G1)).expect("ben log");
+        assert_eq!(ben_log.get(1).expect("mapping"), [1, 1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn shared_chunk_stats_aggregate_cross_tenant_chunk_dedup() {
-        // One shard so the two near-identical (different content key, hence
-        // possibly different shard) blobs land in the same chunk ledger —
-        // chunk dedup scope is the shard, see the module docs.
-        let store = SharedStore::in_memory(1);
+        let store = SharedStore::in_memory();
         let mut a = store.tenant("alice").expect("tenant");
         let mut b = store.tenant("bob").expect("tenant");
         let big: Vec<u8> = (0..150_000u32).map(|i| (i % 251) as u8 ^ (i / 997) as u8).collect();
@@ -1035,7 +922,7 @@ mod tests {
     fn tenant_flush_barrier_makes_puts_reopenable() {
         let dir = temp_dir("barrier");
         {
-            let store = SharedStore::create(&dir, 2).expect("create");
+            let store = SharedStore::create(&dir).expect("create");
             let mut a = store.tenant("alice").expect("tenant");
             a.put(b"barrier me").expect("put");
             a.flush_barrier().expect("barrier");
@@ -1051,10 +938,11 @@ mod tests {
 
     #[test]
     fn mapping_records_roundtrip() {
-        let m = Some((Phys { shard: 3, idx: 0x0102_0304 }, 0x1122_3344_5566_7788));
+        let m = Some((0x0102_0304, 0x1122_3344_5566_7788));
         assert_eq!(decode_mapping(&encode_mapping(m)), m);
         assert_eq!(encode_mapping(None), vec![0]);
         assert_eq!(decode_mapping(&[0]), None);
         assert_eq!(decode_mapping(b"garbage!!"), None);
+        assert_eq!(decode_mapping(&encode_mapping(m)[..12]), None, "short record");
     }
 }

@@ -12,7 +12,7 @@
 //!   replaces `proptest`.
 //! * [`json`] — a small JSON value type with serialize/parse; replaces
 //!   `serde_json` for checkpoint-graph persistence and report emission.
-//! * [`bench`] — a plain timing harness for `harness = false` benches;
+//! * [`bench`](mod@bench) — a plain timing harness for `harness = false` benches;
 //!   replaces `criterion`.
 //! * [`hash`] — XXH64 (bytes, f64-slice, and string variants); shared by
 //!   VarGraph array hashing, the checkpoint dedup index, and keyed fault

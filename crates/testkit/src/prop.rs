@@ -5,7 +5,7 @@
 //!
 //! Strategies are *deterministic functions of a draw stream*: every random
 //! decision a generator makes is one `u64` pulled from a [`Gen`]. In record
-//! mode the draws come from a seeded [`Rng`](crate::rng::Rng) and are
+//! mode the draws come from a seeded [`Rng`] and are
 //! written to a tape; in replay mode they come back off a tape (zeros once
 //! the tape runs out). That single indirection buys universal, greedy
 //! input shrinking for free: when a case fails, the runner mutates the
@@ -627,7 +627,7 @@ fn parse_pattern(pattern: &str) -> Vec<(Vec<char>, usize, usize)> {
 pub mod collection {
     use super::{fmt, Gen, Strategy};
 
-    /// Element-count bounds for [`vec`]; converts from the range shapes
+    /// Element-count bounds for [`vec`](fn@vec); converts from the range shapes
     /// the suites use (`1..60`, `0..=5`, exact `n`).
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
@@ -654,7 +654,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec`](fn@vec).
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

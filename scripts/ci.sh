@@ -135,6 +135,11 @@ else
     stage "cargo clippy (unavailable; skipped)"
 fi
 
+# Doc links to private or deleted items fail here rather than rendering as
+# dead text.
+stage "cargo doc (workspace, -D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps --workspace
+
 # Rotate observability artifacts under target/ so repeated CI runs stay
 # bounded: keep the newest few Chrome traces and flight-recorder dumps,
 # delete the rest. (Black-box dumps rotate themselves at write time too —

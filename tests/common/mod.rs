@@ -775,7 +775,7 @@ pub fn observe_with(point: &Point, config: KishuConfig, script: &Script) -> Obse
         Backend::SharedTenant => {
             let tenant = format!("{}-neighbor", script.tenant);
             let neighbor = Script { tenant, ..script.clone() };
-            let (mut obs, _) = observe_shared(point, config, 2, &[neighbor, script.clone()]);
+            let (mut obs, _) = observe_shared(point, config, &[neighbor, script.clone()]);
             obs.pop().expect("subject observation")
         }
     }
@@ -793,16 +793,15 @@ fn observe_on(
     run.finish(point, &config, ledger.snapshot_scoped(tenant_scope(&script.tenant)))
 }
 
-/// Run `scripts` as tenants of one shared store with `shards` shards,
-/// interleaved step by step (tenant order within each round), and observe
-/// every tenant. Returns the store too, for its aggregate invariants.
+/// Run `scripts` as tenants of one shared store, interleaved step by step
+/// (tenant order within each round), and observe every tenant. Returns the
+/// store too, for its aggregate invariants.
 pub fn observe_shared(
     point: &Point,
     config: KishuConfig,
-    shards: usize,
     scripts: &[Script],
 ) -> (Vec<Observation>, SharedStore) {
-    let store = SharedStore::in_memory_with(shards, point.chunking.config());
+    let store = SharedStore::in_memory_with(point.chunking.config());
     let view = |s: &Script| Box::new(store.tenant(&s.tenant).expect("tenant"));
     let first = point.faulty(view(&scripts[0]), &scripts[0].tenant);
     let ledger = first.ledger_handle();

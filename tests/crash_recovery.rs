@@ -356,7 +356,7 @@ fn gc_killed_at_any_byte(cfg: ChunkConfig) {
     let mut live: BTreeMap<String, BTreeSet<u64>> = BTreeMap::new();
     let mut truths: Vec<TenantTruth> = Vec::new();
     {
-        let store = SharedStore::create_with(&base, 3, cfg.clone()).expect("create");
+        let store = SharedStore::create_with(&base, cfg.clone()).expect("create");
         let mut sessions: Vec<(&str, KishuSession)> = ["ana", "ben"]
             .iter()
             .map(|n| (*n, KishuSession::on_shared(&store, n, KishuConfig::default()).expect("tenant")))
@@ -409,7 +409,7 @@ fn gc_killed_at_any_byte(cfg: ChunkConfig) {
         + 1;
 
     // ---- Kill the compaction at byte budgets spanning the whole commit:
-    // the first bytes of the first shard file, both sides of every file
+    // the first bytes of the payload log, both sides of every file
     // boundary (a stride finer than the smallest file), the
     // fully-written-but-unrenamed manifest, and the commit itself.
     let mut cuts: Vec<u64> = (0..4).collect();

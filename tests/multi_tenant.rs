@@ -58,17 +58,12 @@ fn scripts(base_seed: u64, n_cells: usize) -> Vec<Script> {
 }
 
 /// Each tenant alone on a private in-memory store vs all of them
-/// interleaved on one shared store with `shards` shards: every tenant's
-/// observation — store view, reports, stats, every restored namespace,
-/// fault ledger — must be identical. Returns the interleaved observations
-/// and the shared store.
-fn assert_private(
-    point: &Point,
-    shards: usize,
-    scripts: &[Script],
-) -> (Vec<Observation>, SharedStore) {
+/// interleaved on one shared store: every tenant's observation — store
+/// view, reports, stats, every restored namespace, fault ledger — must be
+/// identical. Returns the interleaved observations and the shared store.
+fn assert_private(point: &Point, scripts: &[Script]) -> (Vec<Observation>, SharedStore) {
     let tenant = Point { store: Backend::SharedTenant, ..*point };
-    let (shared, store) = observe_shared(&tenant, point.config(), shards, scripts);
+    let (shared, store) = observe_shared(&tenant, point.config(), scripts);
     for (script, inter) in scripts.iter().zip(&shared) {
         assert_twins(&observe(point, script), inter);
     }
@@ -83,22 +78,20 @@ fn cells(base_seed: u64, ti: usize, n_cells: usize) -> Vec<String> {
 /// The headline differential: every tenant's observable world — store view,
 /// reports, stats, every restored namespace — is byte-identical solo on a
 /// private store vs interleaved with K=3 neighbors on the shared store, at
-/// 1 and 4 checkpoint/restore workers, for 1 and 4 shards.
+/// 1 and 4 checkpoint/restore workers.
 #[test]
 fn tenant_views_are_byte_identical_solo_vs_interleaved() {
     let scripts = scripts(env_seed(0x5EED_7E4A), 18);
     for workers in WORKER_COUNTS {
-        for shards in [1usize, 4] {
-            let (_, store) = assert_private(&Point { workers, ..ORACLE }, shards, &scripts);
-            store.check_invariants(true).expect("refcount invariants");
-            // The interleaved runs share identical dataset cells, so the
-            // store-wide dedup must have found cross-tenant redundancy.
-            assert!(
-                store.dedup_ratio() > 1.0,
-                "common cells must dedup across tenants (ratio {})",
-                store.dedup_ratio()
-            );
-        }
+        let (_, store) = assert_private(&Point { workers, ..ORACLE }, &scripts);
+        store.check_invariants(true).expect("refcount invariants");
+        // The interleaved runs share identical dataset cells, so the
+        // store-wide dedup must have found cross-tenant redundancy.
+        assert!(
+            store.dedup_ratio() > 1.0,
+            "common cells must dedup across tenants (ratio {})",
+            store.dedup_ratio()
+        );
     }
 }
 
@@ -113,7 +106,7 @@ fn fault_ledgers_are_identical_solo_vs_interleaved() {
     let scripts = scripts(base_seed, 16);
     for workers in WORKER_COUNTS {
         let point = Point { workers, faults: Faults::Seeded(base_seed ^ 0xFA17), ..ORACLE };
-        let (shared, _) = assert_private(&point, 4, &scripts);
+        let (shared, _) = assert_private(&point, &scripts);
         if seed_override().is_none() {
             let fired: usize = shared.iter().map(|o| o.logical.ledger.total()).sum();
             assert!(fired > 0, "default seed should fire at these probabilities");
@@ -129,7 +122,7 @@ fn fault_ledgers_are_identical_solo_vs_interleaved() {
 #[test]
 fn gc_preserves_every_commit_of_every_session() {
     let base_seed = env_seed(0x6C_5EED);
-    let store = SharedStore::in_memory(4);
+    let store = SharedStore::in_memory();
     let mut sessions: Vec<KishuSession> = TENANTS
         .iter()
         .map(|name| KishuSession::on_shared(&store, name, config(2)).expect("tenant"))
@@ -192,7 +185,7 @@ fn gc_preserves_every_commit_of_every_session() {
 fn resume_through_a_tenant_view_is_isolation_blind() {
     let base_seed = env_seed(0x2E_5135);
     let run_and_resume = |neighbors: bool| -> (Vec<String>, BTreeMap<String, String>) {
-        let store = SharedStore::in_memory(4);
+        let store = SharedStore::in_memory();
         let mut sessions: Vec<(usize, KishuSession)> = Vec::new();
         for (ti, name) in TENANTS.iter().enumerate() {
             if ti == 0 || neighbors {
@@ -249,7 +242,7 @@ proptest! {
     ) {
         let scripts: Vec<Vec<String>> =
             (0..n_tenants).map(|ti| cells(seed, ti, ops.len())).collect();
-        let store = SharedStore::in_memory(4);
+        let store = SharedStore::in_memory();
         let tenant = |ti: usize| KishuSession::on_shared(&store, TENANTS[ti], config(1));
         let mut shared: Vec<Run> =
             (0..n_tenants).map(|ti| Run::new(tenant(ti).expect("tenant"))).collect();
@@ -288,12 +281,37 @@ proptest! {
     }
 }
 
+/// Each session's trace gets exactly its own tenant's `shared.put` spans,
+/// however the sessions interleave on the store.
+#[test]
+fn each_session_traces_its_own_tenant_spans() {
+    let store = SharedStore::in_memory();
+    let mut sessions: Vec<(KishuSession, kishu_trace::Trace)> = ["ana", "ben"]
+        .iter()
+        .map(|name| {
+            let mut s = KishuSession::on_shared(&store, name, config(1)).expect("tenant");
+            let trace = kishu_trace::Trace::enabled();
+            s.set_trace(&trace);
+            (s, trace)
+        })
+        .collect();
+    for (cell, (s, _)) in ["xs = [1, 2, 3]\n", "ys = 'ben'\nzs = [4]\n"].iter().zip(&mut sessions) {
+        s.run_cell(cell).expect("cell parses");
+    }
+    let metrics = store.tenant_metrics();
+    for ((_, trace), name) in sessions.iter().zip(["ana", "ben"]) {
+        let puts = trace.spans().iter().filter(|sp| sp.name == "shared.put").count() as u64;
+        assert!(puts > 0, "{name} wrote through its view");
+        assert_eq!(puts, metrics[name].puts, "{name}'s trace holds exactly its own puts");
+    }
+}
+
 /// The acceptance workload: 4 sessions loading overlapping datasets on one
 /// shared store must dedup better than 1.5× vs what 4 private stores would
 /// hold.
 #[test]
 fn overlapping_datasets_dedup_beyond_the_acceptance_bar() {
-    let store = SharedStore::in_memory(4);
+    let store = SharedStore::in_memory();
     let mut sessions: Vec<KishuSession> = TENANTS
         .iter()
         .map(|name| KishuSession::on_shared(&store, name, config(2)).expect("tenant"))
