@@ -155,38 +155,34 @@ pub fn encode_chunk(raw: &[u8], compress_enabled: bool) -> Vec<u8> {
     out
 }
 
-/// Decode a stored-form chunk back to its raw bytes.
-pub fn decode_chunk(stored: &[u8]) -> io::Result<Vec<u8>> {
+/// Decode a stored-form chunk and append its raw bytes to `out`: a stored
+/// chunk's data is copied once, straight from `stored`. On error `out` is
+/// left as it was.
+pub fn decode_chunk_into(stored: &[u8], out: &mut Vec<u8>) -> io::Result<()> {
     let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
     match stored.split_first() {
-        Some((&CHUNK_STORED, data)) => Ok(data.to_vec()),
-        Some((&CHUNK_COMPRESSED, data)) => {
-            compress::decompress(data).ok_or_else(|| bad("chunk failed to decompress"))
-        }
-        Some(_) => Err(bad("unknown chunk flag")),
-        None => Err(bad("empty chunk record")),
+        Some((&CHUNK_STORED, data)) => out.extend_from_slice(data),
+        Some((&CHUNK_COMPRESSED, data)) => out.extend_from_slice(
+            &compress::decompress(data).ok_or_else(|| bad("chunk failed to decompress"))?,
+        ),
+        Some(_) => return Err(bad("unknown chunk flag")),
+        None => return Err(bad("empty chunk record")),
     }
+    Ok(())
 }
 
 /// Raw (pre-compression) length of a stored-form chunk, without
-/// decompressing: the compressed stream leads with a varint of its raw
-/// length, and a stored chunk's raw length is just its data length.
+/// decompressing: the compressed stream leads with its raw length, and a
+/// stored chunk's raw length is just its data length. A compressed
+/// stream's claim is accepted only up to what the stream could expand to
+/// ([`compress::declared_len`]), so a forged length fails here.
 pub fn stored_chunk_raw_len(stored: &[u8]) -> io::Result<u64> {
     let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
     match stored.split_first() {
         Some((&CHUNK_STORED, data)) => Ok(data.len() as u64),
-        Some((&CHUNK_COMPRESSED, data)) => {
-            let mut v = 0u64;
-            let mut shift = 0u32;
-            for &byte in data.iter().take(10) {
-                v |= u64::from(byte & 0x7F) << shift;
-                if byte & 0x80 == 0 {
-                    return Ok(v);
-                }
-                shift += 7;
-            }
-            Err(bad("chunk varint header truncated"))
-        }
+        Some((&CHUNK_COMPRESSED, data)) => compress::declared_len(data)
+            .map(|n| n as u64)
+            .ok_or_else(|| bad("chunk length header truncated or beyond its stream")),
         Some(_) => Err(bad("unknown chunk flag")),
         None => Err(bad("empty chunk record")),
     }
@@ -336,6 +332,12 @@ mod tests {
     use super::*;
     use kishu_testkit::rng::Rng;
 
+    fn decode(stored: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        decode_chunk_into(stored, &mut out).expect("decode");
+        out
+    }
+
     fn payload(seed: u64, len: usize) -> Vec<u8> {
         // Low-entropy structured bytes: compressible like real sealed
         // payloads, varied enough to produce distinct chunks.
@@ -399,7 +401,7 @@ mod tests {
         let stored = encode_chunk(&compressible, true);
         assert_eq!(stored[0], CHUNK_COMPRESSED);
         assert!(stored.len() < 1_000);
-        assert_eq!(decode_chunk(&stored).expect("decode"), compressible);
+        assert_eq!(decode(&stored), compressible);
         assert_eq!(stored_chunk_raw_len(&stored).expect("raw len"), 10_000);
 
         let mut rng = Rng::seed_from_u64(9);
@@ -407,12 +409,32 @@ mod tests {
         let stored = encode_chunk(&incompressible, true);
         assert_eq!(stored[0], CHUNK_STORED, "compression that loses is not kept");
         assert_eq!(stored.len(), incompressible.len() + 1, "exactly one flag byte of cost");
-        assert_eq!(decode_chunk(&stored).expect("decode"), incompressible);
+        assert_eq!(decode(&stored), incompressible);
         assert_eq!(stored_chunk_raw_len(&stored).expect("raw len"), 4096);
 
         let plain = encode_chunk(&compressible, false);
         assert_eq!(plain[0], CHUNK_STORED);
-        assert_eq!(decode_chunk(&plain).expect("decode"), compressible);
+        assert_eq!(decode(&plain), compressible);
+
+        // Decoding appends: two chunks land back to back in one buffer.
+        let mut out = b"head".to_vec();
+        decode_chunk_into(&stored, &mut out).expect("stored chunk");
+        decode_chunk_into(&encode_chunk(&compressible, true), &mut out).expect("compressed chunk");
+        assert_eq!(out, [&b"head"[..], &incompressible, &compressible].concat());
+    }
+
+    #[test]
+    fn forged_chunk_lengths_fail_closed() {
+        // A compressed chunk whose header claims 2^50 raw bytes from a
+        // few stream bytes, and garbage that fails to decode: neither
+        // allocates for the claim, and a failed decode leaves `out` alone.
+        let forged = [CHUNK_COMPRESSED, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02, 0, b'x'];
+        assert!(stored_chunk_raw_len(&forged).is_err());
+        let mut out = b"keep".to_vec();
+        assert!(decode_chunk_into(&forged, &mut out).is_err());
+        assert!(decode_chunk_into(&[7, 1, 2], &mut out).is_err(), "unknown flag");
+        assert!(decode_chunk_into(&[], &mut out).is_err(), "empty record");
+        assert_eq!(out, b"keep");
     }
 
     #[test]

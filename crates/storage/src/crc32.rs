@@ -2,10 +2,22 @@
 //! dependency surface at the workspace's allowed set. Used to detect torn
 //! and corrupted records in the [`crate::FileStore`] log.
 //!
-//! The kernel is slice-by-16: sixteen 256-entry tables let one step fold
-//! 16 input bytes with 16 independent lookups instead of a 16-deep chain
-//! of dependent ones. It computes exactly the bytewise definition (kept as
-//! the test oracle, `crc32_reference`), so stored checksums are unchanged.
+//! One function, [`crc32`], with two kernels chosen at run time by CPU
+//! feature detection alone:
+//!
+//! * **Carry-less multiply folding** (x86-64 with PCLMULQDQ and SSE4.1):
+//!   four 128-bit lanes fold 64 input bytes per step, are folded into one
+//!   lane, and a Barrett step reduces that to the 32-bit CRC (Gopal et al.,
+//!   "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ
+//!   Instruction", Intel, 2009). Inputs shorter than one fold step and the
+//!   final <16 bytes go through the portable kernel, continuing from the
+//!   folded register.
+//! * **Slice-by-16** (portable; the only kernel on other targets and CPUs):
+//!   sixteen 256-entry tables let one step fold 16 input bytes with 16
+//!   independent lookups instead of a 16-deep chain of dependent ones.
+//!
+//! Both compute exactly the bytewise definition (kept as the test oracle,
+//! `crc32_reference`), so stored checksums are the same on every host.
 
 /// Reflected polynomial of CRC-32/ISO-HDLC.
 const POLY: u32 = 0xEDB88320;
@@ -44,10 +56,21 @@ const fn build_tables() -> [[u32; 256]; 16] {
 /// CRC-32 of a byte slice (init `0xFFFF_FFFF`, final xor `0xFFFF_FFFF` —
 /// the standard zlib/`cksum -o 3` variant).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if clmul::detected() {
+        // SAFETY: `detected` just confirmed this CPU has every feature the
+        // kernel is compiled for (PCLMULQDQ and SSE4.1).
+        return !unsafe { clmul::update(!0, bytes) };
+    }
+    !slice16(!0, bytes)
+}
+
+/// The portable kernel: advance the CRC register `crc` (the inverted
+/// running value) over `bytes`, 16 bytes per step.
+fn slice16(mut crc: u32, bytes: &[u8]) -> u32 {
     let t = &TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut blocks = bytes.chunks_exact(16);
-    for b in &mut blocks {
+    let (blocks, tail) = bytes.as_chunks::<16>();
+    for b in blocks {
         // Byte `j` of the block is followed by `15 - j` more bytes, so its
         // contribution comes from table `15 - j`.
         let x = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
@@ -68,13 +91,98 @@ pub fn crc32(bytes: &[u8]) -> u32 {
             ^ t[1][b[14] as usize]
             ^ t[0][b[15] as usize];
     }
-    for &b in blocks.remainder() {
+    for &b in tail {
         crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
-    crc ^ 0xFFFF_FFFF
+    crc
 }
 
-/// The bytewise (Sarwate) definition the slice-by-16 kernel must match.
+/// The carry-less multiply folding kernel (x86-64 only).
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_loadu_si128, _mm_set_epi64x, _mm_setr_epi32, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    // The bit-reflected CRC-32 constants tabulated at the end of Gopal et
+    // al. (2009): K1/K2 fold a lane across 4 × 128 bits, K3/K4 across 128
+    // bits, K5 reduces 96 bits to 64, and P(x)/µ drive the Barrett step.
+    const K1: i64 = 0x1_5444_2BD4;
+    const K2: i64 = 0x1_C6E4_1596;
+    const K3: i64 = 0x1_7519_97D0;
+    const K4: i64 = 0x0_CCAA_009E;
+    const K5: i64 = 0x1_63CD_6124;
+    const P_X: i64 = 0x1_DB71_0641;
+    const MU: i64 = 0x1_F701_1641;
+
+    /// Whether this CPU can run [`update`].
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Advance the CRC register `crc` over `bytes`. Identical to
+    /// [`super::slice16`] on every input.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn update(crc: u32, bytes: &[u8]) -> u32 {
+        let (blocks, tail) = bytes.as_chunks::<16>();
+        let Some((first, mut rest)) = blocks.split_first_chunk::<4>() else {
+            return super::slice16(crc, bytes); // shorter than one fold step
+        };
+        let mut lanes = first.each_ref().map(load);
+        lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(crc as i32));
+
+        // Fold 4 × 128 bits per step while at least 64 bytes remain.
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        while let Some((group, more)) = rest.split_first_chunk::<4>() {
+            for (lane, block) in lanes.iter_mut().zip(group) {
+                *lane = fold(*lane, load(block), k1k2);
+            }
+            rest = more;
+        }
+
+        // Fold the four lanes into one, then the remaining whole blocks.
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = fold(fold(fold(lanes[0], lanes[1], k3k4), lanes[2], k3k4), lanes[3], k3k4);
+        for block in rest {
+            x = fold(x, load(block), k3k4);
+        }
+
+        // 128 -> 64 bits.
+        let low32 = _mm_setr_epi32(!0, 0, !0, 0);
+        x = _mm_xor_si128(_mm_clmulepi64_si128::<0x10>(x, k3k4), _mm_srli_si128::<8>(x));
+        x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5)),
+            _mm_srli_si128::<4>(x),
+        );
+
+        // Barrett reduction, 64 -> 32 bits.
+        let poly_mu = _mm_set_epi64x(MU, P_X);
+        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), poly_mu);
+        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), poly_mu);
+        let folded = _mm_extract_epi32::<1>(_mm_xor_si128(x, t2)) as u32;
+
+        super::slice16(folded, tail)
+    }
+
+    /// Fold lane `acc` forward by the distance `k` encodes and add `next`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold(acc: __m128i, next: __m128i, k: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(acc, k);
+        let hi = _mm_clmulepi64_si128::<0x11>(acc, k);
+        _mm_xor_si128(_mm_xor_si128(next, lo), hi)
+    }
+
+    #[inline]
+    fn load(block: &[u8; 16]) -> __m128i {
+        // SAFETY: `block` is 16 readable bytes, `loadu` has no alignment
+        // requirement, and SSE2 is part of the x86-64 baseline.
+        unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
+    }
+}
+
+/// The bytewise (Sarwate) definition every kernel must match.
 #[cfg(test)]
 fn crc32_reference(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
@@ -83,6 +191,27 @@ fn crc32_reference(bytes: &[u8]) -> u32 {
         crc = (crc >> 8) ^ TABLES[0][idx];
     }
     crc ^ 0xFFFF_FFFF
+}
+
+/// A kernel's name and the finalized CRC it computes.
+#[cfg(test)]
+type Kernel = (&'static str, fn(&[u8]) -> u32);
+
+/// Every kernel this host can run, called directly (not through the
+/// dispatch in [`crc32`]). Slice-by-16 always runs; the carry-less kernel
+/// runs when the CPU has its features.
+#[cfg(test)]
+fn kernels() -> Vec<Kernel> {
+    let mut kernels: Vec<Kernel> = vec![("slice-by-16", |b| !slice16(!0, b))];
+    #[cfg(target_arch = "x86_64")]
+    if clmul::detected() {
+        kernels.push(("carry-less multiply", |b| {
+            // SAFETY: this kernel is listed only after `detected` confirmed
+            // the CPU features it is compiled for.
+            !unsafe { clmul::update(!0, b) }
+        }));
+    }
+    kernels
 }
 
 #[cfg(test)]
@@ -102,13 +231,20 @@ mod tests {
 
     #[test]
     fn matches_reference_at_every_length_and_alignment() {
-        // Every block remainder (0..16) at every start offset, across zero,
-        // one, and several whole blocks.
-        let buf: Vec<u8> = (0..96u32).map(|i| (i.wrapping_mul(151) ^ (i >> 3)) as u8).collect();
+        // Every length up to 1 KiB at every start offset: below one fold
+        // step, the 4-lane loop with 0..3 leftover blocks, and every
+        // <16-byte tail, for each kernel on its own and for the dispatch.
+        let buf: Vec<u8> = (0..1040u32).map(|i| (i.wrapping_mul(151) ^ (i >> 3)) as u8).collect();
+        let kernels = kernels();
+        println!("kernels checked: {:?}", kernels.iter().map(|k| k.0).collect::<Vec<_>>());
         for start in 0..16 {
-            for len in 0..=64 {
+            for len in 0..=1024 {
                 let s = &buf[start..start + len];
-                assert_eq!(crc32(s), crc32_reference(s), "start {start} len {len}");
+                let want = crc32_reference(s);
+                for (name, kernel) in &kernels {
+                    assert_eq!(kernel(s), want, "{name}: start {start} len {len}");
+                }
+                assert_eq!(crc32(s), !slice16(!0, s), "dispatch: start {start} len {len}");
             }
         }
     }
@@ -150,6 +286,21 @@ mod proptests {
         #[test]
         fn matches_bytewise_reference(data in prop::collection::vec(any::<u8>(), 0..65_536)) {
             prop_assert_eq!(crc32(&data), crc32_reference(&data));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn every_kernel_matches_reference_up_to_1mib(
+            data in prop::collection::vec(any::<u8>(), 0..=1 << 20)
+        ) {
+            let want = crc32_reference(&data);
+            for (name, kernel) in kernels() {
+                prop_assert_eq!(kernel(&data), want, "{}", name);
+            }
+            prop_assert_eq!(crc32(&data), !slice16(!0, &data));
         }
     }
 }

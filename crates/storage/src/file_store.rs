@@ -26,7 +26,14 @@
 //! tail writes detectable: on open, the log is scanned, every intact record
 //! is indexed, and the first damaged/truncated record ends recovery — the
 //! file is truncated back to the last intact boundary, exactly the recovery
-//! contract of a write-ahead log.
+//! contract of a write-ahead log. A record that passes its CRC but is
+//! malformed ends recovery the same way: an unknown chunk flag, a
+//! compressed chunk claiming more bytes than its stream can expand to, or a
+//! manifest whose length is not the sum of its chunks' lengths.
+//!
+//! The scan is one sequential pass through a fixed read window
+//! (`SCAN_WINDOW`, 1 MiB): no per-record seeks, and open holds at most the
+//! window and the record being checked in memory, never the whole log.
 //!
 //! **Group commit** (the `group_commit` argument of
 //! [`FileStore::create_with`]/[`FileStore::open_with`], on for the plain
@@ -39,12 +46,12 @@
 //! amortized into one fsync at the barrier.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, IoSliceMut, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use std::sync::Mutex;
 
-use crate::chunk::{decode_chunk, stored_chunk_raw_len, ChunkConfig, ChunkLedger, ChunkStats};
+use crate::chunk::{decode_chunk_into, stored_chunk_raw_len, ChunkConfig, ChunkLedger, ChunkStats};
 use crate::crc32::crc32;
 use crate::dedup::content_key;
 use crate::{BlobId, CheckpointStore, PutReceipt, StoreStats};
@@ -60,6 +67,11 @@ const HEADER_LEN: u64 = 1 + 4 + 4;
 
 /// Group-commit buffer flush threshold: bounds memory, not durability.
 const PENDING_FLUSH_BYTES: usize = 8 << 20;
+
+/// Read window of the recovery scan on open: the log is read front to
+/// back through one buffer of this size, so the scan holds at most this
+/// much of the log in memory besides the record it is checking.
+const SCAN_WINDOW: usize = 1 << 20;
 
 /// Append a `marker`-framed record to `out`.
 fn frame_with(out: &mut Vec<u8>, marker: u8, payload: &[u8]) {
@@ -200,18 +212,20 @@ impl FileStore {
         cfg: ChunkConfig,
         group_commit: bool,
     ) -> io::Result<Self> {
-        let mut file = OpenOptions::new().read(true).write(true).open(path.as_ref())?;
+        let file = OpenOptions::new().read(true).write(true).open(path.as_ref())?;
         let file_len = file.metadata()?.len();
         let mut index = Vec::new();
         let mut chunk_index: Vec<(u64, u32)> = Vec::new();
+        // Raw length of each chunk, by ord: what a manifest must add up to.
+        let mut chunk_raw_lens: Vec<u64> = Vec::new();
         let mut ledger = ChunkLedger::new();
         let mut payload_bytes = 0u64;
         let mut offset = 0u64;
+        let mut reader = BufReader::with_capacity(SCAN_WINDOW, &file);
         let mut buf = Vec::new();
         while offset + HEADER_LEN <= file_len {
-            file.seek(SeekFrom::Start(offset))?;
             let mut header = [0u8; HEADER_LEN as usize];
-            file.read_exact(&mut header)?;
+            reader.read_exact(&mut header)?;
             let marker = header[0];
             if !matches!(marker, MARKER_V1 | MARKER_CHUNK | MARKER_MANIFEST) {
                 break; // garbage: end recovery here
@@ -223,35 +237,50 @@ impl FileStore {
                 break; // torn write
             }
             buf.resize(len as usize, 0);
-            file.read_exact(&mut buf)?;
+            reader.read_exact(&mut buf)?;
             if crc32(&buf) != crc {
                 break; // corrupted record
             }
+            // A CRC-valid but malformed record ends recovery like tail
+            // damage does.
             match marker {
                 MARKER_V1 => {
+                    let Some(total) = payload_bytes.checked_add(len as u64) else {
+                        break;
+                    };
                     index.push(BlobEntry::V1(payload_off, len));
-                    payload_bytes += len as u64;
+                    payload_bytes = total;
                 }
                 MARKER_CHUNK => {
                     let Ok(raw_len) = stored_chunk_raw_len(&buf) else {
-                        break; // CRC-valid but malformed: treat as tail damage
+                        break;
                     };
                     let ord = chunk_index.len() as u32;
                     ledger.register(content_key(&buf), ord, raw_len, len as u64);
                     chunk_index.push((payload_off, len));
+                    chunk_raw_lens.push(raw_len);
                 }
                 _ => {
                     let Some((raw_len, ords)) = parse_manifest(&buf) else {
                         break;
                     };
-                    if ords.iter().any(|&o| o as usize >= chunk_index.len()) {
-                        break; // references a chunk recovery never saw
+                    // The claimed length must be what its chunks decode to
+                    // (each one recovered already), and no more than one
+                    // put can write; `get` preallocates it.
+                    let chunks_sum = ords.iter().try_fold(0u64, |sum, &o| {
+                        sum.checked_add(*chunk_raw_lens.get(o as usize)?)
+                    });
+                    if chunks_sum != Some(raw_len) || raw_len > u32::MAX as u64 {
+                        break;
                     }
+                    let Some(total) = payload_bytes.checked_add(raw_len) else {
+                        break;
+                    };
                     for &o in &ords {
                         ledger.add_ref(o);
                     }
                     index.push(BlobEntry::Chunked { raw_len, ords });
-                    payload_bytes += raw_len;
+                    payload_bytes = total;
                 }
             }
             offset = payload_off + len as u64;
@@ -331,31 +360,49 @@ impl FileStore {
         Ok(payload_off)
     }
 
-    /// Read a record's CRC + payload (from the buffer if not yet flushed)
-    /// and verify it. One observation covers the check and the bytes.
-    fn read_verified(&self, payload_off: u64, len: u32, what: &str) -> io::Result<Vec<u8>> {
+    /// Fill `payload` with the payload of the record at `payload_off`
+    /// (from the buffer if not yet flushed) and check it against the
+    /// record's CRC in place. The CRC and the payload arrive in separate
+    /// buffers from one read, so the payload lands where the caller wants
+    /// it and is never shifted.
+    fn read_verified(&self, payload_off: u64, payload: &mut [u8], what: &str) -> io::Result<()> {
+        let mut crc = [0u8; 4];
         let start = payload_off - 4;
-        let total = 4 + len as usize;
-        let mut buf;
         if start >= self.flushed_end {
             let i = (start - self.flushed_end) as usize;
-            buf = self.pending[i..i + total].to_vec();
+            crc.copy_from_slice(&self.pending[i..i + 4]);
+            payload.copy_from_slice(&self.pending[i + 4..i + 4 + payload.len()]);
         } else {
-            buf = vec![0u8; total];
             let mut file = self.file.lock().expect("store lock poisoned");
             file.seek(SeekFrom::Start(start))?;
-            file.read_exact(&mut buf)?;
+            read_exact_split(&mut file, &mut crc, payload)?;
         }
-        let crc = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
-        buf.drain(..4);
-        if crc32(&buf) != crc {
+        if crc32(payload) != u32::from_le_bytes(crc) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("{what} failed its integrity check"),
             ));
         }
-        Ok(buf)
+        Ok(())
     }
+}
+
+/// `read_exact` into `head` and then `body`, one vectored read per pass
+/// (one system call for a whole record unless the read comes back short).
+fn read_exact_split(file: &mut File, mut head: &mut [u8], mut body: &mut [u8]) -> io::Result<()> {
+    while !(head.is_empty() && body.is_empty()) {
+        match file.read_vectored(&mut [IoSliceMut::new(head), IoSliceMut::new(body)]) {
+            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => {
+                let from_head = n.min(head.len());
+                head = &mut std::mem::take(&mut head)[from_head..];
+                body = &mut std::mem::take(&mut body)[n - from_head..];
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Manifest payload: `[raw_len: u64][nchunks: u32][ord: u32 × n]`.
@@ -455,12 +502,17 @@ impl CheckpointStore for FileStore {
             BlobEntry::V1(off, len) => {
                 sp.arg("bytes", *len);
                 self.trace.observe("file.get_bytes", *len as u64);
-                self.read_verified(*off, *len, &format!("blob {id}"))
+                let mut out = vec![0; *len as usize];
+                self.read_verified(*off, &mut out, &format!("blob {id}"))?;
+                Ok(out)
             }
             BlobEntry::Chunked { raw_len, ords } => {
                 sp.arg("bytes", *raw_len);
                 self.trace.observe("file.get_bytes", *raw_len);
+                // `raw_len` is validated: a recovered manifest's equals the
+                // sum of its chunks' lengths, and a put's is its payload's.
                 let mut out = Vec::with_capacity(*raw_len as usize);
+                let mut stored = Vec::new();
                 for &ord in ords {
                     let (off, len) = *self.chunk_index.get(ord as usize).ok_or_else(|| {
                         io::Error::new(
@@ -468,8 +520,9 @@ impl CheckpointStore for FileStore {
                             format!("blob {id} references missing chunk {ord}"),
                         )
                     })?;
-                    let stored = self.read_verified(off, len, &format!("blob {id} chunk {ord}"))?;
-                    out.extend_from_slice(&decode_chunk(&stored)?);
+                    stored.resize(len as usize, 0);
+                    self.read_verified(off, &mut stored, &format!("blob {id} chunk {ord}"))?;
+                    decode_chunk_into(&stored, &mut out)?;
                 }
                 if out.len() as u64 != *raw_len {
                     return Err(io::Error::new(
@@ -843,6 +896,149 @@ mod tests {
             0x695F_5C8F_4477_61D3,
             "v2 log bytes drifted; update deliberately with a compat note"
         );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Start offset of every record in `log`, then the offset it ends at.
+    fn record_bounds(log: &[u8]) -> Vec<usize> {
+        let mut bounds = vec![0];
+        let mut off = 0;
+        while off < log.len() {
+            let len = u32::from_le_bytes([log[off + 1], log[off + 2], log[off + 3], log[off + 4]]);
+            off += HEADER_LEN as usize + len as usize;
+            bounds.push(off);
+        }
+        assert_eq!(off, log.len(), "log ends on a record boundary");
+        bounds
+    }
+
+    #[test]
+    fn forged_lengths_end_recovery_without_panic() {
+        // Each log is an intact v1 blob, then CRC-valid records whose
+        // lengths are forged. Recovery keeps the v1 blob and any intact
+        // chunk before the forgery, truncates the file at the first bad
+        // record, and neither panics nor allocates for the claim.
+        let stored_chunk = [&[crate::chunk::CHUNK_STORED][..], &[7u8; 9]].concat();
+        // A compressed chunk whose varint claims 2^50 raw bytes.
+        let forged_chunk =
+            [&[crate::chunk::CHUNK_COMPRESSED][..], &[0x80; 7], &[2, 0, b'x']].concat();
+        let cases = [
+            (
+                "manifest claims 2^50 bytes over one 10-byte chunk",
+                vec![
+                    (MARKER_CHUNK, stored_chunk.clone()),
+                    (MARKER_MANIFEST, encode_manifest(1 << 50, &[0])),
+                ],
+                1,
+            ),
+            (
+                "two manifests claim 2^63 bytes each",
+                vec![
+                    (MARKER_CHUNK, stored_chunk.clone()),
+                    (MARKER_MANIFEST, encode_manifest(1 << 63, &[0])),
+                    (MARKER_MANIFEST, encode_manifest(1 << 63, &[0])),
+                ],
+                1,
+            ),
+            (
+                "compressed chunk claims 2^50 bytes, manifest agrees",
+                vec![
+                    (MARKER_CHUNK, forged_chunk),
+                    (MARKER_MANIFEST, encode_manifest(1 << 50, &[0])),
+                ],
+                0,
+            ),
+        ];
+        let path = temp_path("forged.log");
+        for (name, records, intact_chunks) in cases {
+            let mut log = Vec::new();
+            frame_with(&mut log, MARKER_V1, b"intact");
+            let mut intact_end = log.len() as u64;
+            for (i, (marker, payload)) in records.iter().enumerate() {
+                frame_with(&mut log, *marker, payload);
+                if i < intact_chunks {
+                    intact_end = log.len() as u64;
+                }
+            }
+            std::fs::write(&path, &log).expect("write");
+
+            let s = FileStore::open(&path).expect("open recovers");
+            assert_eq!(s.blob_count(), 1, "{name}: only the v1 blob survives");
+            assert_eq!(s.stats().payload_bytes, 6, "{name}");
+            let raw_bytes = s.chunk_stats().expect("chunking on").raw_bytes;
+            assert_eq!(raw_bytes, 9 * intact_chunks as u64, "{name}");
+            assert_eq!(std::fs::metadata(&path).expect("meta").len(), intact_end, "{name}");
+            assert_eq!(s.get(0).expect("get"), b"intact", "{name}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn recovery_across_scan_window_boundaries() {
+        for cfg in [ChunkConfig::disabled(), ChunkConfig::default()] {
+            scan_window_boundaries(cfg);
+        }
+    }
+
+    /// A log over three scan windows long, with records straddling each
+    /// window edge: every cut within 32 bytes of an edge recovers the
+    /// longest intact prefix and accepts an append, and one damaged byte
+    /// in the record across the second edge ends recovery at that record.
+    fn scan_window_boundaries(cfg: ChunkConfig) {
+        let path = temp_path(&format!("window-{}.log", cfg.enabled));
+        let mut rng = kishu_testkit::rng::Rng::seed_from_u64(0x5CA9);
+        let mut payloads = Vec::new();
+        // Log end after each put: blob `i` is intact iff `ends[i] <= cut`.
+        let mut ends = Vec::new();
+        {
+            let mut s = FileStore::create_with(&path, cfg.clone(), true).expect("create");
+            while s.stats().physical_bytes < 3 * SCAN_WINDOW as u64 + 4096 {
+                // Uneven sizes; every other payload compressible, so the
+                // chunked log holds both stored-chunk flags.
+                let len = 20_000 + (rng.next_u64() % 30_000) as usize;
+                let spread = if payloads.len() % 2 == 0 { 256 } else { 4 };
+                let p: Vec<u8> = (0..len).map(|_| (rng.next_u64() % spread) as u8).collect();
+                s.put(&p).expect("put");
+                ends.push(s.stats().physical_bytes);
+                payloads.push(p);
+            }
+            s.sync().expect("sync");
+        }
+        let log = std::fs::read(&path).expect("read");
+        let bounds = record_bounds(&log);
+        let edges: Vec<usize> = (1..=log.len() / SCAN_WINDOW).map(|k| k * SCAN_WINDOW).collect();
+        assert!(edges.len() >= 3, "{cfg:?}: the log spans three windows");
+        for edge in &edges {
+            assert!(!bounds.contains(edge), "{cfg:?}: a record straddles the edge at {edge}");
+        }
+
+        for &edge in &edges {
+            for cut in edge - 32..=edge + 32 {
+                std::fs::write(&path, &log[..cut]).expect("write prefix");
+                let mut s = FileStore::open_with(&path, cfg.clone(), true).expect("open");
+                let intact = ends.iter().filter(|&&e| e <= cut as u64).count();
+                let what = format!("{cfg:?} cut at byte {cut}");
+                assert_eq!(s.blob_count(), intact as u64, "{what}");
+                let last_record_end = bounds.iter().filter(|&&b| b <= cut).max().expect("0");
+                let len = std::fs::metadata(&path).expect("meta").len();
+                assert_eq!(len, *last_record_end as u64, "{what}: truncated to the last record");
+                assert_eq!(s.get(intact as u64 - 1).expect("get"), payloads[intact - 1], "{what}");
+                let id = s.put(b"after recovery").expect("append");
+                assert_eq!(s.get(id).expect("read back"), b"after recovery", "{what}");
+            }
+        }
+
+        // One damaged byte in the record across the second edge.
+        let edge = edges[1];
+        let start = *bounds.iter().filter(|&&b| b < edge).max().expect("0");
+        let mut damaged = log.clone();
+        damaged[edge] ^= 0x5A;
+        std::fs::write(&path, &damaged).expect("write damaged");
+        let s = FileStore::open_with(&path, cfg.clone(), true).expect("open");
+        let intact = ends.iter().filter(|&&e| e <= start as u64).count();
+        assert_eq!(s.blob_count(), intact as u64, "{cfg:?}: recovery ends at the damaged record");
+        assert_eq!(std::fs::metadata(&path).expect("meta").len(), start as u64, "{cfg:?}");
+        assert_eq!(s.get(intact as u64 - 1).expect("get"), payloads[intact - 1], "{cfg:?}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -2,7 +2,7 @@
 
 use std::io;
 
-use crate::chunk::{decode_chunk, ChunkConfig, ChunkLedger, ChunkStats};
+use crate::chunk::{decode_chunk_into, ChunkConfig, ChunkLedger, ChunkStats};
 use crate::{BlobId, CheckpointStore, PutReceipt, StoreStats};
 
 /// How one logical blob is represented physically.
@@ -108,7 +108,7 @@ impl CheckpointStore for MemoryStore {
                             format!("blob {id} references missing chunk {ord}"),
                         )
                     })?;
-                    out.extend_from_slice(&decode_chunk(stored)?);
+                    decode_chunk_into(stored, &mut out)?;
                 }
                 if out.len() as u64 != *raw_len {
                     return Err(io::Error::new(

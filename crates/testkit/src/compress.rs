@@ -137,18 +137,34 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
     out
 }
 
+/// The raw length a stream's header declares and the offset of its first
+/// token. `None` for a truncated or overflowing header, or a claim larger
+/// than the remaining stream can expand to: each token byte yields at most
+/// MAX_MATCH output bytes, so a forged length fails here, before anyone
+/// allocates for it.
+fn header(input: &[u8]) -> Option<(usize, usize)> {
+    let mut pos = 0usize;
+    let raw_len = read_varint(input, &mut pos)? as usize;
+    if raw_len > (input.len() - pos).saturating_mul(MAX_MATCH).max(1) {
+        return None;
+    }
+    Some((raw_len, pos))
+}
+
+/// The raw length a stream produced by [`compress`] declares, without
+/// decompressing it. `None` when [`decompress`] would reject the header:
+/// truncated, or claiming more than the stream can expand to.
+pub fn declared_len(input: &[u8]) -> Option<usize> {
+    header(input).map(|(raw_len, _)| raw_len)
+}
+
 /// Decompress bytes produced by [`compress`]. Fails (returns `None`) on
 /// any malformed input: truncated stream, distance reaching before the
 /// start of output, or an output length that disagrees with the header.
 pub fn decompress(input: &[u8]) -> Option<Vec<u8>> {
-    let mut pos = 0usize;
-    let raw_len = read_varint(input, &mut pos)? as usize;
-    // A forged header must not abort the process: the remaining stream can
-    // expand at most MAX_MATCH× per token, so anything beyond that bound is
-    // malformed, and the preallocation is capped either way.
-    if raw_len > (input.len() - pos).saturating_mul(MAX_MATCH).max(1) {
-        return None;
-    }
+    // The header is bounded by the stream, and the preallocation is capped
+    // either way, so a forged length cannot abort the process.
+    let (raw_len, mut pos) = header(input)?;
     let mut out = Vec::with_capacity(raw_len.min(1 << 22));
     while pos < input.len() {
         let token = input[pos];
@@ -262,7 +278,12 @@ mod tests {
         assert_eq!(decompress(&[0x05]), None, "header promises bytes that never come");
         assert_eq!(decompress(&[0x04, 0x84, 0x01, 0x00]), None, "match before start");
         assert_eq!(decompress(&[0x01, 0x7F, b'x']), None, "truncated literal run");
+        // A header claiming 2^50 bytes from a 3-byte stream.
+        let forged = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02, 0x00, 0x00, b'x'];
+        assert_eq!(declared_len(&forged), None, "claim beyond what the stream expands to");
+        assert_eq!(decompress(&forged), None);
         let valid = compress(b"hello hello hello hello");
+        assert_eq!(declared_len(&valid), Some(23));
         for cut in 0..valid.len() {
             // Every strict prefix must fail (length check catches them all).
             assert_eq!(decompress(&valid[..cut]), None, "prefix {cut} accepted");
@@ -296,6 +317,7 @@ mod proptests {
         #[test]
         fn roundtrip_is_lossless(data in payload()) {
             let c = crate::compress::compress(&data);
+            prop_assert_eq!(crate::compress::declared_len(&c), Some(data.len()));
             prop_assert_eq!(crate::compress::decompress(&c), Some(data));
         }
 

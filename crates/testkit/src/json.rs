@@ -419,8 +419,12 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 encoded char (input is valid UTF-8).
+                    // Consume one UTF-8 encoded char.
                     let rest = &self.bytes[self.pos..];
+                    // SAFETY: `bytes` is always a `&str`'s bytes (`Parser`
+                    // is built only in `Json::parse`), and `pos` moves by
+                    // ASCII bytes or by whole chars (`len_utf8` below), so
+                    // `rest` starts on a char boundary and is valid UTF-8.
                     let s = unsafe { std::str::from_utf8_unchecked(rest) };
                     let c = s.chars().next().expect("nonempty");
                     out.push(c);
