@@ -2,10 +2,10 @@
 //! (nearly) free.
 //!
 //! The observability claim the PR makes is behavioral *and* economic: the
-//! bounded span ring, rolling latency windows, slow-span journal, and
-//! counters may not change what the session does (the trace differential
-//! suite proves that), and they may not meaningfully change how fast it
-//! does it (this experiment proves that). A representative notebook
+//! bounded span ring, rolling latency windows and slow-span journal may
+//! not change what the session does (the trace differential suite proves
+//! that), and they may not meaningfully change how fast it does it (this
+//! experiment proves that). A representative notebook
 //! workload — cells with real co-variable churn, undo/redo checkouts, and
 //! dashboard diff polling — runs twice per repetition: once with the
 //! recorder fully off ([`kishu_trace::Trace::disabled`]) and once with it

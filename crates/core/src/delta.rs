@@ -17,7 +17,6 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use kishu_kernel::{AccessRecord, Heap, Namespace};
 use kishu_libsim::Registry;
@@ -40,8 +39,6 @@ pub struct StateDelta {
     pub candidates_checked: usize,
     /// How many VarGraphs were regenerated.
     pub vars_rebuilt: usize,
-    /// Time spent detecting (the paper's "tracking overhead", Table 6).
-    pub tracking_time: Duration,
 }
 
 /// The detector: cached per-variable VarGraphs plus the current partition.
@@ -82,11 +79,6 @@ impl DeltaDetector {
         &self.partition
     }
 
-    /// Number of variables with cached VarGraphs.
-    pub fn tracked_vars(&self) -> usize {
-        self.graphs.len()
-    }
-
     /// Process one cell execution's access record against the post-cell
     /// heap/namespace, returning the state delta.
     pub fn on_cell(
@@ -95,8 +87,6 @@ impl DeltaDetector {
         ns: &Namespace,
         access: &AccessRecord,
     ) -> StateDelta {
-        let start = Instant::now();
-
         let accessed: BTreeSet<String> = if self.check_all {
             let mut all: BTreeSet<String> = self.graphs.keys().cloned().collect();
             all.extend(ns.names());
@@ -177,7 +167,6 @@ impl DeltaDetector {
             dependencies,
             candidates_checked: affected_idx.len(),
             vars_rebuilt,
-            tracking_time: start.elapsed(),
         }
     }
 

@@ -6,13 +6,15 @@ use crate::graph::NodeId;
 
 impl KishuSession {
     /// Point-in-time operator snapshot: cache hit rates, dedup ratios,
-    /// fault/retry counts, per-op tail latencies, and flight-recorder
+    /// degradation counts, per-op tail latencies, and flight-recorder
     /// occupancy. Read-only and purely observational — it reports what
-    /// already happened and decides nothing.
+    /// already happened and decides nothing. The counts come from the
+    /// session itself, so they are the same with the recorder off; only
+    /// the latencies and the ring need it on.
     pub fn health(&self) -> HealthReport {
-        let metrics = self.trace.metrics();
-        let counter = |name: &str| metrics.counter_value(name).unwrap_or(0);
-        let latencies = metrics
+        let latencies = self
+            .trace
+            .metrics()
             .latencies()
             .map(|(op, w)| LatencyHealth {
                 op: op.to_string(),
@@ -34,10 +36,9 @@ impl KishuSession {
             blobs_dropped: self.metrics.total_blobs_dropped() as u64,
             checkpoint_bytes: self.metrics.total_checkpoint_bytes(),
             bytes_written: self.metrics.total_bytes_written(),
-            store_retries: counter("store.retry"),
-            barrier_failures: counter("store.barrier_failed"),
-            integrity_failures: counter("integrity.failures"),
-            faults_injected: counter("faults.injected"),
+            store_retries: self.metrics.store_retries,
+            barrier_failures: self.metrics.barrier_failures,
+            integrity_failures: self.metrics.integrity_failures,
             latencies,
             ring: self.trace.is_enabled().then(|| self.trace.ring_stats()),
             events_dropped: self.trace.events_dropped(),
@@ -102,10 +103,9 @@ pub struct HealthReport {
     pub store_retries: u64,
     /// Group-commit barriers that failed (degradations, not data loss).
     pub barrier_failures: u64,
-    /// Checkout payloads that failed CRC or refused to deserialize.
+    /// Checkout payloads that were unreadable, failed CRC or refused to
+    /// deserialize.
     pub integrity_failures: u64,
-    /// Faults injected by a [`kishu_storage::FaultStore`] underneath.
-    pub faults_injected: u64,
     /// Rolling-window tail latencies per op family, registry order.
     pub latencies: Vec<LatencyHealth>,
     /// Flight-recorder ring occupancy; `None` when the recorder is off.
@@ -168,11 +168,10 @@ impl HealthReport {
             pct(self.dedup_ratio()),
         ));
         out.push_str(&format!(
-            "degradations retries {}  barrier failures {}  integrity {}  faults {}  blobs dropped {}\n",
+            "degradations retries {}  barrier failures {}  integrity {}  blobs dropped {}\n",
             self.store_retries,
             self.barrier_failures,
             self.integrity_failures,
-            self.faults_injected,
             self.blobs_dropped,
         ));
         match &self.ring {

@@ -142,13 +142,19 @@ impl Default for KishuConfig {
 /// Run `op`, retrying up to `retries` extra times while it fails with a
 /// transient (`Interrupted`) error — the kind `FaultStore` injects for
 /// recoverable faults and real kernels return for interrupted syscalls.
-fn retry_io<T>(trace: &Trace, retries: u32, mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+/// Each retry adds one to `retried` and journals a `retry` event.
+fn retry_io<T>(
+    trace: &Trace,
+    retries: u32,
+    retried: &mut u64,
+    mut op: impl FnMut() -> io::Result<T>,
+) -> io::Result<T> {
     let mut attempt = 0;
     loop {
         match op() {
             Err(e) if e.kind() == io::ErrorKind::Interrupted && attempt < retries => {
                 attempt += 1;
-                trace.counter("store.retry", 1);
+                *retried += 1;
                 trace.event(
                     kishu_trace::Severity::Warn,
                     "retry",
@@ -220,6 +226,16 @@ pub struct SessionMetrics {
     /// blocklisted (skip storage, rely on fallback recomputation) and
     /// counts the anomaly here instead of silently passing it.
     pub blocklist_anomalies: usize,
+    /// Store operations retried after a transient error (see
+    /// [`KishuConfig::store_retries`]), `resume`'s snapshot scan included.
+    pub store_retries: u64,
+    /// Group-commit barriers that failed (degradations, not data loss).
+    pub barrier_failures: u64,
+    /// Stored payloads a checkout could not use — unreadable after
+    /// retries, failing their CRC, or refusing to deserialize — and
+    /// restored by fallback recomputation instead: the session-wide count
+    /// behind [`CheckoutReport::integrity_failures`].
+    pub integrity_failures: u64,
 }
 
 impl SessionMetrics {
@@ -412,7 +428,7 @@ pub struct KishuSession {
     /// from. Feeds [`Self::live_blobs`] so shared-store GC never reclaims
     /// the snapshot a resume would need.
     snapshot_blobs: Vec<BlobId>,
-    /// Observability handle (spans + metrics). Disabled by default unless
+    /// Observability handle (spans + events). Disabled by default unless
     /// `KISHU_TRACE` is set; never consulted for any decision, so enabling
     /// it cannot change behavior. Span guards still time phases while
     /// disabled — that is where the report's wall-clock fields come from.
@@ -575,10 +591,11 @@ impl KishuSession {
         // must not fail the whole persist.
         let sealed = seal_blob(&payload);
         let retries = self.config.store_retries;
-        let id = retry_io(&self.trace, retries, || self.store.put(&sealed))?;
+        let retried = &mut self.metrics.store_retries;
+        let id = retry_io(&self.trace, retries, retried, || self.store.put(&sealed))?;
         // The snapshot is the resume anchor — it must never sit in a
         // group-commit buffer behind the blobs it references.
-        retry_io(&self.trace, retries, || self.store.flush_barrier())?;
+        retry_io(&self.trace, retries, retried, || self.store.flush_barrier())?;
         self.snapshot_blobs.push(id);
         Ok(())
     }
@@ -632,12 +649,14 @@ impl KishuSession {
     pub fn resume(store: Box<dyn CheckpointStore>, config: KishuConfig) -> Result<Self, KishuError> {
         let mut graph = None;
         let mut unreadable = 0u64;
+        // Retry events go to the global trace, and the count to the session
+        // built below: it is born with a clone of that trace.
+        let (trace, mut retried) = (kishu_trace::global(), 0u64);
         for i in (0..store.blob_count()).rev() {
             // An unreadable or corrupt blob must not abort resume: skip it
             // and keep scanning for an older intact graph snapshot. Only
-            // transient errors are worth retrying first. Retries go to the
-            // global trace: the session built below is born with a clone of it.
-            let blob = match retry_io(kishu_trace::global(), config.store_retries, || store.get(i)) {
+            // transient errors are worth retrying first.
+            let blob = match retry_io(trace, config.store_retries, &mut retried, || store.get(i)) {
                 Ok(b) => b,
                 Err(_) => {
                     unreadable += 1;
@@ -671,6 +690,7 @@ impl KishuSession {
         })?;
         let target = graph.head();
         let mut session = Self::new(store, config);
+        session.metrics.store_retries = retried;
         session.graph = graph;
         // The snapshot we just recovered from stays live: a GC between now
         // and the next persist must not reclaim the only intact snapshot.
@@ -763,7 +783,7 @@ mod tests {
         let trace = Trace::enabled();
         s.set_trace(&trace);
         let r1 = run(&mut s, "x = list(range(100))\n");
-        run(&mut s, "x = list(range(50))\n");
+        let r2 = run(&mut s, "x = list(range(50))\n");
         // Back to the first version: `x` diverged, so its old blob must be
         // fetched cold (store read, CRC verify, decode) and applied.
         let co = s.checkout(r1.node.expect("node")).expect("checkout");
@@ -820,11 +840,42 @@ mod tests {
         assert!(co.fetch_ns + co.verify_ns + co.apply_ns <= co.co_wall_ns);
         assert!(co.fetch_ns > 0 && co.verify_ns > 0 && co.apply_ns > 0);
 
-        // Metrics mirrored the same events the reports count: every sealed
-        // payload handed to `put_sealed` landed in the size histogram.
-        let m = trace.metrics();
-        let h = m.histogram("blob.bytes").expect("blob.bytes histogram");
-        assert!(h.count >= 2, "one put per diverged cell, got {}", h.count);
+        // Every sealed payload handed to `put_sealed` carries its size on
+        // its `store.put` span: the reports' logical bytes plus the 4-byte
+        // CRC frame of each put.
+        let put_bytes: Vec<u64> = spans
+            .iter()
+            .filter(|sp| sp.name == "store.put")
+            .map(|sp| {
+                let (_, v) = sp.args.iter().find(|(k, _)| k == "bytes").expect("bytes arg");
+                v.parse().expect("numeric bytes")
+            })
+            .collect();
+        assert!(put_bytes.len() >= 2, "one put per diverged cell, got {put_bytes:?}");
+        let logical = r1.checkpoint_bytes + r2.checkpoint_bytes;
+        assert_eq!(put_bytes.iter().sum::<u64>(), logical + 4 * put_bytes.len() as u64);
+    }
+
+    /// `tracking_time` is the `cell.track` span's duration — one clock
+    /// read — on the detector path and on the rule-based path, whose span
+    /// also covers the read-only parse.
+    #[test]
+    fn tracking_time_is_the_cell_track_span() {
+        for rule_based_cells in [false, true] {
+            let config = KishuConfig { rule_based_cells, ..KishuConfig::default() };
+            let mut s = KishuSession::in_memory(config);
+            let trace = Trace::enabled();
+            s.set_trace(&trace);
+            run(&mut s, "xs = [1, 2, 3]\n");
+            let report = run(&mut s, "print(len(xs))\n");
+            let spans = trace.spans();
+            let track = spans.iter().rfind(|sp| sp.name == "cell.track").expect("span");
+            assert_eq!(report.tracking_time.as_nanos() as u64, track.dur_ns);
+            let cell = s.metrics().cells.last().expect("cell metrics");
+            assert_eq!(cell.tracking_time, report.tracking_time);
+            // The rule-based path skipped the detector; the other ran it.
+            assert_eq!(cell.candidates_checked == 0, rule_based_cells);
+        }
     }
 
     #[test]
@@ -1162,7 +1213,36 @@ mod tests {
         s.persist().expect("retry absorbs the transient fault");
         let retries: Vec<_> = trace.events().into_iter().filter(|e| e.kind == "retry").collect();
         assert_eq!(retries.len(), 1, "the snapshot put's retry is the session's event");
-        assert_eq!(trace.metrics().counter_value("store.retry"), Some(1));
+        assert_eq!(s.metrics().store_retries, 1, "and the session's count");
+    }
+
+    /// `health()` counts degradations from the session, so they are right
+    /// with the default (disabled) trace as well as with a recorder: one
+    /// retried put and one bit-flipped read over two cells and a checkout.
+    #[test]
+    fn health_counts_degradations_with_the_recorder_off_and_on() {
+        use kishu_storage::{FaultKind, FaultOp, FaultPlan, FaultStore};
+        for recorder in [false, true] {
+            let plan = FaultPlan::none()
+                .schedule(FaultOp::Put, 0, FaultKind::Transient)
+                .schedule(FaultOp::Get, 0, FaultKind::BitFlip);
+            let store = FaultStore::new(Box::new(MemoryStore::new()), plan, 5);
+            let ledger = store.ledger_handle();
+            let mut s = KishuSession::new(Box::new(store), KishuConfig::default());
+            if recorder {
+                s.set_trace(&Trace::enabled());
+            }
+            run(&mut s, "xs = [1, 2]\n");
+            let target = s.head();
+            run(&mut s, "del xs\n");
+            let co = s.checkout(target).expect("degrades to recomputation");
+            assert_eq!(ledger.snapshot().total(), 2, "both faults fired");
+            assert_eq!(co.integrity_failures, 1);
+            let h = s.health();
+            let counts = (h.store_retries, h.barrier_failures, h.integrity_failures);
+            assert_eq!(counts, (1, 0, 1), "recorder on: {recorder}");
+            assert!(h.render().contains("retries 1  barrier failures 0  integrity 1"));
+        }
     }
 
     #[test]

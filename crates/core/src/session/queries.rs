@@ -15,10 +15,11 @@ impl KishuSession {
     /// State difference between checkpoints `base` and `target`, computed
     /// from graph metadata plus *shallow* content refinement: a `Changed`
     /// entry whose two blob payloads the session already knows the content
-    /// keys of (from writes or prior checkouts) gets a definitive
-    /// `same_bytes` verdict without touching the store. Entries whose keys
-    /// are unknown stay `same_bytes: None` — use
-    /// [`Self::diff_deep`] to resolve them by reading the blobs.
+    /// keys of gets a definitive `same_bytes` verdict without touching the
+    /// store. Only reads teach the session a blob's key — checkout reads
+    /// and [`Self::diff_deep`] — never writes. Entries whose keys are
+    /// unknown stay `same_bytes: None` — use [`Self::diff_deep`] to
+    /// resolve them by reading the blobs.
     pub fn diff(&self, base: NodeId, target: NodeId) -> Result<crate::query::DiffReport, KishuError> {
         let mut sp = self.trace.span("query.diff");
         sp.arg("base", base.0);
@@ -35,13 +36,11 @@ impl KishuSession {
         let cache_key = (base.0, target.0, self.graph.epoch());
         if let Some(cached) = self.diff_cache.borrow().get(&cache_key) {
             self.diff_cache_hits.set(self.diff_cache_hits.get() + 1);
-            self.trace.counter("query.diff_cache_hit", 1);
             sp.arg("cached", true);
             sp.arg("entries", cached.entries.len());
             return Ok(cached.clone());
         }
         self.diff_cache_misses.set(self.diff_cache_misses.get() + 1);
-        self.trace.counter("query.diff_cache_miss", 1);
         let mut report = crate::query::diff_report(&self.graph, base, target);
         let mut refined = 0usize;
         for entry in &mut report.entries {

@@ -188,7 +188,8 @@ impl KishuSession {
             sp.arg("cached", true);
             return Fetched::Cached(payload);
         }
-        match retry_io(&self.trace, self.config.store_retries, || self.store.get(blob)) {
+        let (retries, retried) = (self.config.store_retries, &mut self.metrics.store_retries);
+        match retry_io(&self.trace, retries, retried, || self.store.get(blob)) {
             Ok(sealed) => {
                 sp.arg("bytes", sealed.len());
                 Fetched::Sealed { blob, sealed }
@@ -292,7 +293,7 @@ impl KishuSession {
                     // bytes): count it and fall through to recomputation.
                     _ => {
                         ctx.integrity_failures += 1;
-                        self.trace.counter("integrity.failures", 1);
+                        self.metrics.integrity_failures += 1;
                     }
                 }
             }
@@ -302,7 +303,7 @@ impl KishuSession {
             // recursion never counts a failure it didn't consume.
             Some(Verified::Failed) => {
                 ctx.integrity_failures += 1;
-                self.trace.counter("integrity.failures", 1);
+                self.metrics.integrity_failures += 1;
             }
             // Nothing stored for this version (blocklisted or over-budget
             // at checkpoint time): straight to recomputation, not a

@@ -3,7 +3,7 @@
 //! think time and flushed later through the same write loop.
 
 use std::io;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use kishu_kernel::{ObjId, ObjKind};
 use kishu_minipy::RunError;
@@ -61,12 +61,14 @@ impl KishuSession {
         let exec_sp = self.trace.span("cell.exec");
         let outcome = self.interp.run_cell(src)?;
         exec_sp.end();
+        // The `cell.track` span is the tracking stopwatch, the rule-based
+        // path's read-only parse included: its `end()` supplies
+        // `tracking_time`.
         let track_sp = self.trace.span("cell.track");
         let delta = if self.config.rule_based_cells && self.cell_provably_read_only(src) {
             // Rule-based fast path (§6.2 extension): the cell cannot have
             // changed the state, so skip VarGraph verification entirely and
             // record only the dependencies the patched namespace observed.
-            let start = Instant::now();
             let partition = self.detector.partition();
             let dependencies: Vec<CoVarKey> = partition
                 .intersecting(&outcome.access.gets.iter().cloned().collect())
@@ -79,13 +81,12 @@ impl KishuSession {
                 dependencies,
                 candidates_checked: 0,
                 vars_rebuilt: 0,
-                tracking_time: start.elapsed(),
             }
         } else {
             self.detector
                 .on_cell(&self.interp.heap, &self.interp.globals, &outcome.access)
         };
-        track_sp.end();
+        let tracking_time = Duration::from_nanos(track_sp.end());
 
         // The `ckpt` span *is* the checkpoint stopwatch: its `end()` below
         // supplies `checkpoint_time`, so the report and the trace share one
@@ -181,9 +182,6 @@ impl KishuSession {
                 self.pending.push((node, key));
             }
         }
-        if blobs_dropped > 0 {
-            self.trace.counter("blobs.dropped", blobs_dropped as u64);
-        }
         let ckpt_wall_ns = ckpt_sp.end();
         let checkpoint_time = Duration::from_nanos(ckpt_wall_ns);
 
@@ -202,7 +200,7 @@ impl KishuSession {
         self.metrics.cells.push(CellMetrics {
             node: committed,
             cell_time: outcome.wall_time,
-            tracking_time: delta.tracking_time,
+            tracking_time,
             checkpoint_time,
             checkpoint_bytes,
             covars_updated: delta.updated.len(),
@@ -221,7 +219,7 @@ impl KishuSession {
             node: committed,
             outcome,
             updated: delta.updated,
-            tracking_time: delta.tracking_time,
+            tracking_time,
             checkpoint_time,
             checkpoint_bytes,
             blobs_dropped,
@@ -290,7 +288,6 @@ impl KishuSession {
                 flushed += 1;
                 continue;
             }
-            self.trace.counter("blobs.dropped", 1);
             if let Some(m) = self
                 .metrics
                 .cells
@@ -398,7 +395,7 @@ impl KishuSession {
             Writer::Cell => "run_cell",
             Writer::Flush => "flush_pending",
         };
-        self.trace.counter("store.barrier_failed", 1);
+        self.metrics.barrier_failures += 1;
         self.trace.event(
             kishu_trace::Severity::Error,
             "barrier_failed",
@@ -455,11 +452,9 @@ impl KishuSession {
     fn put_sealed(&mut self, sealed: &[u8]) -> io::Result<(PutReceipt, bool)> {
         let mut sp = self.trace.span("store.put");
         sp.arg("bytes", sealed.len());
-        self.trace.observe("blob.bytes", sealed.len() as u64);
         let key = self.config.dedup_blobs.then(|| content_key(sealed));
         if let Some(key) = key {
             if let Some(id) = self.blob_index.lookup(key) {
-                self.trace.counter("blob.dedup_hits", 1);
                 sp.arg("dedup", true);
                 sp.arg("blob", id);
                 // A session-level dedup hit writes nothing: the receipt is
@@ -467,10 +462,9 @@ impl KishuSession {
                 return Ok((PutReceipt { id, ..PutReceipt::default() }, true));
             }
         }
-        let retries = self.config.store_retries;
-        let store = &mut self.store;
-        let trace = &self.trace;
-        let receipt = retry_io(trace, retries, || store.put_with_receipt(sealed))?;
+        let (retries, retried) = (self.config.store_retries, &mut self.metrics.store_retries);
+        let receipt =
+            retry_io(&self.trace, retries, retried, || self.store.put_with_receipt(sealed))?;
         sp.arg("blob", receipt.id);
         if let Some(key) = key {
             self.blob_index.record(key, receipt.id);

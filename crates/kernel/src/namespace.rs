@@ -75,11 +75,6 @@ impl Namespace {
         std::mem::take(&mut self.record)
     }
 
-    /// Whether tracking is currently armed.
-    pub fn is_tracking(&self) -> bool {
-        self.tracking
-    }
-
     /// Look a name up, recording the get. Returns `None` for unbound names
     /// (the interpreter turns that into a `NameError`).
     pub fn get(&mut self, name: &str) -> Option<ObjId> {

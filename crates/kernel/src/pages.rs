@@ -149,11 +149,6 @@ impl PageAllocator {
         self.dirty.clear();
         self.marked = None;
     }
-
-    /// Total bytes handed out so far (address-space high-water mark).
-    pub fn allocated_bytes(&self) -> u64 {
-        self.next.saturating_sub(PAGE_SIZE)
-    }
 }
 
 #[cfg(test)]

@@ -63,7 +63,7 @@ pub struct BlobCache {
     misses: u64,
     disabled: u64,
     evictions: u64,
-    /// Observability only: hit/miss/eviction counters mirror into it.
+    /// Observability only: `cache_pressure` events land in its journal.
     trace: kishu_trace::Trace,
 }
 
@@ -86,8 +86,8 @@ impl BlobCache {
         self.capacity == 0
     }
 
-    /// Adopt an observability handle: hit/miss/eviction counters mirror
-    /// into its metrics registry. Purely observational.
+    /// Adopt an observability handle: evicting inserts journal a
+    /// `cache_pressure` event into it. Purely observational.
     pub fn attach_trace(&mut self, trace: &kishu_trace::Trace) {
         self.trace = trace.clone();
     }
@@ -98,7 +98,6 @@ impl BlobCache {
             // A disabled cache can't miss — don't let the "off" knob
             // masquerade as a 100% miss rate.
             self.disabled += 1;
-            self.trace.counter("cache.disabled_lookup", 1);
             return None;
         }
         match self.entries.get_mut(&key) {
@@ -108,12 +107,10 @@ impl BlobCache {
                 *tick = self.tick;
                 self.recency.insert(self.tick, key);
                 self.hits += 1;
-                self.trace.counter("cache.hit", 1);
                 Some(payload.clone())
             }
             None => {
                 self.misses += 1;
-                self.trace.counter("cache.miss", 1);
                 None
             }
         }
@@ -145,7 +142,6 @@ impl BlobCache {
             self.bytes -= evicted.len() as u64;
             self.evictions += 1;
             evicted_now += 1;
-            self.trace.counter("cache.evict", 1);
         }
         if evicted_now > 0 {
             // One journal event per displacing insert (not per victim), so

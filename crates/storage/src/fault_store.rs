@@ -210,11 +210,6 @@ impl FaultLedger {
         self.injected.iter().filter(|f| f.kind == kind).count()
     }
 
-    /// Number of injected faults on `op`.
-    pub fn count_op(&self, op: FaultOp) -> usize {
-        self.injected.iter().filter(|f| f.op == op).count()
-    }
-
     /// Total injected faults.
     pub fn total(&self) -> usize {
         self.injected.len()

@@ -443,7 +443,6 @@ impl CheckpointStore for FileStore {
         }
         let mut sp = self.trace.span("file.put");
         sp.arg("bytes", bytes.len());
-        self.trace.observe("file.put_bytes", bytes.len() as u64);
         let id = self.index.len() as BlobId;
 
         if !self.cfg.chunks_payload(bytes.len()) {
@@ -477,8 +476,6 @@ impl CheckpointStore for FileStore {
             ords,
         });
         self.payload_bytes += bytes.len() as u64;
-        self.trace.observe("file.chunks_written", r.chunks_written);
-        self.trace.observe("file.chunks_deduped", r.chunks_deduped);
         Ok(PutReceipt {
             id,
             bytes_written: r.stored_bytes_written
@@ -501,14 +498,12 @@ impl CheckpointStore for FileStore {
         match entry {
             BlobEntry::V1(off, len) => {
                 sp.arg("bytes", *len);
-                self.trace.observe("file.get_bytes", *len as u64);
                 let mut out = vec![0; *len as usize];
                 self.read_verified(*off, &mut out, &format!("blob {id}"))?;
                 Ok(out)
             }
             BlobEntry::Chunked { raw_len, ords } => {
                 sp.arg("bytes", *raw_len);
-                self.trace.observe("file.get_bytes", *raw_len);
                 // `raw_len` is validated: a recovered manifest's equals the
                 // sum of its chunks' lengths, and a put's is its payload's.
                 let mut out = Vec::with_capacity(*raw_len as usize);

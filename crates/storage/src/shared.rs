@@ -595,7 +595,6 @@ impl CheckpointStore for TenantHandle {
             }
         };
         sp.arg("dedup_hit", !fresh);
-        self.trace.observe("shared.put_bytes", len);
         let t = st.tenant(&self.name);
         if let Some(log) = &mut t.log {
             // On failure the mapping never existed: the tenant id is not

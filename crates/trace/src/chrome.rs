@@ -1,8 +1,9 @@
 //! Exporters: Chrome `trace_event` JSON and a human text summary.
 //!
-//! Both are pure functions over `(&[SpanRecord], metrics)` so the byte
-//! format is golden-testable without clocks (mirroring the
-//! CheckpointGraph blob-format golden test). The Chrome output follows
+//! Both are pure functions over the span records (the Chrome document
+//! also carries a latency-window snapshot), so the byte format is
+//! golden-testable without clocks (mirroring the CheckpointGraph
+//! blob-format golden test). The Chrome output follows
 //! the JSON Object Format of the Trace Event spec — an object with a
 //! `traceEvents` array — and loads directly in `chrome://tracing` and
 //! Perfetto: `"M"` metadata events name the threads (`session`,
@@ -12,7 +13,7 @@
 
 use kishu_testkit::json::Json;
 
-use crate::{MetricsRegistry, SpanRecord};
+use crate::SpanRecord;
 
 /// Display name for a `tid` (0 = session thread, `w+1` = pool worker w).
 pub fn thread_name(tid: u32) -> String {
@@ -24,7 +25,8 @@ pub fn thread_name(tid: u32) -> String {
 }
 
 /// Build the Chrome `trace_event` document. `metrics` (a
-/// [`MetricsRegistry::to_json`] snapshot) rides along under `otherData`.
+/// [`crate::MetricsRegistry::to_json`] snapshot of the rolling latency
+/// windows) rides along under `otherData`.
 /// Deterministic: events appear as metadata (ascending tid) then spans in
 /// input order; `ts`/`dur` are microseconds (`ns / 1000`).
 pub fn chrome_json(spans: &[SpanRecord], metrics: &Json) -> Json {
@@ -83,8 +85,8 @@ fn fmt_ns(ns: u64) -> String {
 }
 
 /// Human-readable summary: per-span-name aggregates (sorted by total
-/// time, descending; name breaks ties), then counters, then histograms.
-pub fn text_summary(spans: &[SpanRecord], metrics: &MetricsRegistry) -> String {
+/// time, descending; name breaks ties).
+pub fn text_summary(spans: &[SpanRecord]) -> String {
     use std::collections::BTreeMap;
     // name -> (count, total, min, max)
     let mut agg: BTreeMap<&str, (u64, u64, u64, u64)> = BTreeMap::new();
@@ -113,26 +115,6 @@ pub fn text_summary(spans: &[SpanRecord], metrics: &MetricsRegistry) -> String {
             fmt_ns(min),
             fmt_ns(max)
         ));
-    }
-    let counters: Vec<_> = metrics.counters().collect();
-    if !counters.is_empty() {
-        out.push_str("counters:\n");
-        for (name, v) in counters {
-            out.push_str(&format!("  {name:<24} {v}\n"));
-        }
-    }
-    let histograms: Vec<_> = metrics.histograms().collect();
-    if !histograms.is_empty() {
-        out.push_str("histograms:\n");
-        for (name, h) in histograms {
-            out.push_str(&format!(
-                "  {name:<24} count={} mean={} min={} max={}\n",
-                h.count,
-                h.mean(),
-                if h.count == 0 { 0 } else { h.min },
-                h.max
-            ));
-        }
     }
     out
 }
@@ -169,10 +151,17 @@ mod tests {
     /// field order, float formatting, or event shape must be deliberate.
     #[test]
     fn golden_bytes_pin_the_chrome_trace_format() {
-        let doc = chrome_json(&sample_spans(), &MetricsRegistry::default().to_json());
+        // The latency windows a flush of these spans would fill.
+        let mut windows = crate::MetricsRegistry::default();
+        for s in sample_spans() {
+            windows.observe_latency(&s.name, s.dur_ns);
+        }
+        let doc = chrome_json(&sample_spans(), &windows.to_json());
         let expected = concat!(
             r#"{"displayTimeUnit":"ms","#,
-            r#""otherData":{"counters":{},"histograms":{}},"#,
+            r#""otherData":{"latencies":{"#,
+            r#""ckpt":{"count":1,"p50":8000,"p95":8000,"p99":8000},"#,
+            r#""ckpt.seal":{"count":1,"p50":4000,"p95":4000,"p99":4000}}},"#,
             r#""traceEvents":["#,
             r#"{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"session"}},"#,
             r#"{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"worker-0"}},"#,
@@ -193,13 +182,9 @@ mod tests {
 
     #[test]
     fn text_summary_aggregates_by_name() {
-        let mut metrics = MetricsRegistry::default();
-        metrics.counter("blob.dedup_hits", 3);
-        metrics.observe("blob.bytes", 64);
-        let text = text_summary(&sample_spans(), &metrics);
+        let text = text_summary(&sample_spans());
         assert!(text.contains("spans: 2 recorded"), "{text}");
         assert!(text.contains("ckpt.seal"), "{text}");
-        assert!(text.contains("blob.dedup_hits"), "{text}");
         assert!(text.contains("4.0us"), "{text}");
     }
 }

@@ -1,8 +1,9 @@
 //! In-tree observability for the Kishu reproduction: structured spans,
-//! a counter/histogram metrics registry, and exporters (Chrome
-//! `trace_event` JSON for `chrome://tracing`/Perfetto, plus a human text
-//! summary). Zero registry dependencies — JSON rides on `kishu-testkit`,
-//! honoring the workspace's hermetic-build invariant.
+//! a bounded event journal, rolling latency windows derived from the
+//! spans, and exporters (Chrome `trace_event` JSON for
+//! `chrome://tracing`/Perfetto, plus a human text summary). Zero registry
+//! dependencies — JSON rides on `kishu-testkit`, honoring the workspace's
+//! hermetic-build invariant.
 //!
 //! # Design constraints
 //!
@@ -50,7 +51,7 @@ pub mod metrics;
 pub mod ring;
 
 pub use events::{Event, EventJournal, Severity};
-pub use metrics::{Histogram, MetricsRegistry, RollingWindow};
+pub use metrics::{MetricsRegistry, RollingWindow};
 pub use ring::{ObsConfig, RingStats, SpanRing};
 
 /// Identifier of a span, unique within one [`Trace`]. Ids start at 1.
@@ -82,13 +83,13 @@ pub struct SpanRecord {
 /// of three matters under the worker pool: every pool job's
 /// `worker_scope` exit drains its span buffer, and with per-structure
 /// locks each drain paid three contended acquisitions — merged, a flush
-/// is one lock round trip and the counter fast path still only pays an
-/// uncontended lock in the common single-threaded stretches.
+/// is one lock round trip.
 #[derive(Debug)]
 struct ObsState {
     /// Bounded span retention (the flight recorder's ring; PR 5's
     /// unbounded `Vec` grew without limit and ruled out always-on use).
     spans: SpanRing,
+    /// Rolling latency windows, filled from flushed spans.
     metrics: MetricsRegistry,
     /// Bounded, severity-tiered event journal.
     journal: EventJournal,
@@ -118,7 +119,7 @@ thread_local! {
 ///
 /// `Trace::default()` / [`Trace::disabled`] record nothing and allocate
 /// nothing; [`Trace::enabled`] starts a fresh trace whose spans and
-/// metrics accumulate until exported. Cloning shares the underlying
+/// events accumulate until exported. Cloning shares the underlying
 /// trace.
 #[derive(Debug, Clone, Default)]
 pub struct Trace(Option<Arc<TraceInner>>);
@@ -221,21 +222,6 @@ impl Trace {
         out
     }
 
-    /// Add `delta` to the named counter. No-op when disabled.
-    pub fn counter(&self, name: &str, delta: u64) {
-        if let Some(inner) = &self.0 {
-            inner.state.lock().expect("obs state poisoned").metrics.counter(name, delta);
-        }
-    }
-
-    /// Record `value` into the named log₂-bucketed histogram. No-op when
-    /// disabled.
-    pub fn observe(&self, name: &str, value: u64) {
-        if let Some(inner) = &self.0 {
-            inner.state.lock().expect("obs state poisoned").metrics.observe(name, value);
-        }
-    }
-
     /// Snapshot every retained span, id-ordered, with dangling parent
     /// links re-rooted after ring eviction (call on the session thread
     /// after work completes — worker buffers drain when their
@@ -248,7 +234,7 @@ impl Trace {
         }
     }
 
-    /// Snapshot the metrics registry.
+    /// Snapshot the rolling latency windows.
     pub fn metrics(&self) -> MetricsRegistry {
         match &self.0 {
             Some(inner) => inner.state.lock().expect("obs state poisoned").metrics.clone(),
@@ -294,20 +280,15 @@ impl Trace {
         }
     }
 
-    /// The flight-recorder configuration, when enabled.
-    pub fn obs_config(&self) -> Option<&ObsConfig> {
-        self.0.as_deref().map(|inner| &inner.obs)
-    }
-
     /// Chrome `trace_event` JSON of everything recorded so far (see
     /// [`chrome::chrome_json`]).
     pub fn chrome_json(&self) -> Json {
         chrome::chrome_json(&self.spans(), &self.metrics().to_json())
     }
 
-    /// Human-readable per-span-name and metrics summary.
+    /// Human-readable per-span-name summary.
     pub fn text_summary(&self) -> String {
-        chrome::text_summary(&self.spans(), &self.metrics())
+        chrome::text_summary(&self.spans())
     }
 }
 
@@ -506,8 +487,6 @@ mod tests {
         let dur = sp.end();
         assert!(dur >= 1_000_000, "end() must measure even when disabled");
         assert!(t.spans().is_empty());
-        t.counter("c", 1);
-        t.observe("h", 9);
         assert!(t.metrics().is_empty());
     }
 
@@ -750,21 +729,5 @@ mod tests {
         let m = t.metrics();
         let w = m.latency("store.get").expect("window recorded on flush");
         assert_eq!(w.total, 10);
-    }
-
-    #[test]
-    fn counters_and_histograms_accumulate() {
-        let t = Trace::enabled();
-        t.counter("store.retry", 2);
-        t.counter("store.retry", 3);
-        t.observe("blob.bytes", 4096);
-        t.observe("blob.bytes", 5000);
-        let m = t.metrics();
-        assert_eq!(m.counter_value("store.retry"), Some(5));
-        let h = m.histogram("blob.bytes").unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 9096);
-        assert_eq!(h.min, 4096);
-        assert_eq!(h.max, 5000);
     }
 }

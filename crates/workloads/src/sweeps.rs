@@ -1,6 +1,5 @@
 //! Parameter-sweep workloads (§7.7) and the Fig 4 motivating example.
 
-use kishu_minipy::builtins::seeded_values;
 use kishu_testkit::rng::Rng;
 
 use crate::{cell, Cell, NotebookSpec};
@@ -54,11 +53,6 @@ pub fn fig4_text_mining(n_rows: usize) -> Vec<Cell> {
         )),
         cell("for k in range(len(sad_ls)):\n    sad_ls[k] = sad_ls[k].replace('text', 'txt')\n"),
     ]
-}
-
-/// Deterministic pseudo-random values re-exported for experiment setup.
-pub fn fixed_values(n: usize, seed: u64) -> Vec<f64> {
-    seeded_values(n, seed)
 }
 
 #[cfg(test)]

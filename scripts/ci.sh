@@ -74,6 +74,15 @@ if [ "$(printf '%s\n' "$ENV_READS" | grep -c .)" -ne 4 ]; then
     exit 1
 fi
 
+# Every timing in the session, the storage engine and the pickler is a
+# span's duration (`SpanGuard::end`): a second stopwatch beside a span
+# would skew attribution.
+stage "guard: no clock reads in core, storage or pickle"
+if grep -rnE 'Instant::now|SystemTime::now' crates/core/src crates/storage/src crates/pickle/src; then
+    echo "error: clock read above; time the phase with a span instead" >&2
+    exit 1
+fi
+
 stage "cargo build --release --offline"
 cargo build --release --offline --workspace --benches
 

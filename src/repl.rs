@@ -141,7 +141,7 @@ impl Repl {
                 "%tag                 list tags (same -d/-m flags as %branch)".into(),
                 "%tag <name> [ref]    tag a checkpoint (default: head)".into(),
                 "%stats               storage and tracking totals".into(),
-                "%health              operator snapshot: caches, dedup, faults, latencies".into(),
+                "%health              operator snapshot: caches, dedup, degradations, latencies".into(),
                 "%help                this text".into(),
                 "%quit                exit".into(),
             ],

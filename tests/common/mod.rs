@@ -13,9 +13,10 @@
 //! * **logical** — compared between any two points: every non-timing
 //!   report field except the declared representation-only ones, the
 //!   namespace (object ids and reprs) after every step, query answers,
-//!   the store's logical view (every blob's bytes by id) and the fault
-//!   ledger (whose read counts depend on the read-cache budget, so it
-//!   compares only between equal budgets);
+//!   the store's logical view (every blob's bytes by id), the fault
+//!   ledger and `health()`'s degradation counts (both depend on which
+//!   reads reach the store, so on the read-cache budget: they compare
+//!   only between equal budgets);
 //! * **physical** — the declared representation-only fields
 //!   (`bytes_written`, `chunks_written`, `chunks_deduped`,
 //!   `bytes_compressed`, `blobs_cached`, physical store bytes, read-cache
@@ -558,6 +559,9 @@ pub struct Logical {
     pub queries: Vec<String>,
     /// The tenant's fault ledger (injected faults and operation counts).
     pub ledger: FaultLedger,
+    /// `health()`'s (store retries, barrier failures, integrity failures)
+    /// after the queries.
+    pub degradations: (u64, u64, u64),
     /// Logical store stats: (blobs, payload bytes).
     pub stats: (u64, u64),
     /// Every blob's bytes by id, read back through the session's store
@@ -619,6 +623,7 @@ pub fn assert_twins(a: &Observation, b: &Observation) {
     // The read cache decides which checkout reads reach the store.
     if a.representation.cache_bytes == b.representation.cache_bytes {
         assert_eq!(x.ledger, y.ledger, "fault ledgers diverged{what}");
+        assert_eq!(x.degradations, y.degradations, "health counts diverged{what}");
     }
     assert_eq!(x.stats, y.stats, "logical store stats diverged{what}");
     assert!(x.store_view == y.store_view, "store views diverged{what}");
@@ -701,7 +706,8 @@ impl Run {
         self.logical.namespaces.iter().map(values).collect()
     }
 
-    /// Persist, query, snapshot the ledger, then read the store view.
+    /// Persist, query, count degradations, snapshot the ledger, then read
+    /// the store view.
     fn finish(mut self, point: &Point, config: &KishuConfig, ledger: FaultLedger) -> Observation {
         let s = &mut self.session;
         let l = &mut self.logical;
@@ -723,6 +729,8 @@ impl Run {
                 .collect();
             l.queries.push(format!("{name}: {}", hits.join(",")));
         }
+        let h = s.health();
+        l.degradations = (h.store_retries, h.barrier_failures, h.integrity_failures);
         l.ledger = ledger;
         let stats = s.store_stats();
         l.stats = (stats.blobs, stats.payload_bytes);
