@@ -1,7 +1,7 @@
 //! Microbenchmarks of Kishu's core operations, including the ablations
 //! DESIGN.md calls out: VarGraph hash fast-path vs full array values,
 //! candidate pruning vs check-all, LCA/state-diff cost vs branch depth,
-//! pickle throughput, and storage primitives.
+//! pickle throughput, storage primitives, and the chunk encoder.
 //!
 //! Runs under the in-tree `kishu_testkit::bench` harness (`harness =
 //! false`): `cargo bench --bench core_ops [-- <filter>]`, or
@@ -16,8 +16,10 @@ use kishu::xxh64::xxh64;
 use kishu_libsim::Registry;
 use kishu_minipy::Interp;
 use kishu_pickle::{dumps, loads, NoopReducer};
+use kishu_storage::chunk::{chunk_spans, encode_chunk, ChunkConfig};
 use kishu_storage::crc32::crc32;
 use kishu_testkit::bench::{black_box, Bench};
+use kishu_testkit::rng::Rng;
 
 fn prepared_interp(src: &str) -> Interp {
     let mut i = Interp::new();
@@ -184,6 +186,29 @@ fn bench_hashes(b: &mut Bench) {
     });
 }
 
+/// The chunk encoder a chunked put runs on the session thread: the Gear
+/// cut alone, then the cut plus every chunk's stored form (the
+/// compression attempt and, where it loses, the raw copy) over a seeded
+/// MiB of random and of low-entropy bytes.
+fn bench_chunk(b: &mut Bench) {
+    let cfg = ChunkConfig::default();
+    let mut rng = Rng::seed_from_u64(23);
+    let random: Vec<u8> = (0..1 << 20).map(|_| rng.next_u64() as u8).collect();
+    let low_entropy: Vec<u8> = (0..1 << 20).map(|_| (rng.next_u64() % 4) as u8).collect();
+    b.group("chunk", |g| {
+        g.bench("cut_1mb", || black_box(chunk_spans(&random, &cfg)));
+        for (label, data) in [("random", &random), ("lowentropy", &low_entropy)] {
+            g.bench(&format!("encode_1mb_{label}"), || {
+                let stored: usize = chunk_spans(data, &cfg)
+                    .into_iter()
+                    .map(|span| encode_chunk(&data[span], cfg.compress).len())
+                    .sum();
+                black_box(stored)
+            });
+        }
+    });
+}
+
 fn main() {
     let mut b = Bench::from_env("core_ops");
     bench_vargraph(&mut b);
@@ -192,5 +217,6 @@ fn main() {
     bench_pickle(&mut b);
     bench_extensions(&mut b);
     bench_hashes(&mut b);
+    bench_chunk(&mut b);
     b.finish();
 }

@@ -231,10 +231,13 @@ pub struct SessionMetrics {
     pub store_retries: u64,
     /// Group-commit barriers that failed (degradations, not data loss).
     pub barrier_failures: u64,
-    /// Stored payloads a checkout could not use — unreadable after
-    /// retries, failing their CRC, or refusing to deserialize — and
-    /// restored by fallback recomputation instead: the session-wide count
-    /// behind [`CheckoutReport::integrity_failures`].
+    /// Stored payloads a read could not use: unreadable after retries,
+    /// failing their CRC, or (at checkout) refusing to deserialize. A
+    /// checkout restores such a payload by fallback recomputation, and
+    /// this is the session-wide count behind
+    /// [`CheckoutReport::integrity_failures`]; a deep diff
+    /// ([`KishuSession::diff_deep`]) leaves the entry's `same_bytes` at
+    /// `None` and counts it here too.
     pub integrity_failures: u64,
 }
 
@@ -1243,6 +1246,30 @@ mod tests {
             assert_eq!(counts, (1, 0, 1), "recorder on: {recorder}");
             assert!(h.render().contains("retries 1  barrier failures 0  integrity 1"));
         }
+    }
+
+    /// A deep diff that finds a corrupt payload leaves the entry
+    /// unresolved and counts the corruption where `health()` reads it.
+    #[test]
+    fn deep_diff_counts_a_corrupt_payload_in_health() {
+        use kishu_storage::{FaultKind, FaultOp, FaultPlan, FaultStore};
+        let plan = FaultPlan::none().schedule(FaultOp::Get, 0, FaultKind::BitFlip);
+        let store = FaultStore::new(Box::new(MemoryStore::new()), plan, 5);
+        let ledger = store.ledger_handle();
+        let mut s = KishuSession::new(Box::new(store), KishuConfig::default());
+        run(&mut s, "x = [1, 2, 3]\n");
+        let from = s.head();
+        run(&mut s, "x = [4, 5, 6]\n");
+        let to = s.head();
+        let report = s.diff_deep(from, to).expect("both nodes exist");
+        assert_eq!(ledger.snapshot().total(), 1, "the bit flip fired");
+        let entry = report
+            .entries
+            .iter()
+            .find(|e| e.key == key(&["x"]))
+            .expect("x changed");
+        assert_eq!(entry.same_bytes, None, "a corrupt side leaves the entry unresolved");
+        assert_eq!(s.health().integrity_failures, 1);
     }
 
     #[test]

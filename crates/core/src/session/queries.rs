@@ -75,7 +75,8 @@ impl KishuSession {
     /// stop touching the store — and comparing bytes. Payloads are CRC
     /// verified but never deserialized: a diff needs equality, not a live
     /// object. Blobs that fail to read leave their entry at `None` rather
-    /// than failing the query.
+    /// than failing the query, and count as integrity failures in
+    /// [`Self::health`].
     pub fn diff_deep(
         &mut self,
         base: NodeId,
@@ -108,7 +109,8 @@ impl KishuSession {
     /// fetch and verify job, without the decode charge (a diff never
     /// deserializes). CRC-clean payloads are admitted into the read cache,
     /// so the deep diff and checkout warm each other. `None` when nothing
-    /// is stored or the blob is unreadable/corrupt.
+    /// is stored or the blob is unreadable/corrupt; the latter counts in
+    /// [`super::SessionMetrics::integrity_failures`].
     fn fetch_payload_for_query(&mut self, key: &CoVarKey, version: NodeId) -> Option<Vec<u8>> {
         let blob = self.graph.stored(key, version)?.blob?;
         match self.fetch_blob(blob).verify(&self.trace, false) {
@@ -116,7 +118,10 @@ impl KishuSession {
                 self.admit(&payload, cache_key);
                 Some(payload)
             }
-            Verified::Failed => None,
+            Verified::Failed => {
+                self.metrics.integrity_failures += 1;
+                None
+            }
         }
     }
 

@@ -24,6 +24,18 @@
 //! and lets `FileStore::open` rebuild the dedup map from disk without
 //! decompressing anything.
 //!
+//! The cutter's Gear hash is `hash = (hash << 1) + GEAR[byte]` over a
+//! `u64`, so a byte's term has shifted out after 64 more bytes: the hash
+//! at a position depends only on the last 64 bytes up to it. No chunk can
+//! end before `min` bytes, so [`chunk_spans`] starts each chunk's hash 64
+//! bytes before its first legal cut (or at the chunk's start, when `min`
+//! is under 64) and its inner loop tests only the mask; the `max` bound is
+//! the length of the slice it scans. Every hash it tests equals the hash a
+//! byte-by-byte pass from the chunk's start would have there, so the cut
+//! points, the chunks and every stored byte are the same as before the
+//! warm-up. That byte-by-byte cutter stays in the tests as the reference
+//! oracle, `chunk_spans_reference`.
+//!
 //! Everything here is representation-only: with chunking on or off, a
 //! store's logical view (ids, payloads, stats minus physical bytes) is
 //! byte-identical. [`ChunkConfig::disabled`] produces bit-identical v1 log
@@ -118,6 +130,48 @@ impl ChunkConfig {
 /// points depend only on the bytes and the config. Every span is within
 /// `[min, max]` except possibly the final one (which may be shorter).
 pub fn chunk_spans(bytes: &[u8], cfg: &ChunkConfig) -> Vec<std::ops::Range<usize>> {
+    let mask = cfg.mask();
+    // A length is at least 1, so `min` and `max` of 0 cut like 1.
+    let (min, max) = (cfg.min.max(1), cfg.max.max(1));
+    let mut spans = Vec::with_capacity(bytes.len() / cfg.avg.max(1) + 1);
+    let mut start = 0usize;
+    while start < bytes.len() {
+        let window = &bytes[start..][..max.min(bytes.len() - start)];
+        let len = chunk_len(window, min, mask);
+        spans.push(start..start + len);
+        start += len;
+    }
+    spans
+}
+
+/// Length of the chunk at the front of `window`, which holds the next
+/// `max` bytes (or all that is left): the first length of at least `min`
+/// where the Gear hash has no bit of `mask` set, else the whole window.
+/// The hash starts 64 bytes before the first legal cut and goes untested
+/// until it, since bytes further back than 64 have shifted out of it.
+fn chunk_len(window: &[u8], min: usize, mask: u64) -> usize {
+    let first = min - 1; // index of the last byte of the shortest legal chunk
+    if first >= window.len() {
+        return window.len();
+    }
+    let mut hash = 0u64;
+    for &b in &window[first.saturating_sub(63)..first] {
+        hash = (hash << 1).wrapping_add(GEAR[b as usize]);
+    }
+    for (i, &b) in window[first..].iter().enumerate() {
+        hash = (hash << 1).wrapping_add(GEAR[b as usize]);
+        if hash & mask == 0 {
+            return first + i + 1;
+        }
+    }
+    window.len()
+}
+
+/// The cutter as it was before the warm-up: one hash from each chunk's
+/// first byte, testing both length bounds at every byte. The oracle that
+/// [`chunk_spans`] must equal.
+#[cfg(test)]
+fn chunk_spans_reference(bytes: &[u8], cfg: &ChunkConfig) -> Vec<std::ops::Range<usize>> {
     let mask = cfg.mask();
     let mut spans = Vec::with_capacity(bytes.len() / cfg.avg.max(1) + 1);
     let mut start = 0usize;
@@ -479,6 +533,31 @@ mod tests {
         assert!(st.dedup_ratio() > 2.0, "ratio {}", st.dedup_ratio());
     }
 
+    /// Cuts equal the byte-by-byte reference at the boundaries of the
+    /// warm-up: a chunk that can end inside its first 64 bytes, `min ==
+    /// max`, `min > max`, zero bounds, and payloads shorter than `min`.
+    #[test]
+    fn cuts_match_the_reference_at_the_edges() {
+        let cfgs = [
+            ChunkConfig::default(),
+            ChunkConfig { min: 1, avg: 4, max: 100, ..ChunkConfig::default() },
+            ChunkConfig { min: 63, avg: 64, max: 500, ..ChunkConfig::default() },
+            ChunkConfig { min: 64, avg: 64, max: 500, ..ChunkConfig::default() },
+            ChunkConfig { min: 65, avg: 64, max: 500, ..ChunkConfig::default() },
+            ChunkConfig { min: 4096, avg: 4096, max: 4096, ..ChunkConfig::default() },
+            ChunkConfig { min: 8192, avg: 2048, max: 1000, ..ChunkConfig::default() },
+            ChunkConfig { min: 0, avg: 0, max: 0, ..ChunkConfig::default() },
+        ];
+        for cfg in &cfgs {
+            for len in [0, 1, 63, 64, 65, cfg.min.saturating_sub(1), cfg.min, 20_000] {
+                for data in [payload(len as u64, len), vec![0u8; len]] {
+                    let reference = chunk_spans_reference(&data, cfg);
+                    assert_eq!(chunk_spans(&data, cfg), reference, "{cfg:?}, {len} bytes");
+                }
+            }
+        }
+    }
+
     #[test]
     fn env_defaults_are_sane() {
         let cfg = ChunkConfig::default();
@@ -488,5 +567,53 @@ mod tests {
         assert!(!off.enabled && !off.compress);
         assert!(!off.chunks_payload(1 << 20));
         assert!(cfg.chunks_payload(cfg.min) && !cfg.chunks_payload(cfg.min - 1));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use kishu_testkit::prelude::*;
+    use kishu_testkit::rng::Rng;
+
+    /// The default config, then random bounds: `min` under and over 64,
+    /// `min == max`, `min > max`, `avg` of any size (rarely a power of two).
+    fn config() -> BoxedStrategy<ChunkConfig> {
+        let random = (0usize..10_000, 0usize..20_000, 0usize..70_000)
+            .prop_map(|(min, avg, max)| ChunkConfig { min, avg, max, ..ChunkConfig::default() });
+        let small_min = (0usize..64, 1usize..5_000)
+            .prop_map(|(min, avg)| ChunkConfig { min, avg, max: 65_536, ..ChunkConfig::default() });
+        let equal = (0usize..9_000)
+            .prop_map(|n| ChunkConfig { min: n, avg: n, max: n, ..ChunkConfig::default() });
+        prop_oneof![
+            1 => Just(ChunkConfig::default()),
+            2 => random,
+            2 => small_min,
+            1 => equal,
+        ]
+        .boxed()
+    }
+
+    /// 0 to 300 KiB of random, low-entropy or all-zero bytes, from a seed.
+    fn bytes() -> BoxedStrategy<Vec<u8>> {
+        (any::<u64>(), 0usize..300 * 1024, 0u8..3)
+            .prop_map(|(seed, len, family)| {
+                let mut rng = Rng::seed_from_u64(seed);
+                match family {
+                    0 => (0..len).map(|_| rng.next_u64() as u8).collect(),
+                    1 => (0..len).map(|_| (rng.next_u64() % 3) as u8).collect(),
+                    _ => vec![0u8; len],
+                }
+            })
+            .boxed()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn chunk_spans_match_reference(cfg in config(), data in bytes()) {
+            prop_assert_eq!(chunk_spans(&data, &cfg), chunk_spans_reference(&data, &cfg));
+        }
     }
 }

@@ -336,18 +336,18 @@ impl FileStore {
         Ok(())
     }
 
-    /// Append one framed record (via the buffer under group commit, else
-    /// directly), returning its payload offset.
+    /// Append one framed record (framed straight into the buffer under
+    /// group commit, else written directly), returning its payload offset.
     fn append_frame(&mut self, marker: u8, payload: &[u8]) -> io::Result<u64> {
         let payload_off = self.end_offset() + HEADER_LEN;
-        let mut record = Vec::with_capacity(HEADER_LEN as usize + payload.len());
-        frame_with(&mut record, marker, payload);
         if self.group_commit {
-            self.pending.extend_from_slice(&record);
+            frame_with(&mut self.pending, marker, payload);
             if self.pending.len() >= PENDING_FLUSH_BYTES {
                 self.flush_pending()?;
             }
         } else {
+            let mut record = Vec::with_capacity(HEADER_LEN as usize + payload.len());
+            frame_with(&mut record, marker, payload);
             let mut file = self.file.lock().expect("store lock poisoned");
             file.seek(SeekFrom::Start(self.flushed_end))?;
             file.write_all(&record)?;

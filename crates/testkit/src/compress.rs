@@ -28,6 +28,32 @@
 //! identical compressed bytes (greedy parse over a deterministic hash
 //! chain), which the chunk-dedup layer relies on — it keys chunks by
 //! their stored (post-compression) form.
+//!
+//! ## Match table
+//!
+//! The parse walks the input once. At each position it hashes the 4-byte
+//! prefix there into a 2^15-slot table, takes the slot's occupant as the
+//! match candidate and puts the current position in its place; inside an
+//! emitted match it indexes every 2nd position. Each slot is one `u64`:
+//! the 4-byte prefix at the position it names in the high half,
+//! `position + 1` in the low half, 0 when empty. A candidate yields a
+//! match (at least 4 equal bytes) exactly when its prefix equals the
+//! current one, so a step is decided from the slot alone, without a
+//! dependent load of the candidate's bytes: the new slot minus the old one
+//! is the match distance when the prefixes are equal, and past any legal
+//! distance when they differ or the slot is empty, so one compare rejects
+//! every miss, a candidate beyond the window included. No output byte
+//! changes. The slots are written at the same positions, under the same
+//! hash and in the same order as a table of bare positions, so every step
+//! sees the same candidate, and equal prefixes are the same test as equal
+//! first 4 bytes. The table of bare positions stays in the tests as the
+//! reference oracle, `compress_reference`, and property tests compare the
+//! two byte for byte.
+//!
+//! The table is allocated for one call and freed when it returns. Its
+//! 32-bit position field limits the parse to inputs under 4 GiB; larger
+//! inputs are emitted as literals (storage chunks are at most
+//! `ChunkConfig::max` bytes, 64 KiB by default).
 
 /// Shortest match worth encoding: a match token costs 3 bytes, so
 /// anything shorter than 4 is better spent as literals.
@@ -45,11 +71,26 @@ const WINDOW: usize = u16::MAX as usize;
 /// Hash-table size for 4-byte-prefix match candidates (power of two).
 const HASH_BITS: u32 = 15;
 
+/// Longest input whose positions the match table can hold: a slot keeps
+/// `position + 1` in 32 bits.
+const MAX_INDEXED: usize = u32::MAX as usize;
+
+/// Multiplicative hash of a 4-byte little-endian prefix.
 #[inline]
-fn hash4(bytes: &[u8]) -> usize {
-    // Multiplicative hash over the 4-byte little-endian prefix.
-    let v = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-    (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+fn hash(prefix: u32) -> usize {
+    (prefix.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+}
+
+/// The 4-byte little-endian prefix at `pos`.
+#[inline]
+fn prefix_at(input: &[u8], pos: usize) -> u32 {
+    u32::from_le_bytes(input[pos..pos + MIN_MATCH].try_into().expect("4-byte slice"))
+}
+
+/// A match-table slot naming `pos`: its prefix high, `pos + 1` low.
+#[inline]
+fn slot(prefix: u32, pos: usize) -> u64 {
+    (u64::from(prefix) << 32) | (pos as u64 + 1)
 }
 
 fn push_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -94,44 +135,52 @@ fn flush_literals(out: &mut Vec<u8>, lits: &[u8]) {
 pub fn compress(input: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 2 + 10);
     push_varint(&mut out, input.len() as u64);
-    if input.len() < MIN_MATCH {
+    if input.len() < MIN_MATCH || input.len() > MAX_INDEXED {
         flush_literals(&mut out, input);
         return out;
     }
-    // head[h] = most recent position whose 4-byte prefix hashed to h.
-    let mut head = vec![usize::MAX; 1 << HASH_BITS];
+    // table[h] = slot of the most recent position whose prefix hashed to h.
+    let mut table = vec![0u64; 1 << HASH_BITS];
+    // The last position with a whole prefix.
+    let last = input.len() - MIN_MATCH;
     let mut lit_start = 0usize;
     let mut pos = 0usize;
-    while pos + MIN_MATCH <= input.len() {
-        let h = hash4(&input[pos..]);
-        let cand = head[h];
-        head[h] = pos;
-        let mut matched = 0usize;
-        if cand != usize::MAX && pos - cand <= WINDOW {
-            let limit = (input.len() - pos).min(MAX_MATCH);
-            while matched < limit && input[cand + matched] == input[pos + matched] {
-                matched += 1;
-            }
-        }
-        if matched >= MIN_MATCH {
-            flush_literals(&mut out, &input[lit_start..pos]);
-            out.push(0x80 | (matched - MIN_MATCH) as u8);
-            out.extend_from_slice(&((pos - cand) as u16).to_le_bytes());
-            // Index the interior of the match sparsely (every 2nd byte):
-            // keeps long runs fast while still catching nearby repeats.
-            let end = pos + matched;
+    while pos <= last {
+        let prefix = prefix_at(input, pos);
+        let h = hash(prefix);
+        let new = slot(prefix, pos);
+        // Every slot names an earlier position, so when the prefixes are
+        // equal the difference of the slots is the match distance. An
+        // empty slot gives `pos + 1` and a different prefix at least 2^32:
+        // one compare rejects both, and a candidate out of the window.
+        let dist = new.wrapping_sub(table[h]);
+        table[h] = new;
+        if dist > pos.min(WINDOW) as u64 {
             pos += 1;
-            while pos < end {
-                if pos + MIN_MATCH <= input.len() {
-                    head[hash4(&input[pos..])] = pos;
-                }
-                pos += 2;
-            }
-            pos = end;
-            lit_start = pos;
-        } else {
-            pos += 1;
+            continue;
         }
+        let cand = pos - dist as usize;
+        let limit = (input.len() - pos).min(MAX_MATCH);
+        let mut matched = MIN_MATCH;
+        while matched < limit && input[cand + matched] == input[pos + matched] {
+            matched += 1;
+        }
+        flush_literals(&mut out, &input[lit_start..pos]);
+        out.push(0x80 | (matched - MIN_MATCH) as u8);
+        out.extend_from_slice(&((pos - cand) as u16).to_le_bytes());
+        // Index the interior of the match sparsely (every 2nd byte):
+        // keeps long runs fast while still catching nearby repeats.
+        let end = pos + matched;
+        pos += 1;
+        while pos < end {
+            if pos <= last {
+                let p = prefix_at(input, pos);
+                table[hash(p)] = slot(p, pos);
+            }
+            pos += 2;
+        }
+        pos = end;
+        lit_start = pos;
     }
     flush_literals(&mut out, &input[lit_start..]);
     out
@@ -195,6 +244,64 @@ pub fn decompress(input: &[u8]) -> Option<Vec<u8>> {
         }
     }
     (out.len() == raw_len).then_some(out)
+}
+
+/// The compressor as it was before the prefix-carrying match table: a
+/// table of bare positions, each candidate's bytes compared from the
+/// first. The oracle that [`compress`] must equal byte for byte.
+#[cfg(test)]
+fn compress_reference(input: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(input.len() / 2 + 10);
+    push_varint(&mut out, input.len() as u64);
+    if input.len() < MIN_MATCH {
+        flush_literals(&mut out, input);
+        return out;
+    }
+    // head[h] = most recent position whose 4-byte prefix hashed to h.
+    let mut head = vec![usize::MAX; 1 << HASH_BITS];
+    let mut lit_start = 0usize;
+    let mut pos = 0usize;
+    while pos + MIN_MATCH <= input.len() {
+        let h = hash4(&input[pos..]);
+        let cand = head[h];
+        head[h] = pos;
+        let mut matched = 0usize;
+        if cand != usize::MAX && pos - cand <= WINDOW {
+            let limit = (input.len() - pos).min(MAX_MATCH);
+            while matched < limit && input[cand + matched] == input[pos + matched] {
+                matched += 1;
+            }
+        }
+        if matched >= MIN_MATCH {
+            flush_literals(&mut out, &input[lit_start..pos]);
+            out.push(0x80 | (matched - MIN_MATCH) as u8);
+            out.extend_from_slice(&((pos - cand) as u16).to_le_bytes());
+            // Index the interior of the match sparsely (every 2nd byte):
+            // keeps long runs fast while still catching nearby repeats.
+            let end = pos + matched;
+            pos += 1;
+            while pos < end {
+                if pos + MIN_MATCH <= input.len() {
+                    head[hash4(&input[pos..])] = pos;
+                }
+                pos += 2;
+            }
+            pos = end;
+            lit_start = pos;
+        } else {
+            pos += 1;
+        }
+    }
+    flush_literals(&mut out, &input[lit_start..]);
+    out
+}
+
+#[cfg(test)]
+#[inline]
+fn hash4(bytes: &[u8]) -> usize {
+    // Multiplicative hash over the 4-byte little-endian prefix.
+    let v = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+    (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
 
 #[cfg(test)]
@@ -273,6 +380,26 @@ mod tests {
     }
 
     #[test]
+    fn window_edge_matches_the_reference() {
+        // A random 64-byte block repeated exactly WINDOW - 1, WINDOW and
+        // WINDOW + 1 bytes later, with random filler between: the last
+        // distance is one past what a match may reach.
+        let mut rng = Rng::seed_from_u64(0x57_1D0E);
+        let random: Vec<u8> = (0..WINDOW + 64).map(|_| rng.next_u64() as u8).collect();
+        let (block, filler) = random.split_at(64);
+        let stream_len = |dist: usize| {
+            let data = [block, &filler[..dist - block.len()], block].concat();
+            let c = compress(&data);
+            assert_eq!(c, compress_reference(&data), "distance {dist}");
+            assert_eq!(decompress(&c).expect("decompress"), data);
+            c.len()
+        };
+        let beyond = stream_len(WINDOW + 1);
+        assert!(stream_len(WINDOW) < beyond, "a repeat at the edge is found, one past it is not");
+        assert!(stream_len(WINDOW - 1) < beyond);
+    }
+
+    #[test]
     fn malformed_inputs_fail_closed() {
         assert_eq!(decompress(&[]), None, "missing header");
         assert_eq!(decompress(&[0x05]), None, "header promises bytes that never come");
@@ -294,7 +421,68 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::{compress, compress_reference, declared_len, decompress, WINDOW};
     use crate::prelude::*;
+    use crate::rng::Rng;
+
+    /// Longest input of the seeded families: past the 64 KiB window.
+    const LONG: usize = 200 * 1024;
+
+    fn random_bytes(rng: &mut Rng, len: usize) -> Vec<u8> {
+        (0..len).map(|_| rng.next_u64() as u8).collect()
+    }
+
+    fn low_entropy(rng: &mut Rng, len: usize) -> Vec<u8> {
+        (0..len).map(|_| (rng.next_u64() % 4) as u8).collect()
+    }
+
+    /// Runs of the other families back to back, plus copies of earlier
+    /// bytes from near, from around the window's edge, and from anywhere.
+    fn mixed(rng: &mut Rng, len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len);
+        while out.len() < len {
+            let n = (rng.next_u64() % 4096) as usize + 1;
+            match rng.next_u64() % 5 {
+                0 => out.extend(random_bytes(rng, n)),
+                1 => out.extend(low_entropy(rng, n)),
+                2 => out.resize(out.len() + n, 0),
+                3 => out.extend(compress(&low_entropy(rng, n))),
+                _ if !out.is_empty() => {
+                    let dist = match rng.next_u64() % 3 {
+                        0 => 1 + rng.next_u64() % 64,
+                        1 => WINDOW as u64 - 8 + rng.next_u64() % 16,
+                        _ => 1 + rng.next_u64() % (WINDOW as u64 + 4096),
+                    };
+                    let from = out.len() - (dist as usize).min(out.len());
+                    for i in 0..n.min(300) {
+                        let b = out[from + i]; // may re-read bytes this copy wrote
+                        out.push(b);
+                    }
+                }
+                _ => {}
+            }
+        }
+        out.truncate(len);
+        out
+    }
+
+    /// 0 to 200 KiB from a seed and a length (two draws per case): random,
+    /// low-entropy, all-zero, pre-compressed and mixed bytes.
+    fn long_payload() -> BoxedStrategy<Vec<u8>> {
+        fn family(make: fn(&mut Rng, usize) -> Vec<u8>) -> BoxedStrategy<Vec<u8>> {
+            (any::<u64>(), 0usize..LONG)
+                .prop_map(move |(seed, len)| make(&mut Rng::seed_from_u64(seed), len))
+                .boxed()
+        }
+        prop_oneof![
+            family(random_bytes),
+            family(low_entropy),
+            family(|_, len| vec![0u8; len]),
+            family(|rng, len| compress(&mixed(rng, len))),
+            family(mixed),
+        ]
+        .boxed()
+    }
 
     /// Adversarial payload families: uniform random bytes, low-entropy
     /// runs, all-zero, and pre-compressed output (already-compressed data
@@ -334,6 +522,41 @@ mod proptests {
             data in prop::collection::vec(any::<u8>(), 0usize..512)
         ) {
             let _ = crate::compress::decompress(&data); // may be None; must not panic
+        }
+
+        #[test]
+        fn compress_matches_reference(data in prop_oneof![1 => payload(), 4 => long_payload()]) {
+            prop_assert_eq!(compress(&data), compress_reference(&data));
+        }
+
+        /// Real streams (of low-entropy inputs, so they hold match
+        /// tokens) with bytes flipped, cut off or appended: `decompress`
+        /// yields exactly the declared length or nothing, never panics, and
+        /// fails whenever the header does.
+        #[test]
+        fn mutated_streams_fail_closed(
+            seed in any::<u64>(),
+            len in 0usize..8192,
+            edits in prop::collection::vec((0u8..3, any::<u64>(), any::<u8>()), 1usize..4)
+        ) {
+            let mut stream = compress(&low_entropy(&mut Rng::seed_from_u64(seed), len));
+            for (kind, at, byte) in edits {
+                match kind {
+                    0 if !stream.is_empty() => {
+                        let i = (at % stream.len() as u64) as usize;
+                        stream[i] ^= byte.max(1);
+                    }
+                    1 => stream.truncate((at % (stream.len() as u64 + 1)) as usize),
+                    _ => stream.extend((0..=at % 4).map(|k| byte.wrapping_add(k as u8))),
+                }
+            }
+            let declared = declared_len(&stream);
+            if let Some(out) = decompress(&stream) {
+                prop_assert_eq!(Some(out.len()), declared);
+            }
+            if declared.is_none() {
+                prop_assert_eq!(decompress(&stream), None);
+            }
         }
     }
 }

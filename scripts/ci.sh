@@ -95,6 +95,13 @@ cargo build --release --offline --workspace --benches
 stage "cargo test --offline --workspace"
 cargo test -q --offline --workspace
 
+# The codec crates' tests again in the release profile, the build kbench
+# measures: overflow checks and debug assertions off. The reference
+# oracles (`compress_reference`, `chunk_spans_reference`) and the
+# fail-closed decoder properties then also check that build.
+stage "codec tests in the release profile (kishu-storage, kishu-testkit)"
+cargo test -q --release --offline -p kishu-storage -p kishu-testkit
+
 # kbench (the benchmark in BENCHMARK.json) is a package of its own with an
 # empty [workspace], so the workspace passes above never run its tests.
 stage "kbench unit tests (own package)"
