@@ -118,10 +118,6 @@ fn bench_state_diff(b: &mut Bench) {
             g.bench(&format!("lca_walk/{depth}"), || {
                 black_box(graph.lca(head, nodes[0]))
             });
-            let idx = graph.lca_index();
-            g.bench(&format!("lca_lifted/{depth}"), || {
-                black_box(idx.lca(head, nodes[0]))
-            });
         }
     });
 }
@@ -201,7 +197,7 @@ fn bench_chunk(b: &mut Bench) {
             g.bench(&format!("encode_1mb_{label}"), || {
                 let stored: usize = chunk_spans(data, &cfg)
                     .into_iter()
-                    .map(|span| encode_chunk(&data[span], cfg.compress).len())
+                    .map(|span| encode_chunk(&data[span]).len())
                     .sum();
                 black_box(stored)
             });

@@ -1,16 +1,17 @@
-//! Flight-recorder overhead benchmark: proof the always-on recorder is
-//! (nearly) free.
+//! Flight-recorder overhead benchmark: proof that turning the recorder on
+//! is (nearly) free.
 //!
-//! The observability claim the PR makes is behavioral *and* economic: the
-//! bounded span ring, rolling latency windows and slow-span journal may
-//! not change what the session does (the trace differential suite proves
-//! that), and they may not meaningfully change how fast it does it (this
-//! experiment proves that). A representative notebook
-//! workload — cells with real co-variable churn, undo/redo checkouts, and
-//! dashboard diff polling — runs twice per repetition: once with the
+//! The recorder is off unless `KISHU_TRACE` or a caller's `Trace` turns
+//! it on, and its claim is behavioral *and* economic: the bounded span
+//! ring and slow-span journal may not change what the session does (the
+//! trace differential suite proves that), and they may not meaningfully
+//! change how fast it does it (this experiment proves that). A
+//! representative notebook workload — cells with real co-variable churn,
+//! undo/redo checkouts, and dashboard diff polling — runs twice per
+//! repetition: once with the
 //! recorder fully off ([`kishu_trace::Trace::disabled`]) and once with it
-//! forced on under a deliberately small ring (so eviction + reservoir
-//! sampling, the recorder's worst case, are exercised rather than dodged).
+//! forced on under a deliberately small ring (so eviction, the recorder's
+//! worst case, is exercised rather than dodged).
 //! The two arms advance in lockstep, *cell by cell* (order alternating
 //! per cell), so scheduler noise on a shared host hits both arms almost
 //! identically instead of whichever full pass happened to collide with a
@@ -59,14 +60,12 @@ pub struct ObsRun {
     pub overhead: f64,
     /// Spans the recorder-on arm pushed through the ring (last rep).
     pub spans_recorded: u64,
-    /// Spans evicted without reservoir rescue (last rep).
+    /// Spans evicted (last rep).
     pub spans_dropped: u64,
-    /// Spans resident at the end (window + reservoir, last rep).
+    /// Spans resident at the end (last rep).
     pub spans_retained: u64,
     /// Journal events the workload emitted (last rep).
     pub events: u64,
-    /// Op families with populated latency windows (last rep).
-    pub latency_families: u64,
 }
 
 /// Timed repetitions per arm. The gate reads the median of the per-rep
@@ -75,8 +74,8 @@ const REPS: usize = 9;
 
 /// Ring budget for the recorder-on arm: small enough that even the
 /// quick-scale workload overflows it many times over, so the timed path
-/// includes eviction and reservoir competition — the recorder's most
-/// expensive steady state, not its honeymoon.
+/// includes eviction — the recorder's most expensive steady state, not
+/// its honeymoon.
 const RING_BYTES: usize = 32 * 1024;
 
 /// Source of workload cell `i`. Each cell does real interpreter work (the
@@ -152,8 +151,7 @@ fn op_counts(cells: usize) -> (usize, usize) {
 }
 
 /// The recorder-on observability config: small ring (forced eviction),
-/// default reservoir/journal, a low slow-span threshold so the journal
-/// path actually runs during the timed region.
+/// default journal and slow-span threshold.
 fn on_config() -> ObsConfig {
     ObsConfig {
         ring_bytes: RING_BYTES,
@@ -235,7 +233,6 @@ pub fn run(scale: f64) -> ObsRun {
         spans_dropped: ring.dropped,
         spans_retained: ring.retained,
         events: on.events().len() as u64 + on.events_dropped(),
-        latency_families: on.metrics().latencies().count() as u64,
     }
 }
 
@@ -281,8 +278,7 @@ pub fn table_from(r: &ObsRun) -> Table {
     t.note(format!(
         "{} cells, {} checkouts, {} diffs, {} paired reps (median ratio \
          gated, per-arm minima shown); overhead {:+.2}% under a {} KiB \
-         ring ({} spans retained, {} op families in latency windows); the \
-         ceiling is {:.0}%",
+         ring ({} spans retained); the ceiling is {:.0}%",
         r.cells,
         r.checkouts,
         r.diffs,
@@ -290,7 +286,6 @@ pub fn table_from(r: &ObsRun) -> Table {
         r.overhead * 100.0,
         RING_BYTES / 1024,
         r.spans_retained,
-        r.latency_families,
         MAX_OVERHEAD * 100.0,
     ));
     t
@@ -317,7 +312,6 @@ pub fn json_from(r: &ObsRun, scale: f64) -> Json {
         ("spans_dropped", Json::Int(r.spans_dropped as i64)),
         ("spans_retained", Json::Int(r.spans_retained as i64)),
         ("events", Json::Int(r.events as i64)),
-        ("latency_families", Json::Int(r.latency_families as i64)),
     ])
 }
 
@@ -325,9 +319,8 @@ pub fn json_from(r: &ObsRun, scale: f64) -> Json {
 mod tests {
     use super::*;
 
-    /// The workload exercises every recorder surface: spans overflow the
-    /// small ring (truthful drops), latency windows populate, and the
-    /// journal sees events. The ≤5% overhead number itself is only
+    /// The workload overflows the small ring, and the drops are
+    /// accounted truthfully. The ≤5% overhead number itself is only
     /// meaningful optimized, so debug builds run the machinery without
     /// asserting it; the release number gates via `repro obs`.
     #[test]
@@ -337,7 +330,6 @@ mod tests {
         assert!(r.spans_recorded > 0);
         assert_eq!(r.spans_recorded, r.spans_retained + r.spans_dropped);
         assert!(r.spans_dropped > 0, "ring was sized to overflow");
-        assert!(r.latency_families > 0, "span flush fed the windows");
         assert!(r.overhead > -1.0);
     }
 

@@ -460,27 +460,6 @@ impl CheckpointGraph {
         a
     }
 
-    /// Lowest common ancestor via binary lifting: O(log depth) per query
-    /// after an O(n log n) jump-table build. The ablation partner of
-    /// [`Self::lca`] (the paper uses the off-the-shelf linear walk, noting
-    /// diff time stays ≤81 ms at 1000 cells; this shows the headroom).
-    pub fn lca_index(&self) -> LcaIndex {
-        let n = self.nodes.len();
-        let levels = (usize::BITS - n.leading_zeros()).max(1) as usize;
-        let mut up = vec![vec![NodeId(0); n]; levels];
-        for (i, node) in self.nodes.iter().enumerate() {
-            up[0][i] = node.parent.unwrap_or(NodeId(i as u32));
-        }
-        for l in 1..levels {
-            for i in 0..n {
-                let half = up[l - 1][i];
-                up[l][i] = up[l - 1][half.0 as usize];
-            }
-        }
-        let depths = self.nodes.iter().map(|n| n.depth).collect();
-        LcaIndex { up, depths }
-    }
-
     /// The session state at node `t` (Definition 5): every co-variable
     /// live after CE `t`, mapped to the node holding its current version.
     pub fn state_at(&self, t: NodeId) -> BTreeMap<CoVarKey, NodeId> {
@@ -733,43 +712,6 @@ fn validate_ref_name(name: &str) -> Result<(), String> {
         return Err(format!("ref name '{name}' is purely numeric (would shadow node ids)"));
     }
     Ok(())
-}
-
-/// Precomputed binary-lifting jump tables for O(log n) LCA queries.
-#[derive(Debug, Clone)]
-pub struct LcaIndex {
-    up: Vec<Vec<NodeId>>,
-    depths: Vec<u32>,
-}
-
-impl LcaIndex {
-    /// Lowest common ancestor of `a` and `b`.
-    pub fn lca(&self, a: NodeId, b: NodeId) -> NodeId {
-        let (mut a, mut b) = (a, b);
-        if self.depths[a.0 as usize] < self.depths[b.0 as usize] {
-            std::mem::swap(&mut a, &mut b);
-        }
-        // Lift `a` to `b`'s depth.
-        let mut diff = self.depths[a.0 as usize] - self.depths[b.0 as usize];
-        let mut level = 0;
-        while diff > 0 {
-            if diff & 1 == 1 {
-                a = self.up[level][a.0 as usize];
-            }
-            diff >>= 1;
-            level += 1;
-        }
-        if a == b {
-            return a;
-        }
-        for l in (0..self.up.len()).rev() {
-            if self.up[l][a.0 as usize] != self.up[l][b.0 as usize] {
-                a = self.up[l][a.0 as usize];
-                b = self.up[l][b.0 as usize];
-            }
-        }
-        self.up[0][a.0 as usize]
-    }
 }
 
 // --- JSON encoding helpers for the persisted graph format ---------------
@@ -1281,6 +1223,48 @@ mod proptests {
         g
     }
 
+    /// One edit of a snapshot's JSON bytes.
+    #[derive(Debug, Clone)]
+    enum Mutation {
+        /// Replace the `at`-th digit (modulo the digit count) with `d % 10`.
+        Digit(u64, u8),
+        /// Insert the decimal digits of `d` after the `at`-th digit.
+        InsertDigits(u64, u16),
+        /// Overwrite the byte at `at` (modulo the length) with `b`.
+        Byte(u64, u8),
+        /// Keep the first `at` (modulo the length + 1) bytes.
+        Truncate(u64),
+    }
+
+    fn mutation_strategy() -> impl Strategy<Value = Mutation> {
+        prop_oneof![
+            4 => (any::<u64>(), any::<u8>()).prop_map(|(at, d)| Mutation::Digit(at, d)),
+            2 => (any::<u64>(), any::<u16>()).prop_map(|(at, d)| Mutation::InsertDigits(at, d)),
+            1 => (any::<u64>(), any::<u8>()).prop_map(|(at, b)| Mutation::Byte(at, b)),
+            1 => any::<u64>().prop_map(Mutation::Truncate),
+        ]
+    }
+
+    fn mutate(bytes: &mut Vec<u8>, m: &Mutation) {
+        let digits: Vec<usize> = (0..bytes.len())
+            .filter(|&i| bytes[i].is_ascii_digit())
+            .collect();
+        let nth_digit = |at: u64| digits[(at % digits.len() as u64) as usize];
+        match *m {
+            Mutation::Digit(at, d) if !digits.is_empty() => bytes[nth_digit(at)] = b'0' + d % 10,
+            Mutation::InsertDigits(at, d) if !digits.is_empty() => {
+                let after = nth_digit(at) + 1;
+                bytes.splice(after..after, d.to_string().into_bytes());
+            }
+            Mutation::Byte(at, b) if !bytes.is_empty() => {
+                let i = (at % bytes.len() as u64) as usize;
+                bytes[i] = b;
+            }
+            Mutation::Truncate(at) => bytes.truncate((at % (bytes.len() as u64 + 1)) as usize),
+            _ => {}
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -1294,6 +1278,14 @@ mod proptests {
             prop_assert_eq!(g.lca(a, a), a, "idempotent");
             prop_assert!(g.ancestors(a).any(|n| n == l), "lca is an ancestor of a");
             prop_assert!(g.ancestors(b).any(|n| n == l), "lca is an ancestor of b");
+            // And the lowest one: the deepest node both chains share.
+            let of_b: BTreeSet<NodeId> = g.ancestors(b).collect();
+            let deepest = g
+                .ancestors(a)
+                .filter(|n| of_b.contains(n))
+                .max_by_key(|n| g.node(*n).depth)
+                .expect("the root is a common ancestor");
+            prop_assert_eq!(l, deepest, "lca is the deepest common ancestor");
         }
 
         #[test]
@@ -1439,6 +1431,45 @@ mod proptests {
                     || node.deleted.iter().any(|key| key.iter().any(|n| n == &name));
                 prop_assert!(touches, "commit {:?} touched {}", id, name);
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The graph decoder fails closed: a real snapshot with one to
+        /// three edits either fails to parse, fails `from_json`, or
+        /// decodes to a graph whose read surface runs without panicking
+        /// and whose snapshot decodes again.
+        #[test]
+        fn mutated_snapshots_fail_closed(
+            ops in prop::collection::vec(op_strategy(), 1..40),
+            mutations in prop::collection::vec(mutation_strategy(), 1..4),
+            pairs in prop::collection::vec((any::<u8>(), any::<u8>()), 4),
+        ) {
+            let mut bytes = build(&ops).to_json().dump().into_bytes();
+            for m in &mutations {
+                mutate(&mut bytes, m);
+            }
+            let Ok(json) = Json::parse_bytes(&bytes) else { return Ok(()) };
+            let Ok(g) = CheckpointGraph::from_json(&json) else { return Ok(()) };
+            let n = g.len() as u32;
+            for (a, b) in pairs {
+                let (a, b) = (NodeId(u32::from(a) % n), NodeId(u32::from(b) % n));
+                let name = format!("v{}", a.0 % 10);
+                g.lca(a, b);
+                g.diff(a, b);
+                crate::query::diff_report(&g, a, b);
+                for key in g.state_at(a).keys() {
+                    g.identical(key, a, b);
+                }
+                g.history(&name, b);
+                g.search(&name);
+                crate::query::history(&g, &name, b);
+                crate::query::search(&g, &name);
+            }
+            g.log();
+            prop_assert!(CheckpointGraph::from_json(&g.to_json()).is_ok(), "re-encoded graph decodes");
         }
     }
 }
@@ -1597,51 +1628,5 @@ mod json_format_tests {
             let json = Json::parse(text).expect("well-formed JSON");
             assert!(CheckpointGraph::from_json(&json).is_err(), "{label} should be rejected");
         }
-    }
-}
-
-#[cfg(test)]
-mod lca_index_tests {
-    use super::*;
-    use kishu_testkit::prelude::*;
-
-    fn random_tree(parents: &[u8]) -> CheckpointGraph {
-        let mut g = CheckpointGraph::new();
-        for p in parents {
-            let target = NodeId(*p as u32 % g.len() as u32);
-            g.set_head(target);
-            g.commit("cell".into(), vec![], vec![], vec![]);
-        }
-        g
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// Binary lifting agrees with the linear walk on arbitrary trees.
-        #[test]
-        fn lca_index_matches_linear_walk(
-            parents in prop::collection::vec(any::<u8>(), 1..80),
-            a in any::<u8>(),
-            b in any::<u8>(),
-        ) {
-            let g = random_tree(&parents);
-            let idx = g.lca_index();
-            let a = NodeId(a as u32 % g.len() as u32);
-            let b = NodeId(b as u32 % g.len() as u32);
-            prop_assert_eq!(idx.lca(a, b), g.lca(a, b));
-        }
-    }
-
-    #[test]
-    fn lca_index_on_a_deep_chain() {
-        let mut g = CheckpointGraph::new();
-        let mut nodes = vec![g.root()];
-        for i in 0..1000 {
-            nodes.push(g.commit(format!("c{i}"), vec![], vec![], vec![]));
-        }
-        let idx = g.lca_index();
-        assert_eq!(idx.lca(nodes[1000], nodes[3]), nodes[3]);
-        assert_eq!(idx.lca(nodes[500], nodes[500]), nodes[500]);
     }
 }

@@ -12,18 +12,6 @@ impl KishuSession {
     /// session itself, so they are the same with the recorder off; only
     /// the latencies and the ring need it on.
     pub fn health(&self) -> HealthReport {
-        let latencies = self
-            .trace
-            .metrics()
-            .latencies()
-            .map(|(op, w)| LatencyHealth {
-                op: op.to_string(),
-                count: w.total,
-                p50_ns: w.p50(),
-                p95_ns: w.p95(),
-                p99_ns: w.p99(),
-            })
-            .collect();
         HealthReport {
             head: self.graph.head(),
             commits: self.graph.len(),
@@ -39,7 +27,7 @@ impl KishuSession {
             store_retries: self.metrics.store_retries,
             barrier_failures: self.metrics.barrier_failures,
             integrity_failures: self.metrics.integrity_failures,
-            latencies,
+            latencies: kishu_trace::chrome::span_stats(&self.trace.spans()),
             ring: self.trace.is_enabled().then(|| self.trace.ring_stats()),
             events_dropped: self.trace.events_dropped(),
         }
@@ -57,21 +45,6 @@ impl KishuSession {
         let dir = std::path::Path::new(kishu_trace::blackbox::DEFAULT_DIR);
         let _ = kishu_trace::blackbox::dump(&self.trace, dir, reason);
     }
-}
-
-/// One op family's rolling-window tail latencies in a [`HealthReport`].
-#[derive(Debug, Clone)]
-pub struct LatencyHealth {
-    /// Span name the window aggregates (`cell.exec`, `store.put`, ...).
-    pub op: String,
-    /// Samples ever observed (the window itself holds the newest 512).
-    pub count: u64,
-    /// Median over the window, nanoseconds.
-    pub p50_ns: u64,
-    /// 95th percentile over the window, nanoseconds.
-    pub p95_ns: u64,
-    /// 99th percentile over the window, nanoseconds.
-    pub p99_ns: u64,
 }
 
 /// Operator health snapshot ([`KishuSession::health`], REPL `%health`).
@@ -106,8 +79,11 @@ pub struct HealthReport {
     /// Checkout payloads that were unreadable, failed CRC or refused to
     /// deserialize.
     pub integrity_failures: u64,
-    /// Rolling-window tail latencies per op family, registry order.
-    pub latencies: Vec<LatencyHealth>,
+    /// Per-span-name latencies, in name order, over the spans the
+    /// flight recorder's ring holds: `count` is the number of those spans
+    /// (evicted spans are not counted) and the nearest-rank percentiles
+    /// cover them. Empty when the recorder is off.
+    pub latencies: Vec<kishu_trace::chrome::SpanStats>,
     /// Flight-recorder ring occupancy; `None` when the recorder is off.
     pub ring: Option<kishu_trace::RingStats>,
     /// Journal events evicted by the journal's own bound.
@@ -191,7 +167,7 @@ impl HealthReport {
             for l in &self.latencies {
                 out.push_str(&format!(
                     "  {:<18} {:>7} {:>9} {:>9} {:>9}\n",
-                    l.op, l.count, l.p50_ns, l.p95_ns, l.p99_ns
+                    l.name, l.count, l.p50_ns, l.p95_ns, l.p99_ns
                 ));
             }
         }

@@ -35,7 +35,7 @@ mod queries;
 mod read;
 mod write;
 
-pub use health::{HealthReport, LatencyHealth};
+pub use health::HealthReport;
 
 /// Session configuration.
 #[derive(Debug, Clone)]
@@ -1463,7 +1463,9 @@ mod tests {
         assert_eq!(h.barrier_failures, 0);
         let ring = h.ring.as_ref().expect("recorder on");
         assert!(ring.recorded > 0, "spans flowed into the ring");
-        assert!(!h.latencies.is_empty(), "span flush fed latency windows");
+        // The latencies are a view over the ring, row by row.
+        assert!(!h.latencies.is_empty(), "one row per span name");
+        assert_eq!(h.latencies, kishu_trace::chrome::span_stats(&trace.spans()));
         let rendered = h.render();
         assert!(rendered.contains("read cache"), "{rendered}");
         assert!(rendered.contains("recorder"), "{rendered}");

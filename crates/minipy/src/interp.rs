@@ -183,11 +183,6 @@ impl Interp {
         self.builtins.insert(name.to_string(), f);
     }
 
-    /// Whether a builtin with this name exists.
-    pub fn has_builtin(&self, name: &str) -> bool {
-        self.builtins.contains_key(name)
-    }
-
     /// Install the library-class method dispatcher (`kishu-libsim`).
     pub fn set_external_dispatch(&mut self, d: Rc<dyn ExternalDispatch>) {
         self.external_dispatch = Some(d);
@@ -196,11 +191,6 @@ impl Interp {
     /// Attach an execution observer (IPyFlow-style instrumentation).
     pub fn add_observer(&mut self, obs: Rc<RefCell<dyn ExecutionObserver>>) {
         self.observers.push(obs);
-    }
-
-    /// Detach all observers.
-    pub fn clear_observers(&mut self) {
-        self.observers.clear();
     }
 
     /// Override the per-cell iteration budget (tests use small budgets to

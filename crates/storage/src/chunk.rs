@@ -73,14 +73,13 @@ const fn gear_table() -> [u64; 256] {
     table
 }
 
-/// Chunking/compression knobs, fixed at store construction.
+/// Chunking knobs, fixed at store construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkConfig {
-    /// Master switch (default on). Off means every put writes a
+    /// Master switch (default on). On, every chunk is stored compressed
+    /// when compression wins ([`encode_chunk`]); off, every put writes a
     /// bit-identical v1 frame.
     pub enabled: bool,
-    /// Per-chunk compression (default on).
-    pub compress: bool,
     /// Minimum chunk size; payloads smaller than this bypass chunking
     /// entirely.
     pub min: usize,
@@ -95,7 +94,6 @@ impl Default for ChunkConfig {
     fn default() -> Self {
         ChunkConfig {
             enabled: true,
-            compress: true,
             min: 2048,
             avg: 8192,
             max: 65536,
@@ -104,11 +102,10 @@ impl Default for ChunkConfig {
 }
 
 impl ChunkConfig {
-    /// The v1 behavior: no chunking, no compression.
+    /// The v1 behavior: no chunking, and so no compression.
     pub fn disabled() -> Self {
         ChunkConfig {
             enabled: false,
-            compress: false,
             ..ChunkConfig::default()
         }
     }
@@ -193,15 +190,13 @@ fn chunk_spans_reference(bytes: &[u8], cfg: &ChunkConfig) -> Vec<std::ops::Range
 
 /// Encode one raw chunk into its stored form: `[flag][data]`, compressed
 /// only when compression actually wins.
-pub fn encode_chunk(raw: &[u8], compress_enabled: bool) -> Vec<u8> {
-    if compress_enabled {
-        let c = compress::compress(raw);
-        if c.len() < raw.len() {
-            let mut out = Vec::with_capacity(1 + c.len());
-            out.push(CHUNK_COMPRESSED);
-            out.extend_from_slice(&c);
-            return out;
-        }
+pub fn encode_chunk(raw: &[u8]) -> Vec<u8> {
+    let c = compress::compress(raw);
+    if c.len() < raw.len() {
+        let mut out = Vec::with_capacity(1 + c.len());
+        out.push(CHUNK_COMPRESSED);
+        out.extend_from_slice(&c);
+        return out;
     }
     let mut out = Vec::with_capacity(1 + raw.len());
     out.push(CHUNK_STORED);
@@ -324,7 +319,7 @@ impl ChunkLedger {
         let mut receipt = IngestReceipt::default();
         for span in spans {
             let raw = &bytes[span];
-            let stored = encode_chunk(raw, cfg.compress);
+            let stored = encode_chunk(raw);
             let key = content_key(&stored);
             let ord = match self.dedup.get(&key) {
                 Some(&ord) => {
@@ -452,7 +447,7 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip_and_incompressible_cost() {
         let compressible = vec![7u8; 10_000];
-        let stored = encode_chunk(&compressible, true);
+        let stored = encode_chunk(&compressible);
         assert_eq!(stored[0], CHUNK_COMPRESSED);
         assert!(stored.len() < 1_000);
         assert_eq!(decode(&stored), compressible);
@@ -460,20 +455,16 @@ mod tests {
 
         let mut rng = Rng::seed_from_u64(9);
         let incompressible: Vec<u8> = (0..4096).map(|_| rng.next_u64() as u8).collect();
-        let stored = encode_chunk(&incompressible, true);
+        let stored = encode_chunk(&incompressible);
         assert_eq!(stored[0], CHUNK_STORED, "compression that loses is not kept");
         assert_eq!(stored.len(), incompressible.len() + 1, "exactly one flag byte of cost");
         assert_eq!(decode(&stored), incompressible);
         assert_eq!(stored_chunk_raw_len(&stored).expect("raw len"), 4096);
 
-        let plain = encode_chunk(&compressible, false);
-        assert_eq!(plain[0], CHUNK_STORED);
-        assert_eq!(decode(&plain), compressible);
-
         // Decoding appends: two chunks land back to back in one buffer.
         let mut out = b"head".to_vec();
         decode_chunk_into(&stored, &mut out).expect("stored chunk");
-        decode_chunk_into(&encode_chunk(&compressible, true), &mut out).expect("compressed chunk");
+        decode_chunk_into(&encode_chunk(&compressible), &mut out).expect("compressed chunk");
         assert_eq!(out, [&b"head"[..], &incompressible, &compressible].concat());
     }
 
@@ -561,10 +552,10 @@ mod tests {
     #[test]
     fn env_defaults_are_sane() {
         let cfg = ChunkConfig::default();
-        assert!(cfg.enabled && cfg.compress);
+        assert!(cfg.enabled);
         assert!(cfg.min <= cfg.avg && cfg.avg <= cfg.max);
         let off = ChunkConfig::disabled();
-        assert!(!off.enabled && !off.compress);
+        assert!(!off.enabled);
         assert!(!off.chunks_payload(1 << 20));
         assert!(cfg.chunks_payload(cfg.min) && !cfg.chunks_payload(cfg.min - 1));
     }

@@ -839,7 +839,6 @@ mod tests {
         // needs a compat story for existing logs.
         let cfg = ChunkConfig {
             enabled: true,
-            compress: true,
             min: 64,
             avg: 64,
             max: 128,

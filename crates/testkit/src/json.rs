@@ -113,11 +113,6 @@ impl Json {
         }
     }
 
-    /// Whether the value is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
-
     /// Compact serialization.
     pub fn dump(&self) -> String {
         let mut out = String::new();

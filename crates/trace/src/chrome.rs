@@ -1,15 +1,18 @@
-//! Exporters: Chrome `trace_event` JSON and a human text summary.
+//! Views over span records: Chrome `trace_event` JSON, a human text
+//! summary, and the per-name aggregate ([`span_stats`]) that the summary
+//! and `%health`'s latencies share.
 //!
-//! Both are pure functions over the span records (the Chrome document
-//! also carries a latency-window snapshot), so the byte format is
-//! golden-testable without clocks (mirroring the CheckpointGraph
-//! blob-format golden test). The Chrome output follows
+//! All three are pure functions over the span records, so the byte
+//! format is golden-testable without clocks (mirroring the
+//! CheckpointGraph blob-format golden test). The Chrome output follows
 //! the JSON Object Format of the Trace Event spec — an object with a
 //! `traceEvents` array — and loads directly in `chrome://tracing` and
 //! Perfetto: `"M"` metadata events name the threads (`session`,
 //! `worker-N`), `"X"` complete events carry each span with microsecond
 //! `ts`/`dur`; nesting is rendered from timestamp containment per `tid`,
 //! which our LIFO span discipline guarantees.
+
+use std::collections::BTreeMap;
 
 use kishu_testkit::json::Json;
 
@@ -24,12 +27,10 @@ pub fn thread_name(tid: u32) -> String {
     }
 }
 
-/// Build the Chrome `trace_event` document. `metrics` (a
-/// [`crate::MetricsRegistry::to_json`] snapshot of the rolling latency
-/// windows) rides along under `otherData`.
+/// Build the Chrome `trace_event` document.
 /// Deterministic: events appear as metadata (ascending tid) then spans in
 /// input order; `ts`/`dur` are microseconds (`ns / 1000`).
-pub fn chrome_json(spans: &[SpanRecord], metrics: &Json) -> Json {
+pub fn chrome_json(spans: &[SpanRecord]) -> Json {
     let mut events: Vec<Json> = Vec::new();
     let mut tids: Vec<u32> = spans.iter().map(|s| s.tid).collect();
     tids.sort_unstable();
@@ -67,7 +68,6 @@ pub fn chrome_json(spans: &[SpanRecord], metrics: &Json) -> Json {
     }
     Json::obj(vec![
         ("displayTimeUnit", Json::Str("ms".into())),
-        ("otherData", metrics.clone()),
         ("traceEvents", Json::Array(events)),
     ])
 }
@@ -84,36 +84,75 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
+/// One span name's aggregate over a set of span records ([`span_stats`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpanStats {
+    /// Span name (`cell.exec`, `store.put`, ...).
+    pub name: String,
+    /// Spans of this name.
+    pub count: u64,
+    /// Summed duration, nanoseconds.
+    pub total_ns: u64,
+    /// Shortest duration, nanoseconds.
+    pub min_ns: u64,
+    /// Longest duration, nanoseconds.
+    pub max_ns: u64,
+    /// Nearest-rank median, nanoseconds.
+    pub p50_ns: u64,
+    /// Nearest-rank 95th percentile, nanoseconds.
+    pub p95_ns: u64,
+    /// Nearest-rank 99th percentile, nanoseconds.
+    pub p99_ns: u64,
+}
+
+/// Per-span-name aggregates in name order. Percentiles are nearest-rank:
+/// the p-th percentile is the smallest duration with at least p% of the
+/// name's spans at or below it.
+pub fn span_stats(spans: &[SpanRecord]) -> Vec<SpanStats> {
+    let mut durations: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
+    for s in spans {
+        durations.entry(&s.name).or_default().push(s.dur_ns);
+    }
+    durations
+        .into_iter()
+        .map(|(name, mut d)| {
+            d.sort_unstable();
+            let rank = |p: usize| d[(p * d.len()).div_ceil(100).max(1) - 1];
+            SpanStats {
+                name: name.to_string(),
+                count: d.len() as u64,
+                total_ns: d.iter().sum(),
+                min_ns: d[0],
+                max_ns: d[d.len() - 1],
+                p50_ns: rank(50),
+                p95_ns: rank(95),
+                p99_ns: rank(99),
+            }
+        })
+        .collect()
+}
+
 /// Human-readable summary: per-span-name aggregates (sorted by total
 /// time, descending; name breaks ties).
 pub fn text_summary(spans: &[SpanRecord]) -> String {
-    use std::collections::BTreeMap;
-    // name -> (count, total, min, max)
-    let mut agg: BTreeMap<&str, (u64, u64, u64, u64)> = BTreeMap::new();
-    for s in spans {
-        let e = agg.entry(&s.name).or_insert((0, 0, u64::MAX, 0));
-        e.0 += 1;
-        e.1 += s.dur_ns;
-        e.2 = e.2.min(s.dur_ns);
-        e.3 = e.3.max(s.dur_ns);
-    }
-    let mut rows: Vec<_> = agg.into_iter().collect();
-    rows.sort_by(|a, b| b.1 .1.cmp(&a.1 .1).then(a.0.cmp(b.0)));
+    let mut rows = span_stats(spans);
+    // Stable: equal totals keep `span_stats`' name order.
+    rows.sort_by_key(|r| std::cmp::Reverse(r.total_ns));
     let mut out = String::new();
     out.push_str(&format!("spans: {} recorded\n", spans.len()));
     out.push_str(&format!(
         "{:<24} {:>7} {:>10} {:>10} {:>10} {:>10}\n",
         "name", "count", "total", "mean", "min", "max"
     ));
-    for (name, (count, total, min, max)) in rows {
+    for r in rows {
         out.push_str(&format!(
             "{:<24} {:>7} {:>10} {:>10} {:>10} {:>10}\n",
-            name,
-            count,
-            fmt_ns(total),
-            fmt_ns(total / count.max(1)),
-            fmt_ns(min),
-            fmt_ns(max)
+            r.name,
+            r.count,
+            fmt_ns(r.total_ns),
+            fmt_ns(r.total_ns / r.count),
+            fmt_ns(r.min_ns),
+            fmt_ns(r.max_ns)
         ));
     }
     out
@@ -151,17 +190,9 @@ mod tests {
     /// field order, float formatting, or event shape must be deliberate.
     #[test]
     fn golden_bytes_pin_the_chrome_trace_format() {
-        // The latency windows a flush of these spans would fill.
-        let mut windows = crate::MetricsRegistry::default();
-        for s in sample_spans() {
-            windows.observe_latency(&s.name, s.dur_ns);
-        }
-        let doc = chrome_json(&sample_spans(), &windows.to_json());
+        let doc = chrome_json(&sample_spans());
         let expected = concat!(
             r#"{"displayTimeUnit":"ms","#,
-            r#""otherData":{"latencies":{"#,
-            r#""ckpt":{"count":1,"p50":8000,"p95":8000,"p99":8000},"#,
-            r#""ckpt.seal":{"count":1,"p50":4000,"p95":4000,"p99":4000}}},"#,
             r#""traceEvents":["#,
             r#"{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"session"}},"#,
             r#"{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"worker-0"}},"#,
@@ -178,6 +209,34 @@ mod tests {
             panic!("traceEvents array");
         };
         assert_eq!(ev.len(), 4);
+    }
+
+    #[test]
+    fn span_stats_percentiles_use_nearest_rank() {
+        let span = |id: u64, name: &str, dur_ns: u64| SpanRecord {
+            id,
+            parent: None,
+            name: name.into(),
+            start_ns: 0,
+            dur_ns,
+            tid: 0,
+            args: vec![],
+        };
+        // Durations 100 down to 1 (input order must not matter), plus one
+        // span of a name that sorts first.
+        let mut spans: Vec<SpanRecord> = (1..=100u64).map(|i| span(i, "op", 101 - i)).collect();
+        spans.push(span(101, "cell", 7));
+        let rows = span_stats(&spans);
+        let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["cell", "op"], "name order");
+        let r = &rows[1];
+        assert_eq!(
+            (r.count, r.total_ns, r.min_ns, r.max_ns),
+            (100, 5050, 1, 100)
+        );
+        assert_eq!((r.p50_ns, r.p95_ns, r.p99_ns), (50, 95, 99));
+        assert_eq!((rows[0].count, rows[0].p50_ns, rows[0].p99_ns), (1, 7, 7));
+        assert!(span_stats(&[]).is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! In-tree observability for the Kishu reproduction: structured spans,
-//! a bounded event journal, rolling latency windows derived from the
-//! spans, and exporters (Chrome `trace_event` JSON for
-//! `chrome://tracing`/Perfetto, plus a human text summary). Zero registry
+//! In-tree observability for the Kishu reproduction: structured spans in
+//! a bounded ring, a bounded event journal, and exporters (Chrome
+//! `trace_event` JSON for `chrome://tracing`/Perfetto, plus a human text
+//! summary), all views over the ring's spans. Zero registry
 //! dependencies — JSON rides on `kishu-testkit`, honoring the workspace's
 //! hermetic-build invariant.
 //!
@@ -47,11 +47,9 @@ use kishu_testkit::json::Json;
 pub mod blackbox;
 pub mod chrome;
 pub mod events;
-pub mod metrics;
 pub mod ring;
 
 pub use events::{Event, EventJournal, Severity};
-pub use metrics::{MetricsRegistry, RollingWindow};
 pub use ring::{ObsConfig, RingStats, SpanRing};
 
 /// Identifier of a span, unique within one [`Trace`]. Ids start at 1.
@@ -80,17 +78,13 @@ pub struct SpanRecord {
 }
 
 /// The recorder's mutable state, behind a single lock. One mutex instead
-/// of three matters under the worker pool: every pool job's
-/// `worker_scope` exit drains its span buffer, and with per-structure
-/// locks each drain paid three contended acquisitions — merged, a flush
-/// is one lock round trip.
+/// of one per structure matters under the worker pool: every pool job's
+/// `worker_scope` exit drains its span buffer, and a flush that journals
+/// slow spans then pays one lock round trip, not two.
 #[derive(Debug)]
 struct ObsState {
-    /// Bounded span retention (the flight recorder's ring; PR 5's
-    /// unbounded `Vec` grew without limit and ruled out always-on use).
+    /// Bounded span retention: the only copy of each finished span.
     spans: SpanRing,
-    /// Rolling latency windows, filled from flushed spans.
-    metrics: MetricsRegistry,
     /// Bounded, severity-tiered event journal.
     journal: EventJournal,
 }
@@ -145,8 +139,7 @@ impl Trace {
             epoch: Instant::now(),
             next_id: AtomicU64::new(1),
             state: Mutex::new(ObsState {
-                spans: SpanRing::new(obs.ring_bytes, obs.reservoir_spans),
-                metrics: MetricsRegistry::default(),
+                spans: SpanRing::new(obs.ring_bytes),
                 journal: EventJournal::new(obs.journal_events),
             }),
             obs,
@@ -234,14 +227,6 @@ impl Trace {
         }
     }
 
-    /// Snapshot the rolling latency windows.
-    pub fn metrics(&self) -> MetricsRegistry {
-        match &self.0 {
-            Some(inner) => inner.state.lock().expect("obs state poisoned").metrics.clone(),
-            None => MetricsRegistry::default(),
-        }
-    }
-
     /// The ring's occupancy and truthful drop accounting.
     pub fn ring_stats(&self) -> RingStats {
         match &self.0 {
@@ -283,7 +268,7 @@ impl Trace {
     /// Chrome `trace_event` JSON of everything recorded so far (see
     /// [`chrome::chrome_json`]).
     pub fn chrome_json(&self) -> Json {
-        chrome::chrome_json(&self.spans(), &self.metrics().to_json())
+        chrome::chrome_json(&self.spans())
     }
 
     /// Human-readable per-span-name summary.
@@ -293,19 +278,18 @@ impl Trace {
 }
 
 /// Drain this thread's finished-span buffer into the owning traces'
-/// rings, batching same-trace records under one lock per structure. The
-/// drain also powers the flight recorder's derived streams — rolling
-/// latency windows per op family, and slow-span journal events — so the
-/// per-span hot path stays lock-free.
+/// rings, batching same-trace records under one lock. The drain also
+/// journals slow spans as `slow_span` events, so the per-span hot path
+/// stays lock-free.
 fn flush_thread_buffer() {
     let mut rest: Vec<(Arc<TraceInner>, SpanRecord)> =
         BUFFER.with(|b| std::mem::take(&mut *b.borrow_mut()));
     while let Some((inner, _)) = rest.first() {
         let inner = inner.clone();
-        // One lock covers the batch: ring pushes, latency windows, and
-        // any slow-span journal entries all land in a single acquisition,
-        // which is what keeps per-job worker-pool drains cheap. Records
-        // for a different trace (rare: nested sessions) carry over.
+        // One lock covers the batch: ring pushes and any slow-span
+        // journal entries all land in a single acquisition, which is
+        // what keeps per-job worker-pool drains cheap. Records for a
+        // different trace (rare: nested sessions) carry over.
         let mut keep = Vec::new();
         {
             let mut st = inner.state.lock().expect("obs state poisoned");
@@ -314,7 +298,6 @@ fn flush_thread_buffer() {
                     keep.push((t, r));
                     continue;
                 }
-                st.metrics.observe_latency(&r.name, r.dur_ns);
                 let threshold = events::slow_threshold_ns(inner.obs.slow_ns, &r.name);
                 if r.dur_ns >= threshold {
                     // Stamped at the span's end, not "now": derived from
@@ -487,7 +470,6 @@ mod tests {
         let dur = sp.end();
         assert!(dur >= 1_000_000, "end() must measure even when disabled");
         assert!(t.spans().is_empty());
-        assert!(t.metrics().is_empty());
     }
 
     #[test]
@@ -572,7 +554,7 @@ mod tests {
         assert_eq!(leaf.parent, Some(spans.iter().find(|s| s.name == "outer").unwrap().id));
     }
 
-    /// The always-on guarantee: millions of spans, bounded memory,
+    /// The bounded-memory guarantee: millions of spans, bounded memory,
     /// truthful drop accounting. The ring's byte charge stays at or
     /// under the configured budget no matter how many spans flow
     /// through, and `recorded == retained + dropped` exactly.
@@ -580,7 +562,6 @@ mod tests {
     fn soak_millions_of_spans_stay_bounded_with_truthful_drops() {
         let obs = ObsConfig {
             ring_bytes: 256 << 10, // 256 KiB: force heavy eviction
-            reservoir_spans: 64,
             journal_events: 128,
             slow_ns: u64::MAX, // not exercising slow events here
         };
@@ -643,8 +624,7 @@ mod tests {
         let mut rng = Rng::seed_from_u64(0x0B5_F11E);
         for case in 0..40 {
             let ring_bytes = 256 + (rng.next_u64() % 4096) as usize;
-            let reservoir = (rng.next_u64() % 8) as usize;
-            let mut ring = SpanRing::new(ring_bytes, reservoir);
+            let mut ring = SpanRing::new(ring_bytes);
             let n = 50 + (rng.next_u64() % 400);
             let mut open: Vec<u64> = Vec::new();
             for id in 1..=n {
@@ -678,7 +658,7 @@ mod tests {
                 }
             }
             // And the Chrome export carries only resolvable parent ids.
-            let doc = chrome::chrome_json(&snap, &MetricsRegistry::default().to_json());
+            let doc = chrome::chrome_json(&snap);
             let Some(Json::Array(evs)) = doc.get("traceEvents") else {
                 panic!("traceEvents")
             };
@@ -718,16 +698,5 @@ mod tests {
         d.event(Severity::Warn, "x", vec![]);
         assert!(d.events().is_empty());
         assert_eq!(d.ring_stats(), RingStats::default());
-    }
-
-    #[test]
-    fn latency_windows_feed_from_span_flush() {
-        let t = Trace::enabled();
-        for _ in 0..10 {
-            t.span("store.get").end();
-        }
-        let m = t.metrics();
-        let w = m.latency("store.get").expect("window recorded on flush");
-        assert_eq!(w.total, 10);
     }
 }

@@ -62,9 +62,12 @@ impl Chunking {
     pub fn config(self) -> ChunkConfig {
         match self {
             Chunking::Off => ChunkConfig::disabled(),
-            Chunking::SmallV2 => {
-                ChunkConfig { enabled: true, compress: true, min: 32, avg: 64, max: 256 }
-            }
+            Chunking::SmallV2 => ChunkConfig {
+                enabled: true,
+                min: 32,
+                avg: 64,
+                max: 256,
+            },
         }
     }
 }
@@ -76,9 +79,9 @@ pub enum Recorder {
     Off,
     /// `Trace::enabled()` with the default flight-recorder bounds.
     On,
-    /// The flight recorder's worst case: a tiny ring (constant eviction
-    /// and reservoir competition), a tiny journal, and a 1 ns slow-span
-    /// threshold so every span takes the journal path.
+    /// The flight recorder's worst case: a tiny ring (constant eviction),
+    /// a tiny journal, and a 1 ns slow-span threshold so every span takes
+    /// the journal path.
     Pressure,
 }
 
@@ -89,7 +92,6 @@ impl Recorder {
             Recorder::On => Trace::enabled(),
             Recorder::Pressure => Trace::with_obs(ObsConfig {
                 ring_bytes: 8 * 1024,
-                reservoir_spans: 32,
                 journal_events: 64,
                 slow_ns: 1,
             }),

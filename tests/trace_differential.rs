@@ -35,9 +35,8 @@ fn tracing_is_behavior_free_for_both_pipelines_at_1_and_4_workers() {
 }
 
 /// The flight recorder's worst case is behavior-free too: a ring small
-/// enough that eviction and reservoir sampling run constantly, a journal
-/// that overflows, and a slow-span threshold that routes *every* span
-/// through the journal path.
+/// enough that eviction runs constantly, a journal that overflows, and a
+/// slow-span threshold that routes *every* span through the journal path.
 #[test]
 fn recorder_under_memory_pressure_is_behavior_free_at_1_and_4_workers() {
     let script = Script::matrix();
