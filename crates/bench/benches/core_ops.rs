@@ -16,7 +16,7 @@ use kishu::xxh64::xxh64;
 use kishu_libsim::Registry;
 use kishu_minipy::Interp;
 use kishu_pickle::{dumps, loads, NoopReducer};
-use kishu_storage::chunk::{chunk_spans, encode_chunk, ChunkConfig};
+use kishu_storage::chunk::{chunk_spans, encode_chunk, ChunkConfig, ChunkLedger};
 use kishu_storage::crc32::crc32;
 use kishu_testkit::bench::{black_box, Bench};
 use kishu_testkit::rng::Rng;
@@ -185,7 +185,8 @@ fn bench_hashes(b: &mut Bench) {
 /// The chunk encoder a chunked put runs on the session thread: the Gear
 /// cut alone, then the cut plus every chunk's stored form (the
 /// compression attempt and, where it loses, the raw copy) over a seeded
-/// MiB of random and of low-entropy bytes.
+/// MiB of random and of low-entropy bytes, and a whole put's chunk work
+/// for a MiB whose every chunk the ledger already holds.
 fn bench_chunk(b: &mut Bench) {
     let cfg = ChunkConfig::default();
     let mut rng = Rng::seed_from_u64(23);
@@ -202,6 +203,21 @@ fn bench_chunk(b: &mut Bench) {
                 black_box(stored)
             });
         }
+        let mut ledger = ChunkLedger::new();
+        let mut next = 0u32;
+        ledger
+            .ingest(&random, &cfg, |_| {
+                next += 1;
+                Ok(next - 1)
+            })
+            .expect("first ingest");
+        g.bench("ingest_1mb_repeat", || {
+            black_box(
+                ledger
+                    .ingest(&random, &cfg, |_| Ok(0))
+                    .expect("repeat ingest"),
+            )
+        });
     });
 }
 

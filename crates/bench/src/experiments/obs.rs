@@ -11,7 +11,8 @@
 //! repetition: once with the
 //! recorder fully off ([`kishu_trace::Trace::disabled`]) and once with it
 //! forced on under a deliberately small ring (so eviction, the recorder's
-//! worst case, is exercised rather than dodged).
+//! worst case, is exercised rather than dodged) and a slow-span threshold
+//! the workload's slower spans cross (so the journal is written too).
 //! The two arms advance in lockstep, *cell by cell* (order alternating
 //! per cell), so scheduler noise on a shared host hits both arms almost
 //! identically instead of whichever full pass happened to collide with a
@@ -26,7 +27,8 @@
 //! `overhead` exceeds [`MAX_OVERHEAD`] (the recorder must cost less than
 //! 5%). The run also re-asserts the ring's truthful-accounting invariant
 //! (`recorded == retained + dropped`) on the real workload's spans, not
-//! just the unit tests' synthetic ones.
+//! just the unit tests' synthetic ones, and that the journal received
+//! events.
 
 use std::time::Instant;
 
@@ -150,11 +152,20 @@ fn op_counts(cells: usize) -> (usize, usize) {
     (checkouts, diffs)
 }
 
+/// Base slow-span threshold for the recorder-on arm. The workload's cells
+/// take a few milliseconds, so the default 50 ms base would journal
+/// nothing; at 1 ms a cell span journals from 5 ms and a store op from
+/// 0.5 ms ([`kishu_trace::events::slow_threshold_ns`]), and the timed path
+/// includes journal writes.
+const SLOW_NS: u64 = 1_000_000;
+
 /// The recorder-on observability config: small ring (forced eviction),
-/// default journal and slow-span threshold.
+/// default journal capacity, and a slow-span threshold the workload's
+/// slower spans cross.
 fn on_config() -> ObsConfig {
     ObsConfig {
         ring_bytes: RING_BYTES,
+        slow_ns: SLOW_NS,
         ..ObsConfig::default()
     }
 }
@@ -221,6 +232,11 @@ pub fn run(scale: f64) -> ObsRun {
         ring.dropped > 0,
         "the small ring was sized to overflow; a drop-free run measured the honeymoon"
     );
+    let events = on.events().len() as u64 + on.events_dropped();
+    assert!(
+        events > 0,
+        "the slow-span threshold was set for the workload to cross; an event-free run never wrote the journal"
+    );
     ObsRun {
         cells,
         checkouts,
@@ -232,7 +248,7 @@ pub fn run(scale: f64) -> ObsRun {
         spans_recorded: ring.recorded,
         spans_dropped: ring.dropped,
         spans_retained: ring.retained,
-        events: on.events().len() as u64 + on.events_dropped(),
+        events,
     }
 }
 

@@ -321,7 +321,10 @@ mod proptests {
     use crate::{dumps, loads};
     use kishu_testkit::prelude::*;
 
-    /// A recipe for building a random object graph deterministically.
+    /// A recipe for building a random object graph deterministically. Its
+    /// variants reach every tag of the format: `Shared` holds one object
+    /// twice, so the second occurrence is a `Ref`, and `External` is a
+    /// library object whose payload goes through the reducer.
     #[derive(Debug, Clone)]
     enum Recipe {
         Int(i64),
@@ -330,29 +333,68 @@ mod proptests {
         Bool(bool),
         None,
         List(Vec<Recipe>),
+        Tuple(Vec<Recipe>),
+        Set(Vec<Recipe>),
         Dict(Vec<(String, Recipe)>),
         Array(Vec<f64>),
+        Series(String, Box<Recipe>),
+        DataFrame(Vec<(String, Recipe)>),
+        Instance(String, Vec<(String, Recipe)>),
+        Function(String, Vec<String>, String),
+        External(u16, Vec<u8>, u64, Vec<(String, Recipe)>),
+        Shared(Box<Recipe>),
     }
 
     fn recipe_strategy() -> impl Strategy<Value = Recipe> {
+        let finite = || any::<f64>().prop_filter("finite", |f| f.is_finite());
         let leaf = prop_oneof![
             any::<i64>().prop_map(Recipe::Int),
-            any::<f64>().prop_filter("finite", |f| f.is_finite()).prop_map(Recipe::Float),
+            finite().prop_map(Recipe::Float),
             "[a-z]{0,12}".prop_map(Recipe::Str),
             any::<bool>().prop_map(Recipe::Bool),
             Just(Recipe::None),
-            prop::collection::vec(any::<f64>().prop_filter("finite", |f| f.is_finite()), 0..20)
-                .prop_map(Recipe::Array),
+            prop::collection::vec(finite(), 0..20).prop_map(Recipe::Array),
+            (
+                "[a-z]{1,6}",
+                prop::collection::vec("[a-z]{1,4}", 0..4),
+                "[a-z ():]{0,24}"
+            )
+                .prop_map(|(name, params, body)| Recipe::Function(name, params, body)),
         ];
         leaf.prop_recursive(4, 64, 8, |inner| {
+            let named = || prop::collection::vec(("[a-z]{1,6}", inner.clone()), 0..6);
             prop_oneof![
                 prop::collection::vec(inner.clone(), 0..8).prop_map(Recipe::List),
-                prop::collection::vec(("[a-z]{1,6}", inner), 0..6).prop_map(Recipe::Dict),
+                prop::collection::vec(inner.clone(), 0..8).prop_map(Recipe::Tuple),
+                prop::collection::vec(inner.clone(), 0..8).prop_map(Recipe::Set),
+                named().prop_map(Recipe::Dict),
+                ("[a-z]{0,6}", inner.clone()).prop_map(|(n, v)| Recipe::Series(n, Box::new(v))),
+                named().prop_map(Recipe::DataFrame),
+                ("[A-Z][a-z]{0,6}", named()).prop_map(|(c, attrs)| Recipe::Instance(c, attrs)),
+                (
+                    any::<u16>(),
+                    prop::collection::vec(any::<u8>(), 0..64),
+                    any::<u64>(),
+                    named(),
+                )
+                    .prop_map(|(class, payload, epoch, attrs)| {
+                        Recipe::External(class, payload, epoch, attrs)
+                    }),
+                inner.clone().prop_map(|r| Recipe::Shared(Box::new(r))),
             ]
         })
     }
 
     fn build(heap: &mut Heap, r: &Recipe) -> ObjId {
+        let all = |heap: &mut Heap, items: &[Recipe]| -> Vec<ObjId> {
+            items.iter().map(|i| build(heap, i)).collect()
+        };
+        let named = |heap: &mut Heap, pairs: &[(String, Recipe)]| -> Vec<(String, ObjId)> {
+            pairs
+                .iter()
+                .map(|(k, v)| (k.clone(), build(heap, v)))
+                .collect()
+        };
         match r {
             Recipe::Int(v) => heap.alloc(ObjKind::Int(*v)),
             Recipe::Float(v) => heap.alloc(ObjKind::Float(*v)),
@@ -361,8 +403,16 @@ mod proptests {
             Recipe::None => heap.alloc(ObjKind::None),
             Recipe::Array(vs) => heap.alloc(ObjKind::NdArray(vs.clone())),
             Recipe::List(items) => {
-                let ids: Vec<ObjId> = items.iter().map(|i| build(heap, i)).collect();
+                let ids = all(heap, items);
                 heap.alloc(ObjKind::List(ids))
+            }
+            Recipe::Tuple(items) => {
+                let ids = all(heap, items);
+                heap.alloc(ObjKind::Tuple(ids))
+            }
+            Recipe::Set(items) => {
+                let ids = all(heap, items);
+                heap.alloc(ObjKind::Set(ids))
             }
             Recipe::Dict(pairs) => {
                 let ps: Vec<(ObjId, ObjId)> = pairs
@@ -375,25 +425,134 @@ mod proptests {
                     .collect();
                 heap.alloc(ObjKind::Dict(ps))
             }
+            Recipe::Series(name, values) => {
+                let values = build(heap, values);
+                heap.alloc(ObjKind::Series {
+                    name: name.clone(),
+                    values,
+                })
+            }
+            Recipe::DataFrame(cols) => {
+                let cols = named(heap, cols);
+                heap.alloc(ObjKind::DataFrame(cols))
+            }
+            Recipe::Instance(class_name, attrs) => {
+                let attrs = named(heap, attrs);
+                heap.alloc(ObjKind::Instance {
+                    class_name: class_name.clone(),
+                    attrs,
+                })
+            }
+            Recipe::Function(name, params, body) => heap.alloc(ObjKind::Function {
+                name: name.clone(),
+                params: params.clone(),
+                source: format!("def {name}({}): {body}", params.join(", ")),
+            }),
+            Recipe::External(class, payload, epoch, attrs) => {
+                let attrs = named(heap, attrs);
+                heap.alloc(ObjKind::External {
+                    class: ClassId(*class),
+                    attrs,
+                    payload: payload.clone(),
+                    epoch: *epoch,
+                })
+            }
+            Recipe::Shared(inner) => {
+                let id = build(heap, inner);
+                heap.alloc(ObjKind::List(vec![id, id]))
+            }
         }
     }
 
     /// Structural equality of two decoded graphs (ignoring ObjIds).
     fn structurally_equal(heap: &Heap, a: ObjId, b: ObjId) -> bool {
+        let eq = |x: &ObjId, y: &ObjId| structurally_equal(heap, *x, *y);
+        let all =
+            |x: &[ObjId], y: &[ObjId]| x.len() == y.len() && x.iter().zip(y).all(|(i, j)| eq(i, j));
+        let named = |x: &[(String, ObjId)], y: &[(String, ObjId)]| {
+            x.len() == y.len() && x.iter().zip(y).all(|((n, i), (m, j))| n == m && eq(i, j))
+        };
         match (heap.kind(a), heap.kind(b)) {
             (ka, kb) if ka.is_primitive() && kb.is_primitive() => ka == kb,
             (ObjKind::NdArray(x), ObjKind::NdArray(y)) => x == y,
-            (ObjKind::List(x), ObjKind::List(y)) => {
-                x.len() == y.len()
-                    && x.iter().zip(y).all(|(i, j)| structurally_equal(heap, *i, *j))
-            }
+            (ObjKind::List(x), ObjKind::List(y))
+            | (ObjKind::Tuple(x), ObjKind::Tuple(y))
+            | (ObjKind::Set(x), ObjKind::Set(y)) => all(x, y),
             (ObjKind::Dict(x), ObjKind::Dict(y)) => {
                 x.len() == y.len()
-                    && x.iter().zip(y).all(|((kx, vx), (ky, vy))| {
-                        structurally_equal(heap, *kx, *ky) && structurally_equal(heap, *vx, *vy)
-                    })
+                    && x.iter()
+                        .zip(y)
+                        .all(|((kx, vx), (ky, vy))| eq(kx, ky) && eq(vx, vy))
             }
+            (ObjKind::Series { name: n, values: x }, ObjKind::Series { name: m, values: y }) => {
+                n == m && eq(x, y)
+            }
+            (ObjKind::DataFrame(x), ObjKind::DataFrame(y)) => named(x, y),
+            (
+                ObjKind::Instance {
+                    class_name: c,
+                    attrs: x,
+                },
+                ObjKind::Instance {
+                    class_name: d,
+                    attrs: y,
+                },
+            ) => c == d && named(x, y),
+            (f @ ObjKind::Function { .. }, g @ ObjKind::Function { .. }) => f == g,
+            (
+                ObjKind::External {
+                    class: c,
+                    attrs: x,
+                    payload: p,
+                    epoch: e,
+                },
+                ObjKind::External {
+                    class: d,
+                    attrs: y,
+                    payload: q,
+                    epoch: f,
+                },
+            ) => c == d && p == q && e == f && named(x, y),
             _ => false,
+        }
+    }
+
+    /// One edit to a blob, as `mutated_snapshots_fail_closed` applies to
+    /// graph snapshots.
+    #[derive(Debug, Clone)]
+    enum Edit {
+        /// XOR the byte at `at` (modulo the length) with `mask | 1`.
+        Flip(usize, u8),
+        /// Overwrite the byte at `at` (modulo the length) with `b`.
+        Overwrite(usize, u8),
+        /// Keep the first `at` (modulo the length + 1) bytes.
+        Truncate(usize),
+        /// Append bytes.
+        Append(Vec<u8>),
+    }
+
+    fn edit_strategy() -> impl Strategy<Value = Edit> {
+        prop_oneof![
+            3 => any::<(usize, u8)>().prop_map(|(at, mask)| Edit::Flip(at, mask)),
+            2 => any::<(usize, u8)>().prop_map(|(at, b)| Edit::Overwrite(at, b)),
+            1 => any::<usize>().prop_map(Edit::Truncate),
+            1 => prop::collection::vec(any::<u8>(), 1..16).prop_map(Edit::Append),
+        ]
+    }
+
+    fn apply(blob: &mut Vec<u8>, edit: &Edit) {
+        match edit {
+            Edit::Flip(at, mask) if !blob.is_empty() => {
+                let i = at % blob.len();
+                blob[i] ^= mask | 1;
+            }
+            Edit::Overwrite(at, b) if !blob.is_empty() => {
+                let i = at % blob.len();
+                blob[i] = *b;
+            }
+            Edit::Truncate(at) => blob.truncate(at % (blob.len() + 1)),
+            Edit::Append(bytes) => blob.extend_from_slice(bytes),
+            _ => {}
         }
     }
 
@@ -422,14 +581,13 @@ mod proptests {
         #[test]
         fn decoder_never_panics_on_corruption(
             recipe in recipe_strategy(),
-            flip in any::<(usize, u8)>(),
+            edits in prop::collection::vec(edit_strategy(), 1..4),
         ) {
             let mut heap = Heap::new();
             let root = build(&mut heap, &recipe);
             let mut blob = dumps(&heap, &[root], &NoopReducer).expect("dumps");
-            if !blob.is_empty() {
-                let idx = flip.0 % blob.len();
-                blob[idx] ^= flip.1 | 1;
+            for edit in &edits {
+                apply(&mut blob, edit);
             }
             // Must either decode to something or return an error — no panic.
             let _ = loads(&mut heap, &blob, &NoopReducer);

@@ -132,7 +132,10 @@ impl<'a> Writer<'a> {
         }
         let idx = self.memo.len() as u64;
         self.memo.insert(id, idx);
-        match self.heap.kind(id) {
+        // The heap borrow outlives `&mut self`, so the object's fields are
+        // written straight from the heap.
+        let heap = self.heap;
+        match heap.kind(id) {
             ObjKind::None => self.out.push(Tag::None as u8),
             ObjKind::Bool(true) => self.out.push(Tag::True as u8),
             ObjKind::Bool(false) => self.out.push(Tag::False as u8),
@@ -145,34 +148,30 @@ impl<'a> Writer<'a> {
                 self.out.extend_from_slice(&v.to_le_bytes());
             }
             ObjKind::Str(s) => {
-                let s = s.clone();
                 self.out.push(Tag::Str as u8);
-                self.write_str(&s);
+                self.write_str(s);
             }
             ObjKind::List(items) | ObjKind::Tuple(items) | ObjKind::Set(items) => {
-                let tag = match self.heap.kind(id) {
+                let tag = match heap.kind(id) {
                     ObjKind::List(_) => Tag::List,
                     ObjKind::Tuple(_) => Tag::Tuple,
                     _ => Tag::Set,
                 };
-                let items = items.clone();
                 self.out.push(tag as u8);
                 write_u64(&mut self.out, items.len() as u64);
-                for item in items {
+                for &item in items {
                     self.encode(item, depth + 1)?;
                 }
             }
             ObjKind::Dict(pairs) => {
-                let pairs = pairs.clone();
                 self.out.push(Tag::Dict as u8);
                 write_u64(&mut self.out, pairs.len() as u64);
-                for (k, v) in pairs {
+                for &(k, v) in pairs {
                     self.encode(k, depth + 1)?;
                     self.encode(v, depth + 1)?;
                 }
             }
             ObjKind::NdArray(values) => {
-                let values = values.clone();
                 self.out.push(Tag::NdArray as u8);
                 write_u64(&mut self.out, values.len() as u64);
                 for v in values {
@@ -180,28 +179,25 @@ impl<'a> Writer<'a> {
                 }
             }
             ObjKind::Series { name, values } => {
-                let (name, values) = (name.clone(), *values);
                 self.out.push(Tag::Series as u8);
-                self.write_str(&name);
-                self.encode(values, depth + 1)?;
+                self.write_str(name);
+                self.encode(*values, depth + 1)?;
             }
             ObjKind::DataFrame(cols) => {
-                let cols = cols.clone();
                 self.out.push(Tag::DataFrame as u8);
                 write_u64(&mut self.out, cols.len() as u64);
                 for (name, col) in cols {
-                    self.write_str(&name);
-                    self.encode(col, depth + 1)?;
+                    self.write_str(name);
+                    self.encode(*col, depth + 1)?;
                 }
             }
             ObjKind::Instance { class_name, attrs } => {
-                let (class_name, attrs) = (class_name.clone(), attrs.clone());
                 self.out.push(Tag::Instance as u8);
-                self.write_str(&class_name);
+                self.write_str(class_name);
                 write_u64(&mut self.out, attrs.len() as u64);
                 for (name, v) in attrs {
-                    self.write_str(&name);
-                    self.encode(v, depth + 1)?;
+                    self.write_str(name);
+                    self.encode(*v, depth + 1)?;
                 }
             }
             ObjKind::Function {
@@ -209,14 +205,13 @@ impl<'a> Writer<'a> {
                 params,
                 source,
             } => {
-                let (name, params, source) = (name.clone(), params.clone(), source.clone());
                 self.out.push(Tag::Function as u8);
-                self.write_str(&name);
+                self.write_str(name);
                 write_u64(&mut self.out, params.len() as u64);
-                for p in &params {
+                for p in params {
                     self.write_str(p);
                 }
-                self.write_str(&source);
+                self.write_str(source);
             }
             ObjKind::Generator { .. } => {
                 return Err(PickleError::Unserializable {
@@ -229,18 +224,16 @@ impl<'a> Writer<'a> {
                 payload,
                 epoch,
             } => {
-                let (class, attrs, payload, epoch) =
-                    (*class, attrs.clone(), payload.clone(), *epoch);
-                let reduced = self.reducer.reduce(class, &payload)?;
+                let reduced = self.reducer.reduce(*class, payload)?;
                 self.out.push(Tag::External as u8);
                 write_u64(&mut self.out, class.0 as u64);
-                write_u64(&mut self.out, epoch);
+                write_u64(&mut self.out, *epoch);
                 write_u64(&mut self.out, reduced.len() as u64);
                 self.out.extend_from_slice(&reduced);
                 write_u64(&mut self.out, attrs.len() as u64);
                 for (name, v) in attrs {
-                    self.write_str(&name);
-                    self.encode(v, depth + 1)?;
+                    self.write_str(name);
+                    self.encode(*v, depth + 1)?;
                 }
             }
         }
@@ -282,6 +275,77 @@ mod tests {
         let three = Writer::new(&heap, &NoopReducer).dump(&[ls]).expect("dump");
         // Three references share one encoding: far smaller than 3 copies.
         assert!(three.len() < one.len() + 64);
+    }
+
+    /// One blob holding every tag: a `Ref` (the array shared by the
+    /// series, the frame and the root), and a library object whose payload
+    /// goes through the reducer. Its bytes are the pickle format; it must
+    /// load and dump again to the same bytes.
+    #[test]
+    fn golden_bytes_pin_the_pickle_format() {
+        let mut heap = Heap::new();
+        let mut leaf = |kind| heap.alloc(kind);
+        let (none, yes, no) = (
+            leaf(ObjKind::None),
+            leaf(ObjKind::Bool(true)),
+            leaf(ObjKind::Bool(false)),
+        );
+        let (int, float) = (leaf(ObjKind::Int(-300)), leaf(ObjKind::Float(1.5)));
+        let (key, label) = (
+            leaf(ObjKind::Str("k".into())),
+            leaf(ObjKind::Str("é".into())),
+        );
+        let shared = leaf(ObjKind::NdArray(vec![0.25, -2.0]));
+        let kinds = [
+            ObjKind::Tuple(vec![int]),
+            ObjKind::Set(vec![label]),
+            ObjKind::Dict(vec![(key, float)]),
+            ObjKind::Series {
+                name: "s".into(),
+                values: shared,
+            },
+            ObjKind::DataFrame(vec![("c".into(), shared)]),
+            ObjKind::Instance {
+                class_name: "P".into(),
+                attrs: vec![("x".into(), int)],
+            },
+            ObjKind::Function {
+                name: "f".into(),
+                params: vec!["a".into(), "b".into()],
+                source: "def f(a, b): return a".into(),
+            },
+            ObjKind::External {
+                class: kishu_kernel::ClassId(300),
+                attrs: vec![("n".into(), none)],
+                payload: vec![0xDE, 0xAD, 0xBE, 0xEF],
+                epoch: 5,
+            },
+        ];
+        let mut items = vec![none, yes, no, int, float, key, label, shared];
+        items.extend(kinds.into_iter().map(|k| heap.alloc(k)));
+        items.push(shared);
+        let root = heap.alloc(ObjKind::List(items));
+        let blob = Writer::new(&heap, &NoopReducer)
+            .dump(&[root])
+            .expect("dump");
+        let hex: String = blob.iter().map(|b| format!("{b:02x}")).collect();
+        let golden = concat!(
+            "4b504b3101071101020304d70405000000000000f83f06016b0602c3a90b02",
+            "000000000000d03f00000000000000c008010004090100070a01000600050c",
+            "017300080d01016300080e015001017800040f016602016101621564656620",
+            "6628612c2062293a2072657475726e206110ac020504deadbeef01016e0001",
+            "0008",
+        );
+        assert_eq!(hex, golden);
+        let back = crate::reader::Reader::new(&blob, &NoopReducer)
+            .load(&mut heap)
+            .expect("load");
+        assert_eq!(
+            Writer::new(&heap, &NoopReducer)
+                .dump(&back)
+                .expect("redump"),
+            blob
+        );
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!
 //! * [`ChunkConfig`] — the knobs, fixed at store construction;
 //! * [`chunk_spans`] — the deterministic cutter;
-//! * [`ChunkLedger`] — chunk-level dedup (by stored-form content key) with
-//!   refcounts and the [`ChunkStats`] aggregate.
+//! * [`ChunkLedger`] — chunk-level dedup (by stored-form content key) and
+//!   the [`ChunkStats`] aggregate, whose `chunk_refs` counts the manifest
+//!   slots that point at stored chunks.
 //!
 //! Chunks are persisted in their **stored form**: a one-byte flag (`0` =
 //! stored raw, `1` = compressed with [`kishu_testkit::compress`]) followed
@@ -23,6 +24,17 @@
 //! the stored form is equivalent to deduplicating on the raw chunk bytes —
 //! and lets `FileStore::open` rebuild the dedup map from disk without
 //! decompressing anything.
+//!
+//! [`ChunkLedger::ingest`] looks each chunk up under the key of its raw
+//! stored form, `[CHUNK_STORED] ++ raw`, before it attempts compression,
+//! and compresses only on a miss. A chunk is held raw only because
+//! [`encode_chunk`], a pure function, lost compression on exactly those
+//! bytes, so a hit there is the hit the compressed attempt would have
+//! led to: a repeat chunk costs a copy and one xxh64 pass instead of a
+//! compression attempt, while the keys, ords, stored bytes and receipts
+//! stay what encoding first would give. On a miss a winning compression is
+//! keyed and looked up as its compressed form, and a losing one is
+//! appended under the raw key already computed.
 //!
 //! The cutter's Gear hash is `hash = (hash << 1) + GEAR[byte]` over a
 //! `u64`, so a byte's term has shifted out after 64 more bytes: the hash
@@ -191,17 +203,34 @@ fn chunk_spans_reference(bytes: &[u8], cfg: &ChunkConfig) -> Vec<std::ops::Range
 /// Encode one raw chunk into its stored form: `[flag][data]`, compressed
 /// only when compression actually wins.
 pub fn encode_chunk(raw: &[u8]) -> Vec<u8> {
-    let c = compress::compress(raw);
-    if c.len() < raw.len() {
-        let mut out = Vec::with_capacity(1 + c.len());
-        out.push(CHUNK_COMPRESSED);
-        out.extend_from_slice(&c);
-        return out;
-    }
-    let mut out = Vec::with_capacity(1 + raw.len());
+    compressed_form(raw).unwrap_or_else(|| {
+        let mut out = Vec::new();
+        write_raw_form(raw, &mut out);
+        out
+    })
+}
+
+/// Overwrite `out` with the raw stored form of `raw`: `[CHUNK_STORED] ++
+/// raw`, what [`encode_chunk`] gives when compression loses.
+fn write_raw_form(raw: &[u8], out: &mut Vec<u8>) {
+    out.clear();
+    out.reserve(1 + raw.len());
     out.push(CHUNK_STORED);
     out.extend_from_slice(raw);
-    out
+}
+
+/// The compressed stored form of `raw`, `[CHUNK_COMPRESSED] ++
+/// compress(raw)`, when it is shorter than `raw`; `None` when compression
+/// loses.
+fn compressed_form(raw: &[u8]) -> Option<Vec<u8>> {
+    let c = compress::compress(raw);
+    if c.len() >= raw.len() {
+        return None;
+    }
+    let mut out = Vec::with_capacity(1 + c.len());
+    out.push(CHUNK_COMPRESSED);
+    out.extend_from_slice(&c);
+    Some(out)
 }
 
 /// Decode a stored-form chunk and append its raw bytes to `out`: a stored
@@ -283,7 +312,7 @@ pub struct IngestReceipt {
     pub raw_bytes_written: u64,
 }
 
-/// Chunk-level dedup index with refcounts.
+/// Chunk-level dedup index.
 ///
 /// Ords are dense, assigned in append order by the owning store; the
 /// ledger maps stored-form content keys to ords so repeat chunks resolve
@@ -291,7 +320,6 @@ pub struct IngestReceipt {
 #[derive(Debug, Default)]
 pub struct ChunkLedger {
     dedup: HashMap<ContentKey, u32>,
-    refs: Vec<u64>,
     stats: ChunkStats,
 }
 
@@ -301,11 +329,61 @@ impl ChunkLedger {
         Self::default()
     }
 
-    /// Chunk a payload into the store: cut spans, encode each chunk, and
-    /// either dedup it against the ledger or hand it to `append` (which
-    /// stores the bytes and returns the new ord). Returns the manifest
-    /// (ord per span, in payload order) and the attribution deltas.
+    /// Chunk a payload into the store: cut spans, look each chunk up under
+    /// its raw stored form's key, and on a miss encode it and either dedup
+    /// it against the ledger or hand it to `append` (which stores the
+    /// bytes and returns the new ord). Returns the manifest (ord per span,
+    /// in payload order) and the attribution deltas.
     pub fn ingest<F>(
+        &mut self,
+        bytes: &[u8],
+        cfg: &ChunkConfig,
+        mut append: F,
+    ) -> io::Result<(Vec<u32>, IngestReceipt)>
+    where
+        F: FnMut(&[u8]) -> io::Result<u32>,
+    {
+        let spans = chunk_spans(bytes, cfg);
+        let mut ords = Vec::with_capacity(spans.len());
+        let mut receipt = IngestReceipt::default();
+        let mut raw_form = Vec::new();
+        for span in spans {
+            let raw = &bytes[span];
+            write_raw_form(raw, &mut raw_form);
+            let raw_key = content_key(&raw_form);
+            let mut compressed = None;
+            let key = if self.dedup.contains_key(&raw_key) {
+                raw_key
+            } else {
+                compressed = compressed_form(raw);
+                compressed.as_deref().map_or(raw_key, content_key)
+            };
+            let ord = match self.dedup.get(&key) {
+                Some(&ord) => {
+                    receipt.chunks_deduped += 1;
+                    ord
+                }
+                None => {
+                    let stored = compressed.as_deref().unwrap_or(&raw_form);
+                    let ord = append(stored)?;
+                    self.register(key, ord, raw.len() as u64, stored.len() as u64);
+                    receipt.chunks_written += 1;
+                    receipt.stored_bytes_written += stored.len() as u64;
+                    receipt.raw_bytes_written += raw.len() as u64;
+                    ord
+                }
+            };
+            self.add_refs(1);
+            ords.push(ord);
+        }
+        Ok((ords, receipt))
+    }
+
+    /// The encode-then-look-up loop [`Self::ingest`] replaced: every chunk
+    /// pays a compression attempt before its lookup. The oracle that
+    /// `ingest` must equal.
+    #[cfg(test)]
+    fn ingest_reference<F>(
         &mut self,
         bytes: &[u8],
         cfg: &ChunkConfig,
@@ -335,7 +413,7 @@ impl ChunkLedger {
                     ord
                 }
             };
-            self.add_ref(ord);
+            self.add_refs(1);
             ords.push(ord);
         }
         Ok((ords, receipt))
@@ -344,35 +422,22 @@ impl ChunkLedger {
     /// Record an already-stored chunk (recovery on `open` replays the log
     /// through this). `ord` must be the next dense ord.
     pub fn register(&mut self, key: ContentKey, ord: u32, raw_len: u64, stored_len: u64) {
-        debug_assert_eq!(ord as usize, self.refs.len(), "ords must stay dense");
+        debug_assert_eq!(u64::from(ord), self.stats.chunks, "ords must stay dense");
         self.dedup.insert(key, ord);
-        self.refs.push(0);
         self.stats.chunks += 1;
         self.stats.raw_bytes += raw_len;
         self.stats.stored_bytes += stored_len;
     }
 
-    /// Count one more reference onto `ord` (a manifest slot pointing at it).
-    pub fn add_ref(&mut self, ord: u32) {
-        if let Some(r) = self.refs.get_mut(ord as usize) {
-            *r += 1;
-        }
-        self.stats.chunk_refs += 1;
-    }
-
-    /// The ord already holding a chunk with this stored-form key, if any.
-    pub fn lookup(&self, key: ContentKey) -> Option<u32> {
-        self.dedup.get(&key).copied()
+    /// Count `n` more references onto stored chunks (manifest slots
+    /// pointing at them).
+    pub fn add_refs(&mut self, n: u64) {
+        self.stats.chunk_refs += n;
     }
 
     /// Aggregate accounting.
     pub fn stats(&self) -> ChunkStats {
         self.stats
-    }
-
-    /// References currently counted onto `ord`.
-    pub fn refs(&self, ord: u32) -> u64 {
-        self.refs.get(ord as usize).copied().unwrap_or(0)
     }
 }
 
@@ -599,12 +664,151 @@ mod proptests {
             .boxed()
     }
 
+    /// The default config, or small chunks so that one payload cuts into
+    /// a few hundred chunks.
+    fn ingest_config() -> BoxedStrategy<ChunkConfig> {
+        let small = ChunkConfig {
+            min: 256,
+            avg: 1024,
+            max: 4096,
+            ..ChunkConfig::default()
+        };
+        prop_oneof![3 => Just(ChunkConfig::default()), 1 => Just(small)].boxed()
+    }
+
+    /// 1 to 8 payloads, each a family and a length: random, low-entropy
+    /// (compressible), all-zero, a repeat of an earlier payload, an earlier
+    /// payload with a few bytes changed, or compressible and incompressible
+    /// regions in turn. Built by [`payloads`] from a seed.
+    fn payload_specs() -> BoxedStrategy<Vec<(u8, usize)>> {
+        prop::collection::vec((0u8..6, 0usize..160 * 1024), 1..=8).boxed()
+    }
+
+    fn payloads(seed: u64, specs: &[(u8, usize)]) -> Vec<Vec<u8>> {
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut out: Vec<Vec<u8>> = Vec::with_capacity(specs.len());
+        for &(family, len) in specs {
+            let earlier = (!out.is_empty()).then(|| rng.next_u64() as usize % out.len());
+            let payload = match (family, earlier) {
+                (0, _) => (0..len).map(|_| rng.next_u64() as u8).collect(),
+                (2, _) => vec![0u8; len],
+                (3, Some(i)) => out[i].clone(),
+                (4, Some(i)) => {
+                    let mut p = out[i].clone();
+                    for _ in 0..1 + rng.next_u64() % 4 {
+                        if p.is_empty() {
+                            break;
+                        }
+                        let at = rng.next_u64() as usize % p.len();
+                        p[at] ^= 1 + (rng.next_u64() % 255) as u8;
+                    }
+                    p
+                }
+                (5, _) => {
+                    let mut p = Vec::with_capacity(len);
+                    let mut compressible = rng.next_u64().is_multiple_of(2);
+                    while p.len() < len {
+                        let region = (512 + rng.next_u64() as usize % 24_576).min(len - p.len());
+                        for _ in 0..region {
+                            let b = rng.next_u64() as u8;
+                            p.push(if compressible { b % 3 } else { b });
+                        }
+                        compressible = !compressible;
+                    }
+                    p
+                }
+                _ => (0..len).map(|_| (rng.next_u64() % 3) as u8).collect(),
+            };
+            out.push(payload);
+        }
+        out
+    }
+
+    /// A ledger with a recording `append` that can fail once, on the
+    /// `fail_at`-th new chunk.
+    #[derive(Default)]
+    struct Recorded {
+        ledger: ChunkLedger,
+        appended: Vec<Vec<u8>>,
+        fail_at: Option<usize>,
+    }
+
+    type Ingested = io::Result<(Vec<u32>, IngestReceipt)>;
+
+    impl Recorded {
+        fn ingest(&mut self, bytes: &[u8], cfg: &ChunkConfig, reference: bool) -> Ingested {
+            let (appended, fail_at) = (&mut self.appended, &mut self.fail_at);
+            let append = |stored: &[u8]| {
+                if *fail_at == Some(appended.len()) {
+                    *fail_at = None;
+                    return Err(io::Error::other("injected append failure"));
+                }
+                appended.push(stored.to_vec());
+                Ok((appended.len() - 1) as u32)
+            };
+            if reference {
+                self.ledger.ingest_reference(bytes, cfg, append)
+            } else {
+                self.ledger.ingest(bytes, cfg, append)
+            }
+        }
+
+        /// The dedup map `FileStore::open` rebuilds from the stored chunks.
+        fn rebuilt(&self) -> HashMap<ContentKey, u32> {
+            self.appended
+                .iter()
+                .enumerate()
+                .map(|(ord, c)| (content_key(c), ord as u32))
+                .collect()
+        }
+    }
+
+    /// Both results, compared: equal manifests and receipts, or both failed.
+    fn agree(got: &Ingested, want: &Ingested) -> Result<(), TestCaseError> {
+        match (got, want) {
+            (Ok(g), Ok(w)) => prop_assert_eq!(g, w),
+            (Err(_), Err(_)) => {}
+            _ => prop_assert!(false, "one side failed: {:?} vs {:?}", got, want),
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
         fn chunk_spans_match_reference(cfg in config(), data in bytes()) {
             prop_assert_eq!(chunk_spans(&data, &cfg), chunk_spans_reference(&data, &cfg));
+        }
+
+        /// `ingest` (raw-form lookup first, compression only on a miss)
+        /// equals the encode-first loop it replaced: manifests, receipts,
+        /// every appended stored chunk in order, stats, and a dedup map
+        /// equal to the one a reopen rebuilds from the stored chunks. With
+        /// `fail`, the append of the `fail`-th new chunk fails once; both
+        /// sides must fail on it, and then ingest that payload again.
+        #[test]
+        fn ingest_matches_reference(
+            cfg in ingest_config(),
+            seed in any::<u64>(),
+            specs in payload_specs(),
+            fail in prop_oneof![1 => Just(None), 1 => (0usize..48).prop_map(Some)],
+        ) {
+            let mut got = Recorded { fail_at: fail, ..Recorded::default() };
+            let mut want = Recorded { fail_at: fail, ..Recorded::default() };
+            for payload in payloads(seed, &specs) {
+                let (g, w) = (got.ingest(&payload, &cfg, false), want.ingest(&payload, &cfg, true));
+                agree(&g, &w)?;
+                if g.is_err() {
+                    prop_assert!(got.appended == want.appended, "appended chunks differ after a failure");
+                    prop_assert_eq!(got.ledger.stats(), want.ledger.stats());
+                    agree(&got.ingest(&payload, &cfg, false), &want.ingest(&payload, &cfg, true))?;
+                }
+            }
+            prop_assert!(got.appended == want.appended, "appended stored chunks differ");
+            prop_assert_eq!(got.ledger.stats(), want.ledger.stats());
+            prop_assert!(got.ledger.dedup == got.rebuilt(), "keys differ from the stored forms'");
+            prop_assert!(want.ledger.dedup == want.rebuilt(), "reference keys differ");
         }
     }
 }

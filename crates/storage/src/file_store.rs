@@ -276,9 +276,7 @@ impl FileStore {
                     let Some(total) = payload_bytes.checked_add(raw_len) else {
                         break;
                     };
-                    for &o in &ords {
-                        ledger.add_ref(o);
-                    }
+                    ledger.add_refs(ords.len() as u64);
                     index.push(BlobEntry::Chunked { raw_len, ords });
                     payload_bytes = total;
                 }

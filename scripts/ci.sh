@@ -129,19 +129,24 @@ stage "flight-recorder overhead bench (repro obs -> target/OBS.json, overhead ce
 cargo run -q --release --offline -p kishu-bench --bin repro -- obs
 
 if [ "$QUICK" != 1 ]; then
-    # The fault suites and the graph-snapshot decoder property also run
-    # inside the workspace pass with their built-in seeds; this extra pass
-    # pins a second, independent seed so determinism regressions (same
-    # seed, different faults) and seed-specific breakage both surface, and
-    # the decoder sees a second set of mutated snapshots.
+    # The fault suites, the graph-snapshot decoder property, the chunk
+    # ingest oracle and the pickle properties also run inside the workspace
+    # pass with their built-in seeds; this extra pass pins a second,
+    # independent seed so determinism regressions (same seed, different
+    # faults) and seed-specific breakage both surface, and the decoders and
+    # the ingest oracle see a second set of inputs.
     FAULT_SEED="${FAULT_SEED:-20250807}"
-    stage "fault injection, recovery, isolation, the invariant matrix and mutated graph snapshots (KISHU_TESTKIT_SEED=$FAULT_SEED)"
+    stage "fault injection, recovery, isolation, the invariant matrix, mutated graph snapshots, chunk ingest and pickle properties (KISHU_TESTKIT_SEED=$FAULT_SEED)"
     if ! { KISHU_TESTKIT_SEED="$FAULT_SEED" cargo test -q --offline -p kishu-repro \
             --test crash_recovery --test multi_tenant --test invariant_matrix \
         && KISHU_TESTKIT_SEED="$FAULT_SEED" \
             cargo test -q --offline -p kishu-bench --lib fault_sweep \
         && KISHU_TESTKIT_SEED="$FAULT_SEED" \
-            cargo test -q --offline -p kishu --lib mutated_snapshots_fail_closed; }; then
+            cargo test -q --offline -p kishu --lib mutated_snapshots_fail_closed \
+        && KISHU_TESTKIT_SEED="$FAULT_SEED" \
+            cargo test -q --offline -p kishu-storage --lib ingest_matches_reference \
+        && KISHU_TESTKIT_SEED="$FAULT_SEED" \
+            cargo test -q --offline -p kishu-pickle --lib proptests; }; then
         echo "error: pinned-seed suite failed; replay with KISHU_TESTKIT_SEED=$FAULT_SEED" >&2
         exit 1
     fi
