@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro all [--scale S] [--json FILE]
-//! repro table2|fig2|fig4|fig12|table4|table5|fig13|fig14|fig15|fig16|table6|fig17|table7|table8|fig18|fig19|faults|pipeline|restore|multi|chunks|interp|queries|obs
+//! repro table2|fig2|fig4|fig12|table4|table5|fig13|fig14|fig15|fig16|table6|fig17|table7|table8|fig18|fig19|faults|pipeline|restore|chunks|interp|queries|obs
 //! repro trace [--scale S] [--out FILE]        # Chrome-trace export of the pipelines
 //! repro trace-validate FILE                   # CI smoke: parse + expected spans
 //! ```
@@ -22,8 +22,8 @@
 use std::io::Write as _;
 
 use kishu_bench::experiments::{
-    checkout, checkpoint, chunks, interp, multi, obs, pipeline, queries, restore, robustness,
-    sweeps, tracking, workload_tables,
+    checkout, checkpoint, chunks, interp, obs, pipeline, queries, restore, robustness, sweeps,
+    tracking, workload_tables,
 };
 use kishu_bench::report::Table;
 use kishu_testkit::json::Json;
@@ -60,7 +60,7 @@ fn parse_args() -> Args {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: repro [all|table2|fig2|fig4|fig12|table4|table5|fig13|fig14|fig15|fig16|table6|fig17|table7|table8|fig18|fig19|faults|pipeline|restore|multi|chunks|interp|queries|obs]... [--scale S] [--json FILE]\n\
+                    "usage: repro [all|table2|fig2|fig4|fig12|table4|table5|fig13|fig14|fig15|fig16|table6|fig17|table7|table8|fig18|fig19|faults|pipeline|restore|chunks|interp|queries|obs]... [--scale S] [--json FILE]\n\
                             repro trace [--scale S] [--out FILE]\n\
                             repro trace-validate FILE\n\
                      chunks, interp, queries and obs exit 1 below their floor\n\
@@ -270,7 +270,6 @@ fn main() {
         tables.push(t);
     }
     run("faults", &mut || robustness::faults(scale), &mut tables);
-    run("multi", &mut || multi::table(scale), &mut tables);
     // The storage-engine-v2 sweep also writes its machine-readable ratios
     // (dedup, compression, v1-vs-v2 reduction) under target/.
     if want("chunks") {

@@ -4,7 +4,6 @@ pub mod checkout;
 pub mod checkpoint;
 pub mod chunks;
 pub mod interp;
-pub mod multi;
 pub mod obs;
 pub mod pipeline;
 pub mod queries;

@@ -201,7 +201,7 @@ pub struct CellMetrics {
     /// `checkpoint_bytes` keeps counting the logical serialized size.
     pub bytes_written: u64,
     /// New chunks this cell's puts stored (0 on stores without a chunk
-    /// layer, including tenant views of a shared store).
+    /// layer).
     pub chunks_written: u64,
     /// Chunks this cell's puts shared with already-stored data.
     pub chunks_deduped: u64,
@@ -426,11 +426,6 @@ pub struct KishuSession {
     /// checkout reads and deep diffs, so a later read of the same blob can
     /// recognize a cache hit before touching the store.
     blob_keys: HashMap<BlobId, ContentKey>,
-    /// Graph-snapshot blobs this session knows about: every id
-    /// [`Self::persist`] wrote plus the one [`Self::resume`] recovered
-    /// from. Feeds [`Self::live_blobs`] so shared-store GC never reclaims
-    /// the snapshot a resume would need.
-    snapshot_blobs: Vec<BlobId>,
     /// Observability handle (spans + events). Disabled by default unless
     /// `KISHU_TRACE` is set; never consulted for any decision, so enabling
     /// it cannot change behavior. Span guards still time phases while
@@ -492,26 +487,11 @@ impl KishuSession {
             blob_index: BlobIndex::new(),
             read_cache,
             blob_keys: HashMap::new(),
-            snapshot_blobs: Vec::new(),
             trace,
             diff_cache: RefCell::new(HashMap::new()),
             diff_cache_hits: Cell::new(0),
             diff_cache_misses: Cell::new(0),
         }
-    }
-
-    /// Attach Kishu to a fresh kernel writing checkpoints into tenant
-    /// `tenant`'s view of a multi-tenant [`kishu_storage::SharedStore`].
-    /// The view is observationally private — dense blob ids, logical
-    /// stats — so everything above the store behaves exactly as on a
-    /// private store; see `tests/multi_tenant.rs` for the differential
-    /// proof.
-    pub fn on_shared(
-        store: &kishu_storage::SharedStore,
-        tenant: &str,
-        config: KishuConfig,
-    ) -> io::Result<Self> {
-        Ok(Self::new(Box::new(store.tenant(tenant)?), config))
     }
 
     /// Replace the session's observability handle (and re-attach it to the
@@ -595,52 +575,11 @@ impl KishuSession {
         let sealed = seal_blob(&payload);
         let retries = self.config.store_retries;
         let retried = &mut self.metrics.store_retries;
-        let id = retry_io(&self.trace, retries, retried, || self.store.put(&sealed))?;
+        retry_io(&self.trace, retries, retried, || self.store.put(&sealed))?;
         // The snapshot is the resume anchor — it must never sit in a
         // group-commit buffer behind the blobs it references.
         retry_io(&self.trace, retries, retried, || self.store.flush_barrier())?;
-        self.snapshot_blobs.push(id);
         Ok(())
-    }
-
-    /// Every tenant blob id the session's durable state still reaches:
-    /// all co-variable blobs referenced from any node of the Checkpoint
-    /// Graph, plus the **latest** graph snapshot [`Self::persist`] wrote
-    /// (or [`Self::resume`] recovered from) — earlier snapshots are
-    /// superseded history, exactly what shared-store GC exists to
-    /// reclaim. This is the live set
-    /// [`kishu_storage::SharedStore::collect`] marks from — anything
-    /// outside it (old snapshots, dropped-write garbage) may be
-    /// reclaimed.
-    ///
-    /// Deferred co-variables are no hazard: until [`Self::flush_pending`]
-    /// runs, their bytes are not in the store at all.
-    pub fn live_blobs(&self) -> BTreeSet<BlobId> {
-        let mut live = BTreeSet::new();
-        for i in 0..self.graph.len() {
-            for sc in &self.graph.node(NodeId(i as u32)).delta {
-                if let Some(b) = sc.blob {
-                    live.insert(b);
-                }
-            }
-        }
-        if let Some(&latest) = self.snapshot_blobs.last() {
-            live.insert(latest);
-        }
-        live
-    }
-
-    /// Drop every store-derived cache: the dedup [`BlobIndex`], the
-    /// checkout read cache, and the blob → content-key map. Call after a
-    /// shared-store GC pass — reclaimed blob ids must not satisfy a later
-    /// dedup lookup (the write would alias to a tombstone), and the caches
-    /// rebuild for free. Purely an optimization reset: never affects what
-    /// any checkpoint restores to.
-    pub fn invalidate_store_caches(&mut self) {
-        self.blob_index = BlobIndex::new();
-        self.read_cache.clear();
-        self.blob_keys.clear();
-        self.diff_cache.borrow_mut().clear();
     }
 
     /// Attach to a **fresh kernel** and restore the most recently persisted
@@ -676,14 +615,14 @@ impl KishuSession {
                     .map_err(|e| e.to_string())
                     .and_then(|json| CheckpointGraph::from_json(&json))
                 {
-                    graph = Some((g, i));
+                    graph = Some(g);
                     break;
                 }
                 // A damaged snapshot that still carries the magic: ignore
                 // it too and fall through to an older one.
             }
         }
-        let (graph, snapshot_id) = graph.ok_or_else(|| KishuError::RestoreFailed {
+        let graph = graph.ok_or_else(|| KishuError::RestoreFailed {
             covariable: Vec::new(),
             reason: format!(
                 "no intact checkpoint graph snapshot in the store \
@@ -695,9 +634,6 @@ impl KishuSession {
         let mut session = Self::new(store, config);
         session.metrics.store_retries = retried;
         session.graph = graph;
-        // The snapshot we just recovered from stays live: a GC between now
-        // and the next persist must not reclaim the only intact snapshot.
-        session.snapshot_blobs.push(snapshot_id);
         let root = session.graph.root();
         session.graph.set_head(root);
         session.checkout(target)?;

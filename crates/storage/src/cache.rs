@@ -163,15 +163,6 @@ impl BlobCache {
         self.bytes += payload.len() as u64;
     }
 
-    /// Evict every resident payload, keeping the capacity and the lifetime
-    /// hit/miss/eviction counters. Used when the store underneath changes
-    /// out from under the cache (a shared-store GC pass).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.recency.clear();
-        self.bytes = 0;
-    }
-
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {

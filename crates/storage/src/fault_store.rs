@@ -15,8 +15,8 @@
 //! * **fsync lies** on `sync` — success is reported without the inner
 //!   store ever being synced (the classic lying-disk failure).
 //!
-//! Every probabilistic decision is a **pure function of `(seed, scope, op
-//! kind, operation key, per-key attempt counter)`** — for `put` the key is
+//! Every probabilistic decision is a **pure function of `(seed, op kind,
+//! operation key, per-key attempt counter)`** — for `put` the key is
 //! the XXH64 of the payload, for `get` the blob id, for `sync` a constant.
 //! No shared RNG stream is consumed in operation order, so the same plan
 //! injects the same faults *regardless of how concurrent callers interleave
@@ -28,21 +28,6 @@
 //! Each injected fault is appended to a [`FaultLedger`] so tests can assert
 //! both that faults actually fired and that the layers above degraded
 //! gracefully (§5.3's fallback recomputation) instead of corrupting state.
-//!
-//! ## Multi-tenant scoping
-//!
-//! When several sessions share one faulty store (the [`crate::SharedStore`]
-//! deployment), a single `(op, key)` attempt-counter space would let one
-//! tenant's retries advance another tenant's draws — tenant A retrying blob
-//! 3 would perturb tenant B's fault sequence for *its* blob 3, breaking the
-//! solo-vs-interleaved isolation invariant. Every piece of fault state is
-//! therefore keyed by a **scope**: attempt counters, per-op invocation
-//! indices, dead blobs/ops, and the draws themselves. [`FaultStore::twin`]
-//! derives a second entry point over the same shared fault state with its
-//! own scope (one per tenant, via [`tenant_scope`]), and
-//! [`FaultLedgerHandle::snapshot_scoped`] projects the shared ledger down
-//! to one tenant's view. Scope `0` (the default) is bit-for-bit the
-//! historical single-tenant behavior.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
@@ -151,20 +136,17 @@ pub struct InjectedFault {
     pub op: FaultOp,
     /// Failure mode injected.
     pub kind: FaultKind,
-    /// Per-`(scope, op)` invocation index (0-based) at which it fired.
+    /// Per-op invocation index (0-based) at which it fired.
     pub op_index: u64,
     /// Blob involved, when the op names one (`get`, and `put`'s assigned id
     /// for short writes that reached the inner store).
     pub blob: Option<BlobId>,
     /// The operation key the decision was drawn against (payload XXH64 for
-    /// `put`, blob id for `get`, 0 for `sync`) — with `scope` and `attempt`,
-    /// enough to replay the exact `keyed_draw` without a debugger.
+    /// `put`, blob id for `get`, 0 for `sync`) — with `attempt`, enough to
+    /// replay the exact `keyed_draw` without a debugger.
     pub key: u64,
-    /// Per-`(scope, op, key)` attempt number (0-based) the draw used.
+    /// Per-`(op, key)` attempt number (0-based) the draw used.
     pub attempt: u64,
-    /// The tenant scope the operation ran under (0 for a single-tenant
-    /// store; [`tenant_scope`] values for shared-store tenants).
-    pub scope: u64,
 }
 
 impl InjectedFault {
@@ -177,7 +159,6 @@ impl InjectedFault {
             ("op_index", Json::Int(self.op_index as i64)),
             ("key", Json::Str(format!("{:#018x}", self.key))),
             ("attempt", Json::Int(self.attempt as i64)),
-            ("scope", Json::Str(format!("{:#018x}", self.scope))),
             (
                 "blob",
                 match self.blob {
@@ -235,25 +216,19 @@ impl FaultLedger {
 /// Send posture rather than RefCell).
 #[derive(Debug)]
 struct FaultState {
+    /// The ledger; its `puts`/`gets`/`syncs` counts are also the per-op
+    /// invocation indices scheduled one-shot faults fire against.
     ledger: FaultLedger,
-    /// Per-`(scope, op, key)` attempt counters: the `attempt` input of the
-    /// keyed fault decision, so a retry of the same operation (same payload,
-    /// same blob, same tenant) draws fresh randomness while staying
-    /// interleaving-independent — and one tenant's retries never advance
-    /// another tenant's counters.
-    attempts: BTreeMap<(u64, FaultOp, u64), u64>,
-    /// Per-`(scope, op)` invocation counters: the `op_index` that scheduled
-    /// one-shot faults fire against, counted per tenant so an interleaved
-    /// neighbor cannot shift when a scheduled fault lands.
-    op_counts: BTreeMap<(u64, FaultOp), u64>,
-    /// `(scope, blob)` pairs hit by a permanent `get` fault: dead forever.
-    dead_blobs: BTreeSet<(u64, BlobId)>,
-    /// `(scope, op)` pairs permanently failed (permanent `put`/`sync` fault).
-    dead_ops: BTreeSet<(u64, FaultOp)>,
-    /// Set by a fsync lie; cleared by the next real sync. Deliberately
-    /// global: durability is a property of the shared disk, not of any one
-    /// tenant's view. Exposed so crash simulations know whether "durable"
-    /// data actually was.
+    /// Per-`(op, key)` attempt counters: the `attempt` input of the keyed
+    /// fault decision, so a retry of the same operation (same payload, same
+    /// blob) draws fresh randomness while staying interleaving-independent.
+    attempts: BTreeMap<(FaultOp, u64), u64>,
+    /// Blobs hit by a permanent `get` fault: dead forever.
+    dead_blobs: BTreeSet<BlobId>,
+    /// Ops permanently failed (permanent `put`/`sync` fault).
+    dead_ops: BTreeSet<FaultOp>,
+    /// Set by a fsync lie; cleared by the next real sync. Exposed so crash
+    /// simulations know whether "durable" data actually was.
     sync_lied: bool,
 }
 
@@ -263,10 +238,6 @@ pub struct FaultStore {
     inner: Box<dyn CheckpointStore>,
     plan: FaultPlan,
     seed: u64,
-    /// Tenant scope for every decision this entry point makes; 0 is the
-    /// single-tenant default and leaves all draws bit-identical to the
-    /// pre-scoping behavior.
-    scope: u64,
     state: Arc<Mutex<FaultState>>,
     /// Observability only: spans annotate each op's key/attempt and, when a
     /// fault fires, its kind and ledger index. Never consulted for any
@@ -287,20 +258,6 @@ impl FaultLedgerHandle {
         self.0.lock().expect("fault state poisoned").ledger.clone()
     }
 
-    /// Snapshot of one tenant scope's view of the ledger: its injected
-    /// faults (in injection order) and its own operation counts. A tenant
-    /// running interleaved with others sees exactly the ledger it would
-    /// have produced alone.
-    pub fn snapshot_scoped(&self, scope: u64) -> FaultLedger {
-        let st = self.0.lock().expect("fault state poisoned");
-        FaultLedger {
-            injected: st.ledger.injected.iter().filter(|f| f.scope == scope).copied().collect(),
-            puts: st.op_counts.get(&(scope, FaultOp::Put)).copied().unwrap_or(0),
-            gets: st.op_counts.get(&(scope, FaultOp::Get)).copied().unwrap_or(0),
-            syncs: st.op_counts.get(&(scope, FaultOp::Sync)).copied().unwrap_or(0),
-        }
-    }
-
     /// Total faults injected so far.
     pub fn total(&self) -> usize {
         self.0.lock().expect("fault state poisoned").ledger.total()
@@ -319,53 +276,21 @@ impl std::fmt::Debug for FaultStore {
 
 impl FaultStore {
     /// Wrap `inner`, injecting faults per `plan`, with every random
-    /// decision derived from `seed`. Scope 0 (single-tenant).
+    /// decision derived from `seed`.
     pub fn new(inner: Box<dyn CheckpointStore>, plan: FaultPlan, seed: u64) -> Self {
-        Self::scoped(inner, plan, seed, 0)
-    }
-
-    /// Like [`FaultStore::new`], but every decision runs under tenant
-    /// `scope`. A solo run under scope `s` draws identically to the same
-    /// tenant running under scope `s` on a shared store via [`twin`]s.
-    ///
-    /// [`twin`]: FaultStore::twin
-    pub fn scoped(inner: Box<dyn CheckpointStore>, plan: FaultPlan, seed: u64, scope: u64) -> Self {
         FaultStore {
             inner,
             plan,
             seed,
-            scope,
             state: Arc::new(Mutex::new(FaultState {
                 ledger: FaultLedger::default(),
                 attempts: BTreeMap::new(),
-                op_counts: BTreeMap::new(),
                 dead_blobs: BTreeSet::new(),
                 dead_ops: BTreeSet::new(),
                 sync_lied: false,
             })),
             trace: Trace::disabled(),
         }
-    }
-
-    /// A second entry point over the *same* fault state (shared ledger,
-    /// counters, dead sets) with its own tenant scope, wrapping `inner` —
-    /// how a shared deployment gives each tenant a faulty view of one
-    /// store. `inner` is typically that tenant's view of the same shared
-    /// store the twin's sibling wraps.
-    pub fn twin(&self, inner: Box<dyn CheckpointStore>, scope: u64) -> Self {
-        FaultStore {
-            inner,
-            plan: self.plan.clone(),
-            seed: self.seed,
-            scope,
-            state: Arc::clone(&self.state),
-            trace: self.trace.clone(),
-        }
-    }
-
-    /// The tenant scope this entry point decides under.
-    pub fn scope(&self) -> u64 {
-        self.scope
     }
 
     /// Snapshot of the injected-fault ledger.
@@ -403,66 +328,60 @@ impl FaultStore {
             .map(|s| s.kind)
     }
 
-    /// Take this call's per-`(scope, op)` index and fault decision.
-    /// Probabilistic draws are a pure function of `(seed, scope, op, key,
-    /// attempt)` — see [`keyed_draw`] — so they are independent of
-    /// operation interleaving, within a tenant and across tenants. A
-    /// scheduled fault beats the probabilistic draws; a permanently failed
-    /// op/blob beats both.
+    /// Take this call's per-op index and fault decision. Probabilistic
+    /// draws are a pure function of `(seed, op, key, attempt)` — see
+    /// [`keyed_draw`] — so they are independent of operation interleaving.
+    /// A scheduled fault beats the probabilistic draws; a permanently
+    /// failed op/blob beats both.
     fn decide(&self, op: FaultOp, key: u64) -> Decision {
         let mut st = self.state.lock().expect("fault state poisoned");
-        match op {
-            FaultOp::Put => st.ledger.puts += 1,
-            FaultOp::Get => st.ledger.gets += 1,
-            FaultOp::Sync => st.ledger.syncs += 1,
-        }
-        let index = {
-            let counter = st.op_counts.entry((self.scope, op)).or_insert(0);
-            let i = *counter;
-            *counter += 1;
-            i
+        let counter = match op {
+            FaultOp::Put => &mut st.ledger.puts,
+            FaultOp::Get => &mut st.ledger.gets,
+            FaultOp::Sync => &mut st.ledger.syncs,
         };
+        let index = *counter;
+        *counter += 1;
         let (dead, transient_p, corrupt_p, corrupt_kind) = match op {
             FaultOp::Put => (
-                st.dead_ops.contains(&(self.scope, FaultOp::Put)),
+                st.dead_ops.contains(&FaultOp::Put),
                 self.plan.put_transient_p,
                 self.plan.short_write_p,
                 FaultKind::ShortWrite,
             ),
             FaultOp::Get => (
-                st.dead_blobs.contains(&(self.scope, key)),
+                st.dead_blobs.contains(&key),
                 self.plan.get_transient_p,
                 self.plan.bit_flip_p,
                 FaultKind::BitFlip,
             ),
             FaultOp::Sync => (
-                st.dead_ops.contains(&(self.scope, FaultOp::Sync)),
+                st.dead_ops.contains(&FaultOp::Sync),
                 self.plan.sync_transient_p,
                 self.plan.fsync_lie_p,
                 FaultKind::FsyncLie,
             ),
         };
         let attempt = {
-            let counter = st.attempts.entry((self.scope, op, key)).or_insert(0);
+            let counter = st.attempts.entry((op, key)).or_insert(0);
             let a = *counter;
             *counter += 1;
             a
         };
-        let seed = scoped_seed(self.seed, self.scope);
         let kind = if dead {
             Some(FaultKind::Permanent)
         } else if let Some(k) = self.scheduled(op, index) {
             Some(k)
-        } else if unit(keyed_draw(seed, op, key, attempt, Lane::Transient)) < transient_p {
+        } else if unit(keyed_draw(self.seed, op, key, attempt, Lane::Transient)) < transient_p {
             Some(FaultKind::Transient)
-        } else if unit(keyed_draw(seed, op, key, attempt, Lane::Corrupt)) < corrupt_p {
+        } else if unit(keyed_draw(self.seed, op, key, attempt, Lane::Corrupt)) < corrupt_p {
             Some(corrupt_kind)
         } else {
             None
         };
         // Positional entropy for bit-flips / short-write cuts, from its own
         // lane so it never perturbs the fire/don't-fire decisions.
-        let entropy = keyed_draw(seed, op, key, attempt, Lane::Position);
+        let entropy = keyed_draw(self.seed, op, key, attempt, Lane::Position);
         Decision { index, key, attempt, kind, entropy }
     }
 
@@ -473,9 +392,6 @@ impl FaultStore {
         sp.arg("op_index", d.index);
         sp.arg("key", format!("{:#018x}", d.key));
         sp.arg("attempt", d.attempt);
-        if self.scope != 0 {
-            sp.arg("scope", format!("{:#018x}", self.scope));
-        }
         sp
     }
 
@@ -491,7 +407,6 @@ impl FaultStore {
                 blob,
                 key: d.key,
                 attempt: d.attempt,
-                scope: self.scope,
             });
             st.ledger.injected.len() - 1
         };
@@ -499,15 +414,12 @@ impl FaultStore {
         // can cross-reference the FaultLedger without replaying a trace.
         // Purely observational — the ledger entry above is the record the
         // behavior-freedom tests fingerprint.
-        let mut fields = vec![
+        let fields = vec![
             ("op".to_string(), format!("{op:?}")),
             ("fault".to_string(), format!("{kind:?}")),
             ("ledger".to_string(), index.to_string()),
             ("attempt".to_string(), d.attempt.to_string()),
         ];
-        if self.scope != 0 {
-            fields.push(("scope".to_string(), format!("{:#018x}", self.scope)));
-        }
         self.trace.event(kishu_trace::Severity::Warn, "fault", fields);
         index
     }
@@ -552,21 +464,6 @@ enum Lane {
     Transient = 0,
     Corrupt = 1,
     Position = 2,
-}
-
-/// Fold a tenant scope into the plan seed. The identity for scope 0, so
-/// the single-tenant draw sequence is bit-for-bit unchanged; any other
-/// scope lands the tenant in its own statistically independent draw space.
-fn scoped_seed(seed: u64, scope: u64) -> u64 {
-    seed ^ scope.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-/// A deterministic tenant scope from a tenant name, for wiring
-/// [`FaultStore::scoped`]/[`FaultStore::twin`] to named shared-store
-/// tenants. Never 0, so a named tenant cannot collide with the
-/// single-tenant legacy scope.
-pub fn tenant_scope(name: &str) -> u64 {
-    xxh64(name.as_bytes(), 0x07E4_A475_C09E) | 1
 }
 
 /// The keyed fault draw: a pure function of its five inputs, with no
@@ -630,7 +527,7 @@ impl CheckpointStore for FaultStore {
                         .lock()
                         .expect("fault state poisoned")
                         .dead_ops
-                        .insert((self.scope, FaultOp::Put));
+                        .insert(FaultOp::Put);
                 }
                 let idx = self.record(kind, &d, FaultOp::Put, None);
                 Self::fault_args(&mut sp, kind, idx);
@@ -666,7 +563,7 @@ impl CheckpointStore for FaultStore {
                         .lock()
                         .expect("fault state poisoned")
                         .dead_blobs
-                        .insert((self.scope, id));
+                        .insert(id);
                 }
                 let idx = self.record(kind, &d, FaultOp::Get, Some(id));
                 Self::fault_args(&mut sp, kind, idx);
@@ -711,7 +608,7 @@ impl CheckpointStore for FaultStore {
                         .lock()
                         .expect("fault state poisoned")
                         .dead_ops
-                        .insert((self.scope, FaultOp::Sync));
+                        .insert(FaultOp::Sync);
                 }
                 let idx = self.record(kind, &d, FaultOp::Sync, None);
                 Self::fault_args(&mut sp, kind, idx);
@@ -925,131 +822,6 @@ mod tests {
         let ledger = s.ledger();
         assert_eq!(ledger.injected[0].kind, FaultKind::Transient);
         assert_eq!(ledger.injected[1].kind, FaultKind::ShortWrite);
-    }
-
-    #[test]
-    fn scoped_draws_are_unperturbed_by_a_sibling_scope() {
-        // Tenant A's fault sequence for its own operations must be
-        // identical whether it runs alone or shares the fault state with a
-        // busy tenant B retrying the very same keys.
-        let scope_a = tenant_scope("alice");
-        let scope_b = tenant_scope("bob");
-        let payloads: Vec<Vec<u8>> = (0..30u8).map(|i| vec![i; 10 + i as usize]).collect();
-        let solo: Vec<bool> = {
-            let mut a = FaultStore::scoped(
-                Box::new(MemoryStore::new()),
-                FaultPlan::transient(0.3),
-                0xD1FF,
-                scope_a,
-            );
-            payloads.iter().map(|p| a.put(p).is_ok()).collect()
-        };
-        let interleaved: Vec<bool> = {
-            let a = FaultStore::scoped(
-                Box::new(MemoryStore::new()),
-                FaultPlan::transient(0.3),
-                0xD1FF,
-                scope_a,
-            );
-            let mut b = a.twin(Box::new(MemoryStore::new()), scope_b);
-            let mut a = a;
-            payloads
-                .iter()
-                .map(|p| {
-                    // B hammers the same payload (same op key!) first; its
-                    // retries must not advance A's attempt counters.
-                    for _ in 0..3 {
-                        let _ = b.put(p);
-                    }
-                    a.put(p).is_ok()
-                })
-                .collect()
-        };
-        assert_eq!(solo, interleaved, "sibling scope perturbed the draws");
-        assert!(solo.iter().any(|ok| !ok), "plan should fire at p=0.3");
-        assert!(solo.iter().any(|ok| *ok));
-    }
-
-    #[test]
-    fn scope_zero_is_bit_identical_to_legacy() {
-        // `new` (scope 0) and `scoped(.., 0)` agree; the scope field is the
-        // only addition to the ledger entries.
-        let run = |mk: &dyn Fn() -> FaultStore| {
-            let mut s = mk();
-            let mut outcomes = Vec::new();
-            for i in 0..40u64 {
-                outcomes.push(s.put(&[i as u8; 12]).is_ok());
-                outcomes.push(s.sync().is_ok());
-            }
-            (outcomes, s.ledger().injected)
-        };
-        let plan = FaultPlan::transient(0.25);
-        let (o1, l1) = run(&|| FaultStore::new(Box::new(MemoryStore::new()), plan.clone(), 77));
-        let (o2, l2) =
-            run(&|| FaultStore::scoped(Box::new(MemoryStore::new()), plan.clone(), 77, 0));
-        assert_eq!(o1, o2);
-        assert_eq!(l1, l2);
-        assert!(l1.iter().all(|f| f.scope == 0));
-    }
-
-    #[test]
-    fn scoped_ledger_snapshots_project_one_tenant() {
-        let scope_a = tenant_scope("alice");
-        let scope_b = tenant_scope("bob");
-        assert_ne!(scope_a, scope_b);
-        assert_ne!(scope_a, 0, "tenant scopes never collide with legacy 0");
-        let a = FaultStore::scoped(
-            Box::new(MemoryStore::new()),
-            FaultPlan::none()
-                .schedule(FaultOp::Put, 1, FaultKind::Transient),
-            3,
-            scope_a,
-        );
-        let handle = a.ledger_handle();
-        let mut b = a.twin(Box::new(MemoryStore::new()), scope_b);
-        let mut a = a;
-        a.put(b"one").expect("a put 0 clean");
-        b.put(b"one").expect("b put 0 clean");
-        // Each tenant's *own* second put hits the scheduled fault: the
-        // schedule indexes per-scope op counts, not a global stream.
-        assert!(a.put(b"two").is_err(), "a's put #1 faults");
-        assert!(b.put(b"two").is_err(), "b's put #1 faults");
-        b.put(b"three").expect("b put 2 clean");
-        let la = handle.snapshot_scoped(scope_a);
-        let lb = handle.snapshot_scoped(scope_b);
-        assert_eq!((la.puts, la.total()), (2, 1));
-        assert_eq!((lb.puts, lb.total()), (3, 1));
-        assert!(la.injected.iter().all(|f| f.scope == scope_a));
-        assert!(lb.injected.iter().all(|f| f.scope == scope_b));
-        assert_eq!(la.injected[0].op_index, 1);
-        assert_eq!(lb.injected[0].op_index, 1);
-        // The combined ledger holds both, and its counts are the totals.
-        let all = handle.snapshot();
-        assert_eq!((all.puts, all.total()), (5, 2));
-    }
-
-    #[test]
-    fn permanent_blob_death_is_per_scope() {
-        // A permanent get fault in one scope must not kill the same blob id
-        // for a sibling scope.
-        let scope_a = tenant_scope("alice");
-        let a = FaultStore::scoped(
-            Box::new(MemoryStore::new()),
-            FaultPlan::none().schedule(FaultOp::Get, 0, FaultKind::Permanent),
-            5,
-            scope_a,
-        );
-        let mut b = a.twin(Box::new(MemoryStore::new()), tenant_scope("bob"));
-        let mut a = a;
-        let ia = a.put(b"x").expect("a put");
-        let ib = b.put(b"x").expect("b put");
-        assert!(a.get(ia).is_err(), "a's scheduled permanent fault");
-        assert!(a.get(ia).is_err(), "dead stays dead for a");
-        assert!(b.get(ib).is_err(), "b's own get #0 is also scheduled");
-        assert!(b.get(ib).is_err(), "and dead stays dead for b");
-        // But a fresh blob in scope b is unaffected by a's dead set.
-        let ib2 = b.put(b"y").expect("b put 2");
-        assert_eq!(b.get(ib2).expect("live"), b"y");
     }
 
     #[test]

@@ -81,48 +81,6 @@ fn frame_with(out: &mut Vec<u8>, marker: u8, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
-/// Append `payload` to `out` framed exactly as a v1 [`FileStore::put`]
-/// writes it (marker, length, CRC, payload), so writers that build whole
-/// log images out-of-place — GC compaction rewriting a generation —
-/// produce files [`FileStore::open`] recovers with the same torn-tail
-/// semantics.
-pub(crate) fn frame_record(out: &mut Vec<u8>, payload: &[u8]) {
-    frame_with(out, MARKER_V1, payload);
-}
-
-/// Build a whole log image for `payloads` under `cfg`, exactly as a fresh
-/// [`FileStore`] would represent sequential puts of them: sub-minimum
-/// payloads as v1 frames, everything else as chunk frames (deduplicated
-/// through one ledger across all payloads) followed by a manifest frame.
-/// The chunks-before-manifest ordering is preserved per blob, so
-/// [`FileStore::open`] recovers the image with the same torn-tail
-/// semantics as a grown log. This is what GC compaction writes for a new
-/// generation — re-imaging with plain [`frame_record`] would silently
-/// discard chunk dedup and re-expand every chunked blob.
-pub(crate) fn build_log_image(payloads: &[Vec<u8>], cfg: &ChunkConfig) -> io::Result<Vec<u8>> {
-    let mut image = Vec::new();
-    let mut ledger = ChunkLedger::new();
-    let mut next_ord = 0u32;
-    for bytes in payloads {
-        if !cfg.chunks_payload(bytes.len()) {
-            frame_with(&mut image, MARKER_V1, bytes);
-            continue;
-        }
-        let (ords, _) = ledger.ingest(bytes, cfg, |stored| {
-            frame_with(&mut image, MARKER_CHUNK, stored);
-            let ord = next_ord;
-            next_ord += 1;
-            Ok(ord)
-        })?;
-        frame_with(
-            &mut image,
-            MARKER_MANIFEST,
-            &encode_manifest(bytes.len() as u64, &ords),
-        );
-    }
-    Ok(image)
-}
-
 /// One logical blob in the index.
 #[derive(Debug)]
 enum BlobEntry {
@@ -810,7 +768,7 @@ mod tests {
         let got = std::fs::read(&path).expect("read");
         let mut want = Vec::new();
         for p in &payloads {
-            frame_record(&mut want, p);
+            frame_with(&mut want, MARKER_V1, p);
         }
         assert_eq!(got, want, "kill switch must produce the v1 byte stream");
         // And group commit alone (chunking off) changes nothing either.
@@ -1065,7 +1023,128 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use kishu_testkit::hash::xxh64;
     use kishu_testkit::prelude::*;
+
+    /// One corruption of a log file: the edit kinds of the pickle reader's
+    /// `decoder_never_panics_on_corruption`.
+    #[derive(Debug, Clone)]
+    enum Edit {
+        /// XOR the byte at `at` (modulo the length) with `mask | 1`.
+        Flip(usize, u8),
+        /// Overwrite the byte at `at` (modulo the length) with `b`.
+        Overwrite(usize, u8),
+        /// Keep the first `at` (modulo the length + 1) bytes.
+        Truncate(usize),
+        /// Append bytes.
+        Append(Vec<u8>),
+    }
+
+    fn edit_strategy() -> impl Strategy<Value = Edit> {
+        prop_oneof![
+            3 => any::<(usize, u8)>().prop_map(|(at, mask)| Edit::Flip(at, mask)),
+            2 => any::<(usize, u8)>().prop_map(|(at, b)| Edit::Overwrite(at, b)),
+            1 => any::<usize>().prop_map(Edit::Truncate),
+            1 => prop::collection::vec(any::<u8>(), 1..24).prop_map(Edit::Append),
+        ]
+    }
+
+    fn apply(log: &mut Vec<u8>, edit: &Edit) {
+        match edit {
+            Edit::Flip(at, mask) if !log.is_empty() => {
+                let i = at % log.len();
+                log[i] ^= mask | 1;
+            }
+            Edit::Overwrite(at, b) if !log.is_empty() => {
+                let i = at % log.len();
+                log[i] = *b;
+            }
+            Edit::Truncate(at) => log.truncate(at % (log.len() + 1)),
+            Edit::Append(bytes) => log.extend_from_slice(bytes),
+            _ => {}
+        }
+    }
+
+    /// The blob a `(pattern, len, at)` recipe names: `len` bytes of one of
+    /// four patterns, two compressible and two not, with the byte at `at`
+    /// changed. Blobs of one pattern share most of their chunks.
+    fn blob(&(pattern, len, at): &(u8, usize, usize)) -> Vec<u8> {
+        let mut out: Vec<u8> = (0..len as u64)
+            .map(|j| match pattern {
+                0 | 1 => (j / (3 + u64::from(pattern)) % 11) as u8,
+                _ => xxh64(&j.to_le_bytes(), u64::from(pattern)) as u8,
+            })
+            .collect();
+        if len > 0 {
+            out[at % len] ^= 0xA5;
+        }
+        out
+    }
+
+    /// Every frame boundary of `log` found by walking its length fields
+    /// from offset 0, whatever the markers and CRCs say: 0, then the end
+    /// of each frame that fits in the file.
+    fn length_walk(log: &[u8]) -> Vec<u64> {
+        let mut bounds = vec![0u64];
+        let mut off = 0u64;
+        while off + HEADER_LEN <= log.len() as u64 {
+            let o = off as usize;
+            let len = u32::from_le_bytes([log[o + 1], log[o + 2], log[o + 3], log[o + 4]]);
+            off += HEADER_LEN + u64::from(len);
+            if off > log.len() as u64 {
+                break;
+            }
+            bounds.push(off);
+        }
+        bounds
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Real logs, v1 and small-threshold v2 (chunk and manifest frames,
+        /// deduplicated chunks), with 1–3 edits anywhere in the file:
+        /// `open` recovers, every recovered id reads without panicking,
+        /// and recovery only ever truncates, to a frame boundary.
+        #[test]
+        fn mutated_logs_fail_closed(
+            recipes in prop::collection::vec((0u8..4, 0usize..700, any::<usize>()), 1..12),
+            edits in prop::collection::vec(edit_strategy(), 1..4),
+        ) {
+            let dir = std::env::temp_dir().join(format!("kishu-fsprop-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).expect("mkdir");
+            let path = dir.join("mutated.log");
+            let small_v2 = ChunkConfig { enabled: true, min: 32, avg: 64, max: 256 };
+            for cfg in [ChunkConfig::disabled(), small_v2] {
+                {
+                    let mut s = FileStore::create_with(&path, cfg, false).expect("create");
+                    for r in &recipes {
+                        s.put(&blob(r)).expect("put");
+                    }
+                    s.sync().expect("sync");
+                }
+                let mut log = std::fs::read(&path).expect("read");
+                for e in &edits {
+                    apply(&mut log, e);
+                }
+                std::fs::write(&path, &log).expect("write");
+                let s = match FileStore::open(&path) {
+                    Ok(s) => s,
+                    Err(e) => return Err(TestCaseError::fail(format!("open failed: {e}"))),
+                };
+                for id in 0..s.blob_count() {
+                    let _ = s.get(id);
+                }
+                let len = std::fs::metadata(&path).expect("meta").len();
+                prop_assert!(len <= log.len() as u64, "open grew the file to {len}");
+                let bounds = length_walk(&log);
+                prop_assert!(bounds.contains(&len), "open cut at {len}, not a frame boundary");
+                let frames = bounds.iter().filter(|&&b| b <= len).count() as u64 - 1;
+                prop_assert!(s.blob_count() <= frames, "{} blobs in {frames} frames", s.blob_count());
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]

@@ -21,14 +21,7 @@
 //!   bytes into metadata-only operations;
 //! * [`BlobCache`] — the read-side twin: a bounded LRU cache of verified
 //!   checkout payloads keyed by the same content keys, so undo/redo
-//!   time-travel over the same states becomes memory-speed;
-//! * [`SharedStore`] — the multi-tenant deployment: one payload log with
-//!   store-wide content-addressed dedup and refcounting, and
-//!   observationally private per-tenant [`TenantHandle`] views ([`shared`]
-//!   module docs);
-//! * [`gc`] — stop-the-world mark-and-sweep compaction over a shared
-//!   store, committing new generations crash-consistently via an atomic
-//!   manifest rename.
+//!   time-travel over the same states becomes memory-speed.
 
 pub mod cache;
 pub mod chunk;
@@ -36,21 +29,16 @@ pub mod crc32;
 pub mod dedup;
 pub mod fault_store;
 pub mod file_store;
-pub mod gc;
 pub mod memory_store;
-pub mod shared;
 
 pub use cache::{BlobCache, CacheStats};
 pub use chunk::{ChunkConfig, ChunkStats};
 pub use dedup::{content_key, BlobIndex, ContentKey};
-pub use gc::GcReport;
 pub use fault_store::{
-    tenant_scope, FaultKind, FaultLedger, FaultLedgerHandle, FaultOp, FaultPlan, FaultStore,
-    InjectedFault,
+    FaultKind, FaultLedger, FaultLedgerHandle, FaultOp, FaultPlan, FaultStore, InjectedFault,
 };
 pub use file_store::FileStore;
 pub use memory_store::MemoryStore;
-pub use shared::{SharedStore, TenantHandle, TenantOpStats};
 
 use std::io;
 
@@ -75,9 +63,8 @@ pub struct StoreStats {
 /// under chunking/compression that is the stored bytes of the chunks this
 /// payload introduced (plus framing), not the logical payload length. A
 /// fully deduplicated put reports `bytes_written == 0`. Stores without
-/// chunk-level accounting (and tenant views, which must stay
-/// observationally private) return the opaque receipt: logical length,
-/// zero chunk counters.
+/// chunk-level accounting return the opaque receipt: logical length, zero
+/// chunk counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PutReceipt {
     /// Id the payload resolved to.
@@ -156,11 +143,8 @@ pub trait CheckpointStore {
     }
 
     /// The chunking configuration governing how this store represents new
-    /// puts, if it carries one at all. GC compaction uses this to rebuild
-    /// a store generation under the *same* representation it was writing —
-    /// without it, a sweep would silently re-image chunked blobs as plain
-    /// v1 records and lose cross-blob chunk dedup. `None` (the default)
-    /// means the store has no representation config to preserve.
+    /// puts, if it carries one at all. `None` (the default) means the store
+    /// has no representation config. Decorators forward it.
     fn chunk_config(&self) -> Option<chunk::ChunkConfig> {
         None
     }

@@ -1,6 +1,6 @@
 //! The structured event journal: a bounded, severity-tiered stream of
-//! notable moments (slow spans, injected faults, retries, GC phases,
-//! barrier failures, cache pressure) that rides alongside the span ring.
+//! notable moments (slow spans, injected faults, retries, barrier
+//! failures, cache pressure) that rides alongside the span ring.
 //!
 //! Spans answer "what did this run do"; events answer "what went *wrong*
 //! lately" without replaying a trace. The journal is append-only and
@@ -43,7 +43,7 @@ pub struct Event {
     pub t_ns: u64,
     pub severity: Severity,
     /// Stable machine-readable kind: `slow_span`, `fault`, `retry`,
-    /// `gc`, `barrier_failed`, `cache_pressure`, …
+    /// `barrier_failed`, `cache_pressure`, …
     pub kind: String,
     pub fields: Vec<(String, String)>,
 }
@@ -137,7 +137,7 @@ pub fn slow_threshold_ns(base_ns: u64, name: &str) -> u64 {
         40 // 5x: user code and replay dominate wall time
     } else if name == "ckpt" || name == "checkout" || name.starts_with("query.") {
         16 // 2x: whole-phase spans
-    } else if name.starts_with("store.") || name.starts_with("shared.") {
+    } else if name.starts_with("store.") {
         4 // 0.5x: individual store ops should be fast
     } else {
         8 // 1x: everything else alerts at the base
@@ -227,7 +227,6 @@ mod tests {
         assert_eq!(slow_threshold_ns(base, "cell.exec"), 250_000_000);
         assert_eq!(slow_threshold_ns(base, "ckpt"), 100_000_000);
         assert_eq!(slow_threshold_ns(base, "store.put"), 25_000_000);
-        assert_eq!(slow_threshold_ns(base, "shared.sync"), 25_000_000);
         assert_eq!(slow_threshold_ns(base, "pickle.dumps"), 50_000_000);
         assert!(slow_threshold_ns(0, "ckpt") >= 1, "never zero");
     }

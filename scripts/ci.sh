@@ -88,7 +88,7 @@ cargo build --release --offline --workspace --benches
 
 # One pass over the whole workspace. The differential invariants (serial
 # oracle, representation-only chunking, VM = tree-walker, behavior-free
-# tracing, tenant isolation) run in-process as one table:
+# tracing) run in-process as one table:
 # tests/invariant_matrix.rs. The performance gate runs here too:
 # tests/work_ledger.rs compares host-independent work counts exactly with
 # LEDGER.json; timing claims are judged by paired `kbench compare` runs.
@@ -130,21 +130,24 @@ cargo run -q --release --offline -p kishu-bench --bin repro -- obs
 
 if [ "$QUICK" != 1 ]; then
     # The fault suites, the graph-snapshot decoder property, the chunk
-    # ingest oracle and the pickle properties also run inside the workspace
-    # pass with their built-in seeds; this extra pass pins a second,
-    # independent seed so determinism regressions (same seed, different
-    # faults) and seed-specific breakage both surface, and the decoders and
-    # the ingest oracle see a second set of inputs.
+    # ingest oracle, the log recovery property and the pickle properties
+    # also run inside the workspace pass with their built-in seeds; this
+    # extra pass pins a second, independent seed so determinism regressions
+    # (same seed, different faults) and seed-specific breakage both
+    # surface, and the decoders and the ingest oracle see a second set of
+    # inputs.
     FAULT_SEED="${FAULT_SEED:-20250807}"
-    stage "fault injection, recovery, isolation, the invariant matrix, mutated graph snapshots, chunk ingest and pickle properties (KISHU_TESTKIT_SEED=$FAULT_SEED)"
+    stage "fault injection, recovery, the invariant matrix, mutated graph snapshots, chunk ingest, mutated logs and pickle properties (KISHU_TESTKIT_SEED=$FAULT_SEED)"
     if ! { KISHU_TESTKIT_SEED="$FAULT_SEED" cargo test -q --offline -p kishu-repro \
-            --test crash_recovery --test multi_tenant --test invariant_matrix \
+            --test crash_recovery --test invariant_matrix \
         && KISHU_TESTKIT_SEED="$FAULT_SEED" \
             cargo test -q --offline -p kishu-bench --lib fault_sweep \
         && KISHU_TESTKIT_SEED="$FAULT_SEED" \
             cargo test -q --offline -p kishu --lib mutated_snapshots_fail_closed \
         && KISHU_TESTKIT_SEED="$FAULT_SEED" \
             cargo test -q --offline -p kishu-storage --lib ingest_matches_reference \
+        && KISHU_TESTKIT_SEED="$FAULT_SEED" \
+            cargo test -q --offline -p kishu-storage --lib mutated_logs_fail_closed \
         && KISHU_TESTKIT_SEED="$FAULT_SEED" \
             cargo test -q --offline -p kishu-pickle --lib proptests; }; then
         echo "error: pinned-seed suite failed; replay with KISHU_TESTKIT_SEED=$FAULT_SEED" >&2

@@ -4,9 +4,8 @@
 //! when it observes exactly what a reference configuration observes. This
 //! module holds the one definition of what a run observes
 //! ([`Observation`]), the one runner that produces it at any [`Point`] of
-//! the configuration matrix ([`observe`], [`observe_shared`]), the one
-//! comparison ([`assert_twins`]) and the scripts every suite drives
-//! ([`Script`]).
+//! the configuration matrix ([`observe`]), the one comparison
+//! ([`assert_twins`]) and the scripts every suite drives ([`Script`]).
 //!
 //! An observation has three parts:
 //!
@@ -36,10 +35,7 @@ use kishu_kernel::{AccessRecord, ObjId};
 use kishu_minipy::repr::repr;
 use kishu_minipy::{CellOutcome, Engine, Interp, RunError};
 use kishu_storage::chunk::ChunkConfig;
-use kishu_storage::{
-    tenant_scope, CheckpointStore, FaultLedger, FaultPlan, FaultStore, FileStore, MemoryStore,
-    SharedStore,
-};
+use kishu_storage::{CheckpointStore, FaultLedger, FaultPlan, FaultStore, FileStore, MemoryStore};
 use kishu_testkit::rng::Rng;
 use kishu_trace::{ObsConfig, Trace};
 
@@ -104,14 +100,11 @@ impl Recorder {
 pub enum Backend {
     Memory,
     File,
-    /// A tenant of an in-memory [`SharedStore`], interleaved step by step
-    /// with a neighbor tenant running the same script.
-    SharedTenant,
 }
 
 /// The fault dimension: no faults, or [`fault_plan`] under a seed. Every
-/// store is wrapped in a [`FaultStore`] scoped to the script's tenant, so
-/// operation counts are observed even without faults.
+/// store is wrapped in a [`FaultStore`], so operation counts are observed
+/// even without faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Faults {
     None,
@@ -144,7 +137,7 @@ pub struct Point {
 }
 
 /// The oracle: serial pipelines, no chunk layer, the tree-walker, no
-/// recorder, a private in-memory store, no faults.
+/// recorder, an in-memory store, no faults.
 pub const ORACLE: Point = Point {
     workers: 1,
     chunking: Chunking::Off,
@@ -166,19 +159,18 @@ impl Point {
         }
     }
 
-    /// A [`FaultStore`] over `inner` for `tenant`, per this point's faults.
-    fn faulty(&self, inner: Box<dyn CheckpointStore>, tenant: &str) -> FaultStore {
+    /// A [`FaultStore`] over `inner`, per this point's faults.
+    fn faulty(&self, inner: Box<dyn CheckpointStore>) -> FaultStore {
         let (plan, seed) = match self.faults {
             Faults::None => (FaultPlan::none(), 0),
             Faults::Seeded(seed) => (fault_plan(), seed),
         };
-        FaultStore::scoped(inner, plan, seed, tenant_scope(tenant))
+        FaultStore::new(inner, plan, seed)
     }
 }
 
 /// What decides the physical fields: the backend, its chunking and the
-/// read-cache budget. A shared-store tenant reports logical sizes, exactly
-/// as a private v1 in-memory store does.
+/// read-cache budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Representation {
     pub store: Backend,
@@ -188,11 +180,11 @@ pub struct Representation {
 
 impl Representation {
     fn of(point: &Point, config: &KishuConfig) -> Representation {
-        let (store, chunking) = match point.store {
-            Backend::SharedTenant => (Backend::Memory, Chunking::Off),
-            other => (other, point.chunking),
-        };
-        Representation { store, chunking, cache_bytes: config.checkout_cache_bytes }
+        Representation {
+            store: point.store,
+            chunking: point.chunking,
+            cache_bytes: config.checkout_cache_bytes,
+        }
     }
 }
 
@@ -214,10 +206,9 @@ fn cell(src: impl Into<String>) -> Step {
     Step::Cell { src: src.into(), store: true }
 }
 
-/// A notebook session: the tenant it runs as, and its steps.
+/// A notebook session: its steps.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Script {
-    pub tenant: String,
     pub steps: Vec<Step>,
 }
 
@@ -307,29 +298,7 @@ impl Script {
         let mut gen = CellGen::new(seed);
         let mut steps: Vec<Step> = (0..n_cells).map(|_| cell(gen.next())).collect();
         steps.extend(itinerary(&mut Rng::seed_from_u64(seed ^ 0x17_17), n_cells));
-        Script { tenant: "solo".to_string(), steps }
-    }
-
-    /// Tenant `tenant` of a multi-tenant deployment: every third cell
-    /// comes from a dataset stream shared verbatim by all tenants (the
-    /// cross-user redundancy store-wide dedup exists for); the rest are
-    /// the tenant's own generated cells. Then an itinerary.
-    pub fn tenant(name: &str, base_seed: u64, tenant: usize, n_cells: usize) -> Script {
-        let mut common = Rng::seed_from_u64(base_seed);
-        let mut gen = CellGen::new(base_seed ^ (tenant as u64 + 1).wrapping_mul(0x9E37_79B9));
-        let mut steps = Vec::new();
-        for i in 0..n_cells {
-            if i % 3 == 0 {
-                let len = common.random_range(4..12usize);
-                let vals: Vec<String> =
-                    (0..len).map(|_| common.random_range(0..100i64).to_string()).collect();
-                steps.push(cell(format!("d{i} = [{}]\n", vals.join(", "))));
-            } else {
-                steps.push(cell(gen.next()));
-            }
-        }
-        steps.extend(itinerary(&mut Rng::seed_from_u64(base_seed ^ tenant as u64), n_cells));
-        Script { tenant: name.to_string(), steps }
+        Script { steps }
     }
 
     /// The fixed script of the invariant matrix: multi-co-variable cells
@@ -362,7 +331,7 @@ impl Script {
             .collect();
         steps.extend((0..cells.len()).map(Step::Checkout));
         steps.extend([1, 5, 2, cells.len() - 1].map(Step::Checkout));
-        Script { tenant: "solo".to_string(), steps }
+        Script { steps }
     }
 
     /// 50 deterministic cells over a small variable pool — creations,
@@ -388,7 +357,7 @@ impl Script {
                 steps.push(Step::Checkout(i.div_ceil(2) as usize - 1));
             }
         }
-        Script { tenant: "solo".to_string(), steps }
+        Script { steps }
     }
 
     /// The cells only, then a checkout of every committed node, oldest
@@ -402,7 +371,7 @@ impl Script {
     /// The cells only.
     pub fn cells_only(&self) -> Script {
         let steps = self.steps.iter().filter(|s| matches!(s, Step::Cell { .. })).cloned().collect();
-        Script { tenant: self.tenant.clone(), steps }
+        Script { steps }
     }
 
     /// The sources of the cell steps, in order.
@@ -559,7 +528,7 @@ pub struct Logical {
     /// a memo hit) and a deep diff (which reads blobs through the checkout
     /// fetch); then all-branch searches.
     pub queries: Vec<String>,
-    /// The tenant's fault ledger (injected faults and operation counts).
+    /// The fault ledger (injected faults and operation counts).
     pub ledger: FaultLedger,
     /// `health()`'s (store retries, barrier failures, integrity failures)
     /// after the queries.
@@ -782,12 +751,6 @@ pub fn observe_with(point: &Point, config: KishuConfig, script: &Script) -> Obse
             let _ = std::fs::remove_file(&path);
             obs
         }
-        Backend::SharedTenant => {
-            let tenant = format!("{}-neighbor", script.tenant);
-            let neighbor = Script { tenant, ..script.clone() };
-            let (mut obs, _) = observe_shared(point, config, &[neighbor, script.clone()]);
-            obs.pop().expect("subject observation")
-        }
     }
 }
 
@@ -797,40 +760,8 @@ fn observe_on(
     script: &Script,
     inner: Box<dyn CheckpointStore>,
 ) -> Observation {
-    let store = point.faulty(inner, &script.tenant);
+    let store = point.faulty(inner);
     let ledger = store.ledger_handle();
     let run = Run::at(point, &config, Box::new(store)).drive(script);
-    run.finish(point, &config, ledger.snapshot_scoped(tenant_scope(&script.tenant)))
-}
-
-/// Run `scripts` as tenants of one shared store, interleaved step by step
-/// (tenant order within each round), and observe every tenant. Returns the
-/// store too, for its aggregate invariants.
-pub fn observe_shared(
-    point: &Point,
-    config: KishuConfig,
-    scripts: &[Script],
-) -> (Vec<Observation>, SharedStore) {
-    let store = SharedStore::in_memory_with(point.chunking.config());
-    let view = |s: &Script| Box::new(store.tenant(&s.tenant).expect("tenant"));
-    let first = point.faulty(view(&scripts[0]), &scripts[0].tenant);
-    let ledger = first.ledger_handle();
-    let mut runs = Vec::new();
-    for script in &scripts[1..] {
-        let twin = first.twin(view(script), tenant_scope(&script.tenant));
-        runs.push(Run::at(point, &config, Box::new(twin)));
-    }
-    runs.insert(0, Run::at(point, &config, Box::new(first)));
-    let rounds = scripts.iter().map(|s| s.steps.len()).max().unwrap_or(0);
-    for i in 0..rounds {
-        for (run, script) in runs.iter_mut().zip(scripts) {
-            script.steps.get(i).into_iter().for_each(|step| run.step(step));
-        }
-    }
-    let observations = runs
-        .into_iter()
-        .zip(scripts)
-        .map(|(run, s)| run.finish(point, &config, ledger.snapshot_scoped(tenant_scope(&s.tenant))))
-        .collect();
-    (observations, store)
+    run.finish(point, &config, ledger.snapshot())
 }

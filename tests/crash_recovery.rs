@@ -11,33 +11,24 @@
 //!    still holds at least one intact graph snapshot, restoring exactly the
 //!    newest surviving persist point — and error (not panic) otherwise.
 //!
-//!    Both sweeps, and the GC sweep below, run over v1 frames
-//!    ([`ChunkConfig::disabled`]) and the default v2 representation (chunk
-//!    and manifest records).
+//!    Both sweeps run over v1 frames ([`ChunkConfig::disabled`]) and the
+//!    default v2 representation (chunk and manifest records).
 //! 3. **Acceptance under live faults**: a 50-cell scripted session running
 //!    over a [`FaultStore`] at 5% transient fault probability completes
 //!    every checkout with namespace state equivalent to a fault-free twin,
 //!    with the degradation visible in the session's counters and the fault
 //!    ledger.
-//! 4. **Kill-at-any-byte during shared-store GC**: a compaction of a
-//!    multi-tenant [`SharedStore`] killed at any point of its commit
-//!    sequence must leave a store that reopens, `resume`s every tenant to
-//!    its persisted head, and checks out every historical commit
-//!    byte-identically — the generation either fully committed or is
-//!    fully absent, never torn.
 //!
 //! Fault decisions are seeded; set `KISHU_TESTKIT_SEED` to replay a run.
 
 mod common;
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::path::Path;
+use std::collections::BTreeMap;
 
-use common::{snapshot, temp_dir, temp_path, Run, Script};
+use common::{snapshot, temp_path, Run, Script};
 use kishu::session::{KishuConfig, KishuSession};
-use kishu::NodeId;
 use kishu_storage::chunk::ChunkConfig;
-use kishu_storage::{CheckpointStore, FaultPlan, FaultStore, FileStore, MemoryStore, SharedStore};
+use kishu_storage::{CheckpointStore, FaultPlan, FaultStore, FileStore, MemoryStore};
 use kishu_testkit::rng::{env_seed, seed_override};
 
 /// Whether this run uses the test's built-in seed (for which fault-firing
@@ -310,170 +301,4 @@ fn corrupt_reads_fall_back_to_recomputation() {
         flips == 0 || integrity > 0,
         "bit-flips fired but no integrity failures were counted (seed {seed})"
     );
-}
-
-/// Clone a store directory, so each simulated crash starts from the same
-/// pre-GC disk image.
-fn copy_dir(src: &Path, dst: &Path) {
-    let _ = std::fs::remove_dir_all(dst);
-    std::fs::create_dir_all(dst).expect("mkdir");
-    for e in std::fs::read_dir(src).expect("read dir").flatten() {
-        std::fs::copy(e.path(), dst.join(e.file_name())).expect("copy file");
-    }
-}
-
-/// Everything recovery must reproduce for one tenant: its persisted-head
-/// namespace, and the namespace at every committed node.
-struct TenantTruth {
-    name: &'static str,
-    head: BTreeMap<String, String>,
-    at_nodes: Vec<(NodeId, BTreeMap<String, String>)>,
-}
-
-/// GC compaction killed at any byte of its commit sequence: the store must
-/// reopen either fully on the old generation or fully on the new one, and
-/// in both worlds every tenant resumes to its persisted head and every
-/// historical commit checks out byte-identically. Afterwards, a clean GC
-/// pass always converges (reclaiming the garbage the killed pass did not).
-#[test]
-fn gc_compaction_killed_at_any_byte_recovers_every_tenant() {
-    for cfg in representations() {
-        gc_killed_at_any_byte(cfg);
-    }
-}
-
-fn gc_killed_at_any_byte(cfg: ChunkConfig) {
-    eprintln!("GC sweep under {cfg:?}");
-    // ---- Build the pre-GC store: two tenants, interleaved cells, two
-    // persists each (the first persist's snapshot becomes GC fodder).
-    let base = temp_dir("gc-base");
-    // `data` seals past the default chunking minimum, so the v2 pass
-    // writes chunk and manifest records.
-    let scripts: [&[&str]; 2] = [
-        &["data = list(range(1000))\n", "a = [1, 2]\n", "a.append(3)\n", "b = a\n", "a.append(4)\n"],
-        &["data = list(range(1000))\n", "x = {'k': 1}\n", "x['k'] = 2\n", "y = [9]\n", "del y\n"],
-    ];
-    let mut live: BTreeMap<String, BTreeSet<u64>> = BTreeMap::new();
-    let mut truths: Vec<TenantTruth> = Vec::new();
-    {
-        let store = SharedStore::create_with(&base, cfg.clone()).expect("create");
-        let mut sessions: Vec<(&str, KishuSession)> = ["ana", "ben"]
-            .iter()
-            .map(|n| (*n, KishuSession::on_shared(&store, n, KishuConfig::default()).expect("tenant")))
-            .collect();
-        for i in 0..scripts[0].len() {
-            for ((_, s), script) in sessions.iter_mut().zip(&scripts) {
-                let r = s.run_cell(script[i]).expect("parses");
-                assert!(r.outcome.error.is_none(), "cell {i}");
-                if i == 2 {
-                    s.persist().expect("mid persist (superseded later)");
-                }
-            }
-        }
-        for (name, s) in sessions.iter_mut() {
-            s.persist().expect("final persist");
-            let head = snapshot(s);
-            live.insert(name.to_string(), s.live_blobs());
-            let nodes: Vec<NodeId> = (1..=scripts[0].len() as u32).map(NodeId).collect();
-            let mut at_nodes = Vec::new();
-            for n in nodes {
-                s.checkout(n).expect("pre-crash checkout");
-                at_nodes.push((n, snapshot(s)));
-            }
-            truths.push(TenantTruth { name, head, at_nodes });
-        }
-        store.sync_all().expect("sync");
-    }
-
-    // ---- Reference run (no crash): learn the commit's total byte budget
-    // and confirm there is real garbage to reclaim.
-    let reference = temp_dir("gc-ref");
-    copy_dir(&base, &reference);
-    let expected_reclaimed = {
-        let store = SharedStore::open_with(&reference, cfg.clone()).expect("open");
-        let r = store.collect(&live).expect("reference gc");
-        assert!(r.reclaimed_blobs > 0, "superseded snapshots must be garbage: {r:?}");
-        r.reclaimed_blobs
-    };
-    // Budget units consumed by a full commit: every byte of every
-    // new-generation file and of the manifest, plus 1 for the rename.
-    let total_units: u64 = std::fs::read_dir(&reference)
-        .expect("read dir")
-        .flatten()
-        .filter(|e| {
-            let n = e.file_name().to_string_lossy().into_owned();
-            n.contains(".g1.") || n == "MANIFEST.json"
-        })
-        .map(|e| e.metadata().expect("metadata").len())
-        .sum::<u64>()
-        + 1;
-
-    // ---- Kill the compaction at byte budgets spanning the whole commit:
-    // the first bytes of the payload log, both sides of every file
-    // boundary (a stride finer than the smallest file), the
-    // fully-written-but-unrenamed manifest, and the commit itself.
-    let mut cuts: Vec<u64> = (0..4).collect();
-    let stride = (total_units / 120).max(1);
-    cuts.extend((0..=total_units).step_by(stride as usize));
-    cuts.extend(total_units.saturating_sub(3)..=total_units);
-    cuts.sort_unstable();
-    cuts.dedup();
-
-    let work = temp_dir("gc-work");
-    for &cut in &cuts {
-        copy_dir(&base, &work);
-        let store = SharedStore::open_with(&work, cfg.clone()).expect("open pre-crash copy");
-        store.set_crash_after_bytes(Some(cut));
-        let outcome = store.collect(&live);
-        drop(store); // the machine dies here
-        let reopened =
-            SharedStore::open_with(&work, cfg.clone()).expect("open after crash never fails");
-        match &outcome {
-            Ok(r) => {
-                assert_eq!(reopened.generation(), 1, "cut {cut}: commit went through");
-                assert_eq!(r.reclaimed_blobs, expected_reclaimed, "cut {cut}");
-            }
-            Err(e) => {
-                assert_eq!(e.kind(), std::io::ErrorKind::Interrupted, "cut {cut}: {e}");
-                assert_eq!(
-                    reopened.generation(),
-                    0,
-                    "cut {cut}: a killed commit must leave the old generation"
-                );
-            }
-        }
-        // Stray partial files (half-written new generation, orphaned
-        // MANIFEST.tmp) are swept on open.
-        for e in std::fs::read_dir(&work).expect("read dir").flatten() {
-            let n = e.file_name().to_string_lossy().into_owned();
-            let current = format!(".g{}.log", reopened.generation());
-            assert!(
-                n == "MANIFEST.json" || n.ends_with(&current),
-                "cut {cut}: stray file {n} survived recovery"
-            );
-        }
-        reopened.check_invariants(true).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
-        // Every tenant resumes to its persisted head, and every commit in
-        // its history restores byte-identically — GC (computed or killed)
-        // reclaimed nothing reachable.
-        for truth in &truths {
-            let handle = reopened.tenant(truth.name).expect("tenant");
-            let mut s = KishuSession::resume(Box::new(handle), KishuConfig::default())
-                .unwrap_or_else(|e| panic!("cut {cut}: resume {} failed: {e}", truth.name));
-            assert_eq!(snapshot(&s), truth.head, "cut {cut}: {} head", truth.name);
-            for (n, want) in &truth.at_nodes {
-                s.checkout(*n).expect("post-crash checkout");
-                assert_eq!(&snapshot(&s), want, "cut {cut}: {} node {n:?}", truth.name);
-            }
-        }
-        // Recovery converges: a clean pass reclaims exactly what is left.
-        let r = reopened.collect(&live).expect("post-recovery gc");
-        match &outcome {
-            Ok(_) => assert_eq!(r.reclaimed_blobs, 0, "cut {cut}: nothing left after a commit"),
-            Err(_) => assert_eq!(r.reclaimed_blobs, expected_reclaimed, "cut {cut}"),
-        }
-    }
-    std::fs::remove_dir_all(&base).ok();
-    std::fs::remove_dir_all(&reference).ok();
-    std::fs::remove_dir_all(&work).ok();
 }

@@ -2,14 +2,14 @@
 //! observes.
 //!
 //! The oracle point is the serial pipelines, chunking off, the
-//! tree-walking interpreter, no recorder and a private in-memory store
+//! tree-walking interpreter, no recorder and an in-memory store
 //! ([`ORACLE`]). Every point of
 //!
 //! * workers {1, 4} (the serial-oracle invariant of both pipelines),
 //! * chunking {off, small-threshold v2} (representation-only storage),
 //! * engine {tree, vm} (the VM is semantics-preserving),
 //! * recorder {off, forced memory pressure} (tracing is behavior-free),
-//! * store {memory, file, shared-store tenant} (multi-tenant isolation),
+//! * store {memory, file},
 //!
 //! runs the matrix script with faults off and again with seeded faults,
 //! and must observe exactly what the oracle point with the same faults
@@ -39,7 +39,7 @@ fn points(faults: Faults) -> Vec<Point> {
         for chunking in [Chunking::Off, Chunking::SmallV2] {
             for engine in [Engine::Tree, Engine::Vm] {
                 for recorder in [Recorder::Off, Recorder::Pressure] {
-                    for store in [Backend::Memory, Backend::File, Backend::SharedTenant] {
+                    for store in [Backend::Memory, Backend::File] {
                         out.push(Point { workers, chunking, engine, recorder, store, faults });
                     }
                 }
@@ -71,7 +71,7 @@ fn every_point_observes_what_the_oracle_observes() {
     for faults in [Faults::None, Faults::Seeded(seed)] {
         let oracle = observe(&Point { faults, ..ORACLE }, &script);
         let observations = observe_all(&points(faults), &script);
-        assert_eq!(observations.len(), 48);
+        assert_eq!(observations.len(), 32);
         for obs in &observations {
             assert_twins(&oracle, obs);
             // The recorder really ran, under real pressure.

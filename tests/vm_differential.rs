@@ -146,7 +146,6 @@ fn errored_cell_replay_matches_across_engines() {
     // The errored cell touches exactly one co-variable (`ls`) so the
     // replay runs once and the partially-mutated value is unambiguous.
     let script = Script {
-        tenant: "solo".to_string(),
         steps: vec![
             Step::Cell { src: "ls = [1]\nk = 0\n".into(), store: true },
             Step::Cell { src: "ls.append(1)\nboom()\n".into(), store: false },
