@@ -3,21 +3,19 @@
 //!
 //! The recorder is off unless `KISHU_TRACE` or a caller's `Trace` turns
 //! it on, and its claim is behavioral *and* economic: the bounded span
-//! ring and slow-span journal may not change what the session does (the
-//! trace differential suite proves that), and they may not meaningfully
-//! change how fast it does it (this experiment proves that). A
-//! representative notebook workload — cells with real co-variable churn,
-//! undo/redo checkouts, and dashboard diff polling — runs twice per
-//! repetition: once with the
+//! ring may not change what the session does (the trace differential
+//! suite proves that), and it may not meaningfully change how fast it
+//! does it (this experiment proves that). A representative notebook
+//! workload — cells with real co-variable churn, undo/redo checkouts, and
+//! dashboard diff polling — runs twice per repetition: once with the
 //! recorder fully off ([`kishu_trace::Trace::disabled`]) and once with it
 //! forced on under a deliberately small ring (so eviction, the recorder's
-//! worst case, is exercised rather than dodged) and a slow-span threshold
-//! the workload's slower spans cross (so the journal is written too).
-//! The two arms advance in lockstep, *cell by cell* (order alternating
-//! per cell), so scheduler noise on a shared host hits both arms almost
-//! identically instead of whichever full pass happened to collide with a
-//! noisy neighbor; per-arm wall time is the sum of its per-step times,
-//! and the gated number is the median of the per-rep ratios:
+//! worst case, is exercised rather than dodged). The two arms advance in
+//! lockstep, *cell by cell* (order alternating per cell), so scheduler
+//! noise on a shared host hits both arms almost identically instead of
+//! whichever full pass happened to collide with a noisy neighbor; per-arm
+//! wall time is the sum of its per-step times, and the gated number is
+//! the median of the per-rep ratios:
 //!
 //! ```text
 //! overhead = median over reps of (sum on step ns / sum off step ns) - 1.0
@@ -27,14 +25,13 @@
 //! `overhead` exceeds [`MAX_OVERHEAD`] (the recorder must cost less than
 //! 5%). The run also re-asserts the ring's truthful-accounting invariant
 //! (`recorded == retained + dropped`) on the real workload's spans, not
-//! just the unit tests' synthetic ones, and that the journal received
-//! events.
+//! just the unit tests' synthetic ones.
 
 use std::time::Instant;
 
 use kishu::session::{KishuConfig, KishuSession};
 use kishu_testkit::json::Json;
-use kishu_trace::{ObsConfig, Trace};
+use kishu_trace::Trace;
 
 use crate::report::{floor_verdict, fmt_duration, Table};
 
@@ -66,8 +63,6 @@ pub struct ObsRun {
     pub spans_dropped: u64,
     /// Spans resident at the end (last rep).
     pub spans_retained: u64,
-    /// Journal events the workload emitted (last rep).
-    pub events: u64,
 }
 
 /// Timed repetitions per arm. The gate reads the median of the per-rep
@@ -152,24 +147,6 @@ fn op_counts(cells: usize) -> (usize, usize) {
     (checkouts, diffs)
 }
 
-/// Base slow-span threshold for the recorder-on arm. The workload's cells
-/// take a few milliseconds, so the default 50 ms base would journal
-/// nothing; at 1 ms a cell span journals from 5 ms and a store op from
-/// 0.5 ms ([`kishu_trace::events::slow_threshold_ns`]), and the timed path
-/// includes journal writes.
-const SLOW_NS: u64 = 1_000_000;
-
-/// The recorder-on observability config: small ring (forced eviction),
-/// default journal capacity, and a slow-span threshold the workload's
-/// slower spans cross.
-fn on_config() -> ObsConfig {
-    ObsConfig {
-        ring_bytes: RING_BYTES,
-        slow_ns: SLOW_NS,
-        ..ObsConfig::default()
-    }
-}
-
 /// Run the overhead experiment.
 pub fn run(scale: f64) -> ObsRun {
     let cells = ((400.0 * scale) as usize).max(40);
@@ -180,7 +157,7 @@ pub fn run(scale: f64) -> ObsRun {
     let mut ratios = Vec::with_capacity(REPS);
     let mut last_on: Option<Trace> = None;
     for rep in 0..REPS {
-        let on = Trace::with_obs(on_config());
+        let on = Trace::with_ring_bytes(RING_BYTES);
         let mut s_off = KishuSession::in_memory(KishuConfig::default());
         s_off.set_trace(&Trace::disabled());
         let mut s_on = KishuSession::in_memory(KishuConfig::default());
@@ -232,11 +209,6 @@ pub fn run(scale: f64) -> ObsRun {
         ring.dropped > 0,
         "the small ring was sized to overflow; a drop-free run measured the honeymoon"
     );
-    let events = on.events().len() as u64 + on.events_dropped();
-    assert!(
-        events > 0,
-        "the slow-span threshold was set for the workload to cross; an event-free run never wrote the journal"
-    );
     ObsRun {
         cells,
         checkouts,
@@ -248,7 +220,6 @@ pub fn run(scale: f64) -> ObsRun {
         spans_recorded: ring.recorded,
         spans_dropped: ring.dropped,
         spans_retained: ring.retained,
-        events,
     }
 }
 
@@ -275,12 +246,11 @@ pub fn table_from(r: &ObsRun) -> Table {
     let mut t = Table::new(
         "Obs",
         "flight-recorder overhead: identical workload, recorder off vs on",
-        &["Arm", "wall", "spans", "dropped", "events"],
+        &["Arm", "wall", "spans", "dropped"],
     );
     t.row(vec![
         "recorder off".into(),
         ns(r.off_ns),
-        "-".into(),
         "-".into(),
         "-".into(),
     ]);
@@ -289,7 +259,6 @@ pub fn table_from(r: &ObsRun) -> Table {
         ns(r.on_ns),
         r.spans_recorded.to_string(),
         r.spans_dropped.to_string(),
-        r.events.to_string(),
     ]);
     t.note(format!(
         "{} cells, {} checkouts, {} diffs, {} paired reps (median ratio \
@@ -307,12 +276,8 @@ pub fn table_from(r: &ObsRun) -> Table {
     t
 }
 
-/// Machine-readable form for `repro obs` (default `target/OBS.json`).
-pub fn obs_json(scale: f64) -> Json {
-    json_from(&run(scale), scale)
-}
-
-/// JSON from an already-completed run.
+/// Machine-readable form of a completed run for `repro obs` (default
+/// `target/OBS.json`).
 pub fn json_from(r: &ObsRun, scale: f64) -> Json {
     Json::obj(vec![
         ("schema", Json::Str("kishu-obs-v1".into())),
@@ -327,7 +292,6 @@ pub fn json_from(r: &ObsRun, scale: f64) -> Json {
         ("spans_recorded", Json::Int(r.spans_recorded as i64)),
         ("spans_dropped", Json::Int(r.spans_dropped as i64)),
         ("spans_retained", Json::Int(r.spans_retained as i64)),
-        ("events", Json::Int(r.events as i64)),
     ])
 }
 

@@ -48,14 +48,6 @@ impl TrackingRun {
             100.0 * self.total().as_secs_f64() / rt
         }
     }
-
-    /// Largest per-cell overhead-to-runtime ratio.
-    pub fn max_ratio(&self) -> f64 {
-        self.cells
-            .iter()
-            .map(|(t, r)| t.as_secs_f64() / r.as_secs_f64().max(1e-9))
-            .fold(0.0, f64::max)
-    }
 }
 
 /// Run a notebook under Kishu's detector (optionally check-all), measuring

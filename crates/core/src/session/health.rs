@@ -1,5 +1,4 @@
-//! Operator health: [`KishuSession::health`], its report types, and the
-//! crash black box a failed checkout dumps.
+//! Operator health: [`KishuSession::health`] and its report type.
 
 use super::KishuSession;
 use crate::graph::NodeId;
@@ -29,21 +28,7 @@ impl KishuSession {
             integrity_failures: self.metrics.integrity_failures,
             latencies: kishu_trace::chrome::span_stats(&self.trace.spans()),
             ring: self.trace.is_enabled().then(|| self.trace.ring_stats()),
-            events_dropped: self.trace.events_dropped(),
         }
-    }
-
-    /// Write a crash black box (ring tail + recent events) under
-    /// `target/flightrec/` — only when the operator armed it with
-    /// `KISHU_OBS_BLACKBOX` and the recorder is enabled. Best-effort:
-    /// dump failures are swallowed, because observability must never turn
-    /// a degraded session into a dead one.
-    pub(super) fn black_box(&self, reason: &str) {
-        if !kishu_trace::env_switches().blackbox {
-            return;
-        }
-        let dir = std::path::Path::new(kishu_trace::blackbox::DEFAULT_DIR);
-        let _ = kishu_trace::blackbox::dump(&self.trace, dir, reason);
     }
 }
 
@@ -86,8 +71,6 @@ pub struct HealthReport {
     pub latencies: Vec<kishu_trace::chrome::SpanStats>,
     /// Flight-recorder ring occupancy; `None` when the recorder is off.
     pub ring: Option<kishu_trace::RingStats>,
-    /// Journal events evicted by the journal's own bound.
-    pub events_dropped: u64,
 }
 
 impl HealthReport {
@@ -152,13 +135,12 @@ impl HealthReport {
         ));
         match &self.ring {
             Some(ring) => out.push_str(&format!(
-                "recorder     spans {} retained {} dropped {}  ring {:.1}% of {} bytes  events dropped {}\n",
+                "recorder     spans {} retained {} dropped {}  ring {:.1}% of {} bytes\n",
                 ring.recorded,
                 ring.retained,
                 ring.dropped,
                 ring.occupancy() * 100.0,
                 ring.cap_bytes,
-                self.events_dropped,
             )),
             None => out.push_str("recorder     off (set KISHU_TRACE=1)\n"),
         }

@@ -142,9 +142,9 @@ impl Default for KishuConfig {
 /// Run `op`, retrying up to `retries` extra times while it fails with a
 /// transient (`Interrupted`) error — the kind `FaultStore` injects for
 /// recoverable faults and real kernels return for interrupted syscalls.
-/// Each retry adds one to `retried` and journals a `retry` event.
+/// Each retry adds one to `retried`, the count [`KishuSession::health`]
+/// reports.
 fn retry_io<T>(
-    trace: &Trace,
     retries: u32,
     retried: &mut u64,
     mut op: impl FnMut() -> io::Result<T>,
@@ -155,14 +155,6 @@ fn retry_io<T>(
             Err(e) if e.kind() == io::ErrorKind::Interrupted && attempt < retries => {
                 attempt += 1;
                 *retried += 1;
-                trace.event(
-                    kishu_trace::Severity::Warn,
-                    "retry",
-                    vec![
-                        ("attempt".to_string(), attempt.to_string()),
-                        ("error".to_string(), e.to_string()),
-                    ],
-                );
             }
             other => return other,
         }
@@ -426,7 +418,7 @@ pub struct KishuSession {
     /// checkout reads and deep diffs, so a later read of the same blob can
     /// recognize a cache hit before touching the store.
     blob_keys: HashMap<BlobId, ContentKey>,
-    /// Observability handle (spans + events). Disabled by default unless
+    /// Observability handle (a span ring). Disabled by default unless
     /// `KISHU_TRACE` is set; never consulted for any decision, so enabling
     /// it cannot change behavior. Span guards still time phases while
     /// disabled — that is where the report's wall-clock fields come from.
@@ -461,18 +453,9 @@ impl KishuSession {
         vg_config.hash_arrays = config.hash_arrays;
         vg_config.hash_primitive_lists = config.hash_primitive_lists;
         let detector = DeltaDetector::with_config(vg_config, config.check_all);
-        let mut read_cache = BlobCache::new(config.checkout_cache_bytes);
+        let read_cache = BlobCache::new(config.checkout_cache_bytes);
         let trace = kishu_trace::global().clone();
         store.attach_trace(&trace);
-        read_cache.attach_trace(&trace);
-        // Arm the crash black box only for operator-enabled recorders
-        // (KISHU_TRACE / KISHU_OBS_BLACKBOX): unit tests that build
-        // sessions around private enabled traces should not leave dump
-        // files behind on unrelated panics.
-        let switches = kishu_trace::env_switches();
-        if trace.is_enabled() && (switches.trace_path.is_some() || switches.blackbox) {
-            kishu_trace::blackbox::install_panic_hook(&trace);
-        }
         KishuSession {
             interp,
             reducer: LibReducer::new(registry.clone()),
@@ -495,12 +478,11 @@ impl KishuSession {
     }
 
     /// Replace the session's observability handle (and re-attach it to the
-    /// store and read cache). Purely observational — the differential suite
-    /// proves byte-identical behavior with tracing on and off.
+    /// store). Purely observational — the differential suite proves
+    /// byte-identical behavior with tracing on and off.
     pub fn set_trace(&mut self, trace: &Trace) {
         self.trace = trace.clone();
         self.store.attach_trace(&self.trace);
-        self.read_cache.attach_trace(&self.trace);
     }
 
     /// The session's observability handle.
@@ -575,10 +557,10 @@ impl KishuSession {
         let sealed = seal_blob(&payload);
         let retries = self.config.store_retries;
         let retried = &mut self.metrics.store_retries;
-        retry_io(&self.trace, retries, retried, || self.store.put(&sealed))?;
+        retry_io(retries, retried, || self.store.put(&sealed))?;
         // The snapshot is the resume anchor — it must never sit in a
         // group-commit buffer behind the blobs it references.
-        retry_io(&self.trace, retries, retried, || self.store.flush_barrier())?;
+        retry_io(retries, retried, || self.store.flush_barrier())?;
         Ok(())
     }
 
@@ -591,14 +573,13 @@ impl KishuSession {
     pub fn resume(store: Box<dyn CheckpointStore>, config: KishuConfig) -> Result<Self, KishuError> {
         let mut graph = None;
         let mut unreadable = 0u64;
-        // Retry events go to the global trace, and the count to the session
-        // built below: it is born with a clone of that trace.
-        let (trace, mut retried) = (kishu_trace::global(), 0u64);
+        // The retry count goes to the session built below.
+        let mut retried = 0u64;
         for i in (0..store.blob_count()).rev() {
             // An unreadable or corrupt blob must not abort resume: skip it
             // and keep scanning for an older intact graph snapshot. Only
             // transient errors are worth retrying first.
-            let blob = match retry_io(trace, config.store_retries, &mut retried, || store.get(i)) {
+            let blob = match retry_io(config.store_retries, &mut retried, || store.get(i)) {
                 Ok(b) => b,
                 Err(_) => {
                     unreadable += 1;
@@ -1140,19 +1121,63 @@ mod tests {
         assert!(report.checkpoint_bytes > 0);
     }
 
+    /// The session's trace explains a degraded run from spans alone: each
+    /// `FaultLedger` entry is exactly one faulted `fault.*` span naming
+    /// its kind and ledger index, and the retried put shows as both of its
+    /// attempts.
     #[test]
     fn persist_retries_land_in_the_session_trace() {
         use kishu_storage::{FaultKind, FaultOp, FaultPlan, FaultStore};
-        // Nothing to flush on a fresh session: put #0 is the graph snapshot.
-        let plan = FaultPlan::none().schedule(FaultOp::Put, 0, FaultKind::Transient);
+        let plan = FaultPlan::none()
+            .schedule(FaultOp::Put, 0, FaultKind::Transient)
+            .schedule(FaultOp::Get, 0, FaultKind::BitFlip);
         let store = FaultStore::new(Box::new(MemoryStore::new()), plan, 5);
+        let ledger = store.ledger_handle();
         let mut s = KishuSession::new(Box::new(store), KishuConfig::default());
         let trace = Trace::enabled();
         s.set_trace(&trace);
-        s.persist().expect("retry absorbs the transient fault");
-        let retries: Vec<_> = trace.events().into_iter().filter(|e| e.kind == "retry").collect();
-        assert_eq!(retries.len(), 1, "the snapshot put's retry is the session's event");
-        assert_eq!(s.metrics().store_retries, 1, "and the session's count");
+        run(&mut s, "xs = [1, 2]\n");
+        let target = s.head();
+        run(&mut s, "del xs\n");
+        s.checkout(target).expect("degrades to recomputation");
+        let ledger = ledger.snapshot();
+        assert_eq!(ledger.total(), 2, "both faults fired");
+        assert_eq!(s.metrics().store_retries, 1, "the session's count");
+        let spans = trace.spans();
+        let arg = |sp: &kishu_trace::SpanRecord, k: &str| {
+            sp.args.iter().find(|(a, _)| a == k).map(|(_, v)| v.clone())
+        };
+        let faulted: Vec<_> = spans
+            .iter()
+            .filter(|sp| sp.name.starts_with("fault.") && arg(sp, "fault").is_some())
+            .collect();
+        assert_eq!(
+            faulted.len(),
+            ledger.total(),
+            "one faulted span per entry: {faulted:?}"
+        );
+        for (i, entry) in ledger.injected.iter().enumerate() {
+            let sp: Vec<_> = faulted
+                .iter()
+                .filter(|sp| arg(sp, "ledger") == Some(i.to_string()))
+                .collect();
+            assert_eq!(sp.len(), 1, "ledger entry {i}: {faulted:?}");
+            assert_eq!(sp[0].name, format!("fault.{:?}", entry.op).to_lowercase());
+            assert_eq!(arg(sp[0], "fault"), Some(format!("{:?}", entry.kind)));
+            assert_eq!(arg(sp[0], "attempt"), Some(entry.attempt.to_string()));
+        }
+        // The retried put: the faulted attempt and the clean one, under
+        // the same operation key.
+        let retried = faulted
+            .iter()
+            .find(|sp| sp.name == "fault.put")
+            .expect("faulted put");
+        let attempts: Vec<_> = spans
+            .iter()
+            .filter(|sp| sp.name == "fault.put" && arg(sp, "key") == arg(retried, "key"))
+            .map(|sp| arg(sp, "attempt"))
+            .collect();
+        assert_eq!(attempts, [Some("0".to_string()), Some("1".to_string())]);
     }
 
     /// `health()` counts degradations from the session, so they are right
@@ -1379,7 +1404,7 @@ mod tests {
 
     #[test]
     fn health_snapshot_reports_caches_dedup_and_recorder_state() {
-        let trace = kishu_trace::Trace::with_obs(kishu_trace::ObsConfig::default());
+        let trace = Trace::enabled();
         let mut s = session();
         s.set_trace(&trace);
         run(&mut s, "xs = [1, 2, 3]\n");

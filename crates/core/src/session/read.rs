@@ -45,17 +45,6 @@ impl KishuSession {
     ///    live heap, namespace binding, and fallback recomputation run
     ///    sequentially, consuming the verified payloads in plan order.
     pub fn checkout(&mut self, target: NodeId) -> Result<CheckoutReport, KishuError> {
-        let result = self.checkout_inner(target);
-        if result.is_err() {
-            // A failed time-travel is the flight recorder's reason to
-            // exist: flush the ring tail + recent events to disk (only
-            // when the operator armed `KISHU_OBS_BLACKBOX`).
-            self.black_box("checkout_error");
-        }
-        result
-    }
-
-    fn checkout_inner(&mut self, target: NodeId) -> Result<CheckoutReport, KishuError> {
         // The `checkout` span is the wall-time stopwatch: its `end()` below
         // supplies `wall_time`/`co_wall_ns` — one clock read, shared by the
         // report and the trace.
@@ -189,7 +178,7 @@ impl KishuSession {
             return Fetched::Cached(payload);
         }
         let (retries, retried) = (self.config.store_retries, &mut self.metrics.store_retries);
-        match retry_io(&self.trace, retries, retried, || self.store.get(blob)) {
+        match retry_io(retries, retried, || self.store.get(blob)) {
             Ok(sealed) => {
                 sp.arg("bytes", sealed.len());
                 Fetched::Sealed { blob, sealed }

@@ -377,7 +377,7 @@ impl KishuSession {
                 Some(Put { receipt, deduped, bytes: *bytes })
             })
             .collect();
-        self.barrier(writer);
+        self.barrier();
         (puts, serialize_ns, write_sp.map_or(0, |sp| sp.end()))
     }
 
@@ -385,22 +385,12 @@ impl KishuSession {
     /// buffer, and must be reopenable before a cell's node commits or a
     /// flush returns (flushed blobs back already-committed nodes). A failed
     /// barrier is not a data-loss event by itself (the blobs are unordered,
-    /// not gone), so it degrades like any store hiccup: count it, journal
-    /// it, keep the session alive.
-    fn barrier(&mut self, writer: Writer) {
-        if self.store.flush_barrier().is_ok() {
-            return;
+    /// not gone), so it degrades like any store hiccup: count it where
+    /// [`KishuSession::health`] reads it and keep the session alive.
+    fn barrier(&mut self) {
+        if self.store.flush_barrier().is_err() {
+            self.metrics.barrier_failures += 1;
         }
-        let site = match writer {
-            Writer::Cell => "run_cell",
-            Writer::Flush => "flush_pending",
-        };
-        self.metrics.barrier_failures += 1;
-        self.trace.event(
-            kishu_trace::Severity::Error,
-            "barrier_failed",
-            vec![("where".to_string(), site.to_string())],
-        );
     }
 
     /// Serialize and seal a batch of co-variables ([`SealedBatch`]),
@@ -463,8 +453,7 @@ impl KishuSession {
             }
         }
         let (retries, retried) = (self.config.store_retries, &mut self.metrics.store_retries);
-        let receipt =
-            retry_io(&self.trace, retries, retried, || self.store.put_with_receipt(sealed))?;
+        let receipt = retry_io(retries, retried, || self.store.put_with_receipt(sealed))?;
         sp.arg("blob", receipt.id);
         if let Some(key) = key {
             self.blob_index.record(key, receipt.id);

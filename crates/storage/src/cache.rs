@@ -63,8 +63,6 @@ pub struct BlobCache {
     misses: u64,
     disabled: u64,
     evictions: u64,
-    /// Observability only: `cache_pressure` events land in its journal.
-    trace: kishu_trace::Trace,
 }
 
 impl BlobCache {
@@ -79,17 +77,6 @@ impl BlobCache {
     /// The configured byte capacity.
     pub fn capacity(&self) -> u64 {
         self.capacity
-    }
-
-    /// Whether the cache is the disabled (`capacity == 0`) no-op.
-    pub fn is_disabled(&self) -> bool {
-        self.capacity == 0
-    }
-
-    /// Adopt an observability handle: evicting inserts journal a
-    /// `cache_pressure` event into it. Purely observational.
-    pub fn attach_trace(&mut self, trace: &kishu_trace::Trace) {
-        self.trace = trace.clone();
     }
 
     /// Look `key` up, refreshing its recency on a hit.
@@ -130,7 +117,6 @@ impl BlobCache {
             self.recency.insert(self.tick, key);
             return;
         }
-        let mut evicted_now = 0u64;
         while self.bytes + payload.len() as u64 > self.capacity {
             let (&oldest, &victim) = self
                 .recency
@@ -141,21 +127,6 @@ impl BlobCache {
             let (_, evicted) = self.entries.remove(&victim).expect("recency/entries in sync");
             self.bytes -= evicted.len() as u64;
             self.evictions += 1;
-            evicted_now += 1;
-        }
-        if evicted_now > 0 {
-            // One journal event per displacing insert (not per victim), so
-            // a cold loop over a too-small cache reads as pressure, not
-            // spam.
-            self.trace.event(
-                kishu_trace::Severity::Info,
-                "cache_pressure",
-                vec![
-                    ("evicted".to_string(), evicted_now.to_string()),
-                    ("incoming_bytes".to_string(), payload.len().to_string()),
-                    ("capacity".to_string(), self.capacity.to_string()),
-                ],
-            );
         }
         self.tick += 1;
         self.entries.insert(key, (self.tick, payload.to_vec()));
@@ -195,7 +166,7 @@ mod tests {
     #[test]
     fn zero_capacity_disables_everything() {
         let mut c = BlobCache::new(0);
-        assert!(c.is_disabled());
+        assert_eq!(c.capacity(), 0);
         let k = content_key(b"x");
         c.insert(k, b"x");
         assert_eq!(c.get(k), None);

@@ -314,11 +314,6 @@ impl FaultStore {
         self.inner.as_ref()
     }
 
-    /// Unwrap, discarding the fault layer.
-    pub fn into_inner(self) -> Box<dyn CheckpointStore> {
-        self.inner
-    }
-
     /// The scheduled fault for this `(op, index)`, if any.
     fn scheduled(&self, op: FaultOp, index: u64) -> Option<FaultKind> {
         self.plan
@@ -398,30 +393,16 @@ impl FaultStore {
     /// Append one injected fault to the ledger and return its entry index
     /// (what faulted ops' spans link to).
     fn record(&self, kind: FaultKind, d: &Decision, op: FaultOp, blob: Option<BlobId>) -> usize {
-        let index = {
-            let mut st = self.state.lock().expect("fault state poisoned");
-            st.ledger.injected.push(InjectedFault {
-                op,
-                kind,
-                op_index: d.index,
-                blob,
-                key: d.key,
-                attempt: d.attempt,
-            });
-            st.ledger.injected.len() - 1
-        };
-        // Journal the injection so an operator tailing the event stream
-        // can cross-reference the FaultLedger without replaying a trace.
-        // Purely observational — the ledger entry above is the record the
-        // behavior-freedom tests fingerprint.
-        let fields = vec![
-            ("op".to_string(), format!("{op:?}")),
-            ("fault".to_string(), format!("{kind:?}")),
-            ("ledger".to_string(), index.to_string()),
-            ("attempt".to_string(), d.attempt.to_string()),
-        ];
-        self.trace.event(kishu_trace::Severity::Warn, "fault", fields);
-        index
+        let mut st = self.state.lock().expect("fault state poisoned");
+        st.ledger.injected.push(InjectedFault {
+            op,
+            kind,
+            op_index: d.index,
+            blob,
+            key: d.key,
+            attempt: d.attempt,
+        });
+        st.ledger.injected.len() - 1
     }
 
     /// Annotate a faulted op's span with the failure mode and the ledger

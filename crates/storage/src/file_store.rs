@@ -267,11 +267,6 @@ impl FileStore {
         self.sync_on_put = on;
     }
 
-    /// Path of the backing file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Next append position (durable bytes + buffered bytes).
     fn end_offset(&self) -> u64 {
         self.flushed_end + self.pending.len() as u64

@@ -150,7 +150,7 @@ pub trait CheckpointStore {
     }
 
     /// Adopt an observability handle: subsequent operations may record
-    /// spans and events into it. Purely observational — attaching a trace
+    /// spans into it. Purely observational — attaching a trace
     /// (enabled or not) must never change any operation's outcome, and
     /// the default implementation ignores it entirely. Decorators forward
     /// to their inner store.

@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 
 use kishu_testkit::json::Json;
 
-use crate::SpanRecord;
+use crate::{RingStats, SpanRecord};
 
 /// Display name for a `tid` (0 = session thread, `w+1` = pool worker w).
 pub fn thread_name(tid: u32) -> String {
@@ -132,14 +132,18 @@ pub fn span_stats(spans: &[SpanRecord]) -> Vec<SpanStats> {
         .collect()
 }
 
-/// Human-readable summary: per-span-name aggregates (sorted by total
-/// time, descending; name breaks ties).
-pub fn text_summary(spans: &[SpanRecord]) -> String {
+/// Human-readable summary: the ring's accounting, then per-span-name
+/// aggregates over the spans it still holds (sorted by total time,
+/// descending; name breaks ties).
+pub fn text_summary(spans: &[SpanRecord], ring: &RingStats) -> String {
     let mut rows = span_stats(spans);
     // Stable: equal totals keep `span_stats`' name order.
     rows.sort_by_key(|r| std::cmp::Reverse(r.total_ns));
     let mut out = String::new();
-    out.push_str(&format!("spans: {} recorded\n", spans.len()));
+    out.push_str(&format!(
+        "spans: {} recorded, {} retained, {} dropped\n",
+        ring.recorded, ring.retained, ring.dropped
+    ));
     out.push_str(&format!(
         "{:<24} {:>7} {:>10} {:>10} {:>10} {:>10}\n",
         "name", "count", "total", "mean", "min", "max"
@@ -241,9 +245,41 @@ mod tests {
 
     #[test]
     fn text_summary_aggregates_by_name() {
-        let text = text_summary(&sample_spans());
-        assert!(text.contains("spans: 2 recorded"), "{text}");
+        let mut ring = crate::SpanRing::new(1 << 20);
+        for s in sample_spans() {
+            ring.push(s);
+        }
+        let text = text_summary(&ring.snapshot(), &ring.stats());
+        assert!(
+            text.contains("spans: 2 recorded, 2 retained, 0 dropped"),
+            "{text}"
+        );
         assert!(text.contains("ckpt.seal"), "{text}");
         assert!(text.contains("4.0us"), "{text}");
+        // After eviction the header still counts every recorded span,
+        // while the rows cover only the spans the ring holds.
+        let mut ring = crate::SpanRing::new(1024);
+        for id in 1..=100 {
+            let mut s = sample_spans().remove(1);
+            (s.id, s.parent) = (id, None);
+            ring.push(s);
+        }
+        let st = ring.stats();
+        assert!(st.dropped > 0 && st.retained > 0, "{st:?}");
+        let text = text_summary(&ring.snapshot(), &st);
+        let header = format!(
+            "spans: 100 recorded, {} retained, {} dropped",
+            st.retained, st.dropped
+        );
+        assert!(text.contains(&header), "{text}");
+        let row = text
+            .lines()
+            .find(|l| l.starts_with("ckpt.seal"))
+            .expect("a ckpt.seal row");
+        assert_eq!(
+            row.split_whitespace().nth(1),
+            Some(st.retained.to_string().as_str()),
+            "{text}"
+        );
     }
 }

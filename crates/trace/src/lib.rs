@@ -1,9 +1,8 @@
 //! In-tree observability for the Kishu reproduction: structured spans in
-//! a bounded ring, a bounded event journal, and exporters (Chrome
-//! `trace_event` JSON for `chrome://tracing`/Perfetto, plus a human text
-//! summary), all views over the ring's spans. Zero registry
-//! dependencies — JSON rides on `kishu-testkit`, honoring the workspace's
-//! hermetic-build invariant.
+//! a bounded ring, the crate's only record, and two exporters over the
+//! ring's spans (Chrome `trace_event` JSON for `chrome://tracing`/Perfetto,
+//! and a human text summary). Zero registry dependencies — JSON rides on
+//! `kishu-testkit`, honoring the workspace's hermetic-build invariant.
 //!
 //! # Design constraints
 //!
@@ -16,7 +15,7 @@
 //!   *disabled* (holds nothing). Disabled is the default; every recording
 //!   call on a disabled handle is a no-op that touches no shared state.
 //! * Finished spans are appended to a **per-thread buffer** and only
-//!   drained into the shared record list when the thread's span stack
+//!   drained into the shared ring when the thread's span stack
 //!   empties (end of a top-level span, or end of a [`Trace::worker_scope`]
 //!   on a pool worker). The hot path takes no locks per span; draining
 //!   takes one lock per batch.
@@ -44,13 +43,10 @@ use std::time::Instant;
 
 use kishu_testkit::json::Json;
 
-pub mod blackbox;
 pub mod chrome;
-pub mod events;
 pub mod ring;
 
-pub use events::{Event, EventJournal, Severity};
-pub use ring::{ObsConfig, RingStats, SpanRing};
+pub use ring::{RingStats, SpanRing};
 
 /// Identifier of a span, unique within one [`Trace`]. Ids start at 1.
 pub type SpanId = u64;
@@ -77,24 +73,12 @@ pub struct SpanRecord {
     pub args: Vec<(String, String)>,
 }
 
-/// The recorder's mutable state, behind a single lock. One mutex instead
-/// of one per structure matters under the worker pool: every pool job's
-/// `worker_scope` exit drains its span buffer, and a flush that journals
-/// slow spans then pays one lock round trip, not two.
-#[derive(Debug)]
-struct ObsState {
-    /// Bounded span retention: the only copy of each finished span.
-    spans: SpanRing,
-    /// Bounded, severity-tiered event journal.
-    journal: EventJournal,
-}
-
 #[derive(Debug)]
 struct TraceInner {
     epoch: Instant,
     next_id: AtomicU64,
-    state: Mutex<ObsState>,
-    obs: ObsConfig,
+    /// Bounded span retention: the only copy of each finished span.
+    spans: Mutex<SpanRing>,
 }
 
 thread_local! {
@@ -104,7 +88,7 @@ thread_local! {
     /// for a scope with no parent).
     static STACK: RefCell<Vec<(Arc<TraceInner>, Option<SpanId>)>> =
         const { RefCell::new(Vec::new()) };
-    /// Finished spans awaiting a drain into their trace's shared list.
+    /// Finished spans awaiting a drain into their trace's ring.
     static BUFFER: RefCell<Vec<(Arc<TraceInner>, SpanRecord)>> =
         const { RefCell::new(Vec::new()) };
 }
@@ -112,8 +96,8 @@ thread_local! {
 /// A cloneable handle to one trace, or a no-op placeholder.
 ///
 /// `Trace::default()` / [`Trace::disabled`] record nothing and allocate
-/// nothing; [`Trace::enabled`] starts a fresh trace whose spans and
-/// events accumulate until exported. Cloning shares the underlying
+/// nothing; [`Trace::enabled`] starts a fresh trace whose spans
+/// accumulate in its ring until exported. Cloning shares the underlying
 /// trace.
 #[derive(Debug, Clone, Default)]
 pub struct Trace(Option<Arc<TraceInner>>);
@@ -125,24 +109,20 @@ impl Trace {
         Trace(None)
     }
 
-    /// Start a fresh, recording trace with the default flight-recorder
-    /// bounds. The epoch (t=0 of every span's `start_ns`) is now.
+    /// Start a fresh, recording trace with a 4 MiB ring. The epoch (t=0
+    /// of every span's `start_ns`) is now.
     pub fn enabled() -> Trace {
-        Trace::with_obs(ObsConfig::default())
+        Trace::with_ring_bytes(4 << 20)
     }
 
-    /// Start a fresh, recording trace with explicit flight-recorder
-    /// bounds (tests and the overhead experiment use this to force ring
-    /// pressure).
-    pub fn with_obs(obs: ObsConfig) -> Trace {
+    /// Start a fresh, recording trace whose ring holds about `ring_bytes`
+    /// of spans (tests and the overhead experiment use a small one to
+    /// force eviction).
+    pub fn with_ring_bytes(ring_bytes: usize) -> Trace {
         Trace(Some(Arc::new(TraceInner {
             epoch: Instant::now(),
             next_id: AtomicU64::new(1),
-            state: Mutex::new(ObsState {
-                spans: SpanRing::new(obs.ring_bytes),
-                journal: EventJournal::new(obs.journal_events),
-            }),
-            obs,
+            spans: Mutex::new(SpanRing::new(ring_bytes)),
         })))
     }
 
@@ -222,7 +202,7 @@ impl Trace {
     /// ends).
     pub fn spans(&self) -> Vec<SpanRecord> {
         match &self.0 {
-            Some(inner) => inner.state.lock().expect("obs state poisoned").spans.snapshot(),
+            Some(inner) => inner.ring().snapshot(),
             None => Vec::new(),
         }
     }
@@ -230,38 +210,8 @@ impl Trace {
     /// The ring's occupancy and truthful drop accounting.
     pub fn ring_stats(&self) -> RingStats {
         match &self.0 {
-            Some(inner) => inner.state.lock().expect("obs state poisoned").spans.stats(),
+            Some(inner) => inner.ring().stats(),
             None => RingStats::default(),
-        }
-    }
-
-    /// Append an event to the journal, stamped with the current offset
-    /// from the trace epoch. No-op when disabled.
-    pub fn event(&self, severity: Severity, kind: &str, fields: Vec<(String, String)>) {
-        if let Some(inner) = &self.0 {
-            let t_ns = inner.epoch.elapsed().as_nanos() as u64;
-            inner
-                .state
-                .lock()
-                .expect("obs state poisoned")
-                .journal
-                .push_at(t_ns, severity, kind, fields);
-        }
-    }
-
-    /// Snapshot the retained journal events, oldest first.
-    pub fn events(&self) -> Vec<Event> {
-        match &self.0 {
-            Some(inner) => inner.state.lock().expect("obs state poisoned").journal.snapshot(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Events evicted from the bounded journal.
-    pub fn events_dropped(&self) -> u64 {
-        match &self.0 {
-            Some(inner) => inner.state.lock().expect("obs state poisoned").journal.dropped(),
-            None => 0,
         }
     }
 
@@ -271,42 +221,39 @@ impl Trace {
         chrome::chrome_json(&self.spans())
     }
 
-    /// Human-readable per-span-name summary.
+    /// Human-readable per-span-name summary, headed by the ring's
+    /// accounting (see [`chrome::text_summary`]).
     pub fn text_summary(&self) -> String {
-        chrome::text_summary(&self.spans())
+        chrome::text_summary(&self.spans(), &self.ring_stats())
+    }
+}
+
+impl TraceInner {
+    fn ring(&self) -> std::sync::MutexGuard<'_, SpanRing> {
+        self.spans.lock().expect("span ring poisoned")
     }
 }
 
 /// Drain this thread's finished-span buffer into the owning traces'
-/// rings, batching same-trace records under one lock. The drain also
-/// journals slow spans as `slow_span` events, so the per-span hot path
-/// stays lock-free.
+/// rings, batching same-trace records under one lock, so the per-span
+/// hot path stays lock-free.
 fn flush_thread_buffer() {
     let mut rest: Vec<(Arc<TraceInner>, SpanRecord)> =
         BUFFER.with(|b| std::mem::take(&mut *b.borrow_mut()));
     while let Some((inner, _)) = rest.first() {
         let inner = inner.clone();
-        // One lock covers the batch: ring pushes and any slow-span
-        // journal entries all land in a single acquisition, which is
-        // what keeps per-job worker-pool drains cheap. Records for a
-        // different trace (rare: nested sessions) carry over.
+        // One lock covers the batch, which is what keeps per-job
+        // worker-pool drains cheap. Records for a different trace (rare:
+        // nested sessions) carry over.
         let mut keep = Vec::new();
         {
-            let mut st = inner.state.lock().expect("obs state poisoned");
+            let mut ring = inner.ring();
             for (t, r) in rest {
-                if !Arc::ptr_eq(&t, &inner) {
+                if Arc::ptr_eq(&t, &inner) {
+                    ring.push(r);
+                } else {
                     keep.push((t, r));
-                    continue;
                 }
-                let threshold = events::slow_threshold_ns(inner.obs.slow_ns, &r.name);
-                if r.dur_ns >= threshold {
-                    // Stamped at the span's end, not "now": derived from
-                    // the same clock read as the span itself.
-                    let t_ns = r.start_ns.saturating_add(r.dur_ns);
-                    let fields = events::slow_span_fields(&r, threshold);
-                    st.journal.push_at(t_ns, Severity::Warn, "slow_span", fields);
-                }
-                st.spans.push(r);
             }
         }
         rest = keep;
@@ -411,35 +358,13 @@ pub fn current_span(name: &str) -> SpanGuard {
     current().span(name)
 }
 
-/// The operator's environment switches — the only environment the
-/// library crates read. Everything else is configured by the values a
-/// caller passes (`KishuConfig`, `ChunkConfig`, [`ObsConfig`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EnvSwitches {
-    /// `KISHU_TRACE`, when set non-empty: the Chrome-trace export path. It
-    /// also enables the process-global trace ([`global`]).
-    pub trace_path: Option<String>,
-    /// `KISHU_OBS_BLACKBOX`, when set: sessions write a crash black box
-    /// (`target/flightrec/`) on panics and degraded checkouts.
-    pub blackbox: bool,
-}
-
-/// Read [`EnvSwitches`] from the environment, once per process.
-pub fn env_switches() -> &'static EnvSwitches {
-    static SWITCHES: OnceLock<EnvSwitches> = OnceLock::new();
-    SWITCHES.get_or_init(|| EnvSwitches {
-        trace_path: std::env::var("KISHU_TRACE").ok().filter(|p| !p.is_empty()),
-        blackbox: std::env::var_os("KISHU_OBS_BLACKBOX").is_some(),
-    })
-}
-
 static GLOBAL: OnceLock<Trace> = OnceLock::new();
 
 /// The process-global trace: enabled iff `KISHU_TRACE` is set non-empty
-/// (see [`env_switches`]), unless [`force_global_enabled`] ran first.
+/// (see [`global_path`]), unless [`force_global_enabled`] ran first.
 /// Sessions clone this by default.
 pub fn global() -> &'static Trace {
-    GLOBAL.get_or_init(|| match env_switches().trace_path {
+    GLOBAL.get_or_init(|| match global_path() {
         Some(_) => Trace::enabled(),
         None => Trace::disabled(),
     })
@@ -452,9 +377,12 @@ pub fn force_global_enabled() -> &'static Trace {
     GLOBAL.get_or_init(Trace::enabled)
 }
 
-/// The export path from `KISHU_TRACE`, if set non-empty.
+/// The export path from `KISHU_TRACE`, if set non-empty — the only
+/// environment variable this crate reads. Everything else is configured
+/// by the values a caller passes (`KishuConfig`, `ChunkConfig`,
+/// [`Trace::with_ring_bytes`]).
 pub fn global_path() -> Option<String> {
-    env_switches().trace_path.clone()
+    std::env::var("KISHU_TRACE").ok().filter(|p| !p.is_empty())
 }
 
 #[cfg(test)]
@@ -470,6 +398,7 @@ mod tests {
         let dur = sp.end();
         assert!(dur >= 1_000_000, "end() must measure even when disabled");
         assert!(t.spans().is_empty());
+        assert_eq!(t.ring_stats(), RingStats::default());
     }
 
     #[test]
@@ -560,12 +489,7 @@ mod tests {
     /// through, and `recorded == retained + dropped` exactly.
     #[test]
     fn soak_millions_of_spans_stay_bounded_with_truthful_drops() {
-        let obs = ObsConfig {
-            ring_bytes: 256 << 10, // 256 KiB: force heavy eviction
-            journal_events: 128,
-            slow_ns: u64::MAX, // not exercising slow events here
-        };
-        let t = Trace::with_obs(obs);
+        let t = Trace::with_ring_bytes(256 << 10); // 256 KiB: force heavy eviction
         const N: u64 = 2_000_000;
         for i in 0..N {
             let mut sp = t.span("store.put");
@@ -580,37 +504,6 @@ mod tests {
         assert!(st.dropped > 0, "a 256 KiB ring cannot hold 2M spans");
         assert!(st.bytes <= st.cap_bytes, "memory bounded: {st:?}");
         assert_eq!(t.spans().len() as u64, st.retained);
-    }
-
-    /// Spans crossing their op family's latency threshold surface as
-    /// `slow_span` journal events without any caller involvement.
-    #[test]
-    fn slow_spans_surface_in_the_event_journal() {
-        let obs = ObsConfig {
-            slow_ns: 1_000, // 1µs base so a sleep trips it
-            ..ObsConfig::default()
-        };
-        let t = Trace::with_obs(obs);
-        {
-            let sp = t.span("pickle.dumps");
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            sp.end();
-        }
-        t.span("fast").end(); // may or may not trip; the slow one must
-        let events = t.events();
-        let slow: Vec<_> = events
-            .iter()
-            .filter(|e| {
-                e.kind == "slow_span"
-                    && e.fields.iter().any(|(k, v)| k == "op" && v == "pickle.dumps")
-            })
-            .collect();
-        assert_eq!(slow.len(), 1, "events: {events:?}");
-        assert_eq!(slow[0].severity, Severity::Warn);
-        assert!(slow[0]
-            .fields
-            .iter()
-            .any(|(k, v)| k == "threshold_ns" && v == "1000"));
     }
 
     /// Property test (deterministic xoshiro harness): random span
@@ -671,32 +564,5 @@ mod tests {
             let st = ring.stats();
             assert_eq!(st.recorded, st.retained + st.dropped, "case {case}: {st:?}");
         }
-    }
-
-    #[test]
-    fn explicit_events_record_with_severity_and_bounds() {
-        let obs = ObsConfig {
-            journal_events: 4,
-            ..ObsConfig::default()
-        };
-        let t = Trace::with_obs(obs);
-        for i in 0..6u32 {
-            t.event(
-                Severity::Info,
-                "gc",
-                vec![("phase".into(), format!("p{i}"))],
-            );
-        }
-        t.event(Severity::Error, "barrier_failed", vec![]);
-        let events = t.events();
-        assert_eq!(events.len(), 4, "journal bounded");
-        assert_eq!(t.events_dropped(), 3);
-        assert_eq!(events.last().unwrap().kind, "barrier_failed");
-        assert_eq!(events.last().unwrap().severity, Severity::Error);
-        // Disabled handles accept and drop events.
-        let d = Trace::disabled();
-        d.event(Severity::Warn, "x", vec![]);
-        assert!(d.events().is_empty());
-        assert_eq!(d.ring_stats(), RingStats::default());
     }
 }

@@ -4,15 +4,14 @@
 //! `repro` run but grows without limit in a long traced session.
 //! [`SpanRing`] is a fixed-budget FIFO instead: records are charged an
 //! approximate in-memory cost and the oldest records are evicted once the
-//! budget ([`ObsConfig::ring_bytes`], default 4 MiB) is exceeded. The ring
-//! holds the only copy of each span: every view (`%health` latencies, the
-//! text summary, the exports, the black box) is computed from
-//! [`SpanRing::snapshot`].
+//! budget ([`crate::Trace::with_ring_bytes`]; 4 MiB for
+//! [`crate::Trace::enabled`]) is exceeded. The ring holds the only copy of
+//! each span: every view (`%health` latencies, the text summary, the
+//! Chrome export) is computed from [`SpanRing::snapshot`].
 //!
 //! * **Truthful drop accounting.** `recorded == retained + dropped` at
 //!   every instant — an evicted span bumps `dropped`; nothing vanishes
-//!   silently. Slow spans outlive their eviction as `slow_span` events in
-//!   the journal.
+//!   silently.
 //!
 //! Snapshots are *sanitized*: a record whose parent was evicted is
 //! re-rooted (`parent = None`) so exports never contain dangling
@@ -21,30 +20,6 @@
 use std::collections::{HashSet, VecDeque};
 
 use crate::SpanRecord;
-
-/// Flight-recorder tuning, fixed for the life of one [`crate::Trace`]
-/// ([`crate::Trace::with_obs`]; [`crate::Trace::enabled`] uses the
-/// defaults).
-#[derive(Debug, Clone)]
-pub struct ObsConfig {
-    /// Ring budget in (approximate, in-memory) bytes.
-    pub ring_bytes: usize,
-    /// Event-journal capacity in events.
-    pub journal_events: usize,
-    /// Base slow-span threshold in nanoseconds (scaled per op family by
-    /// [`crate::events::slow_threshold_ns`]).
-    pub slow_ns: u64,
-}
-
-impl Default for ObsConfig {
-    fn default() -> ObsConfig {
-        ObsConfig {
-            ring_bytes: 4 << 20,
-            journal_events: 1024,
-            slow_ns: 50_000_000,
-        }
-    }
-}
 
 /// Occupancy and accounting snapshot of a [`SpanRing`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -53,24 +53,24 @@ if grep -nE '^\s*(rand|proptest|criterion|crossbeam|parking_lot|bytes|serde|serd
 fi
 
 # Configuration is the values callers pass (`KishuConfig`, `ChunkConfig`,
-# `ObsConfig`). The library crates read the environment in exactly four
-# places: the trace switches (kishu-trace `env_switches`: KISHU_TRACE,
-# KISHU_OBS_BLACKBOX) and the two harness knobs (kishu-testkit
+# `Trace::with_ring_bytes`). The library crates read the environment in
+# exactly three places: the trace export path (kishu-trace `global_path`:
+# KISHU_TRACE) and the two harness knobs (kishu-testkit
 # `rng::seed_override`: KISHU_TESTKIT_SEED, `bench::quick`:
 # KISHU_BENCH_QUICK). kbench, a package of its own, is not covered.
 stage "guard: environment reads only in the declared readers"
 ENV_READS="$(grep -rnE 'env::var(_os)?\(' crates/*/src src --include='*.rs' \
     | grep -v '^crates/bench/src/bin/kbench/' || true)"
-ALLOWED='^crates/trace/src/lib\.rs:[0-9]+: .*env::var(_os)?\("KISHU_(TRACE|OBS_BLACKBOX)"\)'
+ALLOWED='^crates/trace/src/lib\.rs:[0-9]+: .*env::var\("KISHU_TRACE"\)'
 ALLOWED="$ALLOWED"'|^crates/testkit/src/rng\.rs:[0-9]+: .*env::var\("KISHU_TESTKIT_SEED"\)'
 ALLOWED="$ALLOWED"'|^crates/testkit/src/bench\.rs:[0-9]+: .*env::var\("KISHU_BENCH_QUICK"\)'
 if printf '%s\n' "$ENV_READS" | grep -vE "$ALLOWED" | grep .; then
     echo "error: environment read outside the declared readers (above)" >&2
     exit 1
 fi
-if [ "$(printf '%s\n' "$ENV_READS" | grep -c .)" -ne 4 ]; then
+if [ "$(printf '%s\n' "$ENV_READS" | grep -c .)" -ne 3 ]; then
     printf '%s\n' "$ENV_READS" >&2
-    echo "error: expected exactly 4 environment reads (above)" >&2
+    echo "error: expected exactly 3 environment reads (above)" >&2
     exit 1
 fi
 
@@ -170,11 +170,9 @@ fi
 stage "cargo doc (workspace, -D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps --workspace
 
-# Rotate observability artifacts under target/ so repeated CI runs stay
-# bounded: keep the newest few Chrome traces and flight-recorder dumps,
-# delete the rest. (Black-box dumps rotate themselves at write time too —
-# this also covers dumps left by crashed/killed runs.)
-stage "rotate trace/flightrec artifacts under target/"
+# Rotate Chrome traces under target/ so repeated CI runs stay bounded:
+# keep the newest few, delete the rest.
+stage "rotate trace artifacts under target/"
 rotate_keep() { # rotate_keep GLOB... (keeps the 8 newest of the set)
     # `ls` exits 2 when a glob matched nothing; under pipefail that must
     # not fail the stage.
@@ -183,8 +181,6 @@ rotate_keep() { # rotate_keep GLOB... (keeps the 8 newest of the set)
     done
 }
 rotate_keep target/trace*.json.old target/trace-*.json
-rotate_keep target/flightrec/flightrec-*.jsonl
-echo "kept: $(ls -1 target/flightrec/ 2>/dev/null | wc -l) flightrec dump(s)"
 
 stage ""
 echo "CI OK in $(( $(date +%s) - CI_T0 ))s$([ "$QUICK" = 1 ] && echo ' (quick)')"

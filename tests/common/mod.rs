@@ -37,7 +37,7 @@ use kishu_minipy::{CellOutcome, Engine, Interp, RunError};
 use kishu_storage::chunk::ChunkConfig;
 use kishu_storage::{CheckpointStore, FaultLedger, FaultPlan, FaultStore, FileStore, MemoryStore};
 use kishu_testkit::rng::Rng;
-use kishu_trace::{ObsConfig, Trace};
+use kishu_trace::Trace;
 
 // ---------------------------------------------------------------------------
 // Configuration points
@@ -73,11 +73,10 @@ impl Chunking {
 pub enum Recorder {
     /// `Trace::disabled()`.
     Off,
-    /// `Trace::enabled()` with the default flight-recorder bounds.
+    /// `Trace::enabled()` with the default 4 MiB ring.
     On,
-    /// The flight recorder's worst case: a tiny ring (constant eviction),
-    /// a tiny journal, and a 1 ns slow-span threshold so every span takes
-    /// the journal path.
+    /// The flight recorder's worst case: an 8 KiB ring, so eviction runs
+    /// constantly.
     Pressure,
 }
 
@@ -86,11 +85,7 @@ impl Recorder {
         match self {
             Recorder::Off => Trace::disabled(),
             Recorder::On => Trace::enabled(),
-            Recorder::Pressure => Trace::with_obs(ObsConfig {
-                ring_bytes: 8 * 1024,
-                journal_events: 64,
-                slow_ns: 1,
-            }),
+            Recorder::Pressure => Trace::with_ring_bytes(8 * 1024),
         }
     }
 }
@@ -567,7 +562,6 @@ impl Physical {
 pub struct RecorderStats {
     pub spans_recorded: u64,
     pub spans_dropped: u64,
-    pub events_seen: u64,
 }
 
 /// Everything one run of a script at one point observed.
@@ -718,7 +712,6 @@ impl Run {
             recorder: RecorderStats {
                 spans_recorded: ring.recorded,
                 spans_dropped: ring.dropped,
-                events_seen: self.trace.events().len() as u64 + self.trace.events_dropped(),
             },
         }
     }

@@ -78,7 +78,6 @@ fn every_point_observes_what_the_oracle_observes() {
             let (point, rec) = (obs.point, obs.recorder);
             if point.recorder == Recorder::Pressure {
                 assert!(rec.spans_dropped > 0, "the 8 KiB ring never overflowed at {point:?}");
-                assert!(rec.events_seen > 0, "the 1 ns threshold journaled nothing at {point:?}");
             } else {
                 assert_eq!(rec.spans_recorded, 0, "a disabled trace recorded at {point:?}");
             }

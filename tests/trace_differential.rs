@@ -7,8 +7,7 @@
 //! (1 worker) and 4 workers, covering the checkpoint write pipeline and
 //! the checkout read pipeline in one script, and not just with the
 //! recorder on, but with it forced into its worst case (a tiny ring under
-//! constant eviction, an overflowing journal, every span crossing the slow
-//! threshold). This is the invariant that makes `KISHU_TRACE=...` safe to
+//! constant eviction). This is the invariant that makes `KISHU_TRACE=...` safe to
 //! flip on against any workload: the trace observes the run, it never
 //! participates in it.
 
@@ -35,8 +34,7 @@ fn tracing_is_behavior_free_for_both_pipelines_at_1_and_4_workers() {
 }
 
 /// The flight recorder's worst case is behavior-free too: a ring small
-/// enough that eviction runs constantly, a journal that overflows, and a
-/// slow-span threshold that routes *every* span through the journal path.
+/// enough that eviction runs constantly.
 #[test]
 fn recorder_under_memory_pressure_is_behavior_free_at_1_and_4_workers() {
     let script = Script::matrix();
@@ -44,10 +42,8 @@ fn recorder_under_memory_pressure_is_behavior_free_at_1_and_4_workers() {
         let off = observe(&point(workers, Recorder::Off), &script);
         let on = observe(&point(workers, Recorder::Pressure), &script);
         assert_twins(&off, &on);
-        // The pressure must have been real: the tiny ring overflowed and
-        // the journal path ran (truthfully accounted, not silently).
+        // The pressure must have been real: the tiny ring overflowed.
         assert!(on.recorder.spans_dropped > 0, "the 8 KiB ring never overflowed at {workers}");
-        assert!(on.recorder.events_seen > 0, "the 1 ns threshold journaled nothing at {workers}");
     }
 }
 
