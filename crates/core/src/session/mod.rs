@@ -51,7 +51,13 @@ pub struct KishuConfig {
     /// always restores them by fallback recomputation (§6.2's blocklist for
     /// silently erroneous classes).
     pub blocklist: BTreeSet<String>,
-    /// Garbage-collect unreachable heap objects after each cell.
+    /// Garbage-collect unreachable heap objects after cells and at the
+    /// end of checkouts (`resume` included), whenever the session's one
+    /// collection rule says a sweep is due: more than 4,096 objects, or
+    /// more shallow bytes than the larger of 4 MiB and what survived the
+    /// last sweep, allocated since that sweep. `false` never sweeps.
+    /// Slot ids and simulated addresses are never reused, so when a sweep
+    /// runs changes memory use only.
     pub gc_after_cell: bool,
     /// Skip delta detection entirely for cells that are *provably
     /// read-only* under the static rules of [`crate::rules`] — the §6.2
@@ -405,8 +411,9 @@ pub struct KishuSession {
     metrics: SessionMetrics,
     /// Co-variables committed but not yet serialized (think-time deferral).
     pending: Vec<(NodeId, CoVarKey)>,
-    /// Allocation high-water mark at the last garbage collection.
-    last_gc_allocs: u64,
+    /// Where the heap stood after the last sweep
+    /// ([`Self::collect_if_due`]'s inputs).
+    gc_mark: GcMark,
     /// Content-addressed index over sealed payloads written this session
     /// (advisory; empty after `resume`). See [`KishuConfig::dedup_blobs`].
     blob_index: BlobIndex,
@@ -466,7 +473,7 @@ impl KishuSession {
             config,
             metrics: SessionMetrics::default(),
             pending: Vec::new(),
-            last_gc_allocs: 0,
+            gc_mark: GcMark::default(),
             blob_index: BlobIndex::new(),
             read_cache,
             blob_keys: HashMap::new(),
@@ -619,6 +626,57 @@ impl KishuSession {
         session.graph.set_head(root);
         session.checkout(target)?;
         Ok(session)
+    }
+}
+
+/// A sweep is due once more objects than this were allocated since the
+/// last one.
+const GC_OBJECTS: u64 = 4096;
+
+/// A sweep is also due once more shallow bytes were allocated since the
+/// last one than survived it, with this floor: Go's `GOGC=100` pacing
+/// with its 4 MB minimum heap.
+const GC_MIN_BYTES: u64 = 4 << 20;
+
+/// The heap's allocation counters at the last sweep, and the shallow bytes
+/// that survived it.
+#[derive(Debug, Clone, Copy, Default)]
+struct GcMark {
+    objects: u64,
+    bytes: u64,
+    live_bytes: u64,
+}
+
+impl KishuSession {
+    /// The session's one collection rule, checked after every cell and at
+    /// the end of every checkout: sweep the heap when, since the last
+    /// sweep, more than [`GC_OBJECTS`] objects or more shallow bytes than
+    /// `max(live bytes after it, GC_MIN_BYTES)` were allocated. A sweep
+    /// scans every slot ever allocated, so it waits until enough was
+    /// allocated to be worth looking for; the byte rule keeps a few large
+    /// payloads, which checkouts replace wholesale, from piling up in
+    /// between. Each sweep runs under a `heap.gc` span.
+    fn collect_if_due(&mut self) {
+        if !self.config.gc_after_cell {
+            return;
+        }
+        let heap = &self.interp.heap;
+        let objects = heap.total_allocated() - self.gc_mark.objects;
+        let bytes = heap.allocated_bytes() - self.gc_mark.bytes;
+        if objects <= GC_OBJECTS && bytes <= self.gc_mark.live_bytes.max(GC_MIN_BYTES) {
+            return;
+        }
+        let mut sp = self.trace.span("heap.gc");
+        let sweep = self.interp.gc();
+        sp.arg("objects", sweep.objects);
+        sp.arg("bytes", sweep.bytes);
+        sp.end();
+        let heap = &self.interp.heap;
+        self.gc_mark = GcMark {
+            objects: heap.total_allocated(),
+            bytes: heap.allocated_bytes(),
+            live_bytes: sweep.live_bytes,
+        };
     }
 }
 

@@ -106,9 +106,11 @@ impl KishuSession {
         self.detector
             .resync_after_checkout(&self.interp.heap, &self.interp.globals, &changed);
         self.graph.set_head(target);
-        // No GC here: collection scans every slot ever allocated, which
-        // would dominate sub-millisecond undos; the next cell execution
-        // collects anyway.
+        // Replaced co-variables are garbage now. A session that only
+        // checks out (undo/redo, branch switching, `resume`) runs no cell
+        // to collect them, so the checkout checks the collection rule
+        // itself, inside its span.
+        self.collect_if_due();
 
         let co_wall_ns = co_sp.end();
         Ok(CheckoutReport {

@@ -185,17 +185,7 @@ impl KishuSession {
         let ckpt_wall_ns = ckpt_sp.end();
         let checkpoint_time = Duration::from_nanos(ckpt_wall_ns);
 
-        if self.config.gc_after_cell {
-            // Amortize: a mark-sweep scans every slot ever allocated, so
-            // collecting after every tiny cell would make GC cost grow with
-            // session age. Collect only once enough new allocations piled
-            // up since the last sweep.
-            let allocs = self.interp.heap.stats().total_allocated;
-            if allocs - self.last_gc_allocs > 4096 {
-                self.interp.gc();
-                self.last_gc_allocs = allocs;
-            }
-        }
+        self.collect_if_due();
 
         self.metrics.cells.push(CellMetrics {
             node: committed,

@@ -22,6 +22,26 @@ struct Slot {
     mutated_at: u64,
 }
 
+/// Set `id`'s bit in a slot-indexed mark bitmap; whether it was clear.
+#[inline]
+fn mark(bits: &mut [u64], id: ObjId) -> bool {
+    let (word, bit) = (id.index() / 64, 1u64 << (id.index() % 64));
+    let fresh = bits[word] & bit == 0;
+    bits[word] |= bit;
+    fresh
+}
+
+/// What one [`Heap::collect_garbage`] sweep freed and kept.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Sweep {
+    /// Objects collected.
+    pub objects: usize,
+    /// Shallow bytes of the collected objects.
+    pub bytes: u64,
+    /// Shallow bytes of the objects that survived.
+    pub live_bytes: u64,
+}
+
 /// Aggregate heap statistics (drives Table 2-style workload summaries).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HeapStats {
@@ -40,6 +60,7 @@ pub struct Heap {
     allocator: PageAllocator,
     clock: u64,
     total_allocated: u64,
+    allocated_bytes: u64,
     next_token: u64,
 }
 
@@ -57,6 +78,7 @@ impl Heap {
             allocator: PageAllocator::new(),
             clock: 0,
             total_allocated: 0,
+            allocated_bytes: 0,
             next_token: 1,
         }
     }
@@ -74,6 +96,7 @@ impl Heap {
         let extent = self.allocator.alloc(size + (size / 8).clamp(8, 512));
         self.clock += 1;
         self.total_allocated += 1;
+        self.allocated_bytes += size;
         let slot = Slot {
             kind,
             extent,
@@ -81,6 +104,17 @@ impl Heap {
         };
         self.slots.push(Some(slot));
         ObjId((self.slots.len() - 1) as u32)
+    }
+
+    /// Objects ever allocated, without the slot scan [`Self::stats`] does.
+    pub fn total_allocated(&self) -> u64 {
+        self.total_allocated
+    }
+
+    /// Shallow bytes ever allocated, each object counted at its
+    /// allocation (later growth is mutation, not allocation).
+    pub fn allocated_bytes(&self) -> u64 {
+        self.allocated_bytes
     }
 
     /// Fresh token for generator identity.
@@ -229,10 +263,70 @@ impl Heap {
             .sum()
     }
 
-    /// Mark-and-sweep garbage collection from the given roots. Returns the
-    /// number of collected objects. Slot indices of collected objects are
-    /// *not* reused, so stale `ObjId`s can never silently alias a new object.
-    pub fn collect_garbage(&mut self, roots: impl IntoIterator<Item = ObjId>) -> usize {
+    /// Mark-and-sweep garbage collection from the given roots. Slot indices
+    /// of collected objects are *not* reused, so stale `ObjId`s can never
+    /// silently alias a new object.
+    ///
+    /// Marks into one bit per slot, then rebuilds the live-page set once
+    /// from the survivors: that set is always the union of the live
+    /// extents' pages, so nothing is lost by not unmarking each freed
+    /// extent first.
+    pub fn collect_garbage(&mut self, roots: impl IntoIterator<Item = ObjId>) -> Sweep {
+        let mut marked = vec![0u64; self.slots.len().div_ceil(64)];
+        let mut stack: Vec<ObjId> = Vec::new();
+        for r in roots {
+            if mark(&mut marked, r) {
+                stack.push(r);
+            }
+        }
+        while let Some(id) = stack.pop() {
+            for child in self.children(id) {
+                if mark(&mut marked, child) {
+                    stack.push(child);
+                }
+            }
+        }
+        let mut sweep = Sweep::default();
+        for (idx, slot) in self.slots.iter_mut().enumerate() {
+            let Some(s) = slot else { continue };
+            let size = s.kind.shallow_size() as u64;
+            if marked[idx / 64] & (1 << (idx % 64)) != 0 {
+                sweep.live_bytes += size;
+            } else {
+                sweep.objects += 1;
+                sweep.bytes += size;
+                *slot = None;
+            }
+        }
+        if sweep.objects > 0 {
+            self.allocator
+                .rebuild_live(self.slots.iter().flatten().map(|s| s.extent));
+        }
+        sweep
+    }
+
+    fn remark_pages_overlapping(&mut self, freed: Extent) {
+        // A single freed extent (the growth path in [`Self::modify`]) only
+        // removed *its* pages from the live set; re-marking is bounded by
+        // the extents overlapping those pages instead of re-inserting every
+        // page of every live object on each growth.
+        let extents: Vec<Extent> = self
+            .slots
+            .iter()
+            .flatten()
+            .map(|s| s.extent)
+            .filter(|e| e.shares_pages_with(&freed))
+            .collect();
+        for e in extents {
+            self.allocator.mark_live(e);
+        }
+    }
+
+    /// The sweep [`Self::collect_garbage`] replaced, kept as its test
+    /// oracle: a hash-set mark, then every freed extent unmarked and every
+    /// survivor re-marked.
+    #[cfg(test)]
+    fn collect_garbage_reference(&mut self, roots: impl IntoIterator<Item = ObjId>) -> usize {
         let mut live: HashSet<ObjId> = HashSet::new();
         let mut queue: Vec<ObjId> = Vec::new();
         for r in roots {
@@ -263,33 +357,13 @@ impl Heap {
         collected
     }
 
+    #[cfg(test)]
     fn remark_live_pages(&mut self) {
-        // Freeing extents may have dropped pages that other live extents
-        // still overlap (small objects share pages); re-assert them. The
-        // full rescan is the right tool after a GC sweep, where many
-        // extents were freed all over the address space.
         let extents: Vec<Extent> = self
             .slots
             .iter()
             .flatten()
             .map(|s| s.extent)
-            .collect();
-        for e in extents {
-            self.allocator.mark_live(e);
-        }
-    }
-
-    fn remark_pages_overlapping(&mut self, freed: Extent) {
-        // A single freed extent (the growth path in [`Self::modify`]) only
-        // removed *its* pages from the live set; re-marking is bounded by
-        // the extents overlapping those pages instead of re-inserting every
-        // page of every live object on each growth.
-        let extents: Vec<Extent> = self
-            .slots
-            .iter()
-            .flatten()
-            .map(|s| s.extent)
-            .filter(|e| e.shares_pages_with(&freed))
             .collect();
         for e in extents {
             self.allocator.mark_live(e);
@@ -461,8 +535,10 @@ mod tests {
         let mut heap = Heap::new();
         let keep = list_of_ints(&mut heap, &[1, 2, 3]);
         let drop_me = list_of_ints(&mut heap, &[4, 5, 6]);
-        let collected = heap.collect_garbage([keep]);
-        assert_eq!(collected, 4); // dropped list + its 3 ints
+        let sweep = heap.collect_garbage([keep]);
+        assert_eq!(sweep.objects, 4); // dropped list + its 3 ints
+        assert_eq!(sweep.bytes, 56 + 8 * 3 + 3 * 28);
+        assert_eq!(sweep.live_bytes, heap.stats().live_bytes);
         assert!(heap.is_live(keep));
         assert!(!heap.is_live(drop_me));
         // Roots' children survived.
@@ -478,6 +554,20 @@ mod tests {
         let dead = heap.alloc(ObjKind::Int(9));
         heap.collect_garbage(std::iter::empty());
         let _ = heap.kind(dead);
+    }
+
+    #[test]
+    fn allocation_counters_are_kept_without_a_scan() {
+        let mut heap = Heap::new();
+        let a = list_of_ints(&mut heap, &[1, 2]);
+        heap.alloc(ObjKind::NdArray(vec![0.0; 100]));
+        assert_eq!(heap.total_allocated(), 4);
+        assert_eq!(heap.allocated_bytes(), 56 + 8 * 2 + 2 * 28 + 112 + 8 * 100);
+        heap.collect_garbage([a]);
+        // Sweeps and growth leave both counters alone.
+        heap.modify(a, |k| *k = ObjKind::List(vec![a; 64]));
+        assert_eq!(heap.total_allocated(), heap.stats().total_allocated);
+        assert_eq!(heap.allocated_bytes(), 56 + 8 * 2 + 2 * 28 + 112 + 8 * 100);
     }
 
     #[test]
@@ -545,9 +635,10 @@ mod tests {
     }
 
     /// First-principles oracle for the allocator's live-page set: the union
-    /// of every live slot's extent pages. `alloc` marks, `free` unmarks,
-    /// and the (incremental or full) re-mark restores shared pages — so
-    /// this equality is the invariant both paths must preserve.
+    /// of every live slot's extent pages. `alloc` marks, growth unmarks the
+    /// old extent and re-marks its neighbours, a sweep rebuilds the set
+    /// from the survivors — so this equality is the invariant every path
+    /// must preserve.
     pub(super) fn oracle_live_pages(heap: &Heap) -> Vec<u64> {
         let mut set = std::collections::BTreeSet::new();
         for s in heap.slots.iter().flatten() {
@@ -646,6 +737,96 @@ mod proptests {
             );
         }
         Ok(())
+    }
+
+    /// Differential against the replaced sweep: replay one tape of
+    /// allocations (leaves, multi-page arrays, lists over earlier objects),
+    /// growth, in-place writes, edge additions, dirty-page resets and
+    /// collections on two heaps, one swept by [`Heap::collect_garbage`] and
+    /// one by [`Heap::collect_garbage_reference`]. After every step they
+    /// must agree on the collected count, `stats()`, `live_pages()` and
+    /// `dirty_pages()`, and the sweep's byte counts must match the stats.
+    fn replay_against_reference(tape: &[u8]) -> Result<(), TestCaseError> {
+        let (mut new, mut old) = (Heap::new(), Heap::new());
+        let mut objs: Vec<ObjId> = Vec::new();
+        for (step, pair) in tape.chunks(2).enumerate() {
+            let (op, arg) = (pair[0], *pair.get(1).unwrap_or(&0) as usize);
+            let pick = |objs: &[ObjId]| objs.get(arg % objs.len().max(1)).copied();
+            let heaps = [&mut new, &mut old];
+            match op % 8 {
+                0 | 1 => {
+                    let a = new.alloc(ObjKind::Int(arg as i64));
+                    prop_assert_eq!(a, old.alloc(ObjKind::Int(arg as i64)));
+                    objs.push(a);
+                }
+                2 => {
+                    let n = (arg % 8 + 1) * 600;
+                    let a = new.alloc(ObjKind::NdArray(vec![0.0; n]));
+                    prop_assert_eq!(a, old.alloc(ObjKind::NdArray(vec![0.0; n])));
+                    objs.push(a);
+                }
+                3 => {
+                    let items: Vec<ObjId> = objs.iter().rev().take(arg % 5).copied().collect();
+                    let a = new.alloc(ObjKind::List(items.clone()));
+                    prop_assert_eq!(a, old.alloc(ObjKind::List(items)));
+                    objs.push(a);
+                }
+                4 => {
+                    // Edges from a list to the newest object, or an array
+                    // grown past its extent.
+                    let (Some(from), Some(to)) = (pick(&objs), objs.last().copied()) else {
+                        continue;
+                    };
+                    for h in heaps {
+                        h.modify(from, |k| match k {
+                            ObjKind::List(items) => items.extend(std::iter::repeat_n(to, 4)),
+                            ObjKind::NdArray(v) => v.extend(std::iter::repeat_n(1.0, 512)),
+                            _ => {}
+                        });
+                    }
+                }
+                5 => {
+                    let Some(id) = pick(&objs) else { continue };
+                    for h in heaps {
+                        h.modify(id, |k| {
+                            if let ObjKind::NdArray(v) = k {
+                                v[0] += 1.0;
+                            }
+                        });
+                    }
+                }
+                6 => heaps.into_iter().for_each(Heap::clear_dirty_pages),
+                _ => {
+                    let roots: Vec<ObjId> = objs
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| (i + arg) % 3 != 0)
+                        .map(|(_, &id)| id)
+                        .collect();
+                    let before = new.stats();
+                    let sweep = new.collect_garbage(roots.iter().copied());
+                    let collected = old.collect_garbage_reference(roots.iter().copied());
+                    prop_assert_eq!(sweep.objects, collected, "collected count at step {}", step);
+                    let after = new.stats();
+                    prop_assert_eq!(sweep.live_bytes, after.live_bytes);
+                    prop_assert_eq!(sweep.bytes, before.live_bytes - after.live_bytes);
+                    objs.retain(|&id| new.is_live(id));
+                }
+            }
+            prop_assert_eq!(new.stats(), old.stats(), "stats at step {}", step);
+            prop_assert_eq!(new.live_pages(), old.live_pages(), "live pages at step {}", step);
+            prop_assert_eq!(new.dirty_pages(), old.dirty_pages(), "dirty pages at step {}", step);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn sweep_matches_reference(tape in prop::collection::vec(any::<u8>(), 2usize..600)) {
+            replay_against_reference(&tape)?;
+        }
     }
 
     proptest! {

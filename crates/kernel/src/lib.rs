@@ -25,7 +25,7 @@ pub mod object;
 pub mod pages;
 pub mod simcost;
 
-pub use heap::{Heap, HeapStats};
+pub use heap::{Heap, HeapStats, Sweep};
 pub use namespace::{AccessRecord, Namespace};
 pub use object::{ClassId, ObjId, ObjKind};
 pub use pages::{PageAllocator, PAGE_SIZE};

@@ -117,13 +117,31 @@ impl PageAllocator {
         self.marked = None;
     }
 
-    /// Re-assert that an extent's pages are live. The heap calls this for all
-    /// surviving objects after a garbage-collection sweep so that pages
-    /// shared between a freed extent and a live one remain in the image.
+    /// Re-assert that an extent's pages are live. After an extent outgrows
+    /// its place and is freed, the heap calls this for the live extents
+    /// sharing its pages, so that they remain in the image.
     pub fn mark_live(&mut self, ext: Extent) {
         for p in ext.pages() {
             self.live.insert(p);
         }
+    }
+
+    /// Replace the live set with the pages of `extents` (the heap's
+    /// survivors after a sweep). Extents come mostly in address order, so
+    /// repeats of the previous page are skipped before the sort.
+    pub fn rebuild_live(&mut self, extents: impl IntoIterator<Item = Extent>) {
+        let mut pages: Vec<u64> = Vec::new();
+        for e in extents {
+            for p in e.pages() {
+                if pages.last() != Some(&p) {
+                    pages.push(p);
+                }
+            }
+        }
+        pages.sort_unstable();
+        pages.dedup();
+        self.live = pages.into_iter().collect();
+        self.marked = None;
     }
 
     /// Mark every page of an extent dirty (an in-place mutation wrote to it).

@@ -16,7 +16,7 @@ use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use kishu_kernel::{AccessRecord, Heap, Namespace, ObjId, ObjKind};
+use kishu_kernel::{AccessRecord, Heap, Namespace, ObjId, ObjKind, Sweep};
 
 use crate::ast::{BinOp, BoolOpKind, CmpOp, Expr, Stmt, Target, UnaryOp};
 use crate::builtins;
@@ -218,8 +218,9 @@ impl Interp {
     }
 
     /// Garbage-collect everything unreachable from the global namespace.
-    /// Only safe between cell executions. Returns collected object count.
-    pub fn gc(&mut self) -> usize {
+    /// Only safe between cell executions. Returns what the sweep freed and
+    /// kept.
+    pub fn gc(&mut self) -> Sweep {
         let roots = self.globals.roots();
         self.heap.collect_garbage(roots)
     }

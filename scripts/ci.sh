@@ -129,21 +129,23 @@ stage "flight-recorder overhead bench (repro obs -> target/OBS.json, overhead ce
 cargo run -q --release --offline -p kishu-bench --bin repro -- obs
 
 if [ "$QUICK" != 1 ]; then
-    # The fault suites, the graph-snapshot decoder property, the chunk
-    # ingest oracle, the log recovery property and the pickle properties
-    # also run inside the workspace pass with their built-in seeds; this
-    # extra pass pins a second, independent seed so determinism regressions
-    # (same seed, different faults) and seed-specific breakage both
-    # surface, and the decoders and the ingest oracle see a second set of
-    # inputs.
+    # The fault suites, the sweep-timing differential, the graph-snapshot
+    # decoder property, the sweep oracle, the chunk ingest oracle, the log
+    # recovery property and the pickle properties also run inside the
+    # workspace pass with their built-in seeds; this extra pass pins a
+    # second, independent seed so determinism regressions (same seed,
+    # different faults) and seed-specific breakage both surface, and the
+    # decoders and the oracles see a second set of inputs.
     FAULT_SEED="${FAULT_SEED:-20250807}"
-    stage "fault injection, recovery, the invariant matrix, mutated graph snapshots, chunk ingest, mutated logs and pickle properties (KISHU_TESTKIT_SEED=$FAULT_SEED)"
+    stage "fault injection, recovery, the invariant matrix, sweep timing, mutated graph snapshots, the sweep oracle, chunk ingest, mutated logs and pickle properties (KISHU_TESTKIT_SEED=$FAULT_SEED)"
     if ! { KISHU_TESTKIT_SEED="$FAULT_SEED" cargo test -q --offline -p kishu-repro \
-            --test crash_recovery --test invariant_matrix \
+            --test crash_recovery --test invariant_matrix --test heap_gc \
         && KISHU_TESTKIT_SEED="$FAULT_SEED" \
             cargo test -q --offline -p kishu-bench --lib fault_sweep \
         && KISHU_TESTKIT_SEED="$FAULT_SEED" \
             cargo test -q --offline -p kishu --lib mutated_snapshots_fail_closed \
+        && KISHU_TESTKIT_SEED="$FAULT_SEED" \
+            cargo test -q --offline -p kishu-kernel --lib sweep_matches_reference \
         && KISHU_TESTKIT_SEED="$FAULT_SEED" \
             cargo test -q --offline -p kishu-storage --lib ingest_matches_reference \
         && KISHU_TESTKIT_SEED="$FAULT_SEED" \
@@ -169,18 +171,6 @@ fi
 # dead text.
 stage "cargo doc (workspace, -D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps --workspace
-
-# Rotate Chrome traces under target/ so repeated CI runs stay bounded:
-# keep the newest few, delete the rest.
-stage "rotate trace artifacts under target/"
-rotate_keep() { # rotate_keep GLOB... (keeps the 8 newest of the set)
-    # `ls` exits 2 when a glob matched nothing; under pipefail that must
-    # not fail the stage.
-    { ls -1t "$@" 2>/dev/null || true; } | tail -n +9 | while IFS= read -r f; do
-        rm -f "$f"
-    done
-}
-rotate_keep target/trace*.json.old target/trace-*.json
 
 stage ""
 echo "CI OK in $(( $(date +%s) - CI_T0 ))s$([ "$QUICK" = 1 ] && echo ' (quick)')"

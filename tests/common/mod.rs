@@ -24,7 +24,7 @@
 //! * **recorder** — what the trace saw; never compared.
 #![allow(dead_code)]
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -515,8 +515,9 @@ pub struct Logical {
     pub checkouts: Vec<CheckoutFields>,
     /// The namespace after every step.
     pub namespaces: Vec<Bindings>,
-    /// Heap allocations ever, after every step (the GC-trigger input).
-    pub allocated: Vec<u64>,
+    /// Heap allocations ever, as (objects, shallow bytes), after every
+    /// step: the session's collection rule reads both.
+    pub allocated: Vec<(u64, u64)>,
     /// `persist` after the script: `None`, or the error's text.
     pub persist_error: Option<String>,
     /// Between consecutive checkout targets, two shallow diffs (the second
@@ -562,6 +563,8 @@ impl Physical {
 pub struct RecorderStats {
     pub spans_recorded: u64,
     pub spans_dropped: u64,
+    /// Retained `heap.gc` spans whose parent is a `checkout` span.
+    pub sweeps_in_checkouts: usize,
 }
 
 /// Everything one run of a script at one point observed.
@@ -657,7 +660,8 @@ impl Run {
             }
         }
         self.logical.namespaces.push(bindings(&s.interp));
-        self.logical.allocated.push(s.interp.heap.stats().total_allocated);
+        let heap = &s.interp.heap;
+        self.logical.allocated.push((heap.total_allocated(), heap.allocated_bytes()));
     }
 
     /// Run every step of `script`.
@@ -704,6 +708,13 @@ impl Run {
         self.physical.physical_bytes = stats.physical_bytes;
         self.physical.cache = (cache.hits, cache.misses, cache.disabled);
         let ring = self.trace.ring_stats();
+        let spans = self.trace.spans();
+        let checkouts: BTreeSet<u64> =
+            spans.iter().filter(|sp| sp.name == "checkout").map(|sp| sp.id).collect();
+        let sweeps_in_checkouts = spans
+            .iter()
+            .filter(|sp| sp.name == "heap.gc" && sp.parent.is_some_and(|p| checkouts.contains(&p)))
+            .count();
         Observation {
             point: *point,
             representation: Representation::of(point, config),
@@ -712,6 +723,7 @@ impl Run {
             recorder: RecorderStats {
                 spans_recorded: ring.recorded,
                 spans_dropped: ring.dropped,
+                sweeps_in_checkouts,
             },
         }
     }
