@@ -204,19 +204,10 @@ fn bench_chunk(b: &mut Bench) {
             });
         }
         let mut ledger = ChunkLedger::new();
-        let mut next = 0u32;
-        ledger
-            .ingest(&random, &cfg, |_| {
-                next += 1;
-                Ok(next - 1)
-            })
-            .expect("first ingest");
+        let mut chunks: Vec<Vec<u8>> = Vec::new();
+        ledger.ingest(&random, &cfg, &mut chunks).expect("first ingest");
         g.bench("ingest_1mb_repeat", || {
-            black_box(
-                ledger
-                    .ingest(&random, &cfg, |_| Ok(0))
-                    .expect("repeat ingest"),
-            )
+            black_box(ledger.ingest(&random, &cfg, &mut chunks).expect("repeat ingest"))
         });
     });
 }

@@ -618,14 +618,20 @@ impl KishuSession {
                 store.blob_count()
             ),
         })?;
-        let target = graph.head();
         let mut session = Self::new(store, config);
         session.metrics.store_retries = retried;
-        session.graph = graph;
-        let root = session.graph.root();
-        session.graph.set_head(root);
-        session.checkout(target)?;
+        session.restore(graph)?;
         Ok(session)
+    }
+
+    /// Adopt `graph` and check out its head into this session's fresh
+    /// kernel: the end of [`Self::resume`].
+    fn restore(&mut self, graph: CheckpointGraph) -> Result<CheckoutReport, KishuError> {
+        let target = graph.head();
+        self.graph = graph;
+        let root = self.graph.root();
+        self.graph.set_head(root);
+        self.checkout_with(target, true)
     }
 }
 
@@ -676,6 +682,19 @@ impl KishuSession {
             objects: heap.total_allocated(),
             bytes: heap.allocated_bytes(),
             live_bytes: sweep.live_bytes,
+        };
+    }
+
+    /// Set the collection rule's mark as a sweep that found everything
+    /// live would: for a heap that has freed nothing since it was created,
+    /// such as the one [`Self::resume`] loads its state into, whose bytes
+    /// ever allocated are its live bytes.
+    fn mark_heap_live(&mut self) {
+        let heap = &self.interp.heap;
+        self.gc_mark = GcMark {
+            objects: heap.total_allocated(),
+            bytes: heap.allocated_bytes(),
+            live_bytes: heap.allocated_bytes(),
         };
     }
 }
@@ -1351,6 +1370,34 @@ mod tests {
         // The older snapshot knows `a` but not `b`.
         assert!(resumed.interp.globals.contains("a"));
         assert!(!resumed.interp.globals.contains("b"));
+    }
+
+    /// `resume` loads its state into a fresh heap, which holds no garbage:
+    /// even when the load allocates more than the collection rule allows
+    /// between sweeps, its checkout marks the heap instead of sweeping it,
+    /// and the next cell paces from that mark.
+    #[test]
+    fn resume_does_not_sweep_the_state_it_loaded() {
+        let mut s = session();
+        run(&mut s, "xs = list(range(6000))\nys = list(range(100))\n");
+        let mut copy = MemoryStore::new();
+        for i in 0..s.store_stats().blobs {
+            copy.put(&s_store_get(&s, i)).expect("copy");
+        }
+        let mut resumed = KishuSession::new(Box::new(copy), KishuConfig::default());
+        let trace = Trace::enabled();
+        resumed.set_trace(&trace);
+        let report = resumed.restore(s.graph.clone()).expect("restore");
+        assert!(report.recomputed.is_empty() && !report.loaded.is_empty());
+        assert!(resumed.interp.heap.total_allocated() > GC_OBJECTS, "the load is over the rule");
+        let swept = |trace: &Trace| trace.spans().iter().filter(|sp| sp.name == "heap.gc").count();
+        assert_eq!(swept(&trace), 0, "resume swept a heap with nothing to free");
+        let loaded = resumed.interp.heap.allocated_bytes();
+        assert_eq!(resumed.gc_mark.live_bytes, loaded);
+        assert_eq!(value(&mut resumed, "len(xs) + len(ys)"), "6100");
+        // A cell allocating past the rule from the mark does sweep.
+        run(&mut resumed, "zs = list(range(5000))\n");
+        assert_eq!(swept(&trace), 1);
     }
 
     #[test]

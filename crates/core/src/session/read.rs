@@ -45,6 +45,16 @@ impl KishuSession {
     ///    live heap, namespace binding, and fallback recomputation run
     ///    sequentially, consuming the verified payloads in plan order.
     pub fn checkout(&mut self, target: NodeId) -> Result<CheckoutReport, KishuError> {
+        self.checkout_with(target, false)
+    }
+
+    /// [`Self::checkout`]; `into_fresh_heap` says the kernel is fresh and
+    /// the head is the root, as in [`Self::resume`].
+    pub(super) fn checkout_with(
+        &mut self,
+        target: NodeId,
+        into_fresh_heap: bool,
+    ) -> Result<CheckoutReport, KishuError> {
         // The `checkout` span is the wall-time stopwatch: its `end()` below
         // supplies `wall_time`/`co_wall_ns` — one clock read, shared by the
         // report and the trace.
@@ -107,10 +117,16 @@ impl KishuSession {
             .resync_after_checkout(&self.interp.heap, &self.interp.globals, &changed);
         self.graph.set_head(target);
         // Replaced co-variables are garbage now. A session that only
-        // checks out (undo/redo, branch switching, `resume`) runs no cell
-        // to collect them, so the checkout checks the collection rule
-        // itself, inside its span.
-        self.collect_if_due();
+        // checks out (undo/redo, branch switching) runs no cell to collect
+        // them, so the checkout checks the collection rule itself, inside
+        // its span. A checkout that only loaded into a fresh heap replaced
+        // nothing: everything in it is live, so it marks the heap instead
+        // of sweeping it. A recomputation ran cells, which leave garbage.
+        if into_fresh_heap && recomputed.is_empty() {
+            self.mark_heap_live();
+        } else {
+            self.collect_if_due();
+        }
 
         let co_wall_ns = co_sp.end();
         Ok(CheckoutReport {

@@ -12,9 +12,9 @@
 //!
 //! * [`ChunkConfig`] — the knobs, fixed at store construction;
 //! * [`chunk_spans`] — the deterministic cutter;
-//! * [`ChunkLedger`] — chunk-level dedup (by stored-form content key) and
-//!   the [`ChunkStats`] aggregate, whose `chunk_refs` counts the manifest
-//!   slots that point at stored chunks.
+//! * [`ChunkLedger`] — chunk-level dedup (by the stored form's bytes, found
+//!   through its CRC-32 and length) and the [`ChunkStats`] aggregate, whose
+//!   `chunk_refs` counts the manifest slots that point at stored chunks.
 //!
 //! Chunks are persisted in their **stored form**: a one-byte flag (`0` =
 //! stored raw, `1` = compressed with [`kishu_testkit::compress`]) followed
@@ -22,19 +22,29 @@
 //! wins, so an incompressible chunk costs exactly one flag byte. Because
 //! the compressor is canonical (same input, same output), deduplicating on
 //! the stored form is equivalent to deduplicating on the raw chunk bytes —
-//! and lets `FileStore::open` rebuild the dedup map from disk without
+//! and lets `FileStore::open` rebuild the ledger from disk without
 //! decompressing anything.
 //!
-//! [`ChunkLedger::ingest`] looks each chunk up under the key of its raw
-//! stored form, `[CHUNK_STORED] ++ raw`, before it attempts compression,
-//! and compresses only on a miss. A chunk is held raw only because
-//! [`encode_chunk`], a pure function, lost compression on exactly those
-//! bytes, so a hit there is the hit the compressed attempt would have
-//! led to: a repeat chunk costs a copy and one xxh64 pass instead of a
-//! compression attempt, while the keys, ords, stored bytes and receipts
-//! stay what encoding first would give. On a miss a winning compression is
-//! keyed and looked up as its compressed form, and a losing one is
-//! appended under the raw key already computed.
+//! The ledger files each chunk under the CRC-32 and length of its stored
+//! form. Every chunk frame already records that CRC, so a reopened store
+//! registers each chunk under the CRC it has just verified and computes no
+//! other hash. A key only names candidates: a chunk dedups against a
+//! stored one when the store ([`ChunkSink::holds`]) confirms that the
+//! stored chunk reads back intact with exactly its bytes. A CRC collision
+//! therefore costs a comparison, not a wrong dedup, and a damaged chunk is
+//! appended again rather than shared.
+//!
+//! [`ChunkLedger::ingest`] looks each chunk up under its raw stored form,
+//! `[CHUNK_STORED] ++ raw`, before it attempts compression, and compresses
+//! only on a miss. A chunk is held raw only because [`encode_chunk`], a
+//! pure function, lost compression on exactly those bytes, so a hit there
+//! is the hit the compressed attempt would have led to: a repeat chunk
+//! costs one CRC pass and a comparison instead of a compression attempt,
+//! while the ords, stored bytes and receipts stay what encoding first
+//! would give. On a miss a winning compression is looked up as its
+//! compressed form, and a losing one is appended as the raw form already
+//! checksummed; either way the CRC handed to the store for the frame is
+//! the one the lookup computed.
 //!
 //! The cutter's Gear hash is `hash = (hash << 1) + GEAR[byte]` over a
 //! `u64`, so a byte's term has shifted out after 64 more bytes: the hash
@@ -58,7 +68,7 @@ use std::io;
 
 use kishu_testkit::compress;
 
-use crate::dedup::{content_key, ContentKey};
+use crate::crc32::{crc32, crc32_extend};
 
 /// Chunk stored-form flag: raw bytes follow.
 pub const CHUNK_STORED: u8 = 0;
@@ -203,34 +213,19 @@ fn chunk_spans_reference(bytes: &[u8], cfg: &ChunkConfig) -> Vec<std::ops::Range
 /// Encode one raw chunk into its stored form: `[flag][data]`, compressed
 /// only when compression actually wins.
 pub fn encode_chunk(raw: &[u8]) -> Vec<u8> {
-    compressed_form(raw).unwrap_or_else(|| {
-        let mut out = Vec::new();
-        write_raw_form(raw, &mut out);
-        out
-    })
-}
-
-/// Overwrite `out` with the raw stored form of `raw`: `[CHUNK_STORED] ++
-/// raw`, what [`encode_chunk`] gives when compression loses.
-fn write_raw_form(raw: &[u8], out: &mut Vec<u8>) {
-    out.clear();
-    out.reserve(1 + raw.len());
-    out.push(CHUNK_STORED);
-    out.extend_from_slice(raw);
-}
-
-/// The compressed stored form of `raw`, `[CHUNK_COMPRESSED] ++
-/// compress(raw)`, when it is shorter than `raw`; `None` when compression
-/// loses.
-fn compressed_form(raw: &[u8]) -> Option<Vec<u8>> {
-    let c = compress::compress(raw);
-    if c.len() >= raw.len() {
-        return None;
+    let mut out = Vec::new();
+    match compressed_data(raw) {
+        Some(c) => StoredForm { flag: CHUNK_COMPRESSED, data: &c }.write_to(&mut out),
+        None => StoredForm { flag: CHUNK_STORED, data: raw }.write_to(&mut out),
     }
-    let mut out = Vec::with_capacity(1 + c.len());
-    out.push(CHUNK_COMPRESSED);
-    out.extend_from_slice(&c);
-    Some(out)
+    out
+}
+
+/// `compress(raw)` when it is shorter than `raw`; `None` when compression
+/// loses and the chunk is stored raw.
+fn compressed_data(raw: &[u8]) -> Option<Vec<u8>> {
+    let c = compress::compress(raw);
+    (c.len() < raw.len()).then_some(c)
 }
 
 /// Decode a stored-form chunk and append its raw bytes to `out`: a stored
@@ -312,14 +307,131 @@ pub struct IngestReceipt {
     pub raw_bytes_written: u64,
 }
 
+/// A chunk's stored form, `[flag] ++ data`, held as its two parts so that
+/// a raw chunk's form is checksummed, compared and framed without first
+/// being copied behind its flag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StoredForm<'a> {
+    /// [`CHUNK_STORED`] or [`CHUNK_COMPRESSED`].
+    pub flag: u8,
+    /// The bytes after the flag.
+    pub data: &'a [u8],
+}
+
+impl StoredForm<'_> {
+    /// Length of the stored form, flag included.
+    pub fn stored_len(&self) -> usize {
+        1 + self.data.len()
+    }
+
+    /// CRC-32 of the stored form, what its frame records.
+    pub fn crc(&self) -> u32 {
+        crc32_extend(crc32(&[self.flag]), self.data)
+    }
+
+    /// Whether `stored` is exactly this form's bytes.
+    pub fn matches(&self, stored: &[u8]) -> bool {
+        stored.split_first() == Some((&self.flag, self.data))
+    }
+
+    /// Append the stored form's bytes to `out`.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        out.reserve(self.stored_len());
+        out.push(self.flag);
+        out.extend_from_slice(self.data);
+    }
+}
+
+/// One question a [`ChunkLedger`] asks its [`ChunkSink`]: does chunk `ord`
+/// hold exactly `form`, whose CRC-32 is `crc`?
+#[derive(Debug, Clone, Copy)]
+pub struct Probe<'a> {
+    /// The stored chunk asked about.
+    pub ord: u32,
+    /// CRC-32 of `form`.
+    pub crc: u32,
+    /// The stored form it must hold.
+    pub form: StoredForm<'a>,
+}
+
+/// Where a [`ChunkLedger`]'s chunks live: the store that owns the ledger.
+pub trait ChunkSink {
+    /// Store a new chunk and return its ord, the next dense one. `crc` is
+    /// the CRC-32 of `form`, computed once by the ledger, so the store can
+    /// frame the chunk without checksumming it again.
+    fn append(&mut self, form: StoredForm<'_>, crc: u32) -> io::Result<u32>;
+
+    /// Set `held[i]` to whether chunk `probes[i].ord` holds exactly
+    /// `probes[i].form` and is intact: its bytes equal the form and its
+    /// recorded CRC-32 equals `probes[i].crc`. A chunk that cannot be read
+    /// back does not hold it. `held` is as long as `probes`.
+    fn holds(&self, probes: &[Probe<'_>], held: &mut [bool]);
+}
+
+/// Chunks held in memory, by ord: nothing can damage them, so a chunk
+/// holds a form when its bytes equal it.
+impl ChunkSink for Vec<Vec<u8>> {
+    fn append(&mut self, form: StoredForm<'_>, _crc: u32) -> io::Result<u32> {
+        let mut stored = Vec::new();
+        form.write_to(&mut stored);
+        self.push(stored);
+        Ok((self.len() - 1) as u32)
+    }
+
+    fn holds(&self, probes: &[Probe<'_>], held: &mut [bool]) {
+        for (probe, held) in probes.iter().zip(held) {
+            *held = self.get(probe.ord as usize).is_some_and(|c| probe.form.matches(c));
+        }
+    }
+}
+
+/// The ledger key of a stored form: its CRC-32 and its length (mod 2^32).
+/// A key only names candidates; equal bytes decide.
+fn ledger_key(crc: u32, stored_len: usize) -> u64 {
+    u64::from(crc) << 32 | u64::from(stored_len as u32)
+}
+
+/// One chunk of the payload [`ChunkLedger::ingest`] is working on.
+struct Cut {
+    span: std::ops::Range<usize>,
+    /// The compressed data, when compression was tried and won.
+    compressed: Option<Vec<u8>>,
+    /// CRC-32 of the chunk's stored form as far as known: the raw form's
+    /// until compression wins.
+    crc: u32,
+    /// The stored chunk that holds this chunk's form, once one is found.
+    ord: Option<u32>,
+}
+
+impl Cut {
+    fn form<'a>(&'a self, bytes: &'a [u8]) -> StoredForm<'a> {
+        match &self.compressed {
+            Some(c) => StoredForm { flag: CHUNK_COMPRESSED, data: c },
+            None => StoredForm { flag: CHUNK_STORED, data: &bytes[self.span.clone()] },
+        }
+    }
+}
+
 /// Chunk-level dedup index.
 ///
-/// Ords are dense, assigned in append order by the owning store; the
-/// ledger maps stored-form content keys to ords so repeat chunks resolve
-/// to the existing ord without touching the store.
-#[derive(Debug, Default)]
+/// Ords are dense, assigned in append order by the owning store. The
+/// ledger files each stored chunk under the CRC-32 and length of its
+/// stored form — the CRC its frame already carries, so a reopened store
+/// registers every chunk under the CRC it has just verified and hashes
+/// nothing else. A key names candidates only: a chunk dedups against a
+/// stored one when the store confirms their bytes are equal
+/// ([`ChunkSink::holds`]), so a CRC collision costs one comparison, never a
+/// wrong dedup, and a stored chunk that no longer reads back intact is
+/// never deduplicated against.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct ChunkLedger {
-    dedup: HashMap<ContentKey, u32>,
+    /// The first chunk stored under each key.
+    first: HashMap<u64, u32>,
+    /// Later chunks stored under a key already held, in append order: true
+    /// CRC collisions, and copies appended because the first one failed to
+    /// read back. Empty on an undamaged store without collisions, so a
+    /// chunk costs one map slot and no allocation of its own.
+    more: HashMap<u64, Vec<u32>>,
     stats: ChunkStats,
 }
 
@@ -329,47 +441,72 @@ impl ChunkLedger {
         Self::default()
     }
 
-    /// Chunk a payload into the store: cut spans, look each chunk up under
-    /// its raw stored form's key, and on a miss encode it and either dedup
-    /// it against the ledger or hand it to `append` (which stores the
-    /// bytes and returns the new ord). Returns the manifest (ord per span,
-    /// in payload order) and the attribution deltas.
-    pub fn ingest<F>(
+    /// Chunk a payload into the store: cut spans, find each chunk among
+    /// the stored ones, and hand the rest to `sink` to append. Returns the
+    /// manifest (ord per span, in payload order) and the attribution
+    /// deltas.
+    ///
+    /// Each chunk is looked up under its raw stored form first and
+    /// compressed only when no stored chunk holds that form; a chunk that
+    /// compresses is then looked up under its compressed form. Candidates
+    /// from before this payload are confirmed in two batches, one per
+    /// lookup, so the store can read adjacent candidates back together;
+    /// candidates appended by this payload are compared in memory.
+    pub fn ingest<S: ChunkSink + ?Sized>(
         &mut self,
         bytes: &[u8],
         cfg: &ChunkConfig,
-        mut append: F,
-    ) -> io::Result<(Vec<u32>, IngestReceipt)>
-    where
-        F: FnMut(&[u8]) -> io::Result<u32>,
-    {
-        let spans = chunk_spans(bytes, cfg);
-        let mut ords = Vec::with_capacity(spans.len());
+        sink: &mut S,
+    ) -> io::Result<(Vec<u32>, IngestReceipt)> {
+        let mut cuts: Vec<Cut> = chunk_spans(bytes, cfg)
+            .into_iter()
+            .map(|span| Cut {
+                crc: StoredForm { flag: CHUNK_STORED, data: &bytes[span.clone()] }.crc(),
+                span,
+                compressed: None,
+                ord: None,
+            })
+            .collect();
+        self.find_stored(bytes, &mut cuts, &*sink, |_| true);
+        let mut compressed_any = false;
+        for cut in cuts.iter_mut().filter(|c| c.ord.is_none()) {
+            if let Some(c) = compressed_data(&bytes[cut.span.clone()]) {
+                cut.crc = StoredForm { flag: CHUNK_COMPRESSED, data: &c }.crc();
+                cut.compressed = Some(c);
+                compressed_any = true;
+            }
+        }
+        if compressed_any {
+            self.find_stored(bytes, &mut cuts, &*sink, |c| c.compressed.is_some());
+        }
+
+        // Every stored candidate from before this payload was asked about
+        // above; the ones appended since are compared with their cuts.
+        let first_new = self.stats.chunks as u32;
+        // The cut each chunk appended by this payload came from, by ord.
+        let mut appended: Vec<usize> = Vec::new();
+        let mut ords = Vec::with_capacity(cuts.len());
         let mut receipt = IngestReceipt::default();
-        let mut raw_form = Vec::new();
-        for span in spans {
-            let raw = &bytes[span];
-            write_raw_form(raw, &mut raw_form);
-            let raw_key = content_key(&raw_form);
-            let mut compressed = None;
-            let key = if self.dedup.contains_key(&raw_key) {
-                raw_key
-            } else {
-                compressed = compressed_form(raw);
-                compressed.as_deref().map_or(raw_key, content_key)
+        for (i, cut) in cuts.iter().enumerate() {
+            let form = cut.form(bytes);
+            let key = ledger_key(cut.crc, form.stored_len());
+            let appended_here = |ord: u32| {
+                ord >= first_new && cuts[appended[(ord - first_new) as usize]].form(bytes) == form
             };
-            let ord = match self.dedup.get(&key) {
-                Some(&ord) => {
+            let repeat = cut.ord.or_else(|| self.candidates(key).find(|&o| appended_here(o)));
+            let ord = match repeat {
+                Some(ord) => {
                     receipt.chunks_deduped += 1;
                     ord
                 }
                 None => {
-                    let stored = compressed.as_deref().unwrap_or(&raw_form);
-                    let ord = append(stored)?;
-                    self.register(key, ord, raw.len() as u64, stored.len() as u64);
+                    let ord = sink.append(form, cut.crc)?;
+                    let raw_len = cut.span.len() as u64;
+                    self.register(cut.crc, ord, raw_len, form.stored_len() as u64);
+                    appended.push(i);
                     receipt.chunks_written += 1;
-                    receipt.stored_bytes_written += stored.len() as u64;
-                    receipt.raw_bytes_written += raw.len() as u64;
+                    receipt.stored_bytes_written += form.stored_len() as u64;
+                    receipt.raw_bytes_written += raw_len;
                     ord
                 }
             };
@@ -379,51 +516,60 @@ impl ChunkLedger {
         Ok((ords, receipt))
     }
 
-    /// The encode-then-look-up loop [`Self::ingest`] replaced: every chunk
-    /// pays a compression attempt before its lookup. The oracle that
-    /// `ingest` must equal.
-    #[cfg(test)]
-    fn ingest_reference<F>(
-        &mut self,
+    /// Give every `pick`ed cut the first stored chunk that holds its
+    /// current form, if any, asking `sink` about all their candidates in
+    /// one call.
+    fn find_stored<S: ChunkSink + ?Sized>(
+        &self,
         bytes: &[u8],
-        cfg: &ChunkConfig,
-        mut append: F,
-    ) -> io::Result<(Vec<u32>, IngestReceipt)>
-    where
-        F: FnMut(&[u8]) -> io::Result<u32>,
-    {
-        let spans = chunk_spans(bytes, cfg);
-        let mut ords = Vec::with_capacity(spans.len());
-        let mut receipt = IngestReceipt::default();
-        for span in spans {
-            let raw = &bytes[span];
-            let stored = encode_chunk(raw);
-            let key = content_key(&stored);
-            let ord = match self.dedup.get(&key) {
-                Some(&ord) => {
-                    receipt.chunks_deduped += 1;
-                    ord
-                }
-                None => {
-                    let ord = append(&stored)?;
-                    self.register(key, ord, raw.len() as u64, stored.len() as u64);
-                    receipt.chunks_written += 1;
-                    receipt.stored_bytes_written += stored.len() as u64;
-                    receipt.raw_bytes_written += raw.len() as u64;
-                    ord
-                }
-            };
-            self.add_refs(1);
-            ords.push(ord);
+        cuts: &mut [Cut],
+        sink: &S,
+        pick: impl Fn(&Cut) -> bool,
+    ) {
+        let mut owners = Vec::new();
+        let mut probes = Vec::new();
+        for (i, cut) in cuts.iter().enumerate().filter(|(_, c)| pick(c)) {
+            let form = cut.form(bytes);
+            for ord in self.candidates(ledger_key(cut.crc, form.stored_len())) {
+                owners.push(i);
+                probes.push(Probe { ord, crc: cut.crc, form });
+            }
         }
-        Ok((ords, receipt))
+        if probes.is_empty() {
+            return;
+        }
+        let mut held = vec![false; probes.len()];
+        sink.holds(&probes, &mut held);
+        let found: Vec<(usize, u32)> = owners
+            .into_iter()
+            .zip(&probes)
+            .zip(held)
+            .filter_map(|((i, probe), held)| held.then_some((i, probe.ord)))
+            .collect();
+        for (i, ord) in found {
+            cuts[i].ord.get_or_insert(ord);
+        }
     }
 
-    /// Record an already-stored chunk (recovery on `open` replays the log
-    /// through this). `ord` must be the next dense ord.
-    pub fn register(&mut self, key: ContentKey, ord: u32, raw_len: u64, stored_len: u64) {
+    /// The stored chunks filed under `key`, in append order.
+    fn candidates(&self, key: u64) -> impl Iterator<Item = u32> + '_ {
+        let more = if self.more.is_empty() { None } else { self.more.get(&key) };
+        self.first.get(&key).copied().into_iter().chain(more.into_iter().flatten().copied())
+    }
+
+    /// Record an already-stored chunk whose stored form has CRC-32 `crc`
+    /// and is `stored_len` bytes long (recovery on `open` replays the log
+    /// through this, with the CRC each frame carries). `ord` must be the
+    /// next dense ord.
+    pub fn register(&mut self, crc: u32, ord: u32, raw_len: u64, stored_len: u64) {
         debug_assert_eq!(u64::from(ord), self.stats.chunks, "ords must stay dense");
-        self.dedup.insert(key, ord);
+        let key = ledger_key(crc, stored_len as usize);
+        if let Some(&held) = self.first.get(&key) {
+            debug_assert!(held < ord);
+            self.more.entry(key).or_default().push(ord);
+        } else {
+            self.first.insert(key, ord);
+        }
         self.stats.chunks += 1;
         self.stats.raw_bytes += raw_len;
         self.stats.stored_bytes += stored_len;
@@ -495,8 +641,8 @@ mod tests {
         let mut edited = base.clone();
         edited.insert(base.len() / 2, 0xEE);
 
-        let keys = |data: &[u8]| -> std::collections::HashSet<ContentKey> {
-            chunk_spans(data, &cfg).into_iter().map(|s| content_key(&data[s])).collect()
+        let keys = |data: &[u8]| -> std::collections::HashSet<Vec<u8>> {
+            chunk_spans(data, &cfg).into_iter().map(|s| data[s].to_vec()).collect()
         };
         let a = keys(&base);
         let b = keys(&edited);
@@ -552,19 +698,15 @@ mod tests {
         let cfg = ChunkConfig::default();
         let mut ledger = ChunkLedger::new();
         let mut store: Vec<Vec<u8>> = Vec::new();
-        let append = |chunks: &mut Vec<Vec<u8>>, stored: &[u8]| -> io::Result<u32> {
-            chunks.push(stored.to_vec());
-            Ok((chunks.len() - 1) as u32)
-        };
 
         let data = payload(4, 120_000);
-        let (ords1, r1) = ledger.ingest(&data, &cfg, |s| append(&mut store, s)).expect("ingest");
+        let (ords1, r1) = ledger.ingest(&data, &cfg, &mut store).expect("ingest");
         assert_eq!(r1.chunks_deduped, 0);
         assert_eq!(r1.chunks_written as usize, store.len());
 
         // The same payload again: every chunk dedups, nothing is appended.
         let before = store.len();
-        let (ords2, r2) = ledger.ingest(&data, &cfg, |s| append(&mut store, s)).expect("ingest");
+        let (ords2, r2) = ledger.ingest(&data, &cfg, &mut store).expect("ingest");
         assert_eq!(ords2, ords1);
         assert_eq!(store.len(), before, "no new chunks");
         assert_eq!(r2.chunks_written, 0);
@@ -574,7 +716,7 @@ mod tests {
         // A small mutation: only a couple of chunks are new.
         let mut edited = data.clone();
         edited[60_000] ^= 0xFF;
-        let (_, r3) = ledger.ingest(&edited, &cfg, |s| append(&mut store, s)).expect("ingest");
+        let (_, r3) = ledger.ingest(&edited, &cfg, &mut store).expect("ingest");
         assert!(
             r3.chunks_written <= 3,
             "1-byte edit rewrote {} chunks of {}",
@@ -676,90 +818,160 @@ mod proptests {
         prop_oneof![3 => Just(ChunkConfig::default()), 1 => Just(small)].boxed()
     }
 
-    /// 1 to 8 payloads, each a family and a length: random, low-entropy
-    /// (compressible), all-zero, a repeat of an earlier payload, an earlier
-    /// payload with a few bytes changed, or compressible and incompressible
-    /// regions in turn. Built by [`payloads`] from a seed.
-    fn payload_specs() -> BoxedStrategy<Vec<(u8, usize)>> {
-        prop::collection::vec((0u8..6, 0usize..160 * 1024), 1..=8).boxed()
+    /// 1 to 8 steps. Each is a payload family and a length, then a damage
+    /// byte and a pick: with a damage byte under 32, the step first damages
+    /// the stored chunk the pick names, in its bytes (even) or in its
+    /// recorded CRC (odd). Built by [`payloads`] from a seed.
+    fn step_specs() -> BoxedStrategy<Vec<(u8, usize, u8, usize)>> {
+        prop::collection::vec((0u8..7, 0usize..160 * 1024, any::<u8>(), any::<usize>()), 1..=8)
+            .boxed()
     }
 
-    fn payloads(seed: u64, specs: &[(u8, usize)]) -> Vec<Vec<u8>> {
-        let mut rng = Rng::seed_from_u64(seed);
-        let mut out: Vec<Vec<u8>> = Vec::with_capacity(specs.len());
-        for &(family, len) in specs {
-            let earlier = (!out.is_empty()).then(|| rng.next_u64() as usize % out.len());
-            let payload = match (family, earlier) {
-                (0, _) => (0..len).map(|_| rng.next_u64() as u8).collect(),
-                (2, _) => vec![0u8; len],
-                (3, Some(i)) => out[i].clone(),
-                (4, Some(i)) => {
-                    let mut p = out[i].clone();
-                    for _ in 0..1 + rng.next_u64() % 4 {
-                        if p.is_empty() {
-                            break;
-                        }
-                        let at = rng.next_u64() as usize % p.len();
-                        p[at] ^= 1 + (rng.next_u64() % 255) as u8;
+    /// The payloads of one step: random, low-entropy (compressible),
+    /// all-zero, a repeat of an earlier payload, an earlier payload with a
+    /// few bytes changed, compressible and incompressible regions in turn,
+    /// or (family 6) two one-chunk incompressible payloads whose stored
+    /// forms differ but share their CRC-32 and length.
+    fn payloads(
+        rng: &mut Rng,
+        (family, len): (u8, usize),
+        earlier: &[Vec<u8>],
+        min: usize,
+    ) -> Vec<Vec<u8>> {
+        let pick = (!earlier.is_empty()).then(|| rng.next_u64() as usize % earlier.len());
+        let mut random = |n: usize| -> Vec<u8> { (0..n).map(|_| rng.next_u64() as u8).collect() };
+        let payload = match (family, pick) {
+            (0, _) => random(len),
+            (2, _) => vec![0u8; len],
+            (3, Some(i)) => earlier[i].clone(),
+            (4, Some(i)) => {
+                let mut p = earlier[i].clone();
+                for _ in 0..1 + rng.next_u64() % 4 {
+                    if p.is_empty() {
+                        break;
                     }
-                    p
+                    let at = rng.next_u64() as usize % p.len();
+                    p[at] ^= 1 + (rng.next_u64() % 255) as u8;
                 }
-                (5, _) => {
-                    let mut p = Vec::with_capacity(len);
-                    let mut compressible = rng.next_u64().is_multiple_of(2);
-                    while p.len() < len {
-                        let region = (512 + rng.next_u64() as usize % 24_576).min(len - p.len());
-                        for _ in 0..region {
-                            let b = rng.next_u64() as u8;
-                            p.push(if compressible { b % 3 } else { b });
-                        }
-                        compressible = !compressible;
+                p
+            }
+            (5, _) => {
+                let mut p = Vec::with_capacity(len);
+                let mut compressible = rng.next_u64().is_multiple_of(2);
+                while p.len() < len {
+                    let region = (512 + rng.next_u64() as usize % 24_576).min(len - p.len());
+                    for _ in 0..region {
+                        let b = rng.next_u64() as u8;
+                        p.push(if compressible { b % 3 } else { b });
                     }
-                    p
+                    compressible = !compressible;
                 }
-                _ => (0..len).map(|_| (rng.next_u64() % 3) as u8).collect(),
-            };
-            out.push(payload);
-        }
-        out
+                p
+            }
+            (6, _) => {
+                // A payload of at most `min` bytes is one chunk.
+                let n = 16 + len % (min - 15);
+                let base = random(n);
+                let mut twin = random(n);
+                let target = crc32(&[&[CHUNK_STORED][..], &base].concat());
+                let prefix = [&[CHUNK_STORED][..], &twin[..n - 4]].concat();
+                twin[n - 4..].copy_from_slice(&crate::crc32::forge_tail(&prefix, target));
+                return vec![base, twin];
+            }
+            _ => (0..len).map(|_| (rng.next_u64() % 3) as u8).collect(),
+        };
+        vec![payload]
     }
 
-    /// A ledger with a recording `append` that can fail once, on the
-    /// `fail_at`-th new chunk.
+    /// A store for the ledger: each chunk with the CRC it was appended with
+    /// (what its frame records). An append can fail once, on the
+    /// `fail_at`-th new chunk, and a chunk can be damaged after it was
+    /// written.
     #[derive(Default)]
-    struct Recorded {
-        ledger: ChunkLedger,
-        appended: Vec<Vec<u8>>,
+    struct Store {
+        chunks: Vec<Vec<u8>>,
+        crcs: Vec<u32>,
         fail_at: Option<usize>,
+    }
+
+    impl Store {
+        fn push(&mut self, stored: Vec<u8>, crc: u32) -> io::Result<u32> {
+            if self.fail_at == Some(self.chunks.len()) {
+                self.fail_at = None;
+                return Err(io::Error::other("injected append failure"));
+            }
+            self.chunks.push(stored);
+            self.crcs.push(crc);
+            Ok((self.chunks.len() - 1) as u32)
+        }
+
+        /// Flip a bit of chunk `ord`'s bytes, or of its recorded CRC.
+        fn damage(&mut self, ord: usize, in_crc: bool) {
+            if in_crc {
+                self.crcs[ord] ^= 1;
+            } else {
+                let last = self.chunks[ord].len() - 1;
+                self.chunks[ord][last] ^= 1;
+            }
+        }
+    }
+
+    impl ChunkSink for Store {
+        fn append(&mut self, form: StoredForm<'_>, crc: u32) -> io::Result<u32> {
+            let mut stored = Vec::new();
+            form.write_to(&mut stored);
+            assert_eq!(crc, crc32(&stored), "the ledger hands over the stored form's CRC");
+            self.push(stored, crc)
+        }
+
+        fn holds(&self, probes: &[Probe<'_>], held: &mut [bool]) {
+            for (probe, held) in probes.iter().zip(held) {
+                let ord = probe.ord as usize;
+                *held = crc32(&self.chunks[ord]) == self.crcs[ord]
+                    && self.crcs[ord] == probe.crc
+                    && probe.form.matches(&self.chunks[ord]);
+            }
+        }
+    }
+
+    /// The oracle `ingest` must equal: every chunk is encoded first, then
+    /// looked up by its whole stored form in an exact-bytes map.
+    #[derive(Default)]
+    struct Reference {
+        map: HashMap<Vec<u8>, u32>,
+        stats: ChunkStats,
     }
 
     type Ingested = io::Result<(Vec<u32>, IngestReceipt)>;
 
-    impl Recorded {
-        fn ingest(&mut self, bytes: &[u8], cfg: &ChunkConfig, reference: bool) -> Ingested {
-            let (appended, fail_at) = (&mut self.appended, &mut self.fail_at);
-            let append = |stored: &[u8]| {
-                if *fail_at == Some(appended.len()) {
-                    *fail_at = None;
-                    return Err(io::Error::other("injected append failure"));
-                }
-                appended.push(stored.to_vec());
-                Ok((appended.len() - 1) as u32)
-            };
-            if reference {
-                self.ledger.ingest_reference(bytes, cfg, append)
-            } else {
-                self.ledger.ingest(bytes, cfg, append)
+    impl Reference {
+        fn ingest(&mut self, bytes: &[u8], cfg: &ChunkConfig, store: &mut Store) -> Ingested {
+            let mut ords = Vec::new();
+            let mut receipt = IngestReceipt::default();
+            for span in chunk_spans(bytes, cfg) {
+                let raw = &bytes[span];
+                let stored = encode_chunk(raw);
+                let ord = match self.map.get(&stored) {
+                    Some(&ord) => {
+                        receipt.chunks_deduped += 1;
+                        ord
+                    }
+                    None => {
+                        let ord = store.push(stored.clone(), crc32(&stored))?;
+                        self.stats.chunks += 1;
+                        self.stats.raw_bytes += raw.len() as u64;
+                        self.stats.stored_bytes += stored.len() as u64;
+                        receipt.chunks_written += 1;
+                        receipt.stored_bytes_written += stored.len() as u64;
+                        receipt.raw_bytes_written += raw.len() as u64;
+                        self.map.insert(stored, ord);
+                        ord
+                    }
+                };
+                self.stats.chunk_refs += 1;
+                ords.push(ord);
             }
-        }
-
-        /// The dedup map `FileStore::open` rebuilds from the stored chunks.
-        fn rebuilt(&self) -> HashMap<ContentKey, u32> {
-            self.appended
-                .iter()
-                .enumerate()
-                .map(|(ord, c)| (content_key(c), ord as u32))
-                .collect()
+            Ok((ords, receipt))
         }
     }
 
@@ -781,34 +993,70 @@ mod proptests {
             prop_assert_eq!(chunk_spans(&data, &cfg), chunk_spans_reference(&data, &cfg));
         }
 
-        /// `ingest` (raw-form lookup first, compression only on a miss)
-        /// equals the encode-first loop it replaced: manifests, receipts,
-        /// every appended stored chunk in order, stats, and a dedup map
-        /// equal to the one a reopen rebuilds from the stored chunks. With
-        /// `fail`, the append of the `fail`-th new chunk fails once; both
-        /// sides must fail on it, and then ingest that payload again.
+        /// `ingest` (CRC-keyed candidates confirmed by their bytes, raw
+        /// form first) equals the encode-first loop over an exact-bytes
+        /// map: manifests, receipts, every appended stored chunk in order,
+        /// and stats. The sequences include forced CRC collisions, which
+        /// must get different ords and read back exactly, and stored chunks
+        /// damaged after they were written, which must not be deduplicated
+        /// against (the oracle forgets them). With `fail`, the append of
+        /// the `fail`-th new chunk fails once; both sides must fail on it,
+        /// and then ingest that payload again.
         #[test]
         fn ingest_matches_reference(
             cfg in ingest_config(),
             seed in any::<u64>(),
-            specs in payload_specs(),
+            steps in step_specs(),
             fail in prop_oneof![1 => Just(None), 1 => (0usize..48).prop_map(Some)],
         ) {
-            let mut got = Recorded { fail_at: fail, ..Recorded::default() };
-            let mut want = Recorded { fail_at: fail, ..Recorded::default() };
-            for payload in payloads(seed, &specs) {
-                let (g, w) = (got.ingest(&payload, &cfg, false), want.ingest(&payload, &cfg, true));
-                agree(&g, &w)?;
-                if g.is_err() {
-                    prop_assert!(got.appended == want.appended, "appended chunks differ after a failure");
-                    prop_assert_eq!(got.ledger.stats(), want.ledger.stats());
-                    agree(&got.ingest(&payload, &cfg, false), &want.ingest(&payload, &cfg, true))?;
+            let mut rng = Rng::seed_from_u64(seed);
+            let (mut ledger, mut reference) = (ChunkLedger::new(), Reference::default());
+            let mut got = Store { fail_at: fail, ..Store::default() };
+            let mut want = Store { fail_at: fail, ..Store::default() };
+            let mut earlier: Vec<Vec<u8>> = Vec::new();
+            for (family, len, damage, pick) in steps {
+                if damage < 32 && !got.chunks.is_empty() {
+                    let ord = pick % got.chunks.len();
+                    got.damage(ord, damage % 2 == 1);
+                    want.damage(ord, damage % 2 == 1);
+                    reference.map.retain(|_, o| *o != ord as u32);
                 }
+                let batch = payloads(&mut rng, (family, len), &earlier, cfg.min);
+                let mut manifests = Vec::new();
+                for payload in &batch {
+                    let g = ledger.ingest(payload, &cfg, &mut got);
+                    agree(&g, &reference.ingest(payload, &cfg, &mut want))?;
+                    let g = match g {
+                        Ok(g) => g,
+                        Err(_) => {
+                            prop_assert!(got.chunks == want.chunks, "chunks differ after a failure");
+                            prop_assert_eq!(ledger.stats(), reference.stats);
+                            let g = ledger.ingest(payload, &cfg, &mut got);
+                            agree(&g, &reference.ingest(payload, &cfg, &mut want))?;
+                            g.expect("the failure is injected once")
+                        }
+                    };
+                    let mut read = Vec::new();
+                    for &ord in &g.0 {
+                        decode_chunk_into(&got.chunks[ord as usize], &mut read).expect("decodes");
+                    }
+                    prop_assert!(&read == payload, "a payload does not read back");
+                    manifests.push(g.0);
+                }
+                if family == 6 {
+                    let (a, b) = (&batch[0], &batch[1]);
+                    prop_assert_eq!(encode_chunk(a)[0], CHUNK_STORED);
+                    prop_assert_eq!(encode_chunk(b)[0], CHUNK_STORED);
+                    prop_assert_eq!(crc32(&encode_chunk(a)), crc32(&encode_chunk(b)));
+                    prop_assert!(a != b, "a forged twin equals its base");
+                    prop_assert_eq!(manifests[0].len(), 1);
+                    prop_assert_ne!(&manifests[0], &manifests[1]);
+                }
+                earlier.extend(batch);
             }
-            prop_assert!(got.appended == want.appended, "appended stored chunks differ");
-            prop_assert_eq!(got.ledger.stats(), want.ledger.stats());
-            prop_assert!(got.ledger.dedup == got.rebuilt(), "keys differ from the stored forms'");
-            prop_assert!(want.ledger.dedup == want.rebuilt(), "reference keys differ");
+            prop_assert!(got.chunks == want.chunks, "appended stored chunks differ");
+            prop_assert!(got.crcs == want.crcs, "recorded CRCs differ");
+            prop_assert_eq!(ledger.stats(), reference.stats);
         }
     }
 }

@@ -56,13 +56,20 @@ const fn build_tables() -> [[u32; 256]; 16] {
 /// CRC-32 of a byte slice (init `0xFFFF_FFFF`, final xor `0xFFFF_FFFF` —
 /// the standard zlib/`cksum -o 3` variant).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_extend(0, bytes)
+}
+
+/// The CRC-32 of `a ++ bytes`, given `crc`, the CRC-32 of `a`:
+/// `crc32_extend(crc32(a), b) == crc32(a ++ b)`, so a message held in
+/// parts is checksummed without joining them.
+pub fn crc32_extend(crc: u32, bytes: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if clmul::detected() {
         // SAFETY: `detected` just confirmed this CPU has every feature the
         // kernel is compiled for (PCLMULQDQ and SSE4.1).
-        return !unsafe { clmul::update(!0, bytes) };
+        return !unsafe { clmul::update(!crc, bytes) };
     }
-    !slice16(!0, bytes)
+    !slice16(!crc, bytes)
 }
 
 /// The portable kernel: advance the CRC register `crc` (the inverted
@@ -193,6 +200,31 @@ fn crc32_reference(bytes: &[u8]) -> u32 {
     crc ^ 0xFFFF_FFFF
 }
 
+/// The four bytes that, appended to `prefix`, give CRC-32 `target`: how
+/// tests forge collisions. CRC-32 is invertible over its last four bytes.
+/// The table entries' top bytes are all distinct, so each of the four
+/// table indices the final register needs is found from one byte of it,
+/// and each appended byte then follows from the register before it.
+#[cfg(test)]
+pub(crate) fn forge_tail(prefix: &[u8], target: u32) -> [u8; 4] {
+    let table = &TABLES[0];
+    let with_top = |top: u32| table.iter().position(|t| t >> 24 == top).expect("a permutation");
+    let mut need = !target;
+    let mut idx = [0usize; 4];
+    for k in (0..4).rev() {
+        let shift = 8 * (3 - k);
+        idx[k] = with_top((need >> (24 - shift)) & 0xFF);
+        need ^= table[idx[k]] >> shift;
+    }
+    let mut reg = !crc32(prefix);
+    let mut tail = [0u8; 4];
+    for (byte, &i) in tail.iter_mut().zip(&idx) {
+        *byte = (reg ^ i as u32) as u8;
+        reg = (reg >> 8) ^ table[i];
+    }
+    tail
+}
+
 /// A kernel's name and the finalized CRC it computes.
 #[cfg(test)]
 type Kernel = (&'static str, fn(&[u8]) -> u32);
@@ -286,6 +318,24 @@ mod proptests {
         #[test]
         fn matches_bytewise_reference(data in prop::collection::vec(any::<u8>(), 0..65_536)) {
             prop_assert_eq!(crc32(&data), crc32_reference(&data));
+        }
+
+        #[test]
+        fn forged_tails_hit_their_target(
+            prefix in prop::collection::vec(any::<u8>(), 0..300),
+            target in any::<u32>(),
+        ) {
+            let tail = forge_tail(&prefix, target);
+            prop_assert_eq!(crc32_reference(&[&prefix[..], &tail].concat()), target);
+        }
+
+        #[test]
+        fn extending_equals_checksumming_the_whole(
+            data in prop::collection::vec(any::<u8>(), 0..4096),
+            at in any::<usize>(),
+        ) {
+            let (a, b) = data.split_at(at % (data.len() + 1));
+            prop_assert_eq!(crc32_extend(crc32(a), b), crc32_reference(&data));
         }
     }
 

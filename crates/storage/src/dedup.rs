@@ -34,6 +34,13 @@ const CONTENT_SEED: u64 = 0xC0_7E17_DED0;
 pub struct ContentKey(pub u64, pub u64);
 
 /// Compute the [`ContentKey`] of a sealed blob.
+///
+/// Content keys name whole sealed blobs only: the session's blob dedup
+/// ([`BlobIndex`]) and the checkout read cache ([`crate::BlobCache`]) key
+/// by them, and `FaultStore` decides put faults from the same hash of the
+/// bytes (its own seed). Chunks are not keyed by them: a store's
+/// [`crate::chunk::ChunkLedger`] files each chunk under the CRC-32 its
+/// frame carries and dedups by comparing bytes.
 pub fn content_key(bytes: &[u8]) -> ContentKey {
     ContentKey(xxh64(bytes, CONTENT_SEED), bytes.len() as u64)
 }

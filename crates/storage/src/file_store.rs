@@ -31,9 +31,25 @@
 //! compressed chunk claiming more bytes than its stream can expand to, or a
 //! manifest whose length is not the sum of its chunks' lengths.
 //!
-//! The scan is one sequential pass through a fixed read window
-//! (`SCAN_WINDOW`, 1 MiB): no per-record seeks, and open holds at most the
-//! window and the record being checked in memory, never the whole log.
+//! The scan reads the log front to back in fixed windows (`SCAN_WINDOW`,
+//! 1 MiB), all into one buffer, and checks each record in place in its
+//! window: no per-record seek, copy or zero-fill. A record (or header)
+//! that crosses a window edge is assembled in one carry buffer, and only
+//! after its length has been checked against the file's, so a forged
+//! length cannot make open allocate for it. Open thus holds one window and
+//! one record of the log in memory, never the whole log. (Reading the next
+//! window ahead on a helper thread was measured and gained nothing; see
+//! EXPERIMENTS.md, "Opening the log".)
+//!
+//! Chunks dedup by byte equality. Each chunk frame's CRC is both its
+//! integrity check and its ledger key: open registers every chunk under
+//! the CRC it has just verified, and a put files a new chunk under the CRC
+//! it computed once for the lookup and reuses for the frame. A chunk
+//! repeats a stored one only when that stored chunk reads back with the
+//! same CRC and exactly the same bytes ([`crate::chunk::ChunkSink::holds`],
+//! from the group-commit buffer or the file, adjacent candidates in one
+//! read); one that fails to read back is appended again, so a new blob
+//! never points at a damaged chunk.
 //!
 //! **Group commit** (the `group_commit` argument of
 //! [`FileStore::create_with`]/[`FileStore::open_with`], on for the plain
@@ -46,14 +62,15 @@
 //! amortized into one fsync at the barrier.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufReader, IoSliceMut, Read, Seek, SeekFrom, Write};
+use std::io::{self, IoSliceMut, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-
 use std::sync::Mutex;
 
-use crate::chunk::{decode_chunk_into, stored_chunk_raw_len, ChunkConfig, ChunkLedger, ChunkStats};
+use crate::chunk::{
+    decode_chunk_into, stored_chunk_raw_len, ChunkConfig, ChunkLedger, ChunkSink, ChunkStats,
+    Probe, StoredForm,
+};
 use crate::crc32::crc32;
-use crate::dedup::content_key;
 use crate::{BlobId, CheckpointStore, PutReceipt, StoreStats};
 
 /// Marker of a v1 full-blob record.
@@ -69,20 +86,35 @@ const HEADER_LEN: u64 = 1 + 4 + 4;
 const PENDING_FLUSH_BYTES: usize = 8 << 20;
 
 /// Read window of the recovery scan on open: the log is read front to
-/// back through one buffer of this size, so the scan holds at most this
-/// much of the log in memory besides the record it is checking.
+/// back in windows of this size, so the scan holds one of them besides
+/// the record it is assembling.
 const SCAN_WINDOW: usize = 1 << 20;
 
+/// Longest read that confirms a run of adjacent dedup candidates: a run
+/// that would grow past it is split.
+const READ_BACK_RUN: u64 = 1 << 20;
+
 /// Append a `marker`-framed record to `out`.
+#[cfg(test)]
 fn frame_with(out: &mut Vec<u8>, marker: u8, payload: &[u8]) {
+    frame_parts(out, marker, &[payload], crc32(payload));
+}
+
+/// Append a `marker`-framed record whose payload is `parts` joined and
+/// whose CRC-32, computed by the caller, is `crc`.
+fn frame_parts(out: &mut Vec<u8>, marker: u8, parts: &[&[u8]], crc: u32) {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    out.reserve(HEADER_LEN as usize + len);
     out.push(marker);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    out.extend_from_slice(&(len as u32).to_le_bytes());
+    out.extend_from_slice(&crc.to_le_bytes());
+    for part in parts {
+        out.extend_from_slice(part);
+    }
 }
 
 /// One logical blob in the index.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 enum BlobEntry {
     /// v1 record: (payload offset, payload len).
     V1(u64, u32),
@@ -172,89 +204,21 @@ impl FileStore {
     ) -> io::Result<Self> {
         let file = OpenOptions::new().read(true).write(true).open(path.as_ref())?;
         let file_len = file.metadata()?.len();
-        let mut index = Vec::new();
-        let mut chunk_index: Vec<(u64, u32)> = Vec::new();
-        // Raw length of each chunk, by ord: what a manifest must add up to.
-        let mut chunk_raw_lens: Vec<u64> = Vec::new();
-        let mut ledger = ChunkLedger::new();
-        let mut payload_bytes = 0u64;
-        let mut offset = 0u64;
-        let mut reader = BufReader::with_capacity(SCAN_WINDOW, &file);
-        let mut buf = Vec::new();
-        while offset + HEADER_LEN <= file_len {
-            let mut header = [0u8; HEADER_LEN as usize];
-            reader.read_exact(&mut header)?;
-            let marker = header[0];
-            if !matches!(marker, MARKER_V1 | MARKER_CHUNK | MARKER_MANIFEST) {
-                break; // garbage: end recovery here
-            }
-            let len = u32::from_le_bytes([header[1], header[2], header[3], header[4]]);
-            let crc = u32::from_le_bytes([header[5], header[6], header[7], header[8]]);
-            let payload_off = offset + HEADER_LEN;
-            if payload_off + len as u64 > file_len {
-                break; // torn write
-            }
-            buf.resize(len as usize, 0);
-            reader.read_exact(&mut buf)?;
-            if crc32(&buf) != crc {
-                break; // corrupted record
-            }
-            // A CRC-valid but malformed record ends recovery like tail
-            // damage does.
-            match marker {
-                MARKER_V1 => {
-                    let Some(total) = payload_bytes.checked_add(len as u64) else {
-                        break;
-                    };
-                    index.push(BlobEntry::V1(payload_off, len));
-                    payload_bytes = total;
-                }
-                MARKER_CHUNK => {
-                    let Ok(raw_len) = stored_chunk_raw_len(&buf) else {
-                        break;
-                    };
-                    let ord = chunk_index.len() as u32;
-                    ledger.register(content_key(&buf), ord, raw_len, len as u64);
-                    chunk_index.push((payload_off, len));
-                    chunk_raw_lens.push(raw_len);
-                }
-                _ => {
-                    let Some((raw_len, ords)) = parse_manifest(&buf) else {
-                        break;
-                    };
-                    // The claimed length must be what its chunks decode to
-                    // (each one recovered already), and no more than one
-                    // put can write; `get` preallocates it.
-                    let chunks_sum = ords.iter().try_fold(0u64, |sum, &o| {
-                        sum.checked_add(*chunk_raw_lens.get(o as usize)?)
-                    });
-                    if chunks_sum != Some(raw_len) || raw_len > u32::MAX as u64 {
-                        break;
-                    }
-                    let Some(total) = payload_bytes.checked_add(raw_len) else {
-                        break;
-                    };
-                    ledger.add_refs(ords.len() as u64);
-                    index.push(BlobEntry::Chunked { raw_len, ords });
-                    payload_bytes = total;
-                }
-            }
-            offset = payload_off + len as u64;
-        }
+        let found = scan(&file, file_len, SCAN_WINDOW)?;
         // Truncate away anything after the last intact record so appends
         // never interleave with garbage.
-        file.set_len(offset)?;
+        file.set_len(found.end)?;
         Ok(FileStore {
             file: Mutex::new(file),
             path: path.as_ref().to_path_buf(),
-            index,
-            chunk_index,
-            ledger,
+            index: found.index,
+            chunk_index: found.chunk_index,
+            ledger: found.ledger,
             cfg,
-            flushed_end: offset,
+            flushed_end: found.end,
             pending: Vec::new(),
             group_commit,
-            payload_bytes,
+            payload_bytes: found.payload_bytes,
             sync_on_put: false,
             trace: kishu_trace::Trace::disabled(),
         })
@@ -287,18 +251,19 @@ impl FileStore {
         Ok(())
     }
 
-    /// Append one framed record (framed straight into the buffer under
-    /// group commit, else written directly), returning its payload offset.
-    fn append_frame(&mut self, marker: u8, payload: &[u8]) -> io::Result<u64> {
+    /// Append one framed record whose payload is `parts` joined and whose
+    /// CRC-32 is `crc` (framed straight into the buffer under group
+    /// commit, else written directly), returning its payload offset.
+    fn append_frame(&mut self, marker: u8, parts: &[&[u8]], crc: u32) -> io::Result<u64> {
         let payload_off = self.end_offset() + HEADER_LEN;
         if self.group_commit {
-            frame_with(&mut self.pending, marker, payload);
+            frame_parts(&mut self.pending, marker, parts, crc);
             if self.pending.len() >= PENDING_FLUSH_BYTES {
                 self.flush_pending()?;
             }
         } else {
-            let mut record = Vec::with_capacity(HEADER_LEN as usize + payload.len());
-            frame_with(&mut record, marker, payload);
+            let mut record = Vec::new();
+            frame_parts(&mut record, marker, parts, crc);
             let mut file = self.file.lock().expect("store lock poisoned");
             file.seek(SeekFrom::Start(self.flushed_end))?;
             file.write_all(&record)?;
@@ -309,6 +274,67 @@ impl FileStore {
             self.flushed_end += record.len() as u64;
         }
         Ok(payload_off)
+    }
+
+    /// [`ChunkSink::holds`] for this store's chunks. A candidate still in
+    /// the group-commit buffer is compared there. The rest are read from
+    /// the file in runs of adjacent frames, one read per run of at most
+    /// [`READ_BACK_RUN`] bytes. Each frame's recorded CRC must equal the
+    /// probe's, and its payload the probe's form. Since the probe's CRC is
+    /// that of its form, equal bytes under an equal recorded CRC are an
+    /// intact frame, so no CRC is computed here. No span is opened: this
+    /// is not a blob read.
+    fn holds(&self, probes: &[Probe<'_>], held: &mut [bool]) {
+        // A probed chunk's frame from its CRC field to its end. Probes
+        // name ords the ledger registered, so every ord is indexed.
+        let frame = |p: &Probe<'_>| {
+            let (off, len) = self.chunk_index[p.ord as usize];
+            (off - 4, off + u64::from(len))
+        };
+        // Whether `bytes`, a frame from its CRC field on, records the
+        // probe's CRC and holds its form.
+        let check = |p: &Probe<'_>, bytes: &[u8]| {
+            bytes[..4] == p.crc.to_le_bytes() && p.form.matches(&bytes[4..])
+        };
+        let mut on_file = Vec::new();
+        for (i, p) in probes.iter().enumerate() {
+            let (start, end) = frame(p);
+            if start >= self.flushed_end {
+                let at = (start - self.flushed_end) as usize;
+                held[i] = check(p, &self.pending[at..at + (end - start) as usize]);
+            } else {
+                on_file.push(i);
+            }
+        }
+        // Ords are in append order, and so in file order.
+        on_file.sort_by_key(|&i| probes[i].ord);
+        let mut buf = Vec::new();
+        let mut rest = &on_file[..];
+        while let Some(&first) = rest.first() {
+            let (start, mut end) = frame(&probes[first]);
+            let mut n = 1;
+            // Extend the run over the same frame again (one chunk probed
+            // by several cuts) or the frame right after it.
+            while let Some(&i) = rest.get(n) {
+                let (s, e) = frame(&probes[i]);
+                let adjacent = e == end || s == end + HEADER_LEN - 4;
+                if !adjacent || e - start > READ_BACK_RUN {
+                    break;
+                }
+                end = e;
+                n += 1;
+            }
+            let (run, later) = rest.split_at(n);
+            rest = later;
+            let file = self.file.lock().expect("store lock poisoned");
+            let read = read_at(&file, start, (end - start) as usize, &mut buf);
+            drop(file);
+            for &i in run {
+                let (s, e) = frame(&probes[i]);
+                let bytes = &buf[(s - start) as usize..(e - start) as usize];
+                held[i] = read.is_ok() && check(&probes[i], bytes);
+            }
+        }
     }
 
     /// Fill `payload` with the payload of the record at `payload_off`
@@ -356,6 +382,227 @@ fn read_exact_split(file: &mut File, mut head: &mut [u8], mut body: &mut [u8]) -
     Ok(())
 }
 
+/// What the recovery scan indexed: every intact, well-formed record before
+/// the first that is not, and the offset where that one starts.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Recovered {
+    index: Vec<BlobEntry>,
+    chunk_index: Vec<(u64, u32)>,
+    /// Raw length of each chunk, by ord: what a manifest must add up to.
+    chunk_raw_lens: Vec<u64>,
+    ledger: ChunkLedger,
+    payload_bytes: u64,
+    /// End of the last record indexed: where recovery truncates.
+    end: u64,
+}
+
+impl Recovered {
+    /// Index the record whose header said `marker` and `crc` and whose
+    /// payload, at `payload_off`, is `payload`. False, indexing nothing,
+    /// when the record is damaged or malformed: recovery ends there.
+    fn record(&mut self, marker: u8, crc: u32, payload_off: u64, payload: &[u8]) -> bool {
+        if crc32(payload) != crc {
+            return false; // corrupted record
+        }
+        let len = payload.len() as u32;
+        // A CRC-valid but malformed record ends recovery like tail damage
+        // does.
+        match marker {
+            MARKER_V1 => {
+                let Some(total) = self.payload_bytes.checked_add(u64::from(len)) else {
+                    return false;
+                };
+                self.index.push(BlobEntry::V1(payload_off, len));
+                self.payload_bytes = total;
+            }
+            MARKER_CHUNK => {
+                let Ok(raw_len) = stored_chunk_raw_len(payload) else {
+                    return false;
+                };
+                let ord = self.chunk_index.len() as u32;
+                self.ledger.register(crc, ord, raw_len, u64::from(len));
+                self.chunk_index.push((payload_off, len));
+                self.chunk_raw_lens.push(raw_len);
+            }
+            _ => {
+                let Some((raw_len, ords)) = parse_manifest(payload) else {
+                    return false;
+                };
+                // The claimed length must be what its chunks decode to
+                // (each one recovered already), and no more than one put
+                // can write; `get` preallocates it.
+                let chunks_sum = ords.iter().try_fold(0u64, |sum, &o| {
+                    sum.checked_add(*self.chunk_raw_lens.get(o as usize)?)
+                });
+                if chunks_sum != Some(raw_len) || raw_len > u32::MAX as u64 {
+                    return false;
+                }
+                let Some(total) = self.payload_bytes.checked_add(raw_len) else {
+                    return false;
+                };
+                self.ledger.add_refs(ords.len() as u64);
+                self.index.push(BlobEntry::Chunked { raw_len, ords });
+                self.payload_bytes = total;
+            }
+        }
+        self.end = payload_off + u64::from(len);
+        true
+    }
+}
+
+/// Recover the index of the `file_len`-byte log in `file`, reading it in
+/// windows of `window` bytes (open passes [`SCAN_WINDOW`]).
+fn scan(file: &File, file_len: u64, window: usize) -> io::Result<Recovered> {
+    let mut log = LogReader {
+        file,
+        file_len,
+        window_len: window.max(1),
+        next_off: 0,
+        window: Vec::new(),
+        at: 0,
+        carry: Vec::new(),
+    };
+    let mut found = Recovered::default();
+    while found.end + HEADER_LEN <= file_len {
+        let header = log.take(HEADER_LEN as usize)?;
+        let marker = header[0];
+        if !matches!(marker, MARKER_V1 | MARKER_CHUNK | MARKER_MANIFEST) {
+            break; // garbage: end recovery here
+        }
+        let len = u32::from_le_bytes([header[1], header[2], header[3], header[4]]);
+        let crc = u32::from_le_bytes([header[5], header[6], header[7], header[8]]);
+        let payload_off = found.end + HEADER_LEN;
+        if payload_off + u64::from(len) > file_len {
+            break; // torn write
+        }
+        let payload = log.take(len as usize)?;
+        if !found.record(marker, crc, payload_off, payload) {
+            break;
+        }
+    }
+    Ok(found)
+}
+
+/// The log read front to back one window at a time, into one buffer.
+struct LogReader<'f> {
+    file: &'f File,
+    file_len: u64,
+    window_len: usize,
+    /// File offset of the window after the current one.
+    next_off: u64,
+    window: Vec<u8>,
+    /// Bytes of `window` already handed out.
+    at: usize,
+    /// Holds the one record, or header, that crosses a window edge.
+    carry: Vec<u8>,
+}
+
+impl LogReader<'_> {
+    /// The next `n` bytes of the log: borrowed from the window when they
+    /// lie inside it, else assembled in the carry buffer. The caller has
+    /// checked that the log holds them, so `n` never outgrows the file.
+    fn take(&mut self, n: usize) -> io::Result<&[u8]> {
+        if n <= self.window.len() - self.at {
+            self.at += n;
+            return Ok(&self.window[self.at - n..self.at]);
+        }
+        self.carry.clear();
+        self.carry.reserve_exact(n);
+        self.carry.extend_from_slice(&self.window[self.at..]);
+        while self.carry.len() < n {
+            let len = (self.file_len - self.next_off).min(self.window_len as u64) as usize;
+            if len == 0 {
+                return Err(io::ErrorKind::UnexpectedEof.into());
+            }
+            read_at(self.file, self.next_off, len, &mut self.window)?;
+            self.next_off += len as u64;
+            self.at = (n - self.carry.len()).min(len);
+            self.carry.extend_from_slice(&self.window[..self.at]);
+        }
+        Ok(&self.carry)
+    }
+}
+
+/// Fill `buf` with the `n` bytes of `file` at `off`. A buffer reused at
+/// the same length is overwritten without being cleared first.
+fn read_at(mut file: &File, off: u64, n: usize, buf: &mut Vec<u8>) -> io::Result<()> {
+    buf.resize(n, 0);
+    file.seek(SeekFrom::Start(off))?;
+    file.read_exact(buf)
+}
+
+/// The scan [`scan`] replaced: one pass through a `BufReader` that copies
+/// every record out into a zero-filled buffer before checking it. The
+/// oracle `scan` must equal.
+#[cfg(test)]
+fn scan_reference(file: &File, file_len: u64) -> io::Result<Recovered> {
+    let mut index = Vec::new();
+    let mut chunk_index: Vec<(u64, u32)> = Vec::new();
+    let mut chunk_raw_lens: Vec<u64> = Vec::new();
+    let mut ledger = ChunkLedger::new();
+    let mut payload_bytes = 0u64;
+    let mut offset = 0u64;
+    let mut reader = io::BufReader::with_capacity(SCAN_WINDOW, file);
+    reader.seek(SeekFrom::Start(0))?;
+    let mut buf = Vec::new();
+    while offset + HEADER_LEN <= file_len {
+        let mut header = [0u8; HEADER_LEN as usize];
+        reader.read_exact(&mut header)?;
+        let marker = header[0];
+        if !matches!(marker, MARKER_V1 | MARKER_CHUNK | MARKER_MANIFEST) {
+            break;
+        }
+        let len = u32::from_le_bytes([header[1], header[2], header[3], header[4]]);
+        let crc = u32::from_le_bytes([header[5], header[6], header[7], header[8]]);
+        let payload_off = offset + HEADER_LEN;
+        if payload_off + len as u64 > file_len {
+            break;
+        }
+        buf.resize(len as usize, 0);
+        reader.read_exact(&mut buf)?;
+        if crc32(&buf) != crc {
+            break;
+        }
+        match marker {
+            MARKER_V1 => {
+                let Some(total) = payload_bytes.checked_add(len as u64) else {
+                    break;
+                };
+                index.push(BlobEntry::V1(payload_off, len));
+                payload_bytes = total;
+            }
+            MARKER_CHUNK => {
+                let Ok(raw_len) = stored_chunk_raw_len(&buf) else {
+                    break;
+                };
+                let ord = chunk_index.len() as u32;
+                ledger.register(crc, ord, raw_len, len as u64);
+                chunk_index.push((payload_off, len));
+                chunk_raw_lens.push(raw_len);
+            }
+            _ => {
+                let Some((raw_len, ords)) = parse_manifest(&buf) else {
+                    break;
+                };
+                let chunks_sum = ords.iter().try_fold(0u64, |sum, &o| {
+                    sum.checked_add(*chunk_raw_lens.get(o as usize)?)
+                });
+                if chunks_sum != Some(raw_len) || raw_len > u32::MAX as u64 {
+                    break;
+                }
+                let Some(total) = payload_bytes.checked_add(raw_len) else {
+                    break;
+                };
+                ledger.add_refs(ords.len() as u64);
+                index.push(BlobEntry::Chunked { raw_len, ords });
+                payload_bytes = total;
+            }
+        }
+        offset = payload_off + len as u64;
+    }
+    Ok(Recovered { index, chunk_index, chunk_raw_lens, ledger, payload_bytes, end: offset })
+}
+
 /// Manifest payload: `[raw_len: u64][nchunks: u32][ord: u32 × n]`.
 fn encode_manifest(raw_len: u64, ords: &[u32]) -> Vec<u8> {
     let mut out = Vec::with_capacity(12 + 4 * ords.len());
@@ -383,6 +630,22 @@ fn parse_manifest(payload: &[u8]) -> Option<(u64, Vec<u32>)> {
     Some((raw_len, ords))
 }
 
+/// A [`FileStore`]'s chunk records, as its ledger sees them.
+struct Chunks<'a>(&'a mut FileStore);
+
+impl ChunkSink for Chunks<'_> {
+    fn append(&mut self, form: StoredForm<'_>, crc: u32) -> io::Result<u32> {
+        let payload_off = self.0.append_frame(MARKER_CHUNK, &[&[form.flag], form.data], crc)?;
+        let ord = self.0.chunk_index.len() as u32;
+        self.0.chunk_index.push((payload_off, form.stored_len() as u32));
+        Ok(ord)
+    }
+
+    fn holds(&self, probes: &[Probe<'_>], held: &mut [bool]) {
+        self.0.holds(probes, held);
+    }
+}
+
 impl CheckpointStore for FileStore {
     fn put(&mut self, bytes: &[u8]) -> io::Result<BlobId> {
         self.put_with_receipt(bytes).map(|r| r.id)
@@ -397,7 +660,7 @@ impl CheckpointStore for FileStore {
         let id = self.index.len() as BlobId;
 
         if !self.cfg.chunks_payload(bytes.len()) {
-            let payload_off = self.append_frame(MARKER_V1, bytes)?;
+            let payload_off = self.append_frame(MARKER_V1, &[bytes], crc32(bytes))?;
             self.index.push(BlobEntry::V1(payload_off, bytes.len() as u32));
             self.payload_bytes += bytes.len() as u64;
             return Ok(PutReceipt {
@@ -411,17 +674,12 @@ impl CheckpointStore for FileStore {
         // blob exist — recovery-ordering invariant of the v2 format.
         let mut ledger = std::mem::take(&mut self.ledger);
         let cfg = self.cfg.clone();
-        let result = ledger.ingest(bytes, &cfg, |stored| {
-            let payload_off = self.append_frame(MARKER_CHUNK, stored)?;
-            let ord = self.chunk_index.len() as u32;
-            self.chunk_index.push((payload_off, stored.len() as u32));
-            Ok(ord)
-        });
+        let result = ledger.ingest(bytes, &cfg, &mut Chunks(self));
         self.ledger = ledger;
         let (ords, r) = result?;
         let manifest = encode_manifest(bytes.len() as u64, &ords);
         let manifest_len = manifest.len() as u64;
-        self.append_frame(MARKER_MANIFEST, &manifest)?;
+        self.append_frame(MARKER_MANIFEST, &[&manifest], crc32(&manifest))?;
         self.index.push(BlobEntry::Chunked {
             raw_len: bytes.len() as u64,
             ords,
@@ -742,6 +1000,93 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A stored chunk damaged after it was written, in its payload or in
+    /// its recorded CRC, is a miss: the repeat appends the chunk again and
+    /// reads back, and the next repeat dedups against the new copy.
+    #[test]
+    fn damaged_candidates_are_not_deduped_against() {
+        let mut rng = kishu_testkit::rng::Rng::seed_from_u64(0xDA3A);
+        // Longer than `READ_BACK_RUN`, so its repeat reads back in runs.
+        let random: Vec<u8> = (0..2_600_000).map(|_| rng.next_u64() as u8).collect();
+        let compressible: Vec<u8> =
+            (0..40_000).map(|i| (rng.next_u64() % 17) as u8 ^ (i / 512) as u8).collect();
+        for group_commit in [false, true] {
+            let path = temp_path(&format!("damaged-{group_commit}.log"));
+            let mut s = FileStore::create_with(&path, ChunkConfig::default(), group_commit)
+                .expect("create");
+            let ids = [s.put(&random).expect("put"), s.put(&compressible).expect("put")];
+            s.sync().expect("sync");
+            let first_chunk = |s: &FileStore, id: BlobId| match &s.index[id as usize] {
+                BlobEntry::Chunked { ords, .. } => s.chunk_index[ords[0] as usize].0,
+                BlobEntry::V1(..) => panic!("both payloads are chunked"),
+            };
+            // Damage the first chunk of each: a payload byte, then a CRC byte.
+            let mut raw = OpenOptions::new().write(true).open(&path).expect("raw");
+            for (id, at) in [(ids[0], 3), (ids[1], -2i64)] {
+                let off = first_chunk(&s, id).checked_add_signed(at).expect("in the file");
+                raw.seek(SeekFrom::Start(off)).expect("seek");
+                raw.write_all(&[0x5A]).expect("write");
+            }
+            drop(raw);
+            for (id, payload) in ids.into_iter().zip([&random, &compressible]) {
+                let what = format!("group_commit {group_commit}, blob {id}");
+                let r = s.put_with_receipt(payload).expect("put");
+                assert_eq!(r.chunks_written, 1, "{what}: the damaged chunk is appended again");
+                assert!(r.chunks_deduped > 0, "{what}: the intact chunks still dedup");
+                assert_eq!(&s.get(r.id).expect("get"), payload, "{what}");
+                assert!(s.get(id).is_err(), "{what}: the damaged blob fails its read");
+                let again = s.put_with_receipt(payload).expect("put");
+                assert_eq!(again.chunks_written, 0, "{what}: the new copy is found");
+                assert_eq!(&s.get(again.id).expect("get"), payload, "{what}");
+            }
+            drop(s);
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    /// Two one-chunk payloads whose stored forms share their CRC-32 and
+    /// length but not their bytes get two chunks, before and after a
+    /// reopen (which files both under one key), and each reads back.
+    #[test]
+    fn crc_collisions_dedup_by_bytes() {
+        let cfg = ChunkConfig::default();
+        let mut rng = kishu_testkit::rng::Rng::seed_from_u64(0xC011);
+        // A payload of exactly `min` bytes is one chunk.
+        let base: Vec<u8> = (0..cfg.min).map(|_| rng.next_u64() as u8).collect();
+        let mut twin: Vec<u8> = (0..cfg.min).map(|_| rng.next_u64() as u8).collect();
+        let target = crc32(&[&[crate::chunk::CHUNK_STORED][..], &base].concat());
+        let prefix = [&[crate::chunk::CHUNK_STORED][..], &twin[..cfg.min - 4]].concat();
+        let n = twin.len();
+        twin[n - 4..].copy_from_slice(&crate::crc32::forge_tail(&prefix, target));
+        assert_ne!(base, twin);
+        for group_commit in [true, false] {
+            let path = temp_path(&format!("collide-{group_commit}.log"));
+            {
+                let mut s =
+                    FileStore::create_with(&path, cfg.clone(), group_commit).expect("create");
+                for p in [&base, &twin] {
+                    assert_eq!(s.put_with_receipt(p).expect("put").chunks_written, 1);
+                }
+                for p in [&twin, &base] {
+                    let r = s.put_with_receipt(p).expect("put");
+                    assert_eq!(r.chunks_written, 0, "group_commit {group_commit}");
+                    assert_eq!(&s.get(r.id).expect("get"), p);
+                }
+                s.sync().expect("sync");
+            }
+            let mut s = FileStore::open_with(&path, cfg.clone(), group_commit).expect("open");
+            let stats = s.chunk_stats().expect("chunking on");
+            assert_eq!((stats.chunks, stats.chunk_refs), (2, 4));
+            for p in [&twin, &base] {
+                let r = s.put_with_receipt(p).expect("put");
+                assert_eq!(r.chunks_written, 0, "group_commit {group_commit}: after reopen");
+                assert_eq!(&s.get(r.id).expect("get"), p);
+            }
+            drop(s);
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
     #[test]
     fn kill_switch_writes_bit_identical_v1_frames() {
         // `ChunkConfig::disabled()` contract: the log bytes with chunking
@@ -842,6 +1187,57 @@ mod tests {
             "v2 log bytes drifted; update deliberately with a compat note"
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Golden bytes of a whole log: fresh incompressible chunks, a repeat
+    /// inside one payload, repeats across payloads (before and after a
+    /// reopen), a compressible payload and a sub-minimum v1 payload, with
+    /// group commit on and off. Framing, cut points, compressor output and
+    /// which chunks dedup all show in the pinned hash, so a change to any
+    /// of them (and so to `space_amp`) fails here.
+    #[test]
+    fn golden_bytes_pin_the_log_format() {
+        let mut rng = kishu_testkit::rng::Rng::seed_from_u64(0x601D);
+        let mut random = |n: usize| -> Vec<u8> { (0..n).map(|_| rng.next_u64() as u8).collect() };
+        let fresh = random(40_000);
+        let half = random(30_000);
+        let small = random(1_000);
+        let doubled = [&half[..], &half[..]].concat();
+        let compressible: Vec<u8> =
+            (0..50_000u32).map(|i| (i * i % 7) as u8 ^ (i / 900) as u8).collect();
+        let mut edited = fresh.clone();
+        edited[20_000] ^= 0xFF;
+        for group_commit in [true, false] {
+            let path = temp_path(&format!("golden-{group_commit}.log"));
+            let mut receipts = Vec::new();
+            {
+                let mut s = FileStore::create_with(&path, ChunkConfig::default(), group_commit)
+                    .expect("create");
+                for p in [&fresh, &doubled, &compressible, &small] {
+                    receipts.push(s.put_with_receipt(p).expect("put"));
+                }
+                s.sync().expect("sync");
+            }
+            {
+                let mut s = FileStore::open_with(&path, ChunkConfig::default(), group_commit)
+                    .expect("open");
+                for p in [&fresh, &edited, &doubled] {
+                    receipts.push(s.put_with_receipt(p).expect("put"));
+                }
+                s.sync().expect("sync");
+            }
+            let what = format!("group_commit {group_commit}");
+            assert!(receipts[0].chunks_written > 2 && receipts[0].bytes_compressed == 0, "{what}");
+            assert!(receipts[1].chunks_deduped > 0, "{what}: a repeat inside one payload");
+            assert!(receipts[2].bytes_compressed > 0, "{what}: a compressible payload");
+            assert_eq!(receipts[3].bytes_written, HEADER_LEN + 1_000, "{what}: a v1 payload");
+            assert_eq!(receipts[4].chunks_written, 0, "{what}: a repeat after the reopen");
+            assert!(receipts[5].chunks_deduped > 0 && receipts[5].chunks_written > 0, "{what}");
+            assert_eq!(receipts[6].chunks_written, 0, "{what}");
+            let log = std::fs::read(&path).expect("read");
+            assert_eq!(xxh64(&log, 0), 0xB30E_86EE_0210_0627, "{what}: log bytes drifted");
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     /// Start offset of every record in `log`, then the offset it ends at.
@@ -1136,6 +1532,61 @@ mod proptests {
                 prop_assert!(bounds.contains(&len), "open cut at {len}, not a frame boundary");
                 let frames = bounds.iter().filter(|&&b| b <= len).count() as u64 - 1;
                 prop_assert!(s.blob_count() <= frames, "{} blobs in {frames} frames", s.blob_count());
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    /// Read windows for `scan_matches_reference`: from 16 bytes, where
+    /// headers and most records cross an edge, to `SCAN_WINDOW`.
+    fn window_strategy() -> BoxedStrategy<usize> {
+        prop_oneof![
+            3 => 16usize..64,
+            2 => 64usize..4096,
+            1 => 4096usize..SCAN_WINDOW + 1,
+        ]
+        .boxed()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The windowed in-place scan equals the scan it replaced on the
+        /// logs of `mutated_logs_fail_closed` (v1 and small-v2 logs with
+        /// 1–3 flips, overwrites, truncations or appends), at read windows
+        /// from 16 bytes to 1 MiB, and at one byte under and exactly the
+        /// log's length: the same blob index, chunk index, stats, ledger
+        /// and truncation offset.
+        #[test]
+        fn scan_matches_reference(
+            recipes in prop::collection::vec((0u8..4, 0usize..700, any::<usize>()), 1..12),
+            edits in prop::collection::vec(edit_strategy(), 1..4),
+            window in window_strategy(),
+        ) {
+            let dir = std::env::temp_dir().join(format!("kishu-fsprop-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).expect("mkdir");
+            let path = dir.join(format!("scan-{window}.log"));
+            let small_v2 = ChunkConfig { enabled: true, min: 32, avg: 64, max: 256 };
+            for cfg in [ChunkConfig::disabled(), small_v2] {
+                {
+                    let mut s = FileStore::create_with(&path, cfg, false).expect("create");
+                    for r in &recipes {
+                        s.put(&blob(r)).expect("put");
+                    }
+                    s.sync().expect("sync");
+                }
+                let mut log = std::fs::read(&path).expect("read");
+                for e in &edits {
+                    apply(&mut log, e);
+                }
+                std::fs::write(&path, &log).expect("write");
+                let file = File::open(&path).expect("open");
+                let len = log.len() as u64;
+                let want = scan_reference(&file, len).expect("reference scan");
+                for w in [window, 16, log.len().saturating_sub(1), log.len(), SCAN_WINDOW] {
+                    let got = scan(&file, len, w).expect("scan");
+                    prop_assert!(got == want, "window {w}: {:?} != {:?}", got, want);
+                }
             }
             std::fs::remove_file(&path).ok();
         }

@@ -12,7 +12,9 @@
 //!   algorithmic costs in benchmarks;
 //! * [`FileStore`] — a durable append-only log with length-prefixed,
 //!   CRC-checked records and crash recovery on open (a torn tail write is
-//!   detected and truncated away, records before it stay readable);
+//!   detected and truncated away, records before it stay readable); its
+//!   chunks dedup by byte equality, found through the CRC each chunk frame
+//!   carries;
 //! * [`FaultStore`] — a deterministic fault-injecting decorator over any
 //!   store (transient/permanent errors, bit-flips, short writes, fsync
 //!   lies), for testing graceful degradation in the layers above;

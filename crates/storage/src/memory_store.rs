@@ -73,11 +73,8 @@ impl CheckpointStore for MemoryStore {
             self.blobs.push(BlobRepr::Raw(bytes.to_vec()));
             return Ok(PutReceipt::opaque(id, bytes.len()));
         }
-        let chunks = &mut self.chunks;
-        let (ords, r) = self.ledger.ingest(bytes, &self.cfg, |stored| {
-            chunks.push(stored.to_vec());
-            Ok((chunks.len() - 1) as u32)
-        })?;
+        // The ledger confirms repeat chunks against the in-memory chunks.
+        let (ords, r) = self.ledger.ingest(bytes, &self.cfg, &mut self.chunks)?;
         self.physical_bytes += r.stored_bytes_written;
         self.blobs.push(BlobRepr::Chunked {
             raw_len: bytes.len() as u64,
