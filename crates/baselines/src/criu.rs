@@ -27,8 +27,8 @@ use crate::{CkptStats, MethodError, RestoreStats};
 /// Reject states CRIU cannot dump: any live object of an off-process class.
 fn check_supported(interp: &Interp, registry: &Registry) -> Result<(), MethodError> {
     for id in interp.heap.live_objects() {
-        if let ObjKind::External { class, .. } = interp.heap.kind(id) {
-            if let Some(spec) = registry.get(*class) {
+        if let ObjKind::External(ext) = interp.heap.kind(id) {
+            if let Some(spec) = registry.get(ext.class) {
                 if spec.behavior.off_process {
                     return Err(MethodError::Unsupported(spec.name.to_string()));
                 }

@@ -93,7 +93,7 @@ impl IpyflowTracker {
             ObjKind::NdArray(v) => v.len() as u64,
             ObjKind::Str(s) => s.len() as u64,
             ObjKind::Int(v) => *v as u64,
-            ObjKind::External { epoch, .. } => *epoch,
+            ObjKind::External(ext) => ext.epoch,
             _ => 1,
         };
         // First-level child scan (sub-variable symbols like `ls[x]`).

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use kishu_kernel::{ClassId, Heap, ObjId, ObjKind};
+use kishu_kernel::{ClassId, External, Function, Heap, Instance, ObjId, ObjKind};
 use kishu_pickle::varint::{read_i64, read_u64, write_i64, write_u64};
 
 use crate::MethodError;
@@ -159,28 +159,31 @@ impl ShallowKind {
                 for (n, v) in attrs {
                     out.push((n, link_one(v, memo, heap)?));
                 }
-                ObjKind::Instance {
+                Instance {
                     class_name,
                     attrs: out,
                 }
+                .into()
             }
-            ShallowKind::Function(name, params, source) => ObjKind::Function {
+            ShallowKind::Function(name, params, source) => Function {
                 name,
                 params,
                 source,
-            },
+            }
+            .into(),
             ShallowKind::Generator(token) => ObjKind::Generator { token },
             ShallowKind::External(class, attrs, payload, epoch) => {
                 let mut out = Vec::with_capacity(attrs.len());
                 for (n, v) in attrs {
                     out.push((n, link_one(v, memo, heap)?));
                 }
-                ObjKind::External {
+                External {
                     class: ClassId(class),
                     attrs: out,
                     payload,
                     epoch,
                 }
+                .into()
             }
         })
     }
@@ -270,7 +273,8 @@ fn encode_shallow(out: &mut Vec<u8>, kind: &ObjKind) {
                 write_u64(out, c.0 as u64);
             }
         }
-        ObjKind::Instance { class_name, attrs } => {
+        ObjKind::Instance(inst) => {
+            let Instance { class_name, attrs } = &**inst;
             out.push(12);
             write_str(out, class_name);
             write_u64(out, attrs.len() as u64);
@@ -279,11 +283,12 @@ fn encode_shallow(out: &mut Vec<u8>, kind: &ObjKind) {
                 write_u64(out, v.0 as u64);
             }
         }
-        ObjKind::Function {
-            name,
-            params,
-            source,
-        } => {
+        ObjKind::Function(f) => {
+            let Function {
+                name,
+                params,
+                source,
+            } = &**f;
             out.push(13);
             write_str(out, name);
             write_u64(out, params.len() as u64);
@@ -296,12 +301,13 @@ fn encode_shallow(out: &mut Vec<u8>, kind: &ObjKind) {
             out.push(14);
             write_u64(out, *token);
         }
-        ObjKind::External {
-            class,
-            attrs,
-            payload,
-            epoch,
-        } => {
+        ObjKind::External(ext) => {
+            let External {
+                class,
+                attrs,
+                payload,
+                epoch,
+            } = &**ext;
             out.push(15);
             write_u64(out, class.0 as u64);
             write_u64(out, *epoch);

@@ -17,8 +17,10 @@ use std::io;
 use std::sync::Arc;
 use std::time::Duration;
 
+use kishu_kernel::{Heap, ObjId};
 use kishu_libsim::{LibReducer, Registry};
 use kishu_minipy::{CellOutcome, Interp};
+use kishu_pickle::{dumps_into, PickleError, Reducer};
 use kishu_storage::{
     crc32::crc32, BlobCache, BlobId, BlobIndex, CheckpointStore, ContentKey, MemoryStore,
     StoreStats,
@@ -556,12 +558,13 @@ impl KishuSession {
         // Deferred co-variables must hit storage before the graph snapshot,
         // or the snapshot would point at blobs that never materialize.
         self.flush_pending();
-        let mut payload = GRAPH_BLOB_MAGIC.to_vec();
-        payload.extend_from_slice(self.graph.to_json().dump().as_bytes());
+        let mut sealed = vec![0; SEAL_LEN];
+        sealed.extend_from_slice(GRAPH_BLOB_MAGIC);
+        sealed.extend_from_slice(self.graph.to_json().dump().as_bytes());
+        seal(&mut sealed);
         // The snapshot put rides the same transient-retry policy as every
         // co-variable write: a recoverable I/O hiccup on the resume anchor
         // must not fail the whole persist.
-        let sealed = seal_blob(&payload);
         let retries = self.config.store_retries;
         let retried = &mut self.metrics.store_retries;
         retry_io(retries, retried, || self.store.put(&sealed))?;
@@ -702,7 +705,13 @@ impl KishuSession {
 /// Tag prefix of persisted Checkpoint Graph blobs in the store.
 const GRAPH_BLOB_MAGIC: &[u8; 4] = b"KGRF";
 
-/// Frame a session blob as `crc32(payload) (4 bytes LE) || payload`.
+/// Bytes at the front of a sealed blob, which hold the CRC of the rest.
+const SEAL_LEN: usize = 4;
+
+/// Seal a session blob in place: `blob` is [`SEAL_LEN`] spare bytes and
+/// then the payload, and the spare bytes become `crc32(payload)` (LE).
+/// Writers build the payload after the spare bytes, so sealing never
+/// copies it.
 ///
 /// Storage backends may checksum their own records (FileStore does), but
 /// the session cannot rely on it: the store interface is pluggable, and
@@ -710,20 +719,40 @@ const GRAPH_BLOB_MAGIC: &[u8; 4] = b"KGRF";
 /// cache, in a buggy decorator). The end-to-end CRC means a damaged blob is
 /// always detected at read time and routed to fallback recomputation
 /// instead of silently deserializing into wrong state.
+fn seal(blob: &mut [u8]) {
+    let (crc, payload) = blob.split_at_mut(SEAL_LEN);
+    crc.copy_from_slice(&crc32(payload).to_le_bytes());
+}
+
+/// Pickle `roots` into one sealed blob: the pickler appends to a buffer
+/// that starts with the CRC's spare bytes, and [`seal`] fills them.
+fn dump_sealed(
+    heap: &Heap,
+    roots: &[ObjId],
+    reducer: &dyn Reducer,
+) -> Result<Vec<u8>, PickleError> {
+    let mut blob = vec![0; SEAL_LEN];
+    dumps_into(heap, roots, reducer, &mut blob)?;
+    seal(&mut blob);
+    Ok(blob)
+}
+
+/// The copying seal that [`seal`] replaced, kept as its test oracle.
+#[cfg(test)]
 fn seal_blob(payload: &[u8]) -> Vec<u8> {
-    let mut blob = Vec::with_capacity(4 + payload.len());
+    let mut blob = Vec::with_capacity(SEAL_LEN + payload.len());
     blob.extend_from_slice(&crc32(payload).to_le_bytes());
     blob.extend_from_slice(payload);
     blob
 }
 
-/// Verify and strip [`seal_blob`]'s framing; `None` if the blob is damaged.
+/// Verify and strip [`seal`]'s framing; `None` if the blob is damaged.
 fn unseal_blob(blob: &[u8]) -> Option<&[u8]> {
-    if blob.len() < 4 {
+    if blob.len() < SEAL_LEN {
         return None;
     }
     let crc = u32::from_le_bytes([blob[0], blob[1], blob[2], blob[3]]);
-    let payload = &blob[4..];
+    let payload = &blob[SEAL_LEN..];
     (crc32(payload) == crc).then_some(payload)
 }
 
@@ -1059,17 +1088,92 @@ mod tests {
         assert_eq!(value(&mut s, "ay[1]"), "3");
     }
 
+    /// The in-place seal writes the bytes `seal_blob(dumps(..))` wrote:
+    /// for each kind of object on its own, a library object and an array
+    /// over 1 MiB among them, for all of them in one graph, and for the
+    /// graph snapshot `persist` stores. A generator refuses both ways.
+    #[test]
+    fn in_place_seal_matches_the_copying_oracle() {
+        use kishu_kernel::{External, Function, Instance, ObjKind};
+        let mut s = session();
+        let class = s
+            .registry
+            .by_name("sk.LogisticRegression")
+            .expect("registered")
+            .id;
+        let heap = &mut s.interp.heap;
+        let int = heap.alloc(ObjKind::Int(-7));
+        let label = heap.alloc(ObjKind::Str("label".into()));
+        let array = heap.alloc(ObjKind::NdArray((0..160_000).map(f64::from).collect()));
+        let kinds = [
+            ObjKind::None,
+            ObjKind::Bool(true),
+            ObjKind::Float(0.5),
+            ObjKind::List(vec![int, label]),
+            ObjKind::Tuple(vec![int]),
+            ObjKind::Dict(vec![(label, int)]),
+            ObjKind::Set(vec![int, label]),
+            ObjKind::Series {
+                name: "s".into(),
+                values: array,
+            },
+            ObjKind::DataFrame(vec![("c".into(), array)]),
+            Instance {
+                class_name: "P".into(),
+                attrs: vec![("x".into(), int)],
+            }
+            .into(),
+            Function {
+                name: "f".into(),
+                params: vec!["a".into()],
+                source: "def f(a): return a".into(),
+            }
+            .into(),
+            External {
+                class,
+                attrs: vec![("n".into(), label)],
+                payload: (0..3 << 19).map(|i: u32| i as u8).collect(),
+                epoch: 3,
+            }
+            .into(),
+        ];
+        let mut objects = vec![int, label, array];
+        objects.extend(kinds.into_iter().map(|k| heap.alloc(k)));
+        let generator = heap.alloc(ObjKind::Generator { token: 1 });
+        let heap = &s.interp.heap;
+        let oracle = |roots: &[ObjId]| dumps(heap, roots, &s.reducer).map(|p| seal_blob(&p));
+        for &id in &objects {
+            let sealed = dump_sealed(heap, &[id], &s.reducer);
+            assert_eq!(sealed, oracle(&[id]), "{}", heap.kind(id).type_tag());
+            assert!(sealed.is_ok());
+        }
+        assert_eq!(dump_sealed(heap, &objects, &s.reducer), oracle(&objects));
+        let refused = dump_sealed(heap, &[generator], &s.reducer);
+        assert_eq!(refused, oracle(&[generator]));
+        assert!(refused.is_err());
+
+        run(&mut s, "x = 1\n");
+        s.persist().expect("persist");
+        let snapshot = s.store().get(s.store().blob_count() - 1).expect("snapshot");
+        let mut payload = GRAPH_BLOB_MAGIC.to_vec();
+        payload.extend_from_slice(s.graph.to_json().dump().as_bytes());
+        assert_eq!(snapshot, seal_blob(&payload));
+    }
+
     #[test]
     fn unregistered_external_class_is_a_counted_anomaly() {
         let mut config = KishuConfig::default();
         config.blocklist.insert("wordcloud.WordCloud".to_string());
         let mut s = KishuSession::in_memory(config);
-        let bogus = s.interp.heap.alloc(kishu_kernel::ObjKind::External {
-            class: kishu_kernel::ClassId(u16::MAX),
-            attrs: Vec::new(),
-            payload: vec![0u8; 8],
-            epoch: 0,
-        });
+        let bogus = s.interp.heap.alloc(
+            kishu_kernel::External {
+                class: kishu_kernel::ClassId(u16::MAX),
+                attrs: Vec::new(),
+                payload: vec![0u8; 8],
+                epoch: 0,
+            }
+            .into(),
+        );
         assert!(
             s.is_blocklisted(&[bogus]),
             "a class the registry cannot name must fail safe (treated as blocklisted)"

@@ -7,10 +7,9 @@ use std::time::Duration;
 
 use kishu_kernel::{ObjId, ObjKind};
 use kishu_minipy::RunError;
-use kishu_pickle::dumps;
 use kishu_storage::{content_key, PutReceipt};
 
-use super::{retry_io, seal_blob, CellMetrics, CellReport, KishuSession};
+use super::{dump_sealed, retry_io, CellMetrics, CellReport, KishuSession, SEAL_LEN};
 use crate::covariable::CoVarKey;
 use crate::graph::{NodeId, StoredCoVar};
 
@@ -321,8 +320,8 @@ impl KishuSession {
             .reachable_from_all(roots)
             .iter()
             .any(|id| {
-                if let ObjKind::External { class, .. } = self.interp.heap.kind(*id) {
-                    match self.registry.get(*class) {
+                if let ObjKind::External(ext) = self.interp.heap.kind(*id) {
+                    match self.registry.get(ext.class) {
                         Some(spec) => self.config.blocklist.contains(spec.name),
                         None => {
                             anomaly = true;
@@ -412,11 +411,10 @@ impl KishuSession {
                 move || {
                     trace.worker_scope(parent, || {
                         let mut sp = trace.span("ckpt.seal");
-                        dumps(heap, roots, reducer).ok().map(|bytes| {
-                            let len = bytes.len() as u64;
-                            sp.arg("bytes", len);
-                            (seal_blob(&bytes), len)
-                        })
+                        let sealed = dump_sealed(heap, roots, reducer).ok()?;
+                        let len = (sealed.len() - SEAL_LEN) as u64;
+                        sp.arg("bytes", len);
+                        Some((sealed, len))
                     })
                 }
             })

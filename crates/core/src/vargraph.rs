@@ -19,7 +19,7 @@
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
-use kishu_kernel::{Heap, ObjId, ObjKind};
+use kishu_kernel::{External, Heap, ObjId, ObjKind};
 use kishu_libsim::Registry;
 
 use crate::xxh64::{xxh64_f64s, xxh64_str};
@@ -162,12 +162,13 @@ impl VarGraph {
                     *nonce += 1;
                     VgValue::Volatile(*nonce)
                 }
-                ObjKind::External {
-                    class,
-                    attrs,
-                    payload,
-                    epoch,
-                } => {
+                ObjKind::External(ext) => {
+                    let External {
+                        class,
+                        attrs,
+                        payload,
+                        epoch,
+                    } = &**ext;
                     let behavior = config.registry.behavior(*class);
                     if behavior.volatile() {
                         volatile = true;
@@ -185,7 +186,7 @@ impl VarGraph {
                         }
                     }
                 }
-                ObjKind::Function { source, .. } => VgValue::Primitive(xxh64_str(source, 3)),
+                ObjKind::Function(f) => VgValue::Primitive(xxh64_str(&f.source, 3)),
                 ObjKind::List(children)
                     if config.hash_primitive_lists
                         && is_digestible_list(heap, *id, children) =>

@@ -4,22 +4,26 @@
 //! indices are never reused, so an [`ObjId`] stays unambiguous for a whole
 //! session even across garbage collections) and are backed by extents in the
 //! paged address space. Every in-place mutation goes through
-//! [`Heap::modify`], which dirties the touched pages and advances the
-//! heap-wide mutation clock — giving both the OS-level baselines (dirty
-//! pages) and Kishu's delta detector (addresses, structure) something
-//! faithful to observe.
+//! [`Heap::modify`], which dirties the touched pages (and relocates an
+//! object that outgrew its extent) — giving both the OS-level baselines
+//! (dirty pages) and Kishu's delta detector (addresses, structure)
+//! something faithful to observe.
+//!
+//! A slot is an object's [`ObjKind`] and its extent, 48 bytes on 64-bit
+//! targets. The table keeps one per object ever allocated, so a cell that
+//! allocates 300,000 objects before its after-cell sweep holds 14.4 MB of
+//! slots; boxing `ObjKind`'s three fat variants is what keeps a slot at 48.
 
 use std::collections::HashSet;
 
 use crate::object::{ObjId, ObjKind};
 use crate::pages::{Extent, PageAllocator};
 
-/// One live object: its kind plus bookkeeping.
+/// One live object: its kind and where it lives in the address space.
 #[derive(Debug)]
 struct Slot {
     kind: ObjKind,
     extent: Extent,
-    mutated_at: u64,
 }
 
 /// Set `id`'s bit in a slot-indexed mark bitmap; whether it was clear.
@@ -58,7 +62,6 @@ pub struct HeapStats {
 pub struct Heap {
     slots: Vec<Option<Slot>>,
     allocator: PageAllocator,
-    clock: u64,
     total_allocated: u64,
     allocated_bytes: u64,
     next_token: u64,
@@ -76,7 +79,6 @@ impl Heap {
         Heap {
             slots: Vec::new(),
             allocator: PageAllocator::new(),
-            clock: 0,
             total_allocated: 0,
             allocated_bytes: 0,
             next_token: 1,
@@ -94,15 +96,9 @@ impl Heap {
         // instead of relocating on the first append.
         let size = kind.shallow_size() as u64;
         let extent = self.allocator.alloc(size + (size / 8).clamp(8, 512));
-        self.clock += 1;
         self.total_allocated += 1;
         self.allocated_bytes += size;
-        let slot = Slot {
-            kind,
-            extent,
-            mutated_at: self.clock,
-        };
-        self.slots.push(Some(slot));
+        self.slots.push(Some(Slot { kind, extent }));
         ObjId((self.slots.len() - 1) as u32)
     }
 
@@ -153,33 +149,20 @@ impl Heap {
         self.slot(id).extent.addr
     }
 
-    /// Mutation-clock value of the object's last in-place modification.
-    pub fn mutated_at(&self, id: ObjId) -> u64 {
-        self.slot(id).mutated_at
-    }
-
-    /// Current value of the heap-wide mutation clock.
-    pub fn clock(&self) -> u64 {
-        self.clock
-    }
-
     /// Reference edges out of `id` (empty for leaves and opaque objects).
     pub fn children(&self, id: ObjId) -> Vec<ObjId> {
         self.slot(id).kind.children()
     }
 
-    /// Mutate an object in place. Dirties the pages backing it, advances the
-    /// mutation clock, and reallocates the backing extent if the object
-    /// outgrew it (which changes the object's address — observable by
-    /// VarGraph comparison, as the growth is a genuine update).
+    /// Mutate an object in place. Dirties the pages backing it, and
+    /// reallocates the backing extent if the object outgrew it (which
+    /// changes the object's address — observable by VarGraph comparison,
+    /// as the growth is a genuine update).
     pub fn modify<R>(&mut self, id: ObjId, f: impl FnOnce(&mut ObjKind) -> R) -> R {
-        self.clock += 1;
-        let clock = self.clock;
         let slot = self.slots[id.index()]
             .as_mut()
             .unwrap_or_else(|| panic!("mutation of collected object {id}"));
         let out = f(&mut slot.kind);
-        slot.mutated_at = clock;
         let needed = slot.kind.shallow_size() as u64;
         if needed > slot.extent.len {
             let old = slot.extent;
@@ -435,6 +418,14 @@ mod tests {
     fn list_of_ints(heap: &mut Heap, values: &[i64]) -> ObjId {
         let items: Vec<ObjId> = values.iter().map(|v| heap.alloc(ObjKind::Int(*v))).collect();
         heap.alloc(ObjKind::List(items))
+    }
+
+    /// A slot is 48 bytes: a 32-byte `ObjKind` and a 16-byte extent, with
+    /// `None` held in the kind's spare tag values.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn slots_are_48_bytes() {
+        assert_eq!(std::mem::size_of::<Option<Slot>>(), 48);
     }
 
     #[test]

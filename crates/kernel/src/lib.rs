@@ -27,5 +27,5 @@ pub mod simcost;
 
 pub use heap::{Heap, HeapStats, Sweep};
 pub use namespace::{AccessRecord, Namespace};
-pub use object::{ClassId, ObjId, ObjKind};
+pub use object::{ClassId, External, Function, Instance, ObjId, ObjKind};
 pub use pages::{PageAllocator, PAGE_SIZE};

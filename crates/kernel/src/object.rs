@@ -48,6 +48,15 @@ pub struct ClassId(pub u16);
 /// (pickled by source, as cloudpickle does), opaque generators (the canonical
 /// unserializable/untraversable object, §4.2), and `External` library objects
 /// whose behaviour is described by the class registry.
+///
+/// `Instance`, `Function` and `External` keep their fields behind a `Box`
+/// ([`Instance`], [`Function`], [`External`]). Inline, `External` alone
+/// made every `ObjKind` 72 bytes; boxed, the largest inline variant is
+/// `Series` and an `ObjKind` is 32 bytes, so each heap slot is 48 (see
+/// [`crate::heap`]). The three are few next to the ints, floats, strings
+/// and containers a cell allocates by the hundred thousand, so their extra
+/// allocation buys half the slot table of every heap. Build them with
+/// `.into()` from their field structs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ObjKind {
     /// Python `None`.
@@ -85,22 +94,10 @@ pub enum ObjKind {
     /// `(column name, column object)` pairs.
     DataFrame(Vec<(String, ObjId)>),
     /// User-defined instance with attribute dictionary (`obj.foo = ...`).
-    Instance {
-        /// Class name as written in the notebook (informational).
-        class_name: String,
-        /// Attribute slots, insertion-ordered.
-        attrs: Vec<(String, ObjId)>,
-    },
+    Instance(Box<Instance>),
     /// A minipy function. Serialized by source text (the cloudpickle
     /// strategy); calling it re-parses/caches in the interpreter.
-    Function {
-        /// Function name.
-        name: String,
-        /// Parameter names.
-        params: Vec<String>,
-        /// Full `def` source text (basis for pickling and body lookup).
-        source: String,
-    },
+    Function(Box<Function>),
     /// An opaque generator/iterator. Not traversable (no referencing
     /// instructions) and not serializable — Kishu must assume it updated on
     /// access and restore it by fallback recomputation (§4.2, §5.1).
@@ -108,20 +105,62 @@ pub enum ObjKind {
         /// Distinguishes generator instances.
         token: u64,
     },
-    /// An instance of a simulated library class. `attrs` are ordinary
-    /// reachable references; `payload` is the class-internal buffer the
-    /// reduction protocol serializes; `epoch` is bumped on in-place updates
-    /// so update detection has something to observe.
-    External {
-        /// Which simulated library class this is.
-        class: ClassId,
-        /// Reachable attribute references.
-        attrs: Vec<(String, ObjId)>,
-        /// Opaque class-internal bytes (weights, buffers, ...).
-        payload: Vec<u8>,
-        /// In-place modification counter.
-        epoch: u64,
-    },
+    /// An instance of a simulated library class.
+    External(Box<External>),
+}
+
+/// The fields of an [`ObjKind::Instance`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Instance {
+    /// Class name as written in the notebook (informational).
+    pub class_name: String,
+    /// Attribute slots, insertion-ordered.
+    pub attrs: Vec<(String, ObjId)>,
+}
+
+/// The fields of an [`ObjKind::Function`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Function {
+    /// Function name.
+    pub name: String,
+    /// Parameter names.
+    pub params: Vec<String>,
+    /// Full `def` source text (basis for pickling and body lookup).
+    pub source: String,
+}
+
+/// The fields of an [`ObjKind::External`]. `attrs` are ordinary reachable
+/// references; `payload` is the class-internal buffer the reduction
+/// protocol serializes; `epoch` is bumped on in-place updates so update
+/// detection has something to observe.
+#[derive(Debug, Clone, PartialEq)]
+pub struct External {
+    /// Which simulated library class this is.
+    pub class: ClassId,
+    /// Reachable attribute references.
+    pub attrs: Vec<(String, ObjId)>,
+    /// Opaque class-internal bytes (weights, buffers, ...).
+    pub payload: Vec<u8>,
+    /// In-place modification counter.
+    pub epoch: u64,
+}
+
+impl From<Instance> for ObjKind {
+    fn from(fields: Instance) -> Self {
+        ObjKind::Instance(Box::new(fields))
+    }
+}
+
+impl From<Function> for ObjKind {
+    fn from(fields: Function) -> Self {
+        ObjKind::Function(Box::new(fields))
+    }
+}
+
+impl From<External> for ObjKind {
+    fn from(fields: External) -> Self {
+        ObjKind::External(Box::new(fields))
+    }
 }
 
 impl ObjKind {
@@ -141,10 +180,10 @@ impl ObjKind {
             ObjKind::NdArray(_) => "ndarray",
             ObjKind::Series { .. } => "Series",
             ObjKind::DataFrame(_) => "DataFrame",
-            ObjKind::Instance { .. } => "instance",
-            ObjKind::Function { .. } => "function",
+            ObjKind::Instance(_) => "instance",
+            ObjKind::Function(_) => "function",
             ObjKind::Generator { .. } => "generator",
-            ObjKind::External { .. } => "external",
+            ObjKind::External(_) => "external",
         }
     }
 
@@ -173,9 +212,8 @@ impl ObjKind {
             ObjKind::Dict(pairs) => pairs.iter().flat_map(|(k, v)| [*k, *v]).collect(),
             ObjKind::Series { values, .. } => vec![*values],
             ObjKind::DataFrame(cols) => cols.iter().map(|(_, c)| *c).collect(),
-            ObjKind::Instance { attrs, .. } | ObjKind::External { attrs, .. } => {
-                attrs.iter().map(|(_, v)| *v).collect()
-            }
+            ObjKind::Instance(inst) => inst.attrs.iter().map(|(_, v)| *v).collect(),
+            ObjKind::External(ext) => ext.attrs.iter().map(|(_, v)| *v).collect(),
             _ => Vec::new(),
         }
     }
@@ -200,10 +238,10 @@ impl ObjKind {
             ObjKind::DataFrame(cols) => {
                 128 + cols.iter().map(|(n, _)| 16 + n.len()).sum::<usize>()
             }
-            ObjKind::Instance { attrs, .. } => 48 + 16 * attrs.len(),
-            ObjKind::Function { source, .. } => 120 + source.len(),
+            ObjKind::Instance(inst) => 48 + 16 * inst.attrs.len(),
+            ObjKind::Function(f) => 120 + f.source.len(),
             ObjKind::Generator { .. } => 112,
-            ObjKind::External { attrs, payload, .. } => 64 + 16 * attrs.len() + payload.len(),
+            ObjKind::External(ext) => 64 + 16 * ext.attrs.len() + ext.payload.len(),
         }
     }
 }
@@ -238,6 +276,14 @@ mod tests {
         let big = ObjKind::NdArray(vec![0.0; 1000]).shallow_size();
         assert!(big > small);
         assert_eq!(big - small, 8 * 990);
+    }
+
+    /// The boxed variants keep `ObjKind` at 32 bytes, which makes a heap
+    /// slot 48 (`heap::tests::slots_are_48_bytes`).
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn obj_kind_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<ObjKind>(), 32);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use std::rc::Rc;
 use std::sync::Arc;
 
-use kishu_kernel::{ObjId, ObjKind};
+use kishu_kernel::{External, ObjId, ObjKind};
 use kishu_minipy::error::{RunError, RunErrorKind};
 use kishu_minipy::interp::{ExternalDispatch, Interp};
 
@@ -68,12 +68,15 @@ pub fn install(interp: &mut Interp, registry: Arc<Registry>) {
                 0x5EED
             };
             let payload = derive_payload(size, seed);
-            Ok(i.heap.alloc(ObjKind::External {
-                class: spec.id,
-                attrs: Vec::new(),
-                payload,
-                epoch: 0,
-            }))
+            Ok(i.heap.alloc(
+                External {
+                    class: spec.id,
+                    attrs: Vec::new(),
+                    payload,
+                    epoch: 0,
+                }
+                .into(),
+            ))
         }),
     );
 }
@@ -114,10 +117,10 @@ fn fold_args(interp: &Interp, args: &[ObjId]) -> u64 {
                     mix(v.to_bits());
                 }
             }
-            ObjKind::External { payload, epoch, .. } => {
-                mix(*epoch);
-                mix(payload.len() as u64);
-                for b in payload.iter().take(64) {
+            ObjKind::External(ext) => {
+                mix(ext.epoch);
+                mix(ext.payload.len() as u64);
+                for b in ext.payload.iter().take(64) {
                     mix(*b as u64);
                 }
             }
@@ -137,7 +140,7 @@ impl ExternalDispatch for LibDispatch {
         _kwargs: &[(String, ObjId)],
     ) -> Option<Result<ObjId, RunError>> {
         let (class, payload_len, epoch) = match interp.heap.kind(recv) {
-            ObjKind::External { class, payload, epoch, .. } => (*class, payload.len(), *epoch),
+            ObjKind::External(ext) => (ext.class, ext.payload.len(), ext.epoch),
             _ => return None,
         };
         let spec = self.registry.get(class)?;
@@ -158,9 +161,9 @@ impl ExternalDispatch for LibDispatch {
                 let size = payload_len.max(1);
                 let fresh = derive_payload(size, seed);
                 interp.heap.modify(recv, |k| {
-                    if let ObjKind::External { payload, epoch, .. } = k {
-                        *payload = fresh;
-                        *epoch += 1;
+                    if let ObjKind::External(ext) = k {
+                        ext.payload = fresh;
+                        ext.epoch += 1;
                     }
                 });
                 Some(Ok(interp.heap.alloc(ObjKind::None)))
@@ -177,9 +180,9 @@ impl ExternalDispatch for LibDispatch {
                 let size = payload_len.max(1);
                 let fresh = derive_payload(size, seed);
                 interp.heap.modify(recv, |k| {
-                    if let ObjKind::External { payload, epoch, .. } = k {
-                        *payload = fresh;
-                        *epoch += 1;
+                    if let ObjKind::External(ext) = k {
+                        ext.payload = fresh;
+                        ext.epoch += 1;
                     }
                 });
                 Some(Ok(interp.heap.alloc(ObjKind::None)))
@@ -215,9 +218,9 @@ impl ExternalDispatch for LibDispatch {
                 };
                 let fresh = derive_payload(n, epoch ^ 0xABCD);
                 interp.heap.modify(recv, |k| {
-                    if let ObjKind::External { payload, epoch, .. } = k {
-                        *payload = fresh;
-                        *epoch += 1;
+                    if let ObjKind::External(ext) = k {
+                        ext.payload = fresh;
+                        ext.epoch += 1;
                     }
                 });
                 Some(Ok(interp.heap.alloc(ObjKind::None)))
@@ -248,7 +251,7 @@ mod tests {
     fn payload_of(interp: &Interp, name: &str) -> Vec<u8> {
         let id = interp.globals.peek(name).expect("bound");
         match interp.heap.kind(id) {
-            ObjKind::External { payload, .. } => payload.clone(),
+            ObjKind::External(ext) => ext.payload.clone(),
             other => panic!("{name} is {other:?}"),
         }
     }
@@ -259,9 +262,9 @@ mod tests {
         run(&mut i, "m = lib_obj('sk.KMeans', 1000, 42)\n");
         let id = i.globals.peek("m").expect("bound");
         match i.heap.kind(id) {
-            ObjKind::External { class, payload, .. } => {
-                assert_eq!(*class, registry.by_name("sk.KMeans").expect("exists").id);
-                assert_eq!(payload.len(), 1000);
+            ObjKind::External(ext) => {
+                assert_eq!(ext.class, registry.by_name("sk.KMeans").expect("exists").id);
+                assert_eq!(ext.payload.len(), 1000);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -322,7 +325,7 @@ mod tests {
         run(&mut i, "m = lib_obj('xgb.DMatrix', 32, 0)\nm.update(1)\nm.update(2)\n");
         let id = i.globals.peek("m").expect("bound");
         match i.heap.kind(id) {
-            ObjKind::External { epoch, .. } => assert_eq!(*epoch, 2),
+            ObjKind::External(ext) => assert_eq!(ext.epoch, 2),
             other => panic!("unexpected {other:?}"),
         }
     }

@@ -1,5 +1,6 @@
 //! Registry-backed reduction instructions.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use kishu_kernel::ClassId;
@@ -24,7 +25,7 @@ impl LibReducer {
 }
 
 impl Reducer for LibReducer {
-    fn reduce(&self, class: ClassId, payload: &[u8]) -> Result<Vec<u8>, PickleError> {
+    fn reduce<'p>(&self, class: ClassId, payload: &'p [u8]) -> Result<Cow<'p, [u8]>, PickleError> {
         let spec = self.registry.get(class);
         if let Some(spec) = spec {
             if spec.behavior.unserializable {
@@ -36,7 +37,7 @@ impl Reducer for LibReducer {
         // Off-process classes are exactly the ones whose *reduction* makes
         // them storable at the application level: the payload stands for the
         // reduction instructions (`__reduce__`), not raw process memory.
-        Ok(payload.to_vec())
+        Ok(Cow::Borrowed(payload))
     }
 
     fn rebuild(&self, class: ClassId, stored: &[u8]) -> Result<Vec<u8>, PickleError> {
@@ -62,16 +63,19 @@ impl Reducer for LibReducer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kishu_kernel::{Heap, ObjKind};
+    use kishu_kernel::{External, Heap, ObjKind};
     use kishu_pickle::{dumps, loads};
 
     fn external(heap: &mut Heap, class: ClassId, payload: Vec<u8>) -> kishu_kernel::ObjId {
-        heap.alloc(ObjKind::External {
-            class,
-            attrs: Vec::new(),
-            payload,
-            epoch: 0,
-        })
+        heap.alloc(
+            External {
+                class,
+                attrs: Vec::new(),
+                payload,
+                epoch: 0,
+            }
+            .into(),
+        )
     }
 
     #[test]
@@ -107,8 +111,8 @@ mod tests {
         let blob = dumps(&heap, &[obj], &reducer).expect("dump ok");
         let back = loads(&mut heap, &blob, &reducer).expect("load 'succeeds'");
         match heap.kind(back[0]) {
-            ObjKind::External { payload, .. } => {
-                assert_ne!(payload, &vec![0xAA, 0xBB], "payload silently corrupted");
+            ObjKind::External(ext) => {
+                assert_ne!(ext.payload, vec![0xAA, 0xBB], "payload silently corrupted");
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -10,7 +10,7 @@
 
 use std::rc::Rc;
 
-use kishu_kernel::{ObjId, ObjKind};
+use kishu_kernel::{Instance, ObjId, ObjKind};
 
 use crate::error::{RunError, RunErrorKind};
 use crate::interp::Interp;
@@ -227,10 +227,13 @@ pub fn register_core(interp: &mut Interp) {
         if !args.is_empty() {
             return Err(type_err("Object() takes no arguments"));
         }
-        Ok(i.heap.alloc(ObjKind::Instance {
-            class_name: "Object".to_string(),
-            attrs: Vec::new(),
-        }))
+        Ok(i.heap.alloc(
+            Instance {
+                class_name: "Object".to_string(),
+                attrs: Vec::new(),
+            }
+            .into(),
+        ))
     });
 
     builtin!(interp, "zeros", |i, args, _k| {

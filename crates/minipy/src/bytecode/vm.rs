@@ -10,7 +10,7 @@
 
 use std::rc::Rc;
 
-use kishu_kernel::{ObjId, ObjKind};
+use kishu_kernel::{Function, ObjId, ObjKind};
 
 use crate::ast::Stmt;
 use crate::bytecode::instr::Instr;
@@ -90,9 +90,7 @@ pub(crate) fn call_function(
     // Hash the def source in place instead of cloning it: on a warm code
     // cache (every call after the first) the whole lookup is borrow-free.
     let (n_params, key) = match interp.heap.kind(callee) {
-        ObjKind::Function { params, source, .. } => {
-            (params.len(), crate::interp::fnv1a(source.as_bytes()))
-        }
+        ObjKind::Function(f) => (f.params.len(), crate::interp::fnv1a(f.source.as_bytes())),
         other => {
             return Err(RunError::new(
                 RunErrorKind::TypeError,
@@ -116,7 +114,7 @@ pub(crate) fn call_function(
         Some(c) => c,
         None => {
             let source = match interp.heap.kind(callee) {
-                ObjKind::Function { source, .. } => source.clone(),
+                ObjKind::Function(f) => f.source.clone(),
                 _ => unreachable!("kind checked above"),
             };
             interp.vm_func_code(&source)?
@@ -427,11 +425,14 @@ fn dispatch(
 
             Instr::MakeFunction(i) => {
                 let t = &code.funcs[*i as usize];
-                let f = interp.heap.alloc(ObjKind::Function {
-                    name: t.name.clone(),
-                    params: t.params.clone(),
-                    source: t.source.clone(),
-                });
+                let f = interp.heap.alloc(
+                    Function {
+                        name: t.name.clone(),
+                        params: t.params.clone(),
+                        source: t.source.clone(),
+                    }
+                    .into(),
+                );
                 stack.push(f);
             }
             Instr::ResolveCallee { slot, name } => {

@@ -5,7 +5,7 @@
 //!
 //! * assignment binds names to objects (no copies);
 //! * mutation (`ls.append`, `arr[i] = v`, `obj.attr = v`) is in-place and
-//!   goes through [`Heap::modify`](kishu_kernel::Heap::modify), dirtying pages and the mutation clock;
+//!   goes through [`Heap::modify`](kishu_kernel::Heap::modify), which dirties the object's pages;
 //! * global name accesses are routed through the patched namespace so the
 //!   per-cell [`AccessRecord`] is produced exactly as Kishu's Fig 8 hook
 //!   observes it; function-local variables never touch the namespace,
@@ -16,7 +16,7 @@ use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use kishu_kernel::{AccessRecord, Heap, Namespace, ObjId, ObjKind, Sweep};
+use kishu_kernel::{AccessRecord, Function, Heap, Namespace, ObjId, ObjKind, Sweep};
 
 use crate::ast::{BinOp, BoolOpKind, CmpOp, Expr, Stmt, Target, UnaryOp};
 use crate::builtins;
@@ -557,11 +557,14 @@ impl Interp {
                 source,
                 ..
             } => {
-                let f = self.heap.alloc(ObjKind::Function {
-                    name: name.clone(),
-                    params: params.clone(),
-                    source: source.clone(),
-                });
+                let f = self.heap.alloc(
+                    Function {
+                        name: name.clone(),
+                        params: params.clone(),
+                        source: source.clone(),
+                    }
+                    .into(),
+                );
                 self.store_name(name, f, scope);
                 Ok(Flow::Normal)
             }
@@ -647,21 +650,9 @@ impl Interp {
     pub fn set_attr(&mut self, recv: ObjId, attr: &str, value: ObjId) -> Result<(), RunError> {
         let kind_tag = self.heap.kind(recv).type_tag();
         match self.heap.kind(recv) {
-            ObjKind::Instance { .. } => {
+            ObjKind::Instance(_) | ObjKind::External(_) => {
                 self.heap.modify(recv, |k| {
-                    if let ObjKind::Instance { attrs, .. } = k {
-                        if let Some(slot) = attrs.iter_mut().find(|(n, _)| n == attr) {
-                            slot.1 = value;
-                        } else {
-                            attrs.push((attr.to_string(), value));
-                        }
-                    }
-                });
-                Ok(())
-            }
-            ObjKind::External { .. } => {
-                self.heap.modify(recv, |k| {
-                    if let ObjKind::External { attrs, .. } = k {
+                    if let Some(attrs) = attrs_mut(k) {
                         if let Some(slot) = attrs.iter_mut().find(|(n, _)| n == attr) {
                             slot.1 = value;
                         } else {
@@ -945,7 +936,7 @@ impl Interp {
     pub(crate) fn delete_attr(&mut self, recv: ObjId, attr: &str) -> Result<(), RunError> {
         let mut found = false;
         self.heap.modify(recv, |k| {
-            if let ObjKind::Instance { attrs, .. } | ObjKind::External { attrs, .. } = k {
+            if let Some(attrs) = attrs_mut(k) {
                 let before = attrs.len();
                 attrs.retain(|(n, _)| n != attr);
                 found = attrs.len() < before;
@@ -1132,7 +1123,7 @@ impl Interp {
 
     fn call_function_tree(&mut self, callee: ObjId, argv: &[ObjId]) -> Result<ObjId, RunError> {
         let (params, source) = match self.heap.kind(callee) {
-            ObjKind::Function { params, source, .. } => (params.clone(), source.clone()),
+            ObjKind::Function(f) => (f.params.clone(), f.source.clone()),
             other => {
                 return Err(RunError::new(
                     RunErrorKind::TypeError,
@@ -1199,7 +1190,7 @@ impl Interp {
         args: &[ObjId],
         kwargs: &[(String, ObjId)],
     ) -> Result<ObjId, RunError> {
-        if matches!(self.heap.kind(recv), ObjKind::External { .. }) {
+        if matches!(self.heap.kind(recv), ObjKind::External(_)) {
             if let Some(d) = self.external_dispatch.clone() {
                 if let Some(result) = d.call_method(self, recv, method, args, kwargs) {
                     return result;
@@ -1215,16 +1206,16 @@ impl Interp {
     /// Read `recv.attr` (data attributes only; methods are call-only).
     pub fn get_attr(&mut self, recv: ObjId, attr: &str) -> Result<ObjId, RunError> {
         match self.heap.kind(recv).clone() {
-            ObjKind::Instance { attrs, class_name } => {
-                attrs.iter().find(|(n, _)| n == attr).map(|(_, v)| *v).ok_or_else(|| {
+            ObjKind::Instance(inst) => {
+                inst.attrs.iter().find(|(n, _)| n == attr).map(|(_, v)| *v).ok_or_else(|| {
                     RunError::new(
                         RunErrorKind::AttributeError,
-                        format!("'{class_name}' object has no attribute `{attr}`"),
+                        format!("'{}' object has no attribute `{attr}`", inst.class_name),
                     )
                 })
             }
-            ObjKind::External { attrs, .. } => {
-                attrs.iter().find(|(n, _)| n == attr).map(|(_, v)| *v).ok_or_else(|| {
+            ObjKind::External(ext) => {
+                ext.attrs.iter().find(|(n, _)| n == attr).map(|(_, v)| *v).ok_or_else(|| {
                     RunError::new(
                         RunErrorKind::AttributeError,
                         format!("external object has no attribute `{attr}`"),
@@ -1726,6 +1717,16 @@ impl NumericTag for ObjKind {
     }
     fn is_numeric_or_array(&self) -> bool {
         self.is_numeric() || self.is_array()
+    }
+}
+
+/// The attribute list of an object that has one (an instance or a library
+/// object).
+fn attrs_mut(kind: &mut ObjKind) -> Option<&mut Vec<(String, ObjId)>> {
+    match kind {
+        ObjKind::Instance(inst) => Some(&mut inst.attrs),
+        ObjKind::External(ext) => Some(&mut ext.attrs),
+        _ => None,
     }
 }
 

@@ -2,7 +2,7 @@
 
 use std::collections::HashSet;
 
-use kishu_kernel::{Heap, ObjId, ObjKind};
+use kishu_kernel::{Heap, Instance, ObjId, ObjKind};
 
 const MAX_DEPTH: usize = 4;
 const MAX_ITEMS: usize = 10;
@@ -93,7 +93,8 @@ fn render(heap: &Heap, id: ObjId, depth: usize, quote_str: bool, seen: &mut Hash
             let names: Vec<&str> = cols.iter().map(|(n, _)| n.as_str()).collect();
             format!("DataFrame(columns=[{}])", names.join(", "))
         }
-        ObjKind::Instance { class_name, attrs } => {
+        ObjKind::Instance(inst) => {
+            let Instance { class_name, attrs } = &**inst;
             if !seen.insert(id) {
                 return format!("<{class_name} ...>");
             }
@@ -104,13 +105,14 @@ fn render(heap: &Heap, id: ObjId, depth: usize, quote_str: bool, seen: &mut Hash
             seen.remove(&id);
             format!("<{class_name} {}>", parts.join(", "))
         }
-        ObjKind::Function { name, params, .. } => {
-            format!("<function {name}({})>", params.join(", "))
-        }
+        ObjKind::Function(f) => format!("<function {}({})>", f.name, f.params.join(", ")),
         ObjKind::Generator { token } => format!("<generator at 0x{token:x}>"),
-        ObjKind::External { class, payload, epoch, .. } => {
-            format!("<external class={} bytes={} epoch={}>", class.0, payload.len(), epoch)
-        }
+        ObjKind::External(ext) => format!(
+            "<external class={} bytes={} epoch={}>",
+            ext.class.0,
+            ext.payload.len(),
+            ext.epoch
+        ),
     }
 }
 

@@ -6,6 +6,7 @@
 //! be handled by the next. [`ChainReducer`] implements that policy over any
 //! two [`Reducer`]s and counts how often the fallback fired.
 
+use std::borrow::Cow;
 use std::cell::Cell;
 
 use kishu_kernel::ClassId;
@@ -41,7 +42,7 @@ impl<P: Reducer, F: Reducer> ChainReducer<P, F> {
 }
 
 impl<P: Reducer, F: Reducer> Reducer for ChainReducer<P, F> {
-    fn reduce(&self, class: ClassId, payload: &[u8]) -> Result<Vec<u8>, PickleError> {
+    fn reduce<'p>(&self, class: ClassId, payload: &'p [u8]) -> Result<Cow<'p, [u8]>, PickleError> {
         match self.primary.reduce(class, payload) {
             Err(PickleError::Unserializable { .. }) => {
                 self.fallback_hits.set(self.fallback_hits.get() + 1);
@@ -64,28 +65,35 @@ mod tests {
     use super::*;
     use crate::reduce::NoopReducer;
     use crate::{dumps, loads};
-    use kishu_kernel::{Heap, ObjKind};
+    use kishu_kernel::{External, Heap};
 
     /// A "CloudPickle": refuses odd class ids.
     struct Picky;
     impl Reducer for Picky {
-        fn reduce(&self, class: ClassId, payload: &[u8]) -> Result<Vec<u8>, PickleError> {
+        fn reduce<'p>(
+            &self,
+            class: ClassId,
+            payload: &'p [u8],
+        ) -> Result<Cow<'p, [u8]>, PickleError> {
             if class.0 % 2 == 1 {
                 return Err(PickleError::Unserializable {
                     type_tag: format!("class {}", class.0),
                 });
             }
-            Ok(payload.to_vec())
+            Ok(Cow::Borrowed(payload))
         }
     }
 
     fn external(heap: &mut Heap, class: u16) -> kishu_kernel::ObjId {
-        heap.alloc(ObjKind::External {
-            class: ClassId(class),
-            attrs: Vec::new(),
-            payload: vec![7; 16],
-            epoch: 0,
-        })
+        heap.alloc(
+            External {
+                class: ClassId(class),
+                attrs: Vec::new(),
+                payload: vec![7; 16],
+                epoch: 0,
+            }
+            .into(),
+        )
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //!
 //! * [`dumps`] serializes any set of root objects from a heap into one
 //!   self-contained blob, preserving sharing and cycles via a memo table;
+//!   [`dumps_into`] appends the same bytes to a caller's buffer, so a
+//!   caller that frames the blob (the session's CRC seal) writes its
+//!   header in place instead of copying the blob behind it;
 //! * [`loads`] reconstructs the graph into a (possibly different) heap and
 //!   returns the new root handles;
 //! * [`Reducer`] is the `__reduce__` analogue: simulated library classes
@@ -41,20 +44,37 @@ use kishu_kernel::{Heap, ObjId};
 /// the closure contains an opaque object (generator) or a class whose
 /// reduction refuses.
 pub fn dumps(heap: &Heap, roots: &[ObjId], reducer: &dyn Reducer) -> Result<Vec<u8>, PickleError> {
+    let mut blob = Vec::new();
+    dumps_into(heap, roots, reducer, &mut blob)?;
+    Ok(blob)
+}
+
+/// [`dumps`], appending the blob to `out` after the bytes it already
+/// holds. The `pickle.dumps` span and the simulated charge count the
+/// appended bytes alone. On error `out` holds a partial blob after its old
+/// bytes; discard it.
+pub fn dumps_into(
+    heap: &Heap,
+    roots: &[ObjId],
+    reducer: &dyn Reducer,
+    out: &mut Vec<u8>,
+) -> Result<(), PickleError> {
     // The span reaches the session's trace through the thread-current
     // context (set by the enclosing session span, or `worker_scope` on a
     // pool worker); no handle is threaded through this API.
     let mut sp = kishu_trace::current_span("pickle.dumps");
-    let blob = writer::Writer::new(heap, reducer).dump(roots)?;
-    sp.arg("bytes", blob.len());
+    let start = out.len();
+    writer::Writer::new(heap, reducer).dump_into(roots, out)?;
+    let len = out.len() - start;
+    sp.arg("bytes", len);
     // Charge the simulated serialization latency (see `simcost`): the
     // synthetic encoder is orders of magnitude faster than pickling real
     // library state, which would make every dump look free and erase the
     // serialization/store trade-offs the measurements compare. Charged
     // uniformly for every method; per-blob charges sleep on the calling
     // thread, so the parallel checkpoint pipeline genuinely overlaps them.
-    kishu_kernel::simcost::charge_bytes(blob.len() as u64, kishu_kernel::simcost::PICKLE_BPS);
-    Ok(blob)
+    kishu_kernel::simcost::charge_bytes(len as u64, kishu_kernel::simcost::PICKLE_BPS);
+    Ok(())
 }
 
 /// Reconstruct a blob produced by [`dumps`] into `heap`, returning the new
@@ -93,7 +113,7 @@ pub fn loads_precharged(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kishu_kernel::{Heap, ObjKind};
+    use kishu_kernel::{Function, Heap, ObjKind};
 
     fn roundtrip(heap: &mut Heap, roots: &[ObjId]) -> Vec<ObjId> {
         let blob = dumps(heap, roots, &NoopReducer).expect("dumps");
@@ -199,11 +219,14 @@ mod tests {
     #[test]
     fn functions_pickle_by_source() {
         let mut heap = Heap::new();
-        let f = heap.alloc(ObjKind::Function {
-            name: "f".into(),
-            params: vec!["x".into()],
-            source: "def f(x):\n    return x\n".into(),
-        });
+        let f = heap.alloc(
+            Function {
+                name: "f".into(),
+                params: vec!["x".into()],
+                source: "def f(x):\n    return x\n".into(),
+            }
+            .into(),
+        );
         let back = roundtrip(&mut heap, &[f]);
         assert_eq!(heap.kind(back[0]), heap.kind(f));
     }

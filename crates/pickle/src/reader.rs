@@ -5,7 +5,7 @@
 //! decoded, so back-references (including cycles) resolve to the right
 //! handle; the container is then filled in place.
 
-use kishu_kernel::{ClassId, Heap, ObjId, ObjKind};
+use kishu_kernel::{ClassId, External, Function, Heap, Instance, ObjId, ObjKind};
 
 use crate::error::PickleError;
 use crate::reduce::Reducer;
@@ -196,10 +196,13 @@ impl<'a> Reader<'a> {
                 if count > self.bytes.len() {
                     return Err(self.corrupt("implausible attr count"));
                 }
-                let id = heap.alloc(ObjKind::Instance {
-                    class_name: class_name.clone(),
-                    attrs: Vec::new(),
-                });
+                let id = heap.alloc(
+                    Instance {
+                        class_name: class_name.clone(),
+                        attrs: Vec::new(),
+                    }
+                    .into(),
+                );
                 self.memo.push(id);
                 let mut attrs = Vec::with_capacity(count);
                 for _ in 0..count {
@@ -207,7 +210,7 @@ impl<'a> Reader<'a> {
                     let v = self.decode(heap, depth + 1)?;
                     attrs.push((name, v));
                 }
-                heap.replace(id, ObjKind::Instance { class_name, attrs });
+                heap.replace(id, Instance { class_name, attrs }.into());
                 Ok(id)
             }
             Tag::Function => {
@@ -223,11 +226,12 @@ impl<'a> Reader<'a> {
                 let source = self.string()?;
                 self.leaf(
                     heap,
-                    ObjKind::Function {
+                    Function {
                         name,
                         params,
                         source,
-                    },
+                    }
+                    .into(),
                 )
             }
             Tag::External => {
@@ -239,12 +243,15 @@ impl<'a> Reader<'a> {
                 }
                 let stored = self.take(len)?.to_vec();
                 let payload = self.reducer.rebuild(class, &stored)?;
-                let id = heap.alloc(ObjKind::External {
-                    class,
-                    attrs: Vec::new(),
-                    payload,
-                    epoch,
-                });
+                let id = heap.alloc(
+                    External {
+                        class,
+                        attrs: Vec::new(),
+                        payload,
+                        epoch,
+                    }
+                    .into(),
+                );
                 self.memo.push(id);
                 let count = self.u64()? as usize;
                 if count > self.bytes.len() {
@@ -257,8 +264,8 @@ impl<'a> Reader<'a> {
                     attrs.push((name, v));
                 }
                 heap.modify(id, |k| {
-                    if let ObjKind::External { attrs: a, .. } = k {
-                        *a = attrs;
+                    if let ObjKind::External(ext) = k {
+                        ext.attrs = attrs;
                     }
                 });
                 Ok(id)
@@ -438,24 +445,33 @@ mod proptests {
             }
             Recipe::Instance(class_name, attrs) => {
                 let attrs = named(heap, attrs);
-                heap.alloc(ObjKind::Instance {
-                    class_name: class_name.clone(),
-                    attrs,
-                })
+                heap.alloc(
+                    Instance {
+                        class_name: class_name.clone(),
+                        attrs,
+                    }
+                    .into(),
+                )
             }
-            Recipe::Function(name, params, body) => heap.alloc(ObjKind::Function {
-                name: name.clone(),
-                params: params.clone(),
-                source: format!("def {name}({}): {body}", params.join(", ")),
-            }),
+            Recipe::Function(name, params, body) => heap.alloc(
+                Function {
+                    name: name.clone(),
+                    params: params.clone(),
+                    source: format!("def {name}({}): {body}", params.join(", ")),
+                }
+                .into(),
+            ),
             Recipe::External(class, payload, epoch, attrs) => {
                 let attrs = named(heap, attrs);
-                heap.alloc(ObjKind::External {
-                    class: ClassId(*class),
-                    attrs,
-                    payload: payload.clone(),
-                    epoch: *epoch,
-                })
+                heap.alloc(
+                    External {
+                        class: ClassId(*class),
+                        attrs,
+                        payload: payload.clone(),
+                        epoch: *epoch,
+                    }
+                    .into(),
+                )
             }
             Recipe::Shared(inner) => {
                 let id = build(heap, inner);
@@ -488,31 +504,16 @@ mod proptests {
                 n == m && eq(x, y)
             }
             (ObjKind::DataFrame(x), ObjKind::DataFrame(y)) => named(x, y),
-            (
-                ObjKind::Instance {
-                    class_name: c,
-                    attrs: x,
-                },
-                ObjKind::Instance {
-                    class_name: d,
-                    attrs: y,
-                },
-            ) => c == d && named(x, y),
-            (f @ ObjKind::Function { .. }, g @ ObjKind::Function { .. }) => f == g,
-            (
-                ObjKind::External {
-                    class: c,
-                    attrs: x,
-                    payload: p,
-                    epoch: e,
-                },
-                ObjKind::External {
-                    class: d,
-                    attrs: y,
-                    payload: q,
-                    epoch: f,
-                },
-            ) => c == d && p == q && e == f && named(x, y),
+            (ObjKind::Instance(x), ObjKind::Instance(y)) => {
+                x.class_name == y.class_name && named(&x.attrs, &y.attrs)
+            }
+            (f @ ObjKind::Function(_), g @ ObjKind::Function(_)) => f == g,
+            (ObjKind::External(x), ObjKind::External(y)) => {
+                x.class == y.class
+                    && x.payload == y.payload
+                    && x.epoch == y.epoch
+                    && named(&x.attrs, &y.attrs)
+            }
             _ => false,
         }
     }

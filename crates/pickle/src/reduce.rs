@@ -8,6 +8,8 @@
 //! reducer with the paper's 146 classes; [`NoopReducer`] treats every class
 //! as perfectly serializable.
 
+use std::borrow::Cow;
+
 use kishu_kernel::ClassId;
 
 use crate::error::PickleError;
@@ -15,11 +17,13 @@ use crate::error::PickleError;
 /// Serialization instructions for external (library) classes.
 pub trait Reducer {
     /// Produce the storable byte representation of a class payload, or
-    /// refuse ([`PickleError::Unserializable`]). The default stores the
-    /// payload verbatim.
-    fn reduce(&self, class: ClassId, payload: &[u8]) -> Result<Vec<u8>, PickleError> {
+    /// refuse ([`PickleError::Unserializable`]). A reducer that stores the
+    /// payload verbatim, as the default does, returns it borrowed: the
+    /// encoder then copies a library object's payload once, straight into
+    /// the pickle buffer.
+    fn reduce<'p>(&self, class: ClassId, payload: &'p [u8]) -> Result<Cow<'p, [u8]>, PickleError> {
         let _ = class;
-        Ok(payload.to_vec())
+        Ok(Cow::Borrowed(payload))
     }
 
     /// Rebuild a class payload from its stored bytes, or refuse
@@ -48,6 +52,10 @@ mod tests {
         let payload = vec![1, 2, 3];
         let stored = r.reduce(ClassId(5), &payload).expect("reduce");
         assert_eq!(stored, payload);
+        assert!(
+            matches!(stored, Cow::Borrowed(_)),
+            "a verbatim payload is not copied"
+        );
         let back = r.rebuild(ClassId(5), &stored).expect("rebuild");
         assert_eq!(back, payload);
     }

@@ -5,10 +5,16 @@
 //! terminate); later encounters emit a back-reference. The byte stream is
 //! fully deterministic given the graph shape, which is what makes Kishu's
 //! "same bytestring before and after checkout" guarantee testable.
+//!
+//! The encoder appends to one buffer, which may be its caller's
+//! ([`Writer::dump_into`]). Before a payload-sized write (a library
+//! object's reduced payload, an array's values) it reserves the payload
+//! plus `PAYLOAD_SLACK` bytes, so a buffer that just grew to hold a large
+//! payload is not doubled by the few bytes written after it.
 
 use std::collections::HashMap;
 
-use kishu_kernel::{Heap, ObjId, ObjKind};
+use kishu_kernel::{External, Function, Heap, Instance, ObjId, ObjKind};
 
 use crate::error::PickleError;
 use crate::reduce::Reducer;
@@ -19,6 +25,10 @@ pub const MAGIC: &[u8; 4] = b"KPK1";
 
 /// Maximum nesting depth the encoder will follow.
 pub const MAX_DEPTH: usize = 512;
+
+/// Bytes reserved past each payload-sized write, for the encoding that
+/// follows it.
+const PAYLOAD_SLACK: usize = 4096;
 
 /// Object tags of the wire format. Kept in one place so the reader and
 /// writer cannot drift apart.
@@ -107,13 +117,34 @@ impl<'a> Writer<'a> {
     }
 
     /// Encode the given roots into one blob.
-    pub fn dump(mut self, roots: &[ObjId]) -> Result<Vec<u8>, PickleError> {
+    pub fn dump(self, roots: &[ObjId]) -> Result<Vec<u8>, PickleError> {
+        let mut blob = Vec::new();
+        self.dump_into(roots, &mut blob)?;
+        Ok(blob)
+    }
+
+    /// Append the encoding of the given roots to `out`, after what it
+    /// holds. On error `out` holds a partial encoding after its old bytes.
+    pub fn dump_into(mut self, roots: &[ObjId], out: &mut Vec<u8>) -> Result<(), PickleError> {
+        // The buffer moves in and out; its bytes are never copied.
+        self.out = std::mem::take(out);
+        let result = self.encode_roots(roots);
+        *out = self.out;
+        result
+    }
+
+    fn encode_roots(&mut self, roots: &[ObjId]) -> Result<(), PickleError> {
         self.out.extend_from_slice(MAGIC);
         write_u64(&mut self.out, roots.len() as u64);
         for root in roots {
             self.encode(*root, 0)?;
         }
-        Ok(self.out)
+        Ok(())
+    }
+
+    /// Room for a `len`-byte payload and [`PAYLOAD_SLACK`] after it.
+    fn reserve_payload(&mut self, len: usize) {
+        self.out.reserve(len.saturating_add(PAYLOAD_SLACK));
     }
 
     fn write_str(&mut self, s: &str) {
@@ -174,6 +205,7 @@ impl<'a> Writer<'a> {
             ObjKind::NdArray(values) => {
                 self.out.push(Tag::NdArray as u8);
                 write_u64(&mut self.out, values.len() as u64);
+                self.reserve_payload(8 * values.len());
                 for v in values {
                     self.out.extend_from_slice(&v.to_le_bytes());
                 }
@@ -191,7 +223,8 @@ impl<'a> Writer<'a> {
                     self.encode(*col, depth + 1)?;
                 }
             }
-            ObjKind::Instance { class_name, attrs } => {
+            ObjKind::Instance(inst) => {
+                let Instance { class_name, attrs } = &**inst;
                 self.out.push(Tag::Instance as u8);
                 self.write_str(class_name);
                 write_u64(&mut self.out, attrs.len() as u64);
@@ -200,11 +233,12 @@ impl<'a> Writer<'a> {
                     self.encode(*v, depth + 1)?;
                 }
             }
-            ObjKind::Function {
-                name,
-                params,
-                source,
-            } => {
+            ObjKind::Function(f) => {
+                let Function {
+                    name,
+                    params,
+                    source,
+                } = &**f;
                 self.out.push(Tag::Function as u8);
                 self.write_str(name);
                 write_u64(&mut self.out, params.len() as u64);
@@ -218,17 +252,19 @@ impl<'a> Writer<'a> {
                     type_tag: "generator".to_string(),
                 });
             }
-            ObjKind::External {
-                class,
-                attrs,
-                payload,
-                epoch,
-            } => {
+            ObjKind::External(ext) => {
+                let External {
+                    class,
+                    attrs,
+                    payload,
+                    epoch,
+                } = &**ext;
                 let reduced = self.reducer.reduce(*class, payload)?;
                 self.out.push(Tag::External as u8);
                 write_u64(&mut self.out, class.0 as u64);
                 write_u64(&mut self.out, *epoch);
                 write_u64(&mut self.out, reduced.len() as u64);
+                self.reserve_payload(reduced.len());
                 self.out.extend_from_slice(&reduced);
                 write_u64(&mut self.out, attrs.len() as u64);
                 for (name, v) in attrs {
@@ -305,21 +341,24 @@ mod tests {
                 values: shared,
             },
             ObjKind::DataFrame(vec![("c".into(), shared)]),
-            ObjKind::Instance {
+            Instance {
                 class_name: "P".into(),
                 attrs: vec![("x".into(), int)],
-            },
-            ObjKind::Function {
+            }
+            .into(),
+            Function {
                 name: "f".into(),
                 params: vec!["a".into(), "b".into()],
                 source: "def f(a, b): return a".into(),
-            },
-            ObjKind::External {
+            }
+            .into(),
+            External {
                 class: kishu_kernel::ClassId(300),
                 attrs: vec![("n".into(), none)],
                 payload: vec![0xDE, 0xAD, 0xBE, 0xEF],
                 epoch: 5,
-            },
+            }
+            .into(),
         ];
         let mut items = vec![none, yes, no, int, float, key, label, shared];
         items.extend(kinds.into_iter().map(|k| heap.alloc(k)));

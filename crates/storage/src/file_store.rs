@@ -83,7 +83,9 @@ pub const MARKER_MANIFEST: u8 = 0x4D; // 'M'
 const HEADER_LEN: u64 = 1 + 4 + 4;
 
 /// Group-commit buffer flush threshold: bounds memory, not durability.
-const PENDING_FLUSH_BYTES: usize = 8 << 20;
+/// The buffer keeps its capacity after a flush, so a store holds up to
+/// about twice this for its lifetime.
+const PENDING_FLUSH_BYTES: usize = 1 << 20;
 
 /// Read window of the recovery scan on open: the log is read front to
 /// back in windows of this size, so the scan holds one of them besides

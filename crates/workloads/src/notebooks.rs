@@ -575,8 +575,8 @@ mod tests {
                 .expect("exists");
             let interp = run_notebook(&nb);
             let has_off_process = interp.heap.live_objects().any(|id| {
-                if let kishu_kernel::ObjKind::External { class, .. } = interp.heap.kind(id) {
-                    registry.get(*class).map(|s| s.behavior.off_process).unwrap_or(false)
+                if let kishu_kernel::ObjKind::External(ext) = interp.heap.kind(id) {
+                    registry.get(ext.class).map(|s| s.behavior.off_process).unwrap_or(false)
                 } else {
                     false
                 }

@@ -296,7 +296,7 @@ fn checkout_flushes_pending_first() {
 
 #[test]
 fn chained_reducers_over_the_full_registry() {
-    use kishu_kernel::{Heap, ObjKind};
+    use kishu_kernel::{External, Heap};
     use kishu_libsim::LibReducer;
     use kishu_pickle::{dumps, ChainReducer};
     // Chaining the registry reducer with itself changes nothing: the same
@@ -311,12 +311,15 @@ fn chained_reducers_over_the_full_registry() {
     let mut heap = Heap::new();
     let mut failures = 0;
     for spec in registry.classes() {
-        let obj = heap.alloc(ObjKind::External {
-            class: spec.id,
-            attrs: Vec::new(),
-            payload: vec![7; 16],
-            epoch: 0,
-        });
+        let obj = heap.alloc(
+            External {
+                class: spec.id,
+                attrs: Vec::new(),
+                payload: vec![7; 16],
+                epoch: 0,
+            }
+            .into(),
+        );
         if dumps(&heap, &[obj], &chain).is_err() {
             failures += 1;
         }

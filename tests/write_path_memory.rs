@@ -1,0 +1,143 @@
+//! What one checkpoint allocates on its way from the heap to the log.
+//!
+//! This binary holds one test, because it installs a counting global
+//! allocator: it tracks the bytes live and their peak, and counts a
+//! realloc's old and new blocks together until the old block is freed, as
+//! a copying realloc holds both.
+//!
+//! A `FileStore` session with group commit on and one checkpoint worker
+//! holds a 4 MiB library object, and `m.update(1)` rewrites its payload.
+//! The cell's checkpoint pickles the object into one buffer, seals that
+//! buffer in place and chunks it into the group-commit buffer. So the
+//! bytes live during the cell, above those live before it, peak at about
+//! one payload: the update's fresh payload beside the old one, or the
+//! pickle buffer beside the heap's payload. A reducer copy, a pickle
+//! buffer doubled after the payload or a seal copy would each add a
+//! payload more.
+//!
+//! The group-commit buffer keeps its capacity across cells, so it shows
+//! in the cell that creates the object, which grows it from empty: that
+//! cell holds the heap's payload and the pickle buffer, plus a buffer that
+//! flushes at 1 MiB, and peaks within three payloads. A buffer that held
+//! the whole payload before flushing would add two more.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use kishu::session::{KishuConfig, KishuSession};
+use kishu_storage::{ChunkConfig, FileStore};
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::SeqCst) + bytes;
+    PEAK.fetch_max(live, Ordering::SeqCst);
+}
+
+fn shrink(bytes: usize) {
+    LIVE.fetch_sub(bytes, Ordering::SeqCst);
+}
+
+/// The system allocator, counting live bytes into [`LIVE`] and [`PEAK`].
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// meets the `GlobalAlloc` contract; the counters only record sizes.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's guarantees for `layout` are `System.alloc`'s.
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            grow(layout.size());
+        }
+        ptr
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's guarantees for `layout` are `System.alloc_zeroed`'s.
+        let ptr = unsafe { System.alloc_zeroed(layout) };
+        if !ptr.is_null() {
+            grow(layout.size());
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: every block this allocator hands out comes from `System`
+        // with the same layout, and the caller passes one of them.
+        unsafe { System.dealloc(ptr, layout) };
+        shrink(layout.size());
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        grow(new_size);
+        // SAFETY: `ptr` and `layout` come from this allocator, so from
+        // `System`, and the caller's guarantees for `new_size` are
+        // `System.realloc`'s.
+        let new = unsafe { System.realloc(ptr, layout, new_size) };
+        shrink(if new.is_null() {
+            new_size
+        } else {
+            layout.size()
+        });
+        new
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const PAYLOAD: usize = 4 << 20;
+
+/// Run `f`; the peak bytes live while it ran, above those live before it.
+fn peak_during(f: impl FnOnce()) -> usize {
+    let before = LIVE.load(Ordering::SeqCst);
+    PEAK.store(before, Ordering::SeqCst);
+    f();
+    PEAK.load(Ordering::SeqCst) - before
+}
+
+#[test]
+fn a_checkpoint_holds_its_payload_once() {
+    let path = std::env::temp_dir().join(format!("kishu-write-path-{}.log", std::process::id()));
+    let store = FileStore::create_with(&path, ChunkConfig::default(), true).expect("create");
+    let config = KishuConfig {
+        checkpoint_workers: 1,
+        ..KishuConfig::default()
+    };
+    let mut s = KishuSession::new(Box::new(store), config);
+    let run = |s: &mut KishuSession, src: &str| {
+        let report = s.run_cell(src).expect("parses");
+        assert!(
+            report.outcome.error.is_none(),
+            "{src}: {:?}",
+            report.outcome.error
+        );
+        assert_eq!(report.updated.len(), 1, "{src} checkpoints one co-variable");
+    };
+    let created = peak_during(|| {
+        run(
+            &mut s,
+            &format!("m = lib_obj('sk.LogisticRegression', {PAYLOAD}, 7)\n"),
+        )
+    });
+    let updated = peak_during(|| run(&mut s, "m.update(1)\n"));
+
+    drop(s);
+    let _ = std::fs::remove_file(&path);
+    let mib = |bytes: usize| bytes as f64 / (1 << 20) as f64;
+    assert!(
+        updated <= PAYLOAD * 3 / 2,
+        "checkpointing a {:.2} MiB payload peaked {:.2} MiB above the bytes live before the cell",
+        mib(PAYLOAD),
+        mib(updated)
+    );
+    assert!(
+        created <= PAYLOAD * 3,
+        "creating and checkpointing a {:.2} MiB payload peaked {:.2} MiB above the bytes live \
+         before the cell",
+        mib(PAYLOAD),
+        mib(created)
+    );
+}
