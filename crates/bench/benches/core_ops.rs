@@ -183,10 +183,11 @@ fn bench_hashes(b: &mut Bench) {
 }
 
 /// The chunk encoder a chunked put runs on the session thread: the Gear
-/// cut alone, then the cut plus every chunk's stored form (the
-/// compression attempt and, where it loses, the raw copy) over a seeded
-/// MiB of random and of low-entropy bytes, and a whole put's chunk work
-/// for a MiB whose every chunk the ledger already holds.
+/// cut alone, then the cut plus every chunk's stored form (the pre-check,
+/// the compression attempt where it passes and the raw copy where
+/// compression is declined or loses) over a seeded MiB of random and of
+/// low-entropy bytes, and a whole put's chunk work for a random MiB into a
+/// fresh ledger and for a MiB whose every chunk the ledger already holds.
 fn bench_chunk(b: &mut Bench) {
     let cfg = ChunkConfig::default();
     let mut rng = Rng::seed_from_u64(23);
@@ -203,6 +204,10 @@ fn bench_chunk(b: &mut Bench) {
                 black_box(stored)
             });
         }
+        g.bench("ingest_1mb_random", || {
+            let mut chunks: Vec<Vec<u8>> = Vec::new();
+            black_box(ChunkLedger::new().ingest(&random, &cfg, &mut chunks).expect("fresh ingest"))
+        });
         let mut ledger = ChunkLedger::new();
         let mut chunks: Vec<Vec<u8>> = Vec::new();
         ledger.ingest(&random, &cfg, &mut chunks).expect("first ingest");

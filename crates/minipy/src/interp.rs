@@ -1203,9 +1203,11 @@ impl Interp {
     // ------------------------------------------------------------------
     // attribute / subscript reads
 
-    /// Read `recv.attr` (data attributes only; methods are call-only).
+    /// Read `recv.attr` (data attributes only; methods are call-only). The
+    /// receiver is read in place: an arm copies out only what it allocates
+    /// with, so reading an attribute never copies a payload.
     pub fn get_attr(&mut self, recv: ObjId, attr: &str) -> Result<ObjId, RunError> {
-        match self.heap.kind(recv).clone() {
+        match self.heap.kind(recv) {
             ObjKind::Instance(inst) => {
                 inst.attrs.iter().find(|(n, _)| n == attr).map(|(_, v)| *v).ok_or_else(|| {
                     RunError::new(
@@ -1223,8 +1225,11 @@ impl Interp {
                 })
             }
             ObjKind::Series { name, values } => match attr {
-                "name" => Ok(self.heap.alloc(ObjKind::Str(name))),
-                "values" => Ok(values),
+                "name" => {
+                    let name = name.clone();
+                    Ok(self.heap.alloc(ObjKind::Str(name)))
+                }
+                "values" => Ok(*values),
                 _ => Err(RunError::new(
                     RunErrorKind::AttributeError,
                     format!("Series has no attribute `{attr}`"),
@@ -1232,19 +1237,16 @@ impl Interp {
             },
             ObjKind::DataFrame(cols) => match attr {
                 "columns" => {
-                    let names: Vec<ObjId> = cols
-                        .iter()
-                        .map(|(n, _)| self.heap.alloc(ObjKind::Str(n.clone())))
-                        .collect();
+                    let names: Vec<String> = cols.iter().map(|(n, _)| n.clone()).collect();
+                    let names: Vec<ObjId> =
+                        names.into_iter().map(|n| self.heap.alloc(ObjKind::Str(n))).collect();
                     Ok(self.heap.alloc(ObjKind::List(names)))
                 }
                 "shape" => {
-                    let nrows = cols
-                        .first()
-                        .map(|(_, c)| self.sequence_len(*c).unwrap_or(0))
-                        .unwrap_or(0);
+                    let (first, ncols) = (cols.first().map(|(_, c)| *c), cols.len());
+                    let nrows = first.map(|c| self.sequence_len(c).unwrap_or(0)).unwrap_or(0);
                     let r = self.heap.alloc(ObjKind::Int(nrows as i64));
-                    let c = self.heap.alloc(ObjKind::Int(cols.len() as i64));
+                    let c = self.heap.alloc(ObjKind::Int(ncols as i64));
                     Ok(self.heap.alloc(ObjKind::Tuple(vec![r, c])))
                 }
                 _ => Err(RunError::new(
@@ -1253,7 +1255,10 @@ impl Interp {
                 )),
             },
             ObjKind::NdArray(values) => match attr {
-                "size" => Ok(self.heap.alloc(ObjKind::Int(values.len() as i64))),
+                "size" => {
+                    let size = values.len() as i64;
+                    Ok(self.heap.alloc(ObjKind::Int(size)))
+                }
                 _ => Err(RunError::new(
                     RunErrorKind::AttributeError,
                     format!("ndarray has no attribute `{attr}`"),

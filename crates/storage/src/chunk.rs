@@ -18,12 +18,30 @@
 //!
 //! Chunks are persisted in their **stored form**: a one-byte flag (`0` =
 //! stored raw, `1` = compressed with [`kishu_testkit::compress`]) followed
-//! by the data. Compression is applied per chunk and kept only when it
-//! wins, so an incompressible chunk costs exactly one flag byte. Because
-//! the compressor is canonical (same input, same output), deduplicating on
-//! the stored form is equivalent to deduplicating on the raw chunk bytes —
-//! and lets `FileStore::open` rebuild the ledger from disk without
-//! decompressing anything.
+//! by the data. Compression is attempted per chunk only where a sampled
+//! pre-check ([`compress::may_shrink`]) passes, and kept only when it
+//! wins, so an incompressible chunk costs exactly one flag byte and,
+//! above 1 KiB, a pre-check instead of an attempt. The pre-check parses
+//! four 256-byte windows spread evenly over the chunk, the `k`-th at
+//! `k · ⌊(n − 256) / 3⌋`, and passes when any would shrink; a chunk of at
+//! most 1 KiB, the four windows together, is always attempted. An `n`-byte
+//! chunk that holds a stretch of `G = ⌊(n − 256) / 3⌋ + 256` bytes, all
+//! zero or drawn from three byte values, therefore holds a whole window of
+//! it wherever it lies and is attempted, while uniformly random bytes are
+//! never attempted (`compression_precheck_keeps_its_guarantee` checks both
+//! against the always-attempt oracle, `compressed_data_reference`). A
+//! chunk is stored raw that compression would shrink only when none of
+//! its windows shrinks; no chunk of the benchmark's notebooks is one
+//! (`tests/notebook_stored_bytes.rs` pins their stored bytes).
+//!
+//! Both the pre-check and the compressor are pure functions of the raw
+//! bytes (same input, same output), so the stored form stays canonical:
+//! deduplicating on the stored form is equivalent to deduplicating on the
+//! raw chunk bytes — and lets `FileStore::open` rebuild the ledger from
+//! disk without decompressing anything. Logs written before the pre-check
+//! read the same. Where an older log holds a chunk compressed that the
+//! pre-check now declines, putting those bytes again appends them raw
+//! once more, which costs space only.
 //!
 //! The ledger files each chunk under the CRC-32 and length of its stored
 //! form. Every chunk frame already records that CRC, so a reopened store
@@ -35,14 +53,15 @@
 //! appended again rather than shared.
 //!
 //! [`ChunkLedger::ingest`] looks each chunk up under its raw stored form,
-//! `[CHUNK_STORED] ++ raw`, before it attempts compression, and compresses
-//! only on a miss. A chunk is held raw only because [`encode_chunk`], a
-//! pure function, lost compression on exactly those bytes, so a hit there
-//! is the hit the compressed attempt would have led to: a repeat chunk
-//! costs one CRC pass and a comparison instead of a compression attempt,
-//! while the ords, stored bytes and receipts stay what encoding first
-//! would give. On a miss a winning compression is looked up as its
-//! compressed form, and a losing one is appended as the raw form already
+//! `[CHUNK_STORED] ++ raw`, before it runs the pre-check, and tries
+//! compression only on a miss. A chunk is held raw only because
+//! [`encode_chunk`], a pure function, declined or lost compression on
+//! exactly those bytes, so a hit there is the hit the compressed attempt
+//! would have led to: a repeat chunk costs one CRC pass and a comparison
+//! instead of a pre-check and a compression attempt, while the ords,
+//! stored bytes and receipts stay what encoding first would give. On a
+//! miss a winning compression is looked up as its compressed form, and a
+//! declined or losing one is appended as the raw form already
 //! checksummed; either way the CRC handed to the store for the frame is
 //! the one the lookup computed.
 //!
@@ -98,9 +117,9 @@ const fn gear_table() -> [u64; 256] {
 /// Chunking knobs, fixed at store construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkConfig {
-    /// Master switch (default on). On, every chunk is stored compressed
-    /// when compression wins ([`encode_chunk`]); off, every put writes a
-    /// bit-identical v1 frame.
+    /// Master switch (default on). On, a chunk is stored compressed when
+    /// the pre-check passes and compression wins ([`encode_chunk`]); off,
+    /// every put writes a bit-identical v1 frame.
     pub enabled: bool,
     /// Minimum chunk size; payloads smaller than this bypass chunking
     /// entirely.
@@ -211,7 +230,7 @@ fn chunk_spans_reference(bytes: &[u8], cfg: &ChunkConfig) -> Vec<std::ops::Range
 }
 
 /// Encode one raw chunk into its stored form: `[flag][data]`, compressed
-/// only when compression actually wins.
+/// only when the pre-check passes and compression actually wins.
 pub fn encode_chunk(raw: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
     match compressed_data(raw) {
@@ -221,9 +240,22 @@ pub fn encode_chunk(raw: &[u8]) -> Vec<u8> {
     out
 }
 
-/// `compress(raw)` when it is shorter than `raw`; `None` when compression
-/// loses and the chunk is stored raw.
+/// `compress(raw)` when the pre-check ([`compress::may_shrink`]) passes
+/// and the result is shorter than `raw`; `None` when the chunk is stored
+/// raw.
 fn compressed_data(raw: &[u8]) -> Option<Vec<u8>> {
+    if !compress::may_shrink(raw) {
+        return None;
+    }
+    let c = compress::compress(raw);
+    (c.len() < raw.len()).then_some(c)
+}
+
+/// The decision as it was before the pre-check: every chunk is compressed,
+/// and the result kept when it is shorter. The oracle whose choice
+/// [`compressed_data`] must keep wherever the pre-check's guarantee holds.
+#[cfg(test)]
+fn compressed_data_reference(raw: &[u8]) -> Option<Vec<u8>> {
     let c = compress::compress(raw);
     (c.len() < raw.len()).then_some(c)
 }
@@ -446,9 +478,10 @@ impl ChunkLedger {
     /// manifest (ord per span, in payload order) and the attribution
     /// deltas.
     ///
-    /// Each chunk is looked up under its raw stored form first and
-    /// compressed only when no stored chunk holds that form; a chunk that
-    /// compresses is then looked up under its compressed form. Candidates
+    /// Each chunk is looked up under its raw stored form first, and
+    /// compression is tried only when no stored chunk holds that form and
+    /// the pre-check passes; a chunk that compresses is then looked up
+    /// under its compressed form. Candidates
     /// from before this payload are confirmed in two batches, one per
     /// lookup, so the store can read adjacent candidates back together;
     /// candidates appended by this payload are compared in memory.
@@ -677,6 +710,27 @@ mod tests {
         decode_chunk_into(&stored, &mut out).expect("stored chunk");
         decode_chunk_into(&encode_chunk(&compressible), &mut out).expect("compressed chunk");
         assert_eq!(out, [&b"head"[..], &incompressible, &compressible].concat());
+    }
+
+    /// The shape of a 3,989-byte chunk the benchmark's notebooks store
+    /// compressed: its first KiB does not compress, and compression saves
+    /// 1,026 bytes of it (here 1,027). A pre-check of the first KiB alone
+    /// stores it raw; one of the four windows lands in the compressible
+    /// part.
+    #[test]
+    fn a_chunk_compressible_only_after_its_first_kib_is_compressed() {
+        let mut rng = Rng::seed_from_u64(3989);
+        let mut raw: Vec<u8> = (0..1024).map(|_| rng.next_u64() as u8).collect();
+        while raw.len() < 3989 {
+            raw.extend((0..60).map(|_| rng.next_u64() as u8));
+            raw.extend([0u8; 44]);
+        }
+        raw.truncate(3989);
+        assert!(compress::compress(&raw[..1024]).len() > 1024, "the first KiB does not shrink");
+        let stored = encode_chunk(&raw);
+        assert_eq!(stored[0], CHUNK_COMPRESSED);
+        assert!(stored.len() + 1000 < raw.len(), "{} bytes stored", stored.len());
+        assert_eq!(compressed_data(&raw), compressed_data_reference(&raw));
     }
 
     #[test]
@@ -985,8 +1039,96 @@ mod proptests {
         Ok(())
     }
 
+    /// The stored length of `raw` when compression gives `compressed`.
+    fn stored_len(raw: &[u8], compressed: Option<Vec<u8>>) -> u64 {
+        1 + compressed.map_or(raw.len(), |c| c.len()) as u64
+    }
+
+    /// What the pre-check costs in stored bytes on payloads of alternating
+    /// compressible and incompressible regions (family 5 of
+    /// `ingest_matches_reference`, default config): per payload, the stored
+    /// bytes of its chunks over the oracle's. The distribution is printed,
+    /// not bounded. The pre-check can only leave raw a chunk the oracle
+    /// compresses, so no payload stores less than under the oracle.
+    #[test]
+    fn family_5_stored_bytes_against_the_oracle() {
+        let cfg = ChunkConfig::default();
+        let mut rng = Rng::seed_from_u64(0xFA5);
+        let mut ratios = Vec::new();
+        while ratios.len() < 3000 {
+            let len = 1 + rng.next_u64() as usize % (160 * 1024);
+            let payload = payloads(&mut rng, (5, len), &[], cfg.min).remove(0);
+            let (mut got, mut want) = (0, 0);
+            for span in chunk_spans(&payload, &cfg) {
+                let raw = &payload[span];
+                got += stored_len(raw, compressed_data(raw));
+                want += stored_len(raw, compressed_data_reference(raw));
+            }
+            assert!(got >= want, "{len} bytes stored in {got}, the oracle's {want}");
+            ratios.push(got as f64 / want as f64);
+        }
+        ratios.sort_by(f64::total_cmp);
+        let at = |q: f64| ratios[((ratios.len() - 1) as f64 * q) as usize];
+        eprintln!(
+            "family 5, {} payloads, stored bytes over the oracle's: median {:.3}, \
+             99th percentile {:.3}, max {:.3}",
+            ratios.len(),
+            at(0.5),
+            at(0.99),
+            at(1.0)
+        );
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The pre-check's guarantee, against the always-attempt oracle, for
+        /// a chunk of `n` bytes up to the default `max`, with `G = ⌊(n −
+        /// 256) / 3⌋ + 256`:
+        /// (a) uniformly random bytes holding one stretch of at least `G`
+        ///     bytes, all-zero or drawn from three byte values, at any
+        ///     offset, are always attempted, and stored as the oracle
+        ///     stores them;
+        /// (b) uniformly random bytes longer than the probe are never
+        ///     attempted (and stored raw, as the oracle stores them);
+        /// (c) chunks no longer than the probe are decided exactly as the
+        ///     oracle decides them.
+        #[test]
+        fn compression_precheck_keeps_its_guarantee(
+            seed in any::<u64>(),
+            n in (compress::PROBE_LEN + 1)..65_537,
+            stretch in any::<usize>(),
+            at in any::<usize>(),
+            zeros in any::<bool>(),
+            short in (0usize..compress::PROBE_LEN + 1, 0u8..4),
+        ) {
+            let mut rng = Rng::seed_from_u64(seed);
+            let random: Vec<u8> = (0..n).map(|_| rng.next_u64() as u8).collect();
+
+            let g = (n - compress::PROBE_WINDOW) / 3 + compress::PROBE_WINDOW;
+            let len = g + stretch % (n - g + 1);
+            let from = at % (n - len + 1);
+            let values = [rng.next_u64() as u8, rng.next_u64() as u8, rng.next_u64() as u8];
+            let mut chunk = random.clone();
+            for b in &mut chunk[from..from + len] {
+                *b = if zeros { 0 } else { values[(rng.next_u64() % 3) as usize] };
+            }
+            prop_assert!(compress::may_shrink(&chunk), "a {len}-byte stretch at {from} of {n}");
+            prop_assert_eq!(compressed_data(&chunk), compressed_data_reference(&chunk));
+
+            prop_assert!(!compress::may_shrink(&random), "{n} random bytes");
+            prop_assert_eq!(compressed_data(&random), None);
+            prop_assert_eq!(compressed_data_reference(&random), None);
+
+            let (short_len, family) = short;
+            let short: Vec<u8> = match family {
+                0 => random[..short_len].to_vec(),
+                1 => chunk[from..][..short_len.min(len)].to_vec(),
+                2 => (0..short_len).map(|_| (rng.next_u64() % 3) as u8).collect(),
+                _ => vec![0; short_len],
+            };
+            prop_assert_eq!(compressed_data(&short), compressed_data_reference(&short));
+        }
 
         #[test]
         fn chunk_spans_match_reference(cfg in config(), data in bytes()) {

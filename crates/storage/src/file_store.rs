@@ -343,8 +343,14 @@ impl FileStore {
     /// (from the buffer if not yet flushed) and check it against the
     /// record's CRC in place. The CRC and the payload arrive in separate
     /// buffers from one read, so the payload lands where the caller wants
-    /// it and is never shifted.
-    fn read_verified(&self, payload_off: u64, payload: &mut [u8], what: &str) -> io::Result<()> {
+    /// it and is never shifted. `what` names the record in the error of a
+    /// failed check, and runs only then.
+    fn read_verified(
+        &self,
+        payload_off: u64,
+        payload: &mut [u8],
+        what: impl FnOnce() -> String,
+    ) -> io::Result<()> {
         let mut crc = [0u8; 4];
         let start = payload_off - 4;
         if start >= self.flushed_end {
@@ -359,7 +365,7 @@ impl FileStore {
         if crc32(payload) != u32::from_le_bytes(crc) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("{what} failed its integrity check"),
+                format!("{} failed its integrity check", what()),
             ));
         }
         Ok(())
@@ -710,7 +716,7 @@ impl CheckpointStore for FileStore {
             BlobEntry::V1(off, len) => {
                 sp.arg("bytes", *len);
                 let mut out = vec![0; *len as usize];
-                self.read_verified(*off, &mut out, &format!("blob {id}"))?;
+                self.read_verified(*off, &mut out, || format!("blob {id}"))?;
                 Ok(out)
             }
             BlobEntry::Chunked { raw_len, ords } => {
@@ -727,7 +733,7 @@ impl CheckpointStore for FileStore {
                         )
                     })?;
                     stored.resize(len as usize, 0);
-                    self.read_verified(off, &mut stored, &format!("blob {id} chunk {ord}"))?;
+                    self.read_verified(off, &mut stored, || format!("blob {id} chunk {ord}"))?;
                     decode_chunk_into(&stored, &mut out)?;
                 }
                 if out.len() as u64 != *raw_len {
@@ -869,6 +875,37 @@ mod tests {
         let s = FileStore::open(&path).expect("open recovers");
         assert_eq!(s.blob_count(), 0);
         assert_eq!(std::fs::metadata(&path).expect("meta").len(), 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A read that fails its CRC names the record: the blob, and for a
+    /// chunked blob the chunk.
+    #[test]
+    fn integrity_errors_name_the_record() {
+        let path = temp_path("named.log");
+        let mut s = FileStore::create(&path).expect("create");
+        let ids = [s.put(b"precious-data").expect("put"), s.put(&[7; 10_000]).expect("put")];
+        s.sync().expect("sync");
+        let (v1_off, ord) = match (&s.index[0], &s.index[1]) {
+            (BlobEntry::V1(off, _), BlobEntry::Chunked { ords, .. }) => (*off, ords[0]),
+            _ => panic!("13 bytes stay a v1 record and 10,000 are chunked"),
+        };
+        let mut raw = OpenOptions::new().write(true).open(&path).expect("raw");
+        for off in [v1_off, s.chunk_index[ord as usize].0] {
+            raw.seek(SeekFrom::Start(off + 1)).expect("seek");
+            raw.write_all(&[0xFF]).expect("write");
+        }
+        drop(raw);
+        let want = [
+            format!("blob {} failed its integrity check", ids[0]),
+            format!("blob {} chunk {ord} failed its integrity check", ids[1]),
+        ];
+        for (id, want) in ids.into_iter().zip(want) {
+            let err = s.get(id).expect_err("a damaged record fails its read");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(err.to_string(), want);
+        }
+        drop(s);
         std::fs::remove_file(&path).ok();
     }
 

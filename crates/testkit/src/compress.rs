@@ -54,6 +54,21 @@
 //! 32-bit position field limits the parse to inputs under 4 GiB; larger
 //! inputs are emitted as literals (storage chunks are at most
 //! `ChunkConfig::max` bytes, 64 KiB by default).
+//!
+//! ## Pre-check
+//!
+//! [`may_shrink`] tells a caller, for about a tenth of what [`compress`]
+//! costs on incompressible input, whether compressing it is worth trying. It samples
+//! [`PROBE_WINDOWS`] windows of [`PROBE_WINDOW`] bytes spread evenly over
+//! the input, from its first byte to its last, and gives each the greedy
+//! 4-byte-match parse on a 1,024-slot table of its own, costed in this
+//! format: the varint header, one token byte per literal run of up to 128
+//! and 3 bytes per match. The answer is yes when any window's stream would
+//! be shorter than the window. Inputs no longer than [`PROBE_LEN`] are not
+//! sampled: the answer is yes. Windows start `⌊(n − 256) / 3⌋` bytes apart
+//! in an `n`-byte input, so a stretch of `⌊(n − 256) / 3⌋ + 256` bytes
+//! holds a whole window wherever it lies. Like the compressor, the answer
+//! is a pure function of the input's bytes.
 
 /// Shortest match worth encoding: a match token costs 3 bytes, so
 /// anything shorter than 4 is better spent as literals.
@@ -184,6 +199,73 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
     }
     flush_literals(&mut out, &input[lit_start..]);
     out
+}
+
+/// Bytes in one window [`may_shrink`] parses.
+pub const PROBE_WINDOW: usize = 256;
+
+/// Windows [`may_shrink`] parses per input.
+pub const PROBE_WINDOWS: usize = 4;
+
+/// Longest input [`may_shrink`] does not sample: its windows together.
+pub const PROBE_LEN: usize = PROBE_WINDOW * PROBE_WINDOWS;
+
+/// Match-table bits of a window's parse: 1,024 slots.
+const PROBE_HASH_BITS: u32 = 10;
+
+/// Whether compressing `input` may shrink it: `false` only when none of
+/// [`PROBE_WINDOWS`] windows of [`PROBE_WINDOW`] bytes, the `k`-th at
+/// `k · ⌊(n − 256) / 3⌋` in an `n`-byte input, would shrink under a greedy
+/// parse costed in this codec's format. Inputs up to [`PROBE_LEN`] bytes
+/// are not sampled and always may. Deterministic in `input`'s bytes.
+pub fn may_shrink(input: &[u8]) -> bool {
+    if input.len() <= PROBE_LEN {
+        return true;
+    }
+    let step = (input.len() - PROBE_WINDOW) / (PROBE_WINDOWS - 1);
+    (0..PROBE_WINDOWS).any(|k| {
+        let window = &input[k * step..][..PROBE_WINDOW];
+        window_cost(window) < window.len()
+    })
+}
+
+/// Bytes [`compress`]'s format would hold `window` (at least [`MIN_MATCH`]
+/// bytes, at most 2^16) in, by a greedy parse that takes each position's
+/// most recent earlier position with the same 4-byte-prefix hash as its
+/// candidate.
+fn window_cost(window: &[u8]) -> usize {
+    // table[h] = 1 + the most recent position whose prefix hashed to h.
+    let mut table = [0u16; 1 << PROBE_HASH_BITS];
+    let literal_cost = |n: usize| n + n.div_ceil(MAX_LITERALS);
+    let mut cost = varint_len(window.len() as u64);
+    let last = window.len() - MIN_MATCH;
+    let mut lit_start = 0usize;
+    let mut pos = 0usize;
+    while pos <= last {
+        let prefix = prefix_at(window, pos);
+        let h = (prefix.wrapping_mul(0x9E37_79B1) >> (32 - PROBE_HASH_BITS)) as usize;
+        let cand = table[h] as usize;
+        table[h] = pos as u16 + 1;
+        if cand == 0 || prefix_at(window, cand - 1) != prefix {
+            pos += 1;
+            continue;
+        }
+        let cand = cand - 1;
+        let limit = (window.len() - pos).min(MAX_MATCH);
+        let mut matched = MIN_MATCH;
+        while matched < limit && window[cand + matched] == window[pos + matched] {
+            matched += 1;
+        }
+        cost += literal_cost(pos - lit_start) + 3;
+        pos += matched;
+        lit_start = pos;
+    }
+    cost + literal_cost(window.len() - lit_start)
+}
+
+/// Bytes [`push_varint`] writes for `v`.
+fn varint_len(v: u64) -> usize {
+    (64 - v.leading_zeros() as usize).div_ceil(7).max(1)
 }
 
 /// The raw length a stream's header declares and the offset of its first
@@ -415,6 +497,36 @@ mod tests {
             // Every strict prefix must fail (length check catches them all).
             assert_eq!(decompress(&valid[..cut]), None, "prefix {cut} accepted");
         }
+    }
+
+    #[test]
+    fn the_pre_check_samples_four_windows() {
+        let mut rng = Rng::seed_from_u64(0x5A3D1E);
+        let random = |rng: &mut Rng, n: usize| -> Vec<u8> {
+            (0..n).map(|_| rng.next_u64() as u8).collect()
+        };
+        // Short inputs are not sampled, however random.
+        for n in [0, 1, MIN_MATCH, PROBE_WINDOW, PROBE_LEN] {
+            assert!(may_shrink(&random(&mut rng, n)), "{n} bytes");
+        }
+        for n in [PROBE_LEN + 1, 4000, 8192, 65_536] {
+            let data = random(&mut rng, n);
+            assert!(!may_shrink(&data), "{n} random bytes");
+            // Zeros over any one window pass; zeros everywhere but the
+            // windows do not, so only the windows are read.
+            let step = (n - PROBE_WINDOW) / (PROBE_WINDOWS - 1);
+            let mut outside = vec![0u8; n];
+            for k in 0..PROBE_WINDOWS {
+                let window = k * step..k * step + PROBE_WINDOW;
+                outside[window.clone()].copy_from_slice(&data[window.clone()]);
+                let mut zeroed = data.clone();
+                zeroed[window].fill(0);
+                assert!(may_shrink(&zeroed), "{n} bytes, zeros over window {k}");
+            }
+            assert!(!may_shrink(&outside), "{n} bytes, zeros outside the windows");
+        }
+        assert_eq!(window_cost(&[0; PROBE_WINDOW]), 10, "header, a literal, two matches");
+        assert_eq!(window_cost(&random(&mut rng, PROBE_WINDOW)), 260, "header and two runs");
     }
 
 }

@@ -131,14 +131,14 @@ cargo run -q --release --offline -p kishu-bench --bin repro -- obs
 if [ "$QUICK" != 1 ]; then
     # The fault suites, the sweep-timing differential, the graph-snapshot
     # decoder property, the sweep oracle, the chunk ledger's exact-bytes
-    # oracle, the log recovery property, the log scan's differential and
-    # the pickle properties also run inside the
-    # workspace pass with their built-in seeds; this extra pass pins a
-    # second, independent seed so determinism regressions (same seed,
-    # different faults) and seed-specific breakage both surface, and the
-    # decoders and the oracles see a second set of inputs.
+    # oracle, the compression pre-check's guarantee, the log recovery
+    # property, the log scan's differential and the pickle properties also
+    # run inside the workspace pass with their built-in seeds; this extra
+    # pass pins a second, independent seed so determinism regressions
+    # (same seed, different faults) and seed-specific breakage both
+    # surface, and the decoders and the oracles see a second set of inputs.
     FAULT_SEED="${FAULT_SEED:-20250807}"
-    stage "fault injection, recovery, the invariant matrix, sweep timing, mutated graph snapshots, the sweep oracle, chunk ingest, mutated logs, the log scan and pickle properties (KISHU_TESTKIT_SEED=$FAULT_SEED)"
+    stage "fault injection, recovery, the invariant matrix, sweep timing, mutated graph snapshots, the sweep oracle, chunk ingest, the compression pre-check, mutated logs, the log scan and pickle properties (KISHU_TESTKIT_SEED=$FAULT_SEED)"
     if ! { KISHU_TESTKIT_SEED="$FAULT_SEED" cargo test -q --offline -p kishu-repro \
             --test crash_recovery --test invariant_matrix --test heap_gc \
         && KISHU_TESTKIT_SEED="$FAULT_SEED" \
@@ -149,6 +149,8 @@ if [ "$QUICK" != 1 ]; then
             cargo test -q --offline -p kishu-kernel --lib sweep_matches_reference \
         && KISHU_TESTKIT_SEED="$FAULT_SEED" \
             cargo test -q --offline -p kishu-storage --lib ingest_matches_reference \
+        && KISHU_TESTKIT_SEED="$FAULT_SEED" \
+            cargo test -q --offline -p kishu-storage --lib compression_precheck_keeps_its_guarantee \
         && KISHU_TESTKIT_SEED="$FAULT_SEED" \
             cargo test -q --offline -p kishu-storage --lib mutated_logs_fail_closed \
         && KISHU_TESTKIT_SEED="$FAULT_SEED" \

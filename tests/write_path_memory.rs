@@ -1,9 +1,11 @@
-//! What one checkpoint allocates on its way from the heap to the log.
+//! What one checkpoint allocates on its way from the heap to the log, and
+//! what reading an attribute of a library object allocates.
 //!
-//! This binary holds one test, because it installs a counting global
-//! allocator: it tracks the bytes live and their peak, and counts a
-//! realloc's old and new blocks together until the old block is freed, as
-//! a copying realloc holds both.
+//! This binary installs a counting global allocator: it tracks the bytes
+//! live and their peak, and counts a realloc's old and new blocks together
+//! until the old block is freed, as a copying realloc holds both. The
+//! allocator counts every thread, so each test measures under one shared
+//! lock ([`SERIAL`]) and no measurement overlaps another test's work.
 //!
 //! A `FileStore` session with group commit on and one checkpoint worker
 //! holds a 4 MiB library object, and `m.update(1)` rewrites its payload.
@@ -23,8 +25,11 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use kishu::session::{KishuConfig, KishuSession};
+use kishu_libsim::Registry;
+use kishu_minipy::Interp;
 use kishu_storage::{ChunkConfig, FileStore};
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
@@ -90,6 +95,14 @@ static ALLOCATOR: Counting = Counting;
 
 const PAYLOAD: usize = 4 << 20;
 
+/// Held by each test for its whole run, so one test's allocations never
+/// land in another's measurement.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Run `f`; the peak bytes live while it ran, above those live before it.
 fn peak_during(f: impl FnOnce()) -> usize {
     let before = LIVE.load(Ordering::SeqCst);
@@ -100,6 +113,7 @@ fn peak_during(f: impl FnOnce()) -> usize {
 
 #[test]
 fn a_checkpoint_holds_its_payload_once() {
+    let _serial = serial();
     let path = std::env::temp_dir().join(format!("kishu-write-path-{}.log", std::process::id()));
     let store = FileStore::create_with(&path, ChunkConfig::default(), true).expect("create");
     let config = KishuConfig {
@@ -140,4 +154,27 @@ fn a_checkpoint_holds_its_payload_once() {
         mib(PAYLOAD),
         mib(created)
     );
+}
+
+/// Reading an attribute of a 4 MiB library object reads it in place: the
+/// cell allocates its parse, its frame and the result, but no copy of the
+/// object's payload.
+#[test]
+fn reading_an_attribute_copies_no_payload() {
+    let _serial = serial();
+    let mut i = Interp::new();
+    kishu_libsim::install(&mut i, Arc::new(Registry::standard()));
+    let setup = format!("m = lib_obj('sk.LogisticRegression', {PAYLOAD}, 7)\nm.tag = 1\n");
+    let out = i.run_cell(&setup).expect("parses");
+    assert!(out.error.is_none(), "{:?}", out.error);
+    for src in ["t = m.tag\n", "m.missing\n"] {
+        let read = peak_during(|| {
+            i.run_cell(src).expect("parses");
+        });
+        assert!(
+            read < PAYLOAD / 8,
+            "{src:?} on a {} MiB library object peaked {read} bytes above the bytes live before",
+            PAYLOAD >> 20
+        );
+    }
 }
