@@ -323,6 +323,77 @@ mod tests {
         );
     }
 
+    /// One fixed session's cells, each followed by a checkpoint: two lists
+    /// built by interleaved appends, one list grown until it relocates, a
+    /// one-element write into a five-page array, a cell that allocates
+    /// nothing while the page at the allocation cursor is live, a sweep of
+    /// an unbound list, and writes to objects allocated before earlier
+    /// checkpoints.
+    const PINNED_CELLS: [&str; 6] = [
+        "sad = []\nhappy = []\nfor k in range(300):\n    sad.append([k])\n    happy.append([k])\ngrow = [0]\narr = zeros(2048)\n",
+        "for e in sad:\n    e.append(0)\n",
+        "for k in range(200):\n    grow.append(k)\n",
+        "arr[1000] = 1.0\nlast = 'x'\n",
+        "del happy\n",
+        "sad[0].append(1)\narr[0] = 2.0\ngrow[0] = 5\n",
+    ];
+
+    /// Run [`PINNED_CELLS`], with an explicit sweep before the checkpoint
+    /// that follows `del happy`, and record what each checkpoint saw:
+    /// `(CkptStats::bytes, live pages, dirty pages)`.
+    fn pinned_session(
+        mut checkpoint: impl FnMut(&mut Interp) -> Result<CkptStats, MethodError>,
+    ) -> Vec<(u64, usize, usize)> {
+        let (mut i, _) = kernel();
+        let mut seen = Vec::new();
+        for cell in PINNED_CELLS {
+            run(&mut i, cell);
+            if cell.starts_with("del ") {
+                assert!(i.gc().objects > 0, "the sweep frees the unbound list");
+            }
+            let (live, dirty) = (i.heap.live_pages().len(), i.heap.dirty_pages().len());
+            let stats = checkpoint(&mut i).expect("supported state");
+            seen.push((stats.bytes, live, dirty));
+        }
+        seen
+    }
+
+    /// The page sets and image sizes both CRIU baselines observe over one
+    /// fixed session, pinned exactly: how the heap tracks live and dirty
+    /// pages may change, what it reports may not.
+    #[test]
+    fn pinned_session_sees_the_same_pages_and_bytes() {
+        let (_, reg) = kernel();
+        let mut full = CriuFull::new(Box::new(MemoryStore::new()), reg.clone());
+        let full_seen = pinned_session(|i| full.checkpoint(i));
+        let mut inc = CriuIncremental::new(Box::new(MemoryStore::new()), reg);
+        let inc_seen = pinned_session(|i| inc.checkpoint(i));
+        let full_want = [
+            (98_304, 24, 24),
+            (118_784, 29, 23),
+            (139_264, 34, 7),
+            (139_264, 34, 6),
+            (135_168, 33, 0),
+            (135_168, 33, 7),
+        ];
+        let inc_want = [
+            (98_304, 24, 24),
+            (94_208, 29, 23),
+            (28_672, 34, 7),
+            (24_576, 34, 6),
+            (40, 33, 0),
+            (28_672, 33, 7),
+        ];
+        assert_eq!(
+            full_seen, full_want,
+            "CriuFull (bytes, live pages, dirty pages)"
+        );
+        assert_eq!(
+            inc_seen, inc_want,
+            "CriuIncremental (bytes, live pages, dirty pages)"
+        );
+    }
+
     #[test]
     fn off_process_state_is_unsupported() {
         let (mut i, reg) = kernel();

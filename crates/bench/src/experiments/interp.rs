@@ -74,10 +74,10 @@ fn workload_cells(scale: f64) -> Vec<String> {
     let fib = if scale >= 0.5 { 21 } else { 16 };
     let m = (n / 40).max(500);
     vec![
-        // Container traffic at cell level: build a list, reduce it. Runs
-        // first — list growth reallocations rescan the live heap, so this
-        // cell's cost explodes (identically on both engines) if it runs
-        // after millions of loop allocations.
+        // Container traffic at cell level: build a list, reduce it. A list
+        // relocation costs only its own extent, so the cell would cost the
+        // same after the loop cells' millions of allocations; it stays
+        // first so the gated workload is the one earlier runs measured.
         format!(
             "xs = []\nfor i in range({m}):\n    xs.append(i * i)\nr5 = 0\nfor v in xs:\n    r5 = r5 + v\n"
         ),

@@ -165,18 +165,12 @@ impl Heap {
         let out = f(&mut slot.kind);
         let needed = slot.kind.shallow_size() as u64;
         if needed > slot.extent.len {
-            let old = slot.extent;
             // Double to amortize repeated growth, as CPython's list does.
-            let new_ext = self.allocator.alloc(needed.saturating_mul(2));
-            self.allocator.free(old);
-            let slot = self.slots[id.index()].as_mut().expect("slot just accessed");
-            slot.extent = new_ext;
-            // Freeing `old` removed exactly its pages from the live set, so
-            // only extents sharing those pages can have lost liveness.
-            self.remark_pages_overlapping(old);
+            // The old extent needs no release: live pages are derived from
+            // the live extents when asked.
+            slot.extent = self.allocator.alloc(needed.saturating_mul(2));
         } else {
-            let ext = slot.extent;
-            self.allocator.touch(ext);
+            self.allocator.touch(slot.extent);
         }
         out
     }
@@ -250,10 +244,9 @@ impl Heap {
     /// of collected objects are *not* reused, so stale `ObjId`s can never
     /// silently alias a new object.
     ///
-    /// Marks into one bit per slot, then rebuilds the live-page set once
-    /// from the survivors: that set is always the union of the live
-    /// extents' pages, so nothing is lost by not unmarking each freed
-    /// extent first.
+    /// Marks into one bit per slot, then empties the slots of the unmarked
+    /// objects. No page set is touched: [`Self::live_pages`] derives the
+    /// live pages from the surviving slots when asked.
     pub fn collect_garbage(&mut self, roots: impl IntoIterator<Item = ObjId>) -> Sweep {
         let mut marked = vec![0u64; self.slots.len().div_ceil(64)];
         let mut stack: Vec<ObjId> = Vec::new();
@@ -281,33 +274,11 @@ impl Heap {
                 *slot = None;
             }
         }
-        if sweep.objects > 0 {
-            self.allocator
-                .rebuild_live(self.slots.iter().flatten().map(|s| s.extent));
-        }
         sweep
     }
 
-    fn remark_pages_overlapping(&mut self, freed: Extent) {
-        // A single freed extent (the growth path in [`Self::modify`]) only
-        // removed *its* pages from the live set; re-marking is bounded by
-        // the extents overlapping those pages instead of re-inserting every
-        // page of every live object on each growth.
-        let extents: Vec<Extent> = self
-            .slots
-            .iter()
-            .flatten()
-            .map(|s| s.extent)
-            .filter(|e| e.shares_pages_with(&freed))
-            .collect();
-        for e in extents {
-            self.allocator.mark_live(e);
-        }
-    }
-
     /// The sweep [`Self::collect_garbage`] replaced, kept as its test
-    /// oracle: a hash-set mark, then every freed extent unmarked and every
-    /// survivor re-marked.
+    /// oracle: a hash-set mark, then a sweep that looks each slot up in it.
     #[cfg(test)]
     fn collect_garbage_reference(&mut self, roots: impl IntoIterator<Item = ObjId>) -> usize {
         let mut live: HashSet<ObjId> = HashSet::new();
@@ -326,43 +297,40 @@ impl Heap {
         }
         let mut collected = 0;
         for (idx, slot) in self.slots.iter_mut().enumerate() {
-            if let Some(s) = slot {
-                if !live.contains(&ObjId(idx as u32)) {
-                    self.allocator.free(s.extent);
-                    *slot = None;
-                    collected += 1;
-                }
+            if slot.is_some() && !live.contains(&ObjId(idx as u32)) {
+                *slot = None;
+                collected += 1;
             }
-        }
-        if collected > 0 {
-            self.remark_live_pages();
         }
         collected
     }
 
-    #[cfg(test)]
-    fn remark_live_pages(&mut self) {
-        let extents: Vec<Extent> = self
-            .slots
-            .iter()
-            .flatten()
-            .map(|s| s.extent)
-            .collect();
-        for e in extents {
-            self.allocator.mark_live(e);
-        }
-    }
-
-    /// Pages dirtied since the last [`Self::clear_dirty_pages`]. Consumed by
-    /// the CRIU-Incremental baseline.
+    /// Live pages allocated on or written since the last
+    /// [`Self::clear_dirty_pages`], ascending: what an incremental OS-level
+    /// snapshot copies. Consumed by the CRIU-Incremental baseline.
     pub fn dirty_pages(&self) -> Vec<u64> {
-        self.allocator.dirty_pages()
+        let mut pages = self.live_pages();
+        pages.retain(|&p| self.allocator.is_dirty(p));
+        pages
     }
 
-    /// All pages backing live objects. Consumed by the full-snapshot CRIU
-    /// baseline.
+    /// All pages backing live objects, ascending: the union of the live
+    /// slots' extent pages, collected on demand. Consumed by the
+    /// full-snapshot CRIU baseline.
     pub fn live_pages(&self) -> Vec<u64> {
-        self.allocator.live_pages()
+        let mut pages: Vec<u64> = Vec::new();
+        for s in self.slots.iter().flatten() {
+            for p in s.extent.pages() {
+                // Extents come mostly in address order, so repeats of the
+                // previous page are skipped before the sort.
+                if pages.last() != Some(&p) {
+                    pages.push(p);
+                }
+            }
+        }
+        pages.sort_unstable();
+        pages.dedup();
+        pages
     }
 
     /// Reset dirty-page tracking (after a snapshot is taken).
@@ -414,6 +382,7 @@ impl Heap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn list_of_ints(heap: &mut Heap, values: &[i64]) -> ObjId {
         let items: Vec<ObjId> = values.iter().map(|v| heap.alloc(ObjKind::Int(*v))).collect();
@@ -625,13 +594,10 @@ mod tests {
         );
     }
 
-    /// First-principles oracle for the allocator's live-page set: the union
-    /// of every live slot's extent pages. `alloc` marks, growth unmarks the
-    /// old extent and re-marks its neighbours, a sweep rebuilds the set
-    /// from the survivors — so this equality is the invariant every path
-    /// must preserve.
+    /// First-principles oracle for the live-page set: the union of every
+    /// live slot's extent pages, gathered in a `BTreeSet`.
     pub(super) fn oracle_live_pages(heap: &Heap) -> Vec<u64> {
-        let mut set = std::collections::BTreeSet::new();
+        let mut set = BTreeSet::new();
         for s in heap.slots.iter().flatten() {
             for p in s.extent.pages() {
                 set.insert(p);
@@ -643,8 +609,8 @@ mod tests {
     #[test]
     fn growth_remark_keeps_shared_pages_live() {
         let mut heap = Heap::new();
-        // Small neighbors share the growing list's first page; growth must
-        // not lose their liveness, and must drop pages nothing overlaps.
+        // Small neighbors share the growing list's first page; the list's
+        // relocation must not cost them their liveness.
         let list = heap.alloc(ObjKind::List(Vec::new()));
         let neighbor = heap.alloc(ObjKind::Int(7));
         let elems: Vec<ObjId> = (0..256).map(|i| heap.alloc(ObjKind::Int(i))).collect();
@@ -656,78 +622,176 @@ mod tests {
         assert_eq!(heap.live_pages(), oracle_live_pages(&heap));
         assert!(heap.objects_on_pages(&heap.live_pages()).contains(&neighbor));
     }
+
+    #[test]
+    fn alloc_is_monotone_and_dirties() {
+        let mut heap = Heap::new();
+        let a = heap.alloc(ObjKind::Int(1));
+        let b = heap.alloc(ObjKind::Int(2));
+        assert!(heap.addr(b) > heap.addr(a));
+        assert!(!heap.dirty_pages().is_empty());
+        heap.clear_dirty_pages();
+        assert!(heap.dirty_pages().is_empty());
+        heap.modify(a, |k| *k = ObjKind::Int(3));
+        assert_eq!(heap.dirty_pages().len(), 1);
+    }
+
+    #[test]
+    fn interleaved_allocation_fragments_across_pages() {
+        // Two "lists" built by alternating small allocations end up sharing
+        // pages — touching all elements of one list dirties pages that also
+        // hold the other list's elements (the Fig 4 motivating effect).
+        let mut heap = Heap::new();
+        let (mut list1, mut list2) = (Vec::new(), Vec::new());
+        for i in 0..200 {
+            list1.push(heap.alloc(ObjKind::Int(i)));
+            list2.push(heap.alloc(ObjKind::Int(i)));
+        }
+        heap.clear_dirty_pages();
+        for &id in &list1 {
+            heap.modify(id, |k| *k = ObjKind::Int(-1));
+        }
+        let dirty: BTreeSet<u64> = heap.dirty_pages().into_iter().collect();
+        // Almost every page of list2 is also dirty because of interleaving.
+        let list2_pages: BTreeSet<u64> = list2
+            .iter()
+            .flat_map(|&id| heap.slot(id).extent.pages())
+            .collect();
+        let overlap = dirty.intersection(&list2_pages).count();
+        assert!(overlap as f64 > 0.8 * list2_pages.len() as f64);
+    }
+
+    #[test]
+    fn free_removes_pages_from_live_set() {
+        let mut heap = Heap::new();
+        let keep = heap.alloc(ObjKind::NdArray(vec![0.0; 2048])); // five pages
+        heap.alloc(ObjKind::NdArray(vec![0.0; 1024]));
+        let live_before = heap.live_pages().len();
+        heap.collect_garbage([keep]);
+        assert!(heap.live_pages().len() < live_before);
+        // A relocation frees the old extent: its pages that no live extent
+        // covers leave the set too.
+        let old: Vec<u64> = heap.slot(keep).extent.pages().collect();
+        heap.modify(keep, |k| {
+            if let ObjKind::NdArray(v) = k {
+                v.extend([1.0; 128]); // past the extent's 512-byte slack
+            }
+        });
+        let live: BTreeSet<u64> = heap.live_pages().into_iter().collect();
+        assert!(old.iter().any(|p| !live.contains(p)));
+        assert_eq!(heap.live_pages(), oracle_live_pages(&heap));
+    }
+
+    #[test]
+    fn dirty_restricted_to_live() {
+        let mut heap = Heap::new();
+        let arr = heap.alloc(ObjKind::NdArray(vec![0.0; 2048])); // five pages
+        heap.clear_dirty_pages();
+        heap.modify(arr, |k| {
+            if let ObjKind::NdArray(v) = k {
+                v[0] = 1.0;
+            }
+        });
+        assert_eq!(heap.dirty_pages().len(), 5);
+        heap.collect_garbage(std::iter::empty());
+        assert!(heap.dirty_pages().is_empty());
+    }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::pages::PAGE_SIZE;
     use kishu_testkit::prelude::*;
+    use kishu_testkit::prop::run_cases;
+    use std::collections::BTreeSet;
 
-    /// Differential fuzz for the incremental growth re-mark: replay a tape
-    /// of alloc / grow / touch / collect operations and, after every step,
-    /// require the allocator's live-page set to equal the first-principles
-    /// union over live extents (what the full rescan computes from
-    /// scratch) *and* to be a fixed point of the full-rescan oracle.
-    fn replay_and_check(tape: &[u8]) -> Result<(), TestCaseError> {
+    /// First-principles referee for the page sets. Replays a tape of
+    /// allocations (small ints, multi-page arrays, lists over earlier
+    /// objects), growth that relocates, in-place writes, dirty-page clears
+    /// and collections. After every step `live_pages()` must equal the
+    /// union of the live extents' pages, and `dirty_pages()` a write log
+    /// kept here: every page of every extent allocated or written since
+    /// the last clear, read from the object's slot after the operation,
+    /// cut to the live pages.
+    ///
+    /// Returns how often the tape reached the three cases the watermark
+    /// rule singles out: an in-place write to an extent below the
+    /// watermark, a relocation of such an extent, and a step with nothing
+    /// allocated since a clear while the watermark's page is live and
+    /// unwritten.
+    fn replay_against_write_log(tape: &[u8]) -> Result<[usize; 3], TestCaseError> {
         let mut heap = Heap::new();
         let mut objs: Vec<ObjId> = Vec::new();
-        for &b in tape {
-            match b {
-                0..=99 => {
-                    objs.push(heap.alloc(ObjKind::Int(b as i64)));
+        let mut log: BTreeSet<u64> = BTreeSet::new();
+        // The bump cursor, and its value at the last clear, as the extents
+        // read back show them.
+        let (mut cursor, mut watermark) = (PAGE_SIZE, PAGE_SIZE);
+        let mut reached = [0usize; 3];
+        for (step, pair) in tape.chunks(2).enumerate() {
+            let (op, arg) = (pair[0], *pair.get(1).unwrap_or(&0) as usize);
+            let pick = objs.get(arg % objs.len().max(1)).copied();
+            let written = match op % 8 {
+                0 | 1 => Some(heap.alloc(ObjKind::Int(arg as i64))),
+                2 => Some(heap.alloc(ObjKind::NdArray(vec![0.0; (arg % 8 + 1) * 600]))),
+                3 => {
+                    let items: Vec<ObjId> = objs.iter().rev().take(arg % 5).copied().collect();
+                    Some(heap.alloc(ObjKind::List(items)))
                 }
-                100..=149 => {
-                    let n = ((b as usize) % 8 + 1) * 600; // multi-page array
-                    objs.push(heap.alloc(ObjKind::NdArray(vec![0.0; n])));
-                }
-                150..=209 => {
-                    // Grow an array far enough to outgrow its extent and
-                    // exercise the incremental re-mark.
-                    if let Some(&id) = objs.get(b as usize % objs.len().max(1)) {
-                        heap.modify(id, |k| {
-                            if let ObjKind::NdArray(v) = k {
-                                let extra = v.len().max(64);
-                                v.extend(std::iter::repeat_n(1.0, extra));
-                            }
-                        });
+                4 | 5 => {
+                    let Some(id) = pick else { continue };
+                    let grow = op % 8 == 4;
+                    let before = heap.slot(id).extent;
+                    heap.modify(id, |k| match k {
+                        ObjKind::List(items) if grow => items.extend([id; 4]),
+                        ObjKind::NdArray(v) if grow => v.extend([1.0; 512]),
+                        ObjKind::List(items) => items.reverse(),
+                        ObjKind::NdArray(v) => v[0] += 1.0,
+                        ObjKind::Int(x) => *x += 1,
+                        _ => {}
+                    });
+                    if before.addr < watermark {
+                        let relocated = heap.slot(id).extent != before;
+                        reached[relocated as usize] += 1;
                     }
+                    Some(id)
                 }
-                210..=229 => {
-                    // Collect with a pseudo-random subset of roots; the
-                    // full rescan after a sweep must agree too.
-                    let keep: Vec<ObjId> = objs
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| !(i + b as usize).is_multiple_of(3))
-                        .map(|(_, &id)| id)
-                        .collect();
-                    heap.collect_garbage(keep.iter().copied());
-                    objs.retain(|&id| heap.is_live(id));
+                6 => {
+                    heap.clear_dirty_pages();
+                    log.clear();
+                    watermark = cursor;
+                    None
                 }
                 _ => {
-                    // In-place mutation: dirties pages, no growth.
-                    if let Some(&id) = objs.get(b as usize % objs.len().max(1)) {
-                        heap.modify(id, |k| {
-                            if let ObjKind::NdArray(v) = k {
-                                if let Some(x) = v.first_mut() {
-                                    *x += 1.0;
-                                }
-                            }
-                        });
-                    }
+                    let roots: Vec<ObjId> = objs
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| (i + arg) % 3 != 0)
+                        .map(|(_, &id)| id)
+                        .collect();
+                    heap.collect_garbage(roots);
+                    objs.retain(|&id| heap.is_live(id));
+                    None
                 }
+            };
+            if let Some(id) = written {
+                if op % 8 < 4 {
+                    objs.push(id);
+                }
+                let ext = heap.slot(id).extent;
+                cursor = cursor.max(ext.addr + ext.len);
+                log.extend(ext.pages());
             }
-            let got = heap.live_pages();
-            let want = super::tests::oracle_live_pages(&heap);
-            prop_assert_eq!(&got, &want, "live pages diverged from the union oracle");
-            heap.remark_live_pages();
-            prop_assert_eq!(
-                heap.live_pages(),
-                want,
-                "incremental re-mark is not a fixed point of the full rescan"
-            );
+            let live = super::tests::oracle_live_pages(&heap);
+            let boundary = watermark / PAGE_SIZE;
+            if cursor == watermark && live.contains(&boundary) && !log.contains(&boundary) {
+                reached[2] += 1;
+            }
+            prop_assert_eq!(heap.live_pages(), live.clone(), "live pages at step {}", step);
+            let want: Vec<u64> = live.into_iter().filter(|p| log.contains(p)).collect();
+            prop_assert_eq!(heap.dirty_pages(), want, "dirty pages at step {}", step);
         }
-        Ok(())
+        Ok(reached)
     }
 
     /// Differential against the replaced sweep: replay one tape of
@@ -820,14 +884,25 @@ mod proptests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        #[test]
-        fn page_liveness_matches_full_rescan_oracle(
-            tape in prop::collection::vec(any::<u8>(), 1usize..120)
-        ) {
-            replay_and_check(&tape)?;
-        }
+    /// The watermark rule against the write log, over random tapes. Each
+    /// case the rule singles out must be reached by some tape, so a rule
+    /// that forgot one cannot pass by never meeting it.
+    #[test]
+    fn dirty_pages_match_write_log() {
+        let mut reached = [0usize; 3];
+        run_cases(&ProptestConfig::with_cases(64), "dirty_pages_match_write_log", |g| {
+            let tape = prop::collection::vec(any::<u8>(), 2usize..600).generate(g);
+            g.note_arg("tape", &tape);
+            let seen = replay_against_write_log(&tape)?;
+            for (total, n) in reached.iter_mut().zip(seen) {
+                *total += n;
+            }
+            Ok(())
+        });
+        assert!(
+            reached.iter().all(|&n| n > 0),
+            "tapes reached [writes below the watermark, relocations from below it, \
+             clears with nothing allocated since] {reached:?} times"
+        );
     }
 }

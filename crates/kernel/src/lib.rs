@@ -8,9 +8,9 @@
 //! * a typed **object heap** ([`Heap`]) whose objects carry stable simulated
 //!   memory addresses and reference edges to other objects (subscript,
 //!   member, and attribute reachability, §4.1 of the paper);
-//! * a **paged virtual address space** ([`pages::PageAllocator`]) with
-//!   fragmenting allocation and dirty-page tracking, which is what the
-//!   CRIU-style OS-level baselines snapshot;
+//! * a **paged virtual address space** ([`pages`]) with fragmenting bump
+//!   allocation, whose live and dirty pages the heap derives on demand for
+//!   the CRIU-style OS-level baselines to snapshot;
 //! * a **patched global namespace** ([`Namespace`]) that records every
 //!   get/set/delete of a variable name during a cell execution — the
 //!   information Lemma 1 needs to prune co-variable update candidates.
@@ -28,4 +28,4 @@ pub mod simcost;
 pub use heap::{Heap, HeapStats, Sweep};
 pub use namespace::{AccessRecord, Namespace};
 pub use object::{ClassId, External, Function, Instance, ObjId, ObjKind};
-pub use pages::{PageAllocator, PAGE_SIZE};
+pub use pages::PAGE_SIZE;

@@ -1271,14 +1271,15 @@ impl Interp {
         }
     }
 
-    /// Read `recv[index]`.
+    /// Read `recv[index]`. The receiver is read in place: an arm copies
+    /// out only the element it returns or allocates with.
     pub fn get_index(&mut self, recv: ObjId, index: ObjId) -> Result<ObjId, RunError> {
-        match self.heap.kind(recv).clone() {
+        match self.heap.kind(recv) {
             ObjKind::List(items) | ObjKind::Tuple(items) => {
                 let i = self.resolve_index(index, items.len())?;
                 Ok(items[i])
             }
-            ObjKind::Dict(pairs) => match self.find_dict_slot(&pairs, index)? {
+            ObjKind::Dict(pairs) => match self.find_dict_slot(pairs, index)? {
                 Some(i) => Ok(pairs[i].1),
                 None => Err(RunError::new(
                     RunErrorKind::KeyError,
@@ -1286,19 +1287,19 @@ impl Interp {
                 )),
             },
             ObjKind::Str(s) => {
-                let chars: Vec<char> = s.chars().collect();
-                let i = self.resolve_index(index, chars.len())?;
-                Ok(self.heap.alloc(ObjKind::Str(chars[i].to_string())))
+                let i = self.resolve_index(index, s.chars().count())?;
+                let c = s.chars().nth(i).expect("index resolved in range").to_string();
+                Ok(self.heap.alloc(ObjKind::Str(c)))
             }
             ObjKind::NdArray(values) => {
-                let i = self.resolve_index(index, values.len())?;
-                Ok(self.heap.alloc(ObjKind::Float(values[i])))
+                let x = values[self.resolve_index(index, values.len())?];
+                Ok(self.heap.alloc(ObjKind::Float(x)))
             }
-            ObjKind::Series { values, .. } => self.get_index(values, index),
+            &ObjKind::Series { values, .. } => self.get_index(values, index),
             ObjKind::DataFrame(cols) => {
                 let name = self.expect_str(index)?;
                 cols.iter()
-                    .find(|(n, _)| *n == name)
+                    .find(|(n, _)| n == name)
                     .map(|(_, c)| *c)
                     .ok_or_else(|| {
                         RunError::new(RunErrorKind::KeyError, format!("column `{name}`"))
@@ -1654,7 +1655,7 @@ impl Interp {
         }
     }
 
-    fn resolve_index(&mut self, index: ObjId, len: usize) -> Result<usize, RunError> {
+    fn resolve_index(&self, index: ObjId, len: usize) -> Result<usize, RunError> {
         let i = self.expect_int(index)?;
         let idx = if i < 0 { len as i64 + i } else { i };
         if idx < 0 || idx as usize >= len {
@@ -1666,7 +1667,7 @@ impl Interp {
         Ok(idx as usize)
     }
 
-    fn find_dict_slot(&mut self, pairs: &[(ObjId, ObjId)], key: ObjId) -> Result<Option<usize>, RunError> {
+    fn find_dict_slot(&self, pairs: &[(ObjId, ObjId)], key: ObjId) -> Result<Option<usize>, RunError> {
         Ok(pairs.iter().position(|(k, _)| self.value_eq(*k, key)))
     }
 

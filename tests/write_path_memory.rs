@@ -1,5 +1,6 @@
 //! What one checkpoint allocates on its way from the heap to the log, and
-//! what reading an attribute of a library object allocates.
+//! what reading an attribute of a library object or one element of a
+//! container allocates.
 //!
 //! This binary installs a counting global allocator: it tracks the bytes
 //! live and their peak, and counts a realloc's old and new blocks together
@@ -175,6 +176,29 @@ fn reading_an_attribute_copies_no_payload() {
             read < PAYLOAD / 8,
             "{src:?} on a {} MiB library object peaked {read} bytes above the bytes live before",
             PAYLOAD >> 20
+        );
+    }
+}
+
+/// Reading one element reads the container in place: `a[3]` on a 4 MiB
+/// array and `ls[5]` on a list of 200,000 elements (800 KB of ids) each
+/// allocate their parse, the index and the result, but no copy of the
+/// container.
+#[test]
+fn indexing_copies_no_container() {
+    let _serial = serial();
+    let mut i = Interp::new();
+    let setup = format!("a = zeros({})\nls = list(range(200000))\n", PAYLOAD / 8);
+    let out = i.run_cell(&setup).expect("parses");
+    assert!(out.error.is_none(), "{:?}", out.error);
+    for src in ["x = a[3]\n", "y = ls[5]\n"] {
+        let read = peak_during(|| {
+            let out = i.run_cell(src).expect("parses");
+            assert!(out.error.is_none(), "{src}: {:?}", out.error);
+        });
+        assert!(
+            read < PAYLOAD / 8,
+            "{src:?} peaked {read} bytes above the bytes live before"
         );
     }
 }
