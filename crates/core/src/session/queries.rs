@@ -5,6 +5,8 @@
 //! Refs live inside the Checkpoint Graph, so `persist` snapshots them and
 //! `resume` restores them with no extra machinery.
 
+use std::sync::Arc;
+
 use super::read::Verified;
 use super::{CheckoutReport, KishuSession};
 use crate::covariable::CoVarKey;
@@ -108,14 +110,15 @@ impl KishuSession {
     /// Fetch one stored payload for a deep diff through checkout's blob
     /// fetch and verify job, without the decode charge (a diff never
     /// deserializes). CRC-clean payloads are admitted into the read cache,
-    /// so the deep diff and checkout warm each other. `None` when nothing
-    /// is stored or the blob is unreadable/corrupt; the latter counts in
+    /// so the deep diff and checkout warm each other; the diff compares
+    /// the shared handles in place. `None` when nothing is stored or the
+    /// blob is unreadable/corrupt; the latter counts in
     /// [`super::SessionMetrics::integrity_failures`].
-    fn fetch_payload_for_query(&mut self, key: &CoVarKey, version: NodeId) -> Option<Vec<u8>> {
+    fn fetch_payload_for_query(&mut self, key: &CoVarKey, version: NodeId) -> Option<Arc<[u8]>> {
         let blob = self.graph.stored(key, version)?.blob?;
         match self.fetch_blob(blob).verify(&self.trace, false) {
             Verified::Ready { payload, cache_key } => {
-                self.admit(&payload, cache_key);
+                self.admit(Arc::clone(&payload), cache_key);
                 Some(payload)
             }
             Verified::Failed => {

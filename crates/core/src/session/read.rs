@@ -3,6 +3,7 @@
 //! recomputation.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use std::time::Duration;
 
 use kishu_kernel::{simcost, ObjId};
@@ -37,10 +38,12 @@ impl KishuSession {
     /// 1. **Fetch (session thread, plan order)** — every planned blob is
     ///    read from the store sequentially (after a read-cache consult), so
     ///    any injected-fault ledger is identical at every worker count;
-    /// 2. **Verify (worker pool)** — end-to-end CRC checks and the
-    ///    simulated decode charge fan out over
+    /// 2. **Verify (worker pool)** — end-to-end CRC checks, the one copy of
+    ///    each payload out of its sealed read buffer, and the simulated
+    ///    decode charge fan out over
     ///    [`KishuConfig::restore_workers`](super::KishuConfig::restore_workers)
-    ///    threads, so cold-load sleeps overlap across blobs;
+    ///    threads, so cold-load sleeps overlap across blobs. Cache hits
+    ///    have no such work and resolve inline;
     /// 3. **Apply (session thread, plan order)** — deserialization into the
     ///    live heap, namespace binding, and fallback recomputation run
     ///    sequentially, consuming the verified payloads in plan order.
@@ -148,9 +151,12 @@ impl KishuSession {
     }
 
     /// Phases 1+2 of the checkout read pipeline: fetch every planned blob
-    /// on the session thread in plan order, then run their verify jobs on
-    /// the pool. Outcomes land in `ctx.prefetched`, keyed like the memo,
-    /// for [`Self::materialize_uncached`] to consume in apply order.
+    /// on the session thread in plan order, then run the verify jobs of
+    /// the blobs read from the store on the pool. Cache hits (a shared
+    /// handle, nothing to check or copy) and failed reads resolve inline,
+    /// so a checkout served wholly from the cache starts no thread.
+    /// Outcomes land in `ctx.prefetched`, keyed like the memo, for
+    /// [`Self::materialize_uncached`] to consume in apply order.
     ///
     /// Failures are *recorded*, not counted: a prefetched blob that was
     /// unreadable or corrupt only becomes an integrity failure when the
@@ -176,10 +182,19 @@ impl KishuSession {
         let parent = verify_sp.id();
         let trace = &self.trace;
         let jobs: Vec<_> = fetched
-            .iter_mut()
+            .iter()
+            .filter(|f| matches!(f, Fetched::Sealed { .. }))
             .map(|f| move || trace.worker_scope(parent, || f.verify(trace, true)))
             .collect();
-        let verified = kishu_testkit::pool::run(self.config.restore_workers.max(1), jobs);
+        let mut pooled =
+            kishu_testkit::pool::run(self.config.restore_workers.max(1), jobs).into_iter();
+        let verified: Vec<_> = fetched
+            .iter()
+            .map(|f| match f {
+                Fetched::Sealed { .. } => pooled.next().expect("one result per sealed blob"),
+                _ => f.verify(trace, true),
+            })
+            .collect();
         ctx.verify_ns = verify_sp.end();
         ctx.prefetched.extend(keys.into_iter().zip(verified));
     }
@@ -208,9 +223,10 @@ impl KishuSession {
         }
     }
 
-    /// Admit a verified payload into the read cache and learn its blob's
-    /// content key; a no-op for cache hits (`cache_key: None`).
-    pub(super) fn admit(&mut self, payload: &[u8], cache_key: Option<(ContentKey, BlobId)>) {
+    /// Admit a verified payload into the read cache, moving its handle
+    /// in, and learn its blob's content key; a no-op for cache hits
+    /// (`cache_key: None`).
+    pub(super) fn admit(&mut self, payload: Arc<[u8]>, cache_key: Option<(ContentKey, BlobId)>) {
         let Some((key, blob)) = cache_key else { return };
         self.read_cache.insert(key, payload);
         self.blob_keys.insert(blob, key);
@@ -283,18 +299,16 @@ impl KishuSession {
                 // cache hit — so decode without re-charging.
                 match loads_precharged(&mut self.interp.heap, &payload, &self.reducer) {
                     Ok(roots) if roots.len() == key.len() => {
+                        let loaded = Materialized::Loaded {
+                            bytes: payload.len() as u64,
+                            cached: cache_key.is_none(),
+                        };
                         // Only payloads that decoded cleanly are admitted:
                         // the cache must never launder a
                         // CRC-clean-but-undecodable blob into a "hit".
-                        self.admit(&payload, cache_key);
+                        self.admit(payload, cache_key);
                         let bindings = key.iter().cloned().zip(roots).collect();
-                        return Ok((
-                            bindings,
-                            Materialized::Loaded {
-                                bytes: payload.len() as u64,
-                                cached: cache_key.is_none(),
-                            },
-                        ));
+                        return Ok((bindings, loaded));
                     }
                     // Deserialization failure (CRC-clean but incompatible
                     // bytes): count it and fall through to recomputation.
@@ -397,8 +411,9 @@ impl KishuSession {
 
 /// One blob read by [`KishuSession::fetch_blob`].
 pub(super) enum Fetched {
-    /// Verified payload straight from the read cache.
-    Cached(Vec<u8>),
+    /// Verified payload straight from the read cache: a handle shared
+    /// with the cache, not a copy.
+    Cached(Arc<[u8]>),
     /// Sealed bytes from the store, pending the verify job.
     Sealed { blob: BlobId, sealed: Vec<u8> },
     /// Unreadable even after retries.
@@ -406,14 +421,16 @@ pub(super) enum Fetched {
 }
 
 impl Fetched {
-    /// The verify job: CRC, content key and — with `charge`, for payloads
-    /// about to be deserialized — the simulated decode charge, under a
-    /// `checkout.decode` span. Cache hits (whose payload moves out) and
-    /// failures carry no work; sealed bytes stay for the caller to free.
-    pub(super) fn verify(&mut self, trace: &Trace, charge: bool) -> Verified {
+    /// The verify job: CRC, content key, the payload's one copy out of the
+    /// sealed read buffer and — with `charge`, for payloads about to be
+    /// deserialized — the simulated decode charge, under a
+    /// `checkout.decode` span. Cache hits (another handle to the cached
+    /// payload) and failures carry no work; sealed bytes stay for the
+    /// caller to free.
+    pub(super) fn verify(&self, trace: &Trace, charge: bool) -> Verified {
         let (blob, sealed) = match self {
             Fetched::Cached(payload) => {
-                return Verified::Ready { payload: std::mem::take(payload), cache_key: None }
+                return Verified::Ready { payload: Arc::clone(payload), cache_key: None }
             }
             Fetched::Sealed { blob, sealed } => (*blob, sealed.as_slice()),
             Fetched::Failed => return Verified::Failed,
@@ -426,15 +443,16 @@ impl Fetched {
         if charge {
             simcost::charge_bytes(payload.len() as u64, simcost::PICKLE_BPS);
         }
-        Verified::Ready { payload: payload.to_vec(), cache_key: Some((key, blob)) }
+        Verified::Ready { payload: Arc::from(payload), cache_key: Some((key, blob)) }
     }
 }
 
 /// A fetched blob after its verify job.
 pub(super) enum Verified {
-    /// CRC-verified payload, decode charge already paid (or skipped).
+    /// CRC-verified payload, decode charge already paid (or skipped): the
+    /// handle [`KishuSession::admit`] moves into the read cache.
     Ready {
-        payload: Vec<u8>,
+        payload: Arc<[u8]>,
         /// Content key + blob id to [`KishuSession::admit`] once the
         /// payload is accepted; `None` for cache hits (already resident).
         cache_key: Option<(ContentKey, BlobId)>,

@@ -678,9 +678,11 @@ impl Interp {
         }
     }
 
-    /// Set `recv[index] = value` in place.
+    /// Set `recv[index] = value` in place. The receiver is read in place:
+    /// an arm copies out only what it writes with, so a one-element write
+    /// never copies the container.
     pub fn set_index(&mut self, recv: ObjId, index: ObjId, value: ObjId) -> Result<(), RunError> {
-        match self.heap.kind(recv).clone() {
+        match self.heap.kind(recv) {
             ObjKind::List(items) => {
                 let i = self.resolve_index(index, items.len())?;
                 self.heap.modify(recv, |k| {
@@ -691,7 +693,7 @@ impl Interp {
                 Ok(())
             }
             ObjKind::Dict(pairs) => {
-                let existing = self.find_dict_slot(&pairs, index)?;
+                let existing = self.find_dict_slot(pairs, index)?;
                 self.heap.modify(recv, |k| {
                     if let ObjKind::Dict(pairs) = k {
                         match existing {
@@ -725,7 +727,7 @@ impl Interp {
                 });
                 Ok(())
             }
-            ObjKind::Series { values, .. } => self.set_index(values, index, value),
+            &ObjKind::Series { values, .. } => self.set_index(values, index, value),
             other => Err(RunError::new(
                 RunErrorKind::TypeError,
                 format!("{} does not support item assignment", other.type_tag()),
@@ -900,9 +902,10 @@ impl Interp {
         }
     }
 
-    /// Execute `del recv[index]` in place.
+    /// Execute `del recv[index]` in place, reading the receiver in place
+    /// as [`Self::set_index`] does.
     pub(crate) fn delete_index(&mut self, recv: ObjId, index: ObjId) -> Result<(), RunError> {
-        match self.heap.kind(recv).clone() {
+        match self.heap.kind(recv) {
             ObjKind::List(items) => {
                 let i = self.resolve_index(index, items.len())?;
                 self.heap.modify(recv, |k| {
@@ -913,7 +916,7 @@ impl Interp {
                 Ok(())
             }
             ObjKind::Dict(pairs) => {
-                match self.find_dict_slot(&pairs, index)? {
+                match self.find_dict_slot(pairs, index)? {
                     Some(i) => {
                         self.heap.modify(recv, |k| {
                             if let ObjKind::Dict(pairs) = k {

@@ -241,8 +241,9 @@ impl<'a> Reader<'a> {
                 if len > self.bytes.len() {
                     return Err(self.corrupt("implausible payload length"));
                 }
-                let stored = self.take(len)?.to_vec();
-                let payload = self.reducer.rebuild(class, &stored)?;
+                // The reducer reads the payload where it lies and makes
+                // the heap's copy.
+                let payload = self.reducer.rebuild(class, self.take(len)?)?;
                 let id = heap.alloc(
                     External {
                         class,

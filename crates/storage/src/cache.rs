@@ -13,6 +13,10 @@
 //!
 //! * the cache holds **verified** payloads (post-CRC, pre-deserialize);
 //!   a hit can skip the store read *and* the integrity check;
+//! * payloads are shared and immutable (`Arc<[u8]>`): admission moves the
+//!   caller's handle in and a hit hands out another handle to the same
+//!   allocation, so neither copies a byte. A handle stays valid after its
+//!   entry is evicted; the bytes are freed with the last handle;
 //! * eviction is strict LRU by payload bytes against a fixed capacity;
 //!   an entry larger than the whole capacity is never admitted;
 //! * `capacity == 0` disables the cache entirely (every lookup returns
@@ -23,6 +27,7 @@
 //!   checkout differential suite relies on.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use crate::dedup::ContentKey;
 
@@ -53,7 +58,7 @@ pub struct CacheStats {
 pub struct BlobCache {
     capacity: u64,
     /// Resident payloads with the recency tick they were last touched at.
-    entries: HashMap<ContentKey, (u64, Vec<u8>)>,
+    entries: HashMap<ContentKey, (u64, Arc<[u8]>)>,
     /// Recency order: tick -> key. Ticks are unique (monotone counter), so
     /// the first entry is always the least recently used.
     recency: BTreeMap<u64, ContentKey>,
@@ -79,8 +84,9 @@ impl BlobCache {
         self.capacity
     }
 
-    /// Look `key` up, refreshing its recency on a hit.
-    pub fn get(&mut self, key: ContentKey) -> Option<Vec<u8>> {
+    /// Look `key` up, refreshing its recency on a hit. A hit returns a
+    /// handle to the resident payload, not a copy of it.
+    pub fn get(&mut self, key: ContentKey) -> Option<Arc<[u8]>> {
         if self.capacity == 0 {
             // A disabled cache can't miss — don't let the "off" knob
             // masquerade as a 100% miss rate.
@@ -94,7 +100,7 @@ impl BlobCache {
                 *tick = self.tick;
                 self.recency.insert(self.tick, key);
                 self.hits += 1;
-                Some(payload.clone())
+                Some(Arc::clone(payload))
             }
             None => {
                 self.misses += 1;
@@ -103,10 +109,11 @@ impl BlobCache {
         }
     }
 
-    /// Admit a verified payload. Re-inserting a resident key only refreshes
-    /// its recency; a payload larger than the whole capacity is rejected;
-    /// otherwise least-recently-used entries are evicted until it fits.
-    pub fn insert(&mut self, key: ContentKey, payload: &[u8]) {
+    /// Admit a verified payload, moving the handle in. Re-inserting a
+    /// resident key only refreshes its recency; a payload larger than the
+    /// whole capacity is rejected; otherwise least-recently-used entries
+    /// are evicted until it fits.
+    pub fn insert(&mut self, key: ContentKey, payload: Arc<[u8]>) {
         if self.capacity == 0 || payload.len() as u64 > self.capacity {
             return;
         }
@@ -129,9 +136,9 @@ impl BlobCache {
             self.evictions += 1;
         }
         self.tick += 1;
-        self.entries.insert(key, (self.tick, payload.to_vec()));
-        self.recency.insert(self.tick, key);
         self.bytes += payload.len() as u64;
+        self.entries.insert(key, (self.tick, payload));
+        self.recency.insert(self.tick, key);
     }
 
     /// Current counters.
@@ -152,12 +159,17 @@ mod tests {
     use super::*;
     use crate::dedup::content_key;
 
+    /// A shared handle to a copy of `bytes`.
+    fn shared(bytes: &[u8]) -> Arc<[u8]> {
+        Arc::from(bytes)
+    }
+
     #[test]
     fn hit_returns_the_inserted_payload() {
         let mut c = BlobCache::new(1024);
         let k = content_key(b"payload");
         assert_eq!(c.get(k), None);
-        c.insert(k, b"payload");
+        c.insert(k, shared(b"payload"));
         assert_eq!(c.get(k).as_deref(), Some(&b"payload"[..]));
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.entries, s.bytes), (1, 1, 1, 7));
@@ -168,7 +180,7 @@ mod tests {
         let mut c = BlobCache::new(0);
         assert_eq!(c.capacity(), 0);
         let k = content_key(b"x");
-        c.insert(k, b"x");
+        c.insert(k, shared(b"x"));
         assert_eq!(c.get(k), None);
         assert_eq!(c.get(k), None);
         let s = c.stats();
@@ -183,11 +195,11 @@ mod tests {
         let mut c = BlobCache::new(10);
         let a = content_key(b"aaaa");
         let b = content_key(b"bbbb");
-        c.insert(a, b"aaaa");
-        c.insert(b, b"bbbb");
+        c.insert(a, shared(b"aaaa"));
+        c.insert(b, shared(b"bbbb"));
         // Touch `a` so `b` is now the LRU entry.
         assert!(c.get(a).is_some());
-        c.insert(content_key(b"cccc"), b"cccc");
+        c.insert(content_key(b"cccc"), shared(b"cccc"));
         assert!(c.get(a).is_some(), "recently used survives");
         assert_eq!(c.get(b), None, "LRU entry evicted");
         let s = c.stats();
@@ -199,7 +211,7 @@ mod tests {
     fn oversized_payload_is_never_admitted() {
         let mut c = BlobCache::new(4);
         let k = content_key(b"too large");
-        c.insert(k, b"too large");
+        c.insert(k, shared(b"too large"));
         assert_eq!(c.get(k), None);
         assert_eq!(c.stats().entries, 0);
         // And it evicted nothing on the way.
@@ -211,11 +223,11 @@ mod tests {
         let mut c = BlobCache::new(8);
         let a = content_key(b"aaaa");
         let b = content_key(b"bbbb");
-        c.insert(a, b"aaaa");
-        c.insert(b, b"bbbb");
-        c.insert(a, b"aaaa"); // refresh, not duplicate
+        c.insert(a, shared(b"aaaa"));
+        c.insert(b, shared(b"bbbb"));
+        c.insert(a, shared(b"aaaa")); // refresh, not duplicate
         assert_eq!(c.stats().bytes, 8);
-        c.insert(content_key(b"cccc"), b"cccc");
+        c.insert(content_key(b"cccc"), shared(b"cccc"));
         assert!(c.get(a).is_some(), "refreshed entry survived");
         assert_eq!(c.get(b), None, "stale entry evicted instead");
     }
@@ -228,7 +240,7 @@ mod tests {
                 .map(|i| {
                     let payload = vec![i; 8];
                     let k = content_key(&payload);
-                    c.insert(k, &payload);
+                    c.insert(k, shared(&payload));
                     k
                 })
                 .collect();
@@ -236,5 +248,20 @@ mod tests {
             (pattern, c.stats())
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn a_hit_shares_the_inserted_allocation() {
+        let mut c = BlobCache::new(8);
+        let (a, b) = (content_key(b"aaaa"), content_key(b"bbbb"));
+        let payload = shared(b"aaaa");
+        c.insert(a, Arc::clone(&payload));
+        let hit = c.get(a).expect("resident");
+        assert!(Arc::ptr_eq(&hit, &payload), "a hit hands out the inserted bytes, not a copy");
+        c.insert(b, shared(b"bbbb"));
+        c.insert(content_key(b"cccc"), shared(b"cccc"));
+        assert_eq!(c.get(a), None, "evicted");
+        assert_eq!(c.stats().evictions, 1);
+        assert_eq!(&hit[..], b"aaaa", "a handle outlives its entry");
     }
 }

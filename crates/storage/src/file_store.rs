@@ -51,6 +51,18 @@
 //! read); one that fails to read back is appended again, so a new blob
 //! never points at a damaged chunk.
 //!
+//! **Run reads.** A get and a dedup read-back share one run reader. It
+//! reads each run of adjacent chunk frames (the same frame again, or the
+//! one right after, up to `READ_BACK_RUN`, 1 MiB) with one seek and one
+//! read, into a buffer the store keeps across reads, so a read neither
+//! allocates nor zero-fills it once it has grown. A get checks each
+//! frame's CRC where it lies in that buffer, before decoding any of its
+//! bytes, and decodes each chunk from there into the blob; a chunk still
+//! in the group-commit buffer is read from that buffer instead. A blob
+//! whose chunks are not adjacent, because some were deduped against an
+//! earlier put, takes one read per run. A v1 record is read straight into
+//! the blob.
+//!
 //! **Group commit** (the `group_commit` argument of
 //! [`FileStore::create_with`]/[`FileStore::open_with`], on for the plain
 //! constructors): puts append frames
@@ -61,6 +73,7 @@
 //! to unbuffered operation; with `sync_on_put` the per-record fsync is
 //! amortized into one fsync at the barrier.
 
+use std::convert::Infallible;
 use std::fs::{File, OpenOptions};
 use std::io::{self, IoSliceMut, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -92,8 +105,9 @@ const PENDING_FLUSH_BYTES: usize = 1 << 20;
 /// the record it is assembling.
 const SCAN_WINDOW: usize = 1 << 20;
 
-/// Longest read that confirms a run of adjacent dedup candidates: a run
-/// that would grow past it is split.
+/// Longest run of adjacent chunk frames one read covers, for a get or a
+/// dedup read-back: a run that would grow past it is split. A frame longer
+/// than this is a run of its own.
 const READ_BACK_RUN: u64 = 1 << 20;
 
 /// Append a `marker`-framed record to `out`.
@@ -124,9 +138,34 @@ enum BlobEntry {
     Chunked { raw_len: u64, ords: Vec<u32> },
 }
 
+/// The log file, and the buffer that runs of its frames are read into.
+/// The buffer is kept across reads: it grows to the longest run read and
+/// is then reused, neither reallocated nor zero-filled again.
+struct LogFile {
+    file: File,
+    run: Vec<u8>,
+}
+
+impl LogFile {
+    fn new(file: File) -> Self {
+        LogFile { file, run: Vec::new() }
+    }
+
+    /// The `len` bytes of the file at `off`, read with one seek and one
+    /// read into the run buffer.
+    fn read_run(&mut self, off: u64, len: usize) -> io::Result<&[u8]> {
+        if self.run.len() < len {
+            self.run.resize(len, 0);
+        }
+        self.file.seek(SeekFrom::Start(off))?;
+        self.file.read_exact(&mut self.run[..len])?;
+        Ok(&self.run[..len])
+    }
+}
+
 /// Append-only log-file blob store with CRC-checked records and recovery.
 pub struct FileStore {
-    file: Mutex<File>,
+    log: Mutex<LogFile>,
     path: PathBuf,
     index: Vec<BlobEntry>,
     /// (payload offset, payload len) of each chunk record, by ord.
@@ -173,7 +212,7 @@ impl FileStore {
             .truncate(true)
             .open(path.as_ref())?;
         Ok(FileStore {
-            file: Mutex::new(file),
+            log: Mutex::new(LogFile::new(file)),
             path: path.as_ref().to_path_buf(),
             index: Vec::new(),
             chunk_index: Vec::new(),
@@ -211,7 +250,7 @@ impl FileStore {
         // never interleave with garbage.
         file.set_len(found.end)?;
         Ok(FileStore {
-            file: Mutex::new(file),
+            log: Mutex::new(LogFile::new(file)),
             path: path.as_ref().to_path_buf(),
             index: found.index,
             chunk_index: found.chunk_index,
@@ -245,7 +284,7 @@ impl FileStore {
         }
         let mut sp = self.trace.span("file.flush_pending");
         sp.arg("bytes", self.pending.len());
-        let mut file = self.file.lock().expect("store lock poisoned");
+        let file = &mut self.log.get_mut().expect("store lock poisoned").file;
         file.seek(SeekFrom::Start(self.flushed_end))?;
         file.write_all(&self.pending)?;
         self.flushed_end += self.pending.len() as u64;
@@ -266,77 +305,86 @@ impl FileStore {
         } else {
             let mut record = Vec::new();
             frame_parts(&mut record, marker, parts, crc);
-            let mut file = self.file.lock().expect("store lock poisoned");
+            let file = &mut self.log.get_mut().expect("store lock poisoned").file;
             file.seek(SeekFrom::Start(self.flushed_end))?;
             file.write_all(&record)?;
             if self.sync_on_put {
                 file.sync_data()?;
             }
-            drop(file);
             self.flushed_end += record.len() as u64;
         }
         Ok(payload_off)
     }
 
-    /// [`ChunkSink::holds`] for this store's chunks. A candidate still in
-    /// the group-commit buffer is compared there. The rest are read from
-    /// the file in runs of adjacent frames, one read per run of at most
-    /// [`READ_BACK_RUN`] bytes. Each frame's recorded CRC must equal the
-    /// probe's, and its payload the probe's form. Since the probe's CRC is
-    /// that of its form, equal bytes under an equal recorded CRC are an
-    /// intact frame, so no CRC is computed here. No span is opened: this
-    /// is not a blob read.
-    fn holds(&self, probes: &[Probe<'_>], held: &mut [bool]) {
-        // A probed chunk's frame from its CRC field to its end. Probes
-        // name ords the ledger registered, so every ord is indexed.
-        let frame = |p: &Probe<'_>| {
-            let (off, len) = self.chunk_index[p.ord as usize];
-            (off - 4, off + u64::from(len))
-        };
-        // Whether `bytes`, a frame from its CRC field on, records the
-        // probe's CRC and holds its form.
-        let check = |p: &Probe<'_>, bytes: &[u8]| {
-            bytes[..4] == p.crc.to_le_bytes() && p.form.matches(&bytes[4..])
-        };
-        let mut on_file = Vec::new();
-        for (i, p) in probes.iter().enumerate() {
-            let (start, end) = frame(p);
+    /// Chunk `ord`'s frame from its CRC field to its end, as file offsets.
+    fn chunk_frame(&self, ord: u32) -> Option<(u64, u64)> {
+        let &(off, len) = self.chunk_index.get(ord as usize)?;
+        Some((off - 4, off + u64::from(len)))
+    }
+
+    /// The run reader: hand `each` the bytes of every frame in `frames`
+    /// (each from its CRC field to its end), in the order given, or the
+    /// error of the read that should have fetched them. A frame still in
+    /// the group-commit buffer is borrowed from it. The rest are read from
+    /// the file in runs, one seek and one read per run into the store's
+    /// run buffer: a run extends over the same frame again or the frame
+    /// right after it, up to [`READ_BACK_RUN`] bytes. Stops at the first
+    /// error `each` returns, and returns it.
+    fn read_frames<E>(
+        &self,
+        frames: &[(u64, u64)],
+        mut each: impl FnMut(usize, Result<&[u8], &io::Error>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut log = None;
+        let mut i = 0;
+        while let Some(&(start, mut end)) = frames.get(i) {
             if start >= self.flushed_end {
                 let at = (start - self.flushed_end) as usize;
-                held[i] = check(p, &self.pending[at..at + (end - start) as usize]);
-            } else {
-                on_file.push(i);
+                each(i, Ok(&self.pending[at..at + (end - start) as usize]))?;
+                i += 1;
+                continue;
             }
-        }
-        // Ords are in append order, and so in file order.
-        on_file.sort_by_key(|&i| probes[i].ord);
-        let mut buf = Vec::new();
-        let mut rest = &on_file[..];
-        while let Some(&first) = rest.first() {
-            let (start, mut end) = frame(&probes[first]);
             let mut n = 1;
-            // Extend the run over the same frame again (one chunk probed
-            // by several cuts) or the frame right after it.
-            while let Some(&i) = rest.get(n) {
-                let (s, e) = frame(&probes[i]);
+            while let Some(&(s, e)) = frames.get(i + n) {
                 let adjacent = e == end || s == end + HEADER_LEN - 4;
-                if !adjacent || e - start > READ_BACK_RUN {
+                if !adjacent || e - start > READ_BACK_RUN || s >= self.flushed_end {
                     break;
                 }
                 end = e;
                 n += 1;
             }
-            let (run, later) = rest.split_at(n);
-            rest = later;
-            let file = self.file.lock().expect("store lock poisoned");
-            let read = read_at(&file, start, (end - start) as usize, &mut buf);
-            drop(file);
-            for &i in run {
-                let (s, e) = frame(&probes[i]);
-                let bytes = &buf[(s - start) as usize..(e - start) as usize];
-                held[i] = read.is_ok() && check(&probes[i], bytes);
+            let log = log.get_or_insert_with(|| self.log.lock().expect("store lock poisoned"));
+            let run = log.read_run(start, (end - start) as usize);
+            for (j, &(s, e)) in frames.iter().enumerate().skip(i).take(n) {
+                let (s, e) = ((s - start) as usize, (e - start) as usize);
+                each(j, run.as_ref().map(|run| &run[s..e]))?;
             }
+            i += n;
         }
+        Ok(())
+    }
+
+    /// [`ChunkSink::holds`] for this store's chunks, through the run
+    /// reader in ord order (append order, and so file order). Each frame's
+    /// recorded CRC must equal the probe's, and its payload the probe's
+    /// form. Since the probe's CRC is that of its form, equal bytes under
+    /// an equal recorded CRC are an intact frame, so no CRC is computed
+    /// here. No span is opened: this is not a blob read.
+    fn holds(&self, probes: &[Probe<'_>], held: &mut [bool]) {
+        let mut order: Vec<usize> = (0..probes.len()).collect();
+        order.sort_by_key(|&i| probes[i].ord);
+        // Probes name ords the ledger registered, so every ord is indexed.
+        let frames: Vec<_> = order
+            .iter()
+            .map(|&i| self.chunk_frame(probes[i].ord).expect("a probed chunk is indexed"))
+            .collect();
+        let Ok(()) = self.read_frames(&frames, |k, frame| {
+            let p = &probes[order[k]];
+            held[order[k]] = frame.is_ok_and(|bytes| {
+                bytes[..4] == p.crc.to_le_bytes() && p.form.matches(&bytes[4..])
+            });
+            Ok::<_, Infallible>(())
+        });
     }
 
     /// Fill `payload` with the payload of the record at `payload_off`
@@ -358,9 +406,9 @@ impl FileStore {
             crc.copy_from_slice(&self.pending[i..i + 4]);
             payload.copy_from_slice(&self.pending[i + 4..i + 4 + payload.len()]);
         } else {
-            let mut file = self.file.lock().expect("store lock poisoned");
+            let file = &mut self.log.lock().expect("store lock poisoned").file;
             file.seek(SeekFrom::Start(start))?;
-            read_exact_split(&mut file, &mut crc, payload)?;
+            read_exact_split(file, &mut crc, payload)?;
         }
         if crc32(payload) != u32::from_le_bytes(crc) {
             return Err(io::Error::new(
@@ -369,6 +417,48 @@ impl FileStore {
             ));
         }
         Ok(())
+    }
+
+    /// The per-chunk read [`CheckpointStore::get`] replaced: one locked,
+    /// seeked read and one check per chunk, each into a scratch buffer
+    /// before it is decoded. The oracle `get` must equal.
+    #[cfg(test)]
+    fn get_reference(&self, id: BlobId) -> io::Result<Vec<u8>> {
+        let entry = self
+            .index
+            .get(id as usize)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no blob {id}")))?;
+        match entry {
+            BlobEntry::V1(off, len) => {
+                let mut out = vec![0; *len as usize];
+                self.read_verified(*off, &mut out, || format!("blob {id}"))?;
+                Ok(out)
+            }
+            BlobEntry::Chunked { raw_len, ords } => {
+                // `raw_len` is validated: a recovered manifest's equals the
+                // sum of its chunks' lengths, and a put's is its payload's.
+                let mut out = Vec::with_capacity(*raw_len as usize);
+                let mut stored = Vec::new();
+                for &ord in ords {
+                    let (off, len) = *self.chunk_index.get(ord as usize).ok_or_else(|| {
+                        io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            format!("blob {id} references missing chunk {ord}"),
+                        )
+                    })?;
+                    stored.resize(len as usize, 0);
+                    self.read_verified(off, &mut stored, || format!("blob {id} chunk {ord}"))?;
+                    decode_chunk_into(&stored, &mut out)?;
+                }
+                if out.len() as u64 != *raw_len {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("blob {id} reassembled to the wrong length"),
+                    ));
+                }
+                Ok(out)
+            }
+        }
     }
 }
 
@@ -721,21 +811,36 @@ impl CheckpointStore for FileStore {
             }
             BlobEntry::Chunked { raw_len, ords } => {
                 sp.arg("bytes", *raw_len);
+                let frames = ords
+                    .iter()
+                    .map(|&ord| {
+                        self.chunk_frame(ord).ok_or_else(|| {
+                            io::Error::new(
+                                io::ErrorKind::InvalidData,
+                                format!("blob {id} references missing chunk {ord}"),
+                            )
+                        })
+                    })
+                    .collect::<io::Result<Vec<_>>>()?;
                 // `raw_len` is validated: a recovered manifest's equals the
                 // sum of its chunks' lengths, and a put's is its payload's.
                 let mut out = Vec::with_capacity(*raw_len as usize);
-                let mut stored = Vec::new();
-                for &ord in ords {
-                    let (off, len) = *self.chunk_index.get(ord as usize).ok_or_else(|| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("blob {id} references missing chunk {ord}"),
-                        )
+                // Each frame is checked where the run reader put it, and
+                // decoded from there into the blob.
+                self.read_frames(&frames, |k, frame| {
+                    let ord = ords[k];
+                    let frame = frame.map_err(|e| {
+                        io::Error::new(e.kind(), format!("blob {id} chunk {ord}: {e}"))
                     })?;
-                    stored.resize(len as usize, 0);
-                    self.read_verified(off, &mut stored, || format!("blob {id} chunk {ord}"))?;
-                    decode_chunk_into(&stored, &mut out)?;
-                }
+                    let (crc, stored) = frame.split_at(4);
+                    if crc32(stored).to_le_bytes() != crc {
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            format!("blob {id} chunk {ord} failed its integrity check"),
+                        ));
+                    }
+                    decode_chunk_into(stored, &mut out)
+                })?;
                 if out.len() as u64 != *raw_len {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
@@ -762,7 +867,7 @@ impl CheckpointStore for FileStore {
     fn sync(&mut self) -> io::Result<()> {
         let _sp = self.trace.span("file.sync");
         self.flush_pending()?;
-        self.file.lock().expect("store lock poisoned").sync_data()
+        self.log.get_mut().expect("store lock poisoned").file.sync_data()
     }
 
     fn flush_barrier(&mut self) -> io::Result<()> {
@@ -770,7 +875,7 @@ impl CheckpointStore for FileStore {
         self.flush_pending()?;
         if self.sync_on_put {
             // The fsyncs the burst of puts skipped, amortized into one.
-            self.file.lock().expect("store lock poisoned").sync_data()?;
+            self.log.get_mut().expect("store lock poisoned").file.sync_data()?;
         }
         Ok(())
     }
@@ -879,19 +984,35 @@ mod tests {
     }
 
     /// A read that fails its CRC names the record: the blob, and for a
-    /// chunked blob the chunk.
+    /// chunked blob the chunk, also when that chunk is not the first of
+    /// the run it was read in.
     #[test]
     fn integrity_errors_name_the_record() {
         let path = temp_path("named.log");
         let mut s = FileStore::create(&path).expect("create");
-        let ids = [s.put(b"precious-data").expect("put"), s.put(&[7; 10_000]).expect("put")];
+        let noise: Vec<u8> = (0..65_536u64).map(|j| xxh64(&j.to_le_bytes(), 1) as u8).collect();
+        let ids = [
+            s.put(b"precious-data").expect("put"),
+            s.put(&[7; 10_000]).expect("put"),
+            s.put(&noise).expect("put"),
+        ];
         s.sync().expect("sync");
-        let (v1_off, ord) = match (&s.index[0], &s.index[1]) {
-            (BlobEntry::V1(off, _), BlobEntry::Chunked { ords, .. }) => (*off, ords[0]),
-            _ => panic!("13 bytes stay a v1 record and 10,000 are chunked"),
+        let (v1_off, ord, [first, later]) = match (&s.index[0], &s.index[1], &s.index[2]) {
+            (
+                BlobEntry::V1(off, _),
+                BlobEntry::Chunked { ords, .. },
+                BlobEntry::Chunked { ords: run, .. },
+            ) => (*off, ords[0], [run[0], run[1]]),
+            _ => panic!("13 bytes stay a v1 record, and 10,000 and 65,536 are chunked"),
         };
+        let frame = |ord| s.chunk_frame(ord).expect("indexed");
+        assert_eq!(
+            frame(later).0,
+            frame(first).1 + HEADER_LEN - 4,
+            "the damaged chunk is read in one run with the chunk before it"
+        );
         let mut raw = OpenOptions::new().write(true).open(&path).expect("raw");
-        for off in [v1_off, s.chunk_index[ord as usize].0] {
+        for off in [v1_off, s.chunk_index[ord as usize].0, s.chunk_index[later as usize].0] {
             raw.seek(SeekFrom::Start(off + 1)).expect("seek");
             raw.write_all(&[0xFF]).expect("write");
         }
@@ -899,6 +1020,7 @@ mod tests {
         let want = [
             format!("blob {} failed its integrity check", ids[0]),
             format!("blob {} chunk {ord} failed its integrity check", ids[1]),
+            format!("blob {} chunk {later} failed its integrity check", ids[2]),
         ];
         for (id, want) in ids.into_iter().zip(want) {
             let err = s.get(id).expect_err("a damaged record fails its read");
@@ -1626,6 +1748,114 @@ mod proptests {
                     let got = scan(&file, len, w).expect("scan");
                     prop_assert!(got == want, "window {w}: {:?} != {:?}", got, want);
                 }
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    /// Whether `get` and `get_reference` agree on every id of `s`: the same
+    /// bytes, or both an error.
+    fn gets_agree(s: &FileStore) -> Result<(), TestCaseError> {
+        for id in 0..s.blob_count() {
+            match (s.get(id), s.get_reference(id)) {
+                (Ok(got), Ok(want)) => prop_assert!(got == want, "blob {id} read back differently"),
+                (Err(_), Err(_)) => {}
+                (got, want) => {
+                    let show = |r: &io::Result<Vec<u8>>| {
+                        r.as_ref().map(Vec::len).map_err(|e| e.to_string())
+                    };
+                    return Err(TestCaseError::fail(format!(
+                        "blob {id}: get {:?}, get_reference {:?}",
+                        show(&got),
+                        show(&want)
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The frames of blob `id`, from CRC field to end, in payload order;
+    /// empty for a v1 record.
+    fn blob_frames(s: &FileStore, id: usize) -> Vec<(u64, u64)> {
+        match &s.index[id] {
+            BlobEntry::V1(..) => Vec::new(),
+            BlobEntry::Chunked { ords, .. } => {
+                ords.iter().map(|&o| s.chunk_frame(o).expect("indexed")).collect()
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The run reader returns what the per-chunk read it replaced
+        /// returns, for every id, on the logs of `scan_matches_reference`
+        /// (v1 and small-v2) with 1–3 edits to the file, made under the
+        /// open store (damaged chunks, short reads) and then reopened. Puts
+        /// after the last sync stay in the group-commit buffer: a blob
+        /// longer than `READ_BACK_RUN`, whose put flushes the buffer
+        /// halfway, a blob that shares chunks with it, and a few more.
+        #[test]
+        fn get_matches_reference(
+            recipes in prop::collection::vec((0u8..4, 0usize..700, any::<usize>()), 1..12),
+            buffered in prop::collection::vec((0u8..4, 0usize..700, any::<usize>()), 0..4),
+            edits in prop::collection::vec(edit_strategy(), 1..4),
+        ) {
+            let dir = std::env::temp_dir().join(format!("kishu-fsprop-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).expect("mkdir");
+            let path = dir.join("get.log");
+            // Incompressible, so its chunks' frames span more than one run,
+            // and they lie both in the file and in the buffer; the short
+            // blob is its first 4 KiB with byte 7 changed, so it is cut
+            // into new chunks and chunks deduped against the long blob's.
+            let long = blob(&(2, READ_BACK_RUN as usize + 4096, usize::MAX));
+            let variant = blob(&(2, 4096, 7));
+            let small_v2 = ChunkConfig { enabled: true, min: 32, avg: 64, max: 256 };
+            for cfg in [ChunkConfig::disabled(), small_v2.clone()] {
+                let put_buffered = |s: &mut FileStore| {
+                    s.put(&long).expect("put");
+                    s.put(&variant).expect("put");
+                    for r in &buffered {
+                        s.put(&blob(r)).expect("put");
+                    }
+                };
+                let mut s = FileStore::create_with(&path, cfg.clone(), true).expect("create");
+                for r in &recipes {
+                    s.put(&blob(r)).expect("put");
+                }
+                s.sync().expect("sync");
+                put_buffered(&mut s);
+                if cfg == small_v2 {
+                    let blobs: Vec<_> = (0..s.index.len()).map(|id| blob_frames(&s, id)).collect();
+                    let gapped = blobs.iter().any(|f| {
+                        f.windows(2).any(|w| w[1] != w[0] && w[1].0 != w[0].1 + HEADER_LEN - 4)
+                    });
+                    let straddles = blobs.iter().any(|f| {
+                        let in_file = f.iter().filter(|fr| fr.0 < s.flushed_end).count();
+                        in_file > 0 && in_file < f.len()
+                    });
+                    let spans_runs = blobs.iter().any(|f| {
+                        f.first().zip(f.last()).is_some_and(|(a, z)| z.1 > a.0 + READ_BACK_RUN)
+                    });
+                    prop_assert!(gapped, "no blob with non-adjacent chunks");
+                    prop_assert!(straddles, "no blob read from both the file and the buffer");
+                    prop_assert!(spans_runs, "no blob longer than one run");
+                }
+                gets_agree(&s)?;
+                let mut log = std::fs::read(&path).expect("read");
+                for e in &edits {
+                    apply(&mut log, e);
+                }
+                std::fs::write(&path, &log).expect("write");
+                gets_agree(&s)?;
+                // Dropping the store flushes its buffer into the edited
+                // file; write the edited log again before reopening it.
+                drop(s);
+                std::fs::write(&path, &log).expect("write");
+                let mut s = FileStore::open_with(&path, cfg, true).expect("open");
+                put_buffered(&mut s);
+                gets_agree(&s)?;
             }
             std::fs::remove_file(&path).ok();
         }

@@ -132,14 +132,14 @@ if [ "$QUICK" != 1 ]; then
     # The fault suites, the sweep-timing differential, the graph-snapshot
     # decoder property, the sweep oracle, the dirty-page write-log referee,
     # the chunk ledger's exact-bytes oracle, the compression pre-check's
-    # guarantee, the log recovery property, the log scan's differential
-    # and the pickle properties also
+    # guarantee, the log recovery property, the log scan's differential,
+    # the run reader's differential and the pickle properties also
     # run inside the workspace pass with their built-in seeds; this extra
     # pass pins a second, independent seed so determinism regressions
     # (same seed, different faults) and seed-specific breakage both
     # surface, and the decoders and the oracles see a second set of inputs.
     FAULT_SEED="${FAULT_SEED:-20250807}"
-    stage "fault injection, recovery, the invariant matrix, sweep timing, mutated graph snapshots, the sweep oracle, the dirty-page write log, chunk ingest, the compression pre-check, mutated logs, the log scan and pickle properties (KISHU_TESTKIT_SEED=$FAULT_SEED)"
+    stage "fault injection, recovery, the invariant matrix, sweep timing, mutated graph snapshots, the sweep oracle, the dirty-page write log, chunk ingest, the compression pre-check, mutated logs, the log scan, the run reader and pickle properties (KISHU_TESTKIT_SEED=$FAULT_SEED)"
     if ! { KISHU_TESTKIT_SEED="$FAULT_SEED" cargo test -q --offline -p kishu-repro \
             --test crash_recovery --test invariant_matrix --test heap_gc \
         && KISHU_TESTKIT_SEED="$FAULT_SEED" \
@@ -158,6 +158,8 @@ if [ "$QUICK" != 1 ]; then
             cargo test -q --offline -p kishu-storage --lib mutated_logs_fail_closed \
         && KISHU_TESTKIT_SEED="$FAULT_SEED" \
             cargo test -q --offline -p kishu-storage --lib scan_matches_reference \
+        && KISHU_TESTKIT_SEED="$FAULT_SEED" \
+            cargo test -q --offline -p kishu-storage --lib get_matches_reference \
         && KISHU_TESTKIT_SEED="$FAULT_SEED" \
             cargo test -q --offline -p kishu-pickle --lib proptests; }; then
         echo "error: pinned-seed suite failed; replay with KISHU_TESTKIT_SEED=$FAULT_SEED" >&2

@@ -1,5 +1,6 @@
-//! What one checkpoint allocates on its way from the heap to the log, and
-//! what reading an attribute of a library object or one element of a
+//! What one checkpoint allocates on its way from the heap to the log, what
+//! one checkout allocates on its way back, and what reading an attribute
+//! of a library object or reading, writing or deleting one element of a
 //! container allocates.
 //!
 //! This binary installs a counting global allocator: it tracks the bytes
@@ -23,6 +24,12 @@
 //! cell holds the heap's payload and the pickle buffer, plus a buffer that
 //! flushes at 1 MiB, and peaks within three payloads. A buffer that held
 //! the whole payload before flushing would add two more.
+//!
+//! A checkout moves each payload once. A cold load reads the sealed blob,
+//! the verify job copies the payload out of it into a shared buffer that
+//! the read cache then keeps, and the library's rebuild copies that into
+//! the heap. A cache hit hands the decoder the cached buffer, so only the
+//! heap's copy is new.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -199,6 +206,84 @@ fn indexing_copies_no_container() {
         assert!(
             read < PAYLOAD / 8,
             "{src:?} peaked {read} bytes above the bytes live before"
+        );
+    }
+}
+
+/// Check out each of two versions of a 4 MiB library object cold, then
+/// each again from the read cache, at one and two restore workers. A hit
+/// allocates the heap's copy of the payload and nothing else of its size;
+/// a cold load adds the sealed blob and the cached payload, and the first
+/// one also grows the store's run buffer to 1 MiB. A copy out of the
+/// cache, a copy in the pickle reader or a copy into the cache would each
+/// add a payload more.
+#[test]
+fn a_checkout_holds_each_payload_once() {
+    let _serial = serial();
+    let mib = |bytes: usize| bytes as f64 / (1 << 20) as f64;
+    for restore_workers in [1, 2] {
+        let path = std::env::temp_dir().join(format!(
+            "kishu-read-path-{}-{restore_workers}.log",
+            std::process::id()
+        ));
+        let store = FileStore::create_with(&path, ChunkConfig::default(), true).expect("create");
+        let config = KishuConfig {
+            checkpoint_workers: 1,
+            restore_workers,
+            ..KishuConfig::default()
+        };
+        let mut s = KishuSession::new(Box::new(store), config);
+        let mut versions = Vec::new();
+        for src in [
+            format!("m = lib_obj('sk.LogisticRegression', {PAYLOAD}, 7)\n"),
+            "m.update(1)\n".to_string(),
+        ] {
+            let report = s.run_cell(&src).expect("parses");
+            assert!(report.outcome.error.is_none(), "{src}: {:?}", report.outcome.error);
+            versions.push(report.node.expect("the cell commits"));
+        }
+        for (round, cached) in [(0, false), (1, true)] {
+            for &version in &versions {
+                let mut report = None;
+                let peak = peak_during(|| report = Some(s.checkout(version).expect("checkout")));
+                let report = report.expect("ran");
+                assert_eq!(report.loaded.len(), 1, "round {round}: one co-variable loads");
+                assert_eq!(report.blobs_cached, usize::from(cached), "round {round}");
+                let bound = if cached { PAYLOAD * 3 / 2 } else { PAYLOAD * 11 / 4 };
+                assert!(
+                    peak <= bound,
+                    "a {} checkout of a {:.2} MiB payload at {restore_workers} restore \
+                     worker(s) peaked {:.2} MiB above the bytes live before it",
+                    if cached { "cached" } else { "cold" },
+                    mib(PAYLOAD),
+                    mib(peak)
+                );
+            }
+        }
+        drop(s);
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// Writing or deleting one element writes the container in place:
+/// `a[3] = 1.0` on a 4 MiB array, and `ls[5] = 7` and `del ls[5]` on a list
+/// of 200,000 elements, each allocate their parse and the value, but no
+/// copy of the container.
+#[test]
+fn subscript_writes_copy_no_container() {
+    let _serial = serial();
+    let mut i = Interp::new();
+    let setup = format!("a = zeros({})\nls = list(range(200000))\n", PAYLOAD / 8);
+    let out = i.run_cell(&setup).expect("parses");
+    assert!(out.error.is_none(), "{:?}", out.error);
+    for src in ["a[3] = 1.0\n", "ls[5] = 7\n", "del ls[5]\n"] {
+        let written = peak_during(|| {
+            let out = i.run_cell(src).expect("parses");
+            assert!(out.error.is_none(), "{src}: {:?}", out.error);
+        });
+        assert!(
+            written < PAYLOAD / 8,
+            "{src:?} peaked {written} bytes above the bytes live before"
         );
     }
 }
