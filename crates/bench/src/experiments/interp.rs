@@ -10,8 +10,8 @@
 //! computed different answers would be measuring nothing.
 //!
 //! The engines run in 9 back-to-back pairs, the order alternating per
-//! pair, and the gated number is the median of the per-pair ratios (the
-//! pairing `repro obs` uses):
+//! pair ([`crate::report::alternating_pairs`]), and the gated number is
+//! the median of the per-pair ratios:
 //!
 //! ```text
 //! speedup = median over pairs of (tree wall ns / VM wall ns)
@@ -28,7 +28,7 @@ use kishu_minipy::repr::repr;
 use kishu_minipy::{Engine, Interp};
 use kishu_testkit::json::Json;
 
-use crate::report::{floor_verdict, fmt_duration, Table};
+use crate::report::{alternating_pairs, floor_verdict, fmt_duration, PairedRatios, Table};
 
 /// One engine's run: wall time plus the result reprs (the cross-engine
 /// correctness check).
@@ -52,8 +52,8 @@ pub struct InterpRun {
     /// Median over pairs of tree wall time over VM wall time (≥ 1.0 means
     /// the VM wins).
     pub speedup: f64,
-    /// Every pair's ratio, ascending.
-    pub ratios: Vec<f64>,
+    /// Every pair's ratio.
+    pub ratios: PairedRatios,
 }
 
 /// The exec-bound cells. All loop trip counts scale linearly; at scale 1.0
@@ -110,12 +110,9 @@ fn workload_cells(scale: f64) -> Vec<String> {
 /// binds and keeps).
 const RESULTS: &[&str] = &["r1", "r2", "r3", "r4", "r5"];
 
-/// Timed pairs. The host this runs on is shared, and its speed drifts by
-/// tens of percent between runs a few seconds apart. Within a pair both
-/// engines see nearly the same host, and the median discards the pairs a
-/// noise burst hit on one side only. Six runs of one build on a 2-core
-/// x86-64 VM read 1.74–2.30× as the ratio of each engine's best of 3
-/// runs, the statistic this replaced, and 2.04–2.60× as this median.
+/// Timed pairs. Six runs of one build on a 2-core x86-64 VM read
+/// 1.74–2.30× as the ratio of each engine's best of 3 runs, the statistic
+/// this replaced, and 2.04–2.60× as this median.
 const PAIRS: usize = 9;
 
 fn time_once(engine: Engine, cells: &[String]) -> ArmRun {
@@ -140,46 +137,31 @@ fn time_once(engine: Engine, cells: &[String]) -> ArmRun {
     ArmRun { wall_ns, results }
 }
 
-fn min_arm(a: ArmRun, b: ArmRun) -> ArmRun {
-    if b.wall_ns < a.wall_ns {
-        b
-    } else {
-        a
-    }
-}
-
 /// Run both engines on the identical workload in 9 pairs and cross-check
 /// their results in every pair.
 pub fn run(scale: f64) -> InterpRun {
     let cells = workload_cells(scale);
-    let mut best: Option<(ArmRun, ArmRun)> = None;
-    let mut ratios = Vec::with_capacity(PAIRS);
-    for pair in 0..PAIRS {
-        // Alternate which engine goes first, so that whatever one run
-        // leaves warm for the next favours each engine equally often.
-        let (tree, vm) = if pair % 2 == 0 {
-            let vm = time_once(Engine::Vm, &cells);
-            (time_once(Engine::Tree, &cells), vm)
-        } else {
-            let tree = time_once(Engine::Tree, &cells);
-            (tree, time_once(Engine::Vm, &cells))
-        };
+    let pairs = alternating_pairs(
+        PAIRS,
+        || time_once(Engine::Tree, &cells),
+        || time_once(Engine::Vm, &cells),
+    );
+    for (tree, vm) in &pairs {
         assert_eq!(
             tree.results, vm.results,
             "engines disagreed on the bench workload — the numbers are void"
         );
-        ratios.push(tree.wall_ns as f64 / (vm.wall_ns as f64).max(1.0));
-        best = Some(match best {
-            None => (tree, vm),
-            Some((t, v)) => (min_arm(t, tree), min_arm(v, vm)),
-        });
     }
-    let (tree, vm) = best.expect("at least one pair ran");
-    ratios.sort_by(f64::total_cmp);
+    let ratios = PairedRatios::new(
+        pairs.iter().map(|(t, v)| t.wall_ns as f64 / (v.wall_ns as f64).max(1.0)).collect(),
+    );
+    let fastest = |arm: fn(&(ArmRun, ArmRun)) -> &ArmRun| {
+        pairs.iter().map(arm).min_by_key(|r| r.wall_ns).expect("at least one pair ran").clone()
+    };
     InterpRun {
-        tree,
-        vm,
-        speedup: ratios[PAIRS / 2],
+        tree: fastest(|p| &p.0),
+        vm: fastest(|p| &p.1),
+        speedup: ratios.median(),
         ratios,
     }
 }
@@ -189,34 +171,17 @@ impl InterpRun {
     /// [`MIN_SPEEDUP`], else `Err` with the miss.
     pub fn check_floor(&self) -> Result<String, String> {
         let line = format!(
-            "bytecode-VM speedup {:.2}x over the tree-walker, median of {} pairs \
-             ({:.2}-{:.2}x) (floor {MIN_SPEEDUP}x)",
+            "bytecode-VM speedup {:.2}x over the tree-walker, {} (floor {MIN_SPEEDUP}x)",
             self.speedup,
-            self.ratios.len(),
-            self.min_ratio(),
-            self.max_ratio()
+            self.ratios.summary()
         );
         floor_verdict(self.speedup >= MIN_SPEEDUP, line)
     }
-
-    /// The slowest pair's ratio.
-    pub fn min_ratio(&self) -> f64 {
-        self.ratios[0]
-    }
-
-    /// The fastest pair's ratio.
-    pub fn max_ratio(&self) -> f64 {
-        self.ratios[self.ratios.len() - 1]
-    }
 }
 
-/// Human-readable table for `repro interp`.
-pub fn table(scale: f64) -> Table {
-    table_from(&run(scale))
-}
-
-/// Table from an already-completed run (so `repro interp` renders the
-/// table *and* writes the JSON from one execution of the workload).
+/// Human-readable table for `repro interp`, from a completed run (so
+/// `repro interp` renders the table *and* writes the JSON from one
+/// execution of the workload).
 pub fn table_from(r: &InterpRun) -> Table {
     let mut t = Table::new(
         "Interp",
@@ -234,35 +199,26 @@ pub fn table_from(r: &InterpRun) -> Table {
         format!("{:.2}x", r.speedup),
     ]);
     t.note(format!(
-        "{} alternating pairs, per-engine minima shown; the speedup is the \
-         median per-pair ratio (pairs {:.2}-{:.2}x); identical results on \
-         both engines ({} variables checked); differential oracle in \
-         tests/vm_differential.rs",
-        r.ratios.len(),
-        r.min_ratio(),
-        r.max_ratio(),
+        "per-engine minima shown; speedup: {} of alternating runs; \
+         identical results on both engines ({} variables checked); \
+         differential oracle in tests/vm_differential.rs",
+        r.ratios.summary(),
         r.tree.results.len()
     ));
     t
 }
 
-/// Machine-readable form for `repro interp` (default `target/INTERP.json`).
-pub fn interp_json(scale: f64) -> Json {
-    json_from(&run(scale), scale)
-}
-
-/// JSON from an already-completed run.
+/// Machine-readable form of a completed run for `repro interp` (default
+/// `target/INTERP.json`).
 pub fn json_from(r: &InterpRun, scale: f64) -> Json {
-    Json::obj(vec![
+    let mut fields = vec![
         ("schema", Json::Str("kishu-interp-v1".into())),
         ("scale", Json::Float(scale)),
         ("interp_tree_ns", Json::Int(r.tree.wall_ns as i64)),
         ("interp_vm_ns", Json::Int(r.vm.wall_ns as i64)),
-        ("pairs", Json::Int(r.ratios.len() as i64)),
-        ("speedup", Json::Float(r.speedup)),
-        ("speedup_min", Json::Float(r.min_ratio())),
-        ("speedup_max", Json::Float(r.max_ratio())),
-    ])
+    ];
+    fields.extend(r.ratios.json_fields());
+    Json::obj(fields)
 }
 
 #[cfg(test)]
@@ -293,7 +249,7 @@ mod tests {
 
     #[test]
     fn json_reports_scale_and_speedup() {
-        let j = interp_json(0.02);
+        let j = json_from(&run(0.02), 0.02);
         assert_eq!(j.get("schema").and_then(|s| s.as_str()), Some("kishu-interp-v1"));
         assert!(j.get("scale").and_then(|s| s.as_f64()).is_some());
         assert_eq!(j.get("pairs").and_then(|s| s.as_i64()), Some(PAIRS as i64));

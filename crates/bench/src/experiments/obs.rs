@@ -235,12 +235,7 @@ impl ObsRun {
     }
 }
 
-/// Human-readable table for `repro obs`.
-pub fn table(scale: f64) -> Table {
-    table_from(&run(scale))
-}
-
-/// Table from an already-completed run.
+/// Human-readable table for `repro obs`, from a completed run.
 pub fn table_from(r: &ObsRun) -> Table {
     let ns = |v: u64| fmt_duration(std::time::Duration::from_nanos(v));
     let mut t = Table::new(

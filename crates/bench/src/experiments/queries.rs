@@ -16,10 +16,11 @@
 //! * the **index-vs-scan speedup**: `history` is backed by the
 //!   incrementally-maintained modified-in index, and this experiment times
 //!   the same query set against `history_bruteforce` (the ancestor-chain
-//!   scan the property tests use as the oracle). `repro queries` writes the
-//!   ratio to `target/QUERIES.json` and exits 1 when it misses
-//!   [`MIN_SPEEDUP`] — the index silently degenerating to a scan is a
-//!   regression even if both stay fast.
+//!   scan the property tests use as the oracle), in 9 alternating pairs
+//!   ([`crate::report::alternating_pairs`]). `repro queries` writes the
+//!   median per-pair ratio to `target/QUERIES.json` and exits 1 when it
+//!   misses [`MIN_SPEEDUP`] — the index silently degenerating to a scan
+//!   is a regression even if both stay fast.
 
 use std::time::Instant;
 
@@ -27,7 +28,7 @@ use kishu::graph::NodeId;
 use kishu::session::{KishuConfig, KishuSession};
 use kishu_testkit::json::Json;
 
-use crate::report::{floor_verdict, fmt_duration, Table};
+use crate::report::{alternating_pairs, floor_verdict, fmt_duration, PairedRatios, Table};
 
 /// The floor on [`QueriesRun::speedup`] (release builds): the
 /// modified-in index must answer the history set at least 1.5x faster than
@@ -43,7 +44,7 @@ pub struct QueriesRun {
     pub branches: usize,
     /// Simulated dashboard pollers.
     pub pollers: usize,
-    /// Diff queries issued (shallow: membership + content keys only).
+    /// Diff queries issued (shallow: graph metadata only).
     pub diffs: usize,
     /// History queries issued (index-backed).
     pub histories: usize,
@@ -55,13 +56,16 @@ pub struct QueriesRun {
     pub history_p99_ns: u64,
     /// Wall time of the whole poll sweep (all pollers, both query kinds).
     pub poll_total_ns: u64,
-    /// Best-of-reps wall time answering the history query set from the
+    /// Fastest wall time answering the history query set from the
     /// modified-in index.
     pub index_ns: u64,
     /// Same query set via the brute-force ancestor-chain scan.
     pub bruteforce_ns: u64,
-    /// `bruteforce_ns / index_ns` (≥ 1.0 means the index wins).
+    /// Median over pairs of scan wall time over index wall time (≥ 1.0
+    /// means the index wins).
     pub speedup: f64,
+    /// Every pair's ratio.
+    pub ratios: PairedRatios,
 }
 
 /// Distinct variable names the notebook churns through. Enough that any
@@ -105,9 +109,8 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[idx]
 }
 
-/// Timing repetitions for the index-vs-scan arms; the minimum is reported
-/// (same noisy-host rationale as the interp benchmark's best-of-k).
-const REPS: usize = 3;
+/// Timed index-vs-scan pairs.
+const PAIRS: usize = 9;
 /// Inner repeats per timed measurement, so each arm's wall time is tens of
 /// microseconds rather than timer-resolution noise.
 const INNER: usize = 8;
@@ -165,25 +168,28 @@ pub fn run(scale: f64) -> QueriesRun {
         }
     }
     let time_arm = |f: &dyn Fn(&str, NodeId) -> usize| -> u64 {
-        let mut best = u64::MAX;
-        for _ in 0..REPS {
-            let t = Instant::now();
-            let mut total = 0usize;
-            for _ in 0..INNER {
-                for at in ats {
-                    for name in &names {
-                        total += f(name, at);
-                    }
+        let t = Instant::now();
+        let mut total = 0usize;
+        for _ in 0..INNER {
+            for at in ats {
+                for name in &names {
+                    total += f(name, at);
                 }
             }
-            assert!(total > 0);
-            best = best.min(t.elapsed().as_nanos() as u64);
         }
-        best
+        assert!(total > 0);
+        t.elapsed().as_nanos() as u64
     };
-    let index_ns = time_arm(&|name, at| g.history(name, at).len());
-    let bruteforce_ns = time_arm(&|name, at| g.history_bruteforce(name, at).len());
-    let speedup = bruteforce_ns as f64 / (index_ns as f64).max(1.0);
+    let pairs = alternating_pairs(
+        PAIRS,
+        || time_arm(&|name, at| g.history(name, at).len()),
+        || time_arm(&|name, at| g.history_bruteforce(name, at).len()),
+    );
+    let ratios = PairedRatios::new(
+        pairs.iter().map(|&(index, scan)| scan as f64 / (index as f64).max(1.0)).collect(),
+    );
+    let index_ns = pairs.iter().map(|p| p.0).min().expect("at least one pair ran");
+    let bruteforce_ns = pairs.iter().map(|p| p.1).min().expect("at least one pair ran");
 
     diff_ns.sort_unstable();
     hist_ns.sort_unstable();
@@ -202,7 +208,8 @@ pub fn run(scale: f64) -> QueriesRun {
         poll_total_ns,
         index_ns,
         bruteforce_ns,
-        speedup,
+        speedup: ratios.median(),
+        ratios,
     }
 }
 
@@ -211,20 +218,17 @@ impl QueriesRun {
     /// [`MIN_SPEEDUP`], else `Err` with the miss.
     pub fn check_floor(&self) -> Result<String, String> {
         let line = format!(
-            "history-index speedup {:.2}x over the ancestor scan (floor {MIN_SPEEDUP}x)",
-            self.speedup
+            "history-index speedup {:.2}x over the ancestor scan, {} (floor {MIN_SPEEDUP}x)",
+            self.speedup,
+            self.ratios.summary()
         );
         floor_verdict(self.speedup >= MIN_SPEEDUP, line)
     }
 }
 
-/// Human-readable table for `repro queries`.
-pub fn table(scale: f64) -> Table {
-    table_from(&run(scale))
-}
-
-/// Table from an already-completed run (so `repro queries` renders the
-/// table *and* writes the JSON from one execution of the workload).
+/// Human-readable table for `repro queries`, from a completed run (so
+/// `repro queries` renders the table *and* writes the JSON from one
+/// execution of the workload).
 pub fn table_from(r: &QueriesRun) -> Table {
     let ns = |v: u64| fmt_duration(std::time::Duration::from_nanos(v));
     let mut t = Table::new(
@@ -249,25 +253,22 @@ pub fn table_from(r: &QueriesRun) -> Table {
     t.note(format!(
         "{} commits, {} branches, {} pollers, sweep {} total; the \
          modified-in index answers the history set {:.2}x faster than the \
-         brute-force ancestor scan (identical answers cross-checked first)",
+         brute-force ancestor scan, {} (identical answers cross-checked \
+         first)",
         r.commits,
         r.branches,
         r.pollers,
         ns(r.poll_total_ns),
-        r.speedup
+        r.speedup,
+        r.ratios.summary()
     ));
     t
 }
 
-/// Machine-readable form for `repro queries` (default
+/// Machine-readable form of a completed run for `repro queries` (default
 /// `target/QUERIES.json`).
-pub fn queries_json(scale: f64) -> Json {
-    json_from(&run(scale), scale)
-}
-
-/// JSON from an already-completed run.
 pub fn json_from(r: &QueriesRun, scale: f64) -> Json {
-    Json::obj(vec![
+    let mut fields = vec![
         ("schema", Json::Str("kishu-queries-v1".into())),
         ("scale", Json::Float(scale)),
         ("commits", Json::Int(r.commits as i64)),
@@ -280,8 +281,9 @@ pub fn json_from(r: &QueriesRun, scale: f64) -> Json {
         ("query_poll_total_ns", Json::Int(r.poll_total_ns as i64)),
         ("index_ns", Json::Int(r.index_ns as i64)),
         ("bruteforce_ns", Json::Int(r.bruteforce_ns as i64)),
-        ("speedup", Json::Float(r.speedup)),
-    ])
+    ];
+    fields.extend(r.ratios.json_fields());
+    Json::obj(fields)
 }
 
 #[cfg(test)]
@@ -315,7 +317,7 @@ mod tests {
 
     #[test]
     fn json_reports_scale_latencies_and_speedup() {
-        let j = queries_json(0.05);
+        let j = json_from(&run(0.05), 0.05);
         assert_eq!(j.get("schema").and_then(|s| s.as_str()), Some("kishu-queries-v1"));
         for key in [
             "query_diff_p50_ns",
@@ -330,5 +332,9 @@ mod tests {
                 "{key} missing from QUERIES json"
             );
         }
+        assert_eq!(j.get("pairs").and_then(Json::as_i64), Some(PAIRS as i64));
+        let [lo, mid, hi] = ["speedup_min", "speedup", "speedup_max"]
+            .map(|k| j.get(k).and_then(Json::as_f64).expect(k));
+        assert!(lo <= mid && mid <= hi, "{lo} <= {mid} <= {hi}");
     }
 }

@@ -97,6 +97,66 @@ pub fn floor_verdict(holds: bool, line: String) -> Result<String, String> {
     }
 }
 
+/// Run two timed arms in `pairs` back-to-back pairs and return each
+/// pair's results as `(a, b)`, alternating which arm goes first (even
+/// pairs run `b` first). The host is shared and its speed drifts by tens
+/// of percent within seconds; both arms of a pair see nearly the same
+/// host, and the median per-pair ratio ([`PairedRatios`]) discards the
+/// pairs a noise burst hit on one side only.
+pub fn alternating_pairs<A, B>(
+    pairs: usize,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> Vec<(A, B)> {
+    (0..pairs)
+        .map(|pair| {
+            if pair % 2 == 0 {
+                let b = b();
+                (a(), b)
+            } else {
+                let a = a();
+                (a, b())
+            }
+        })
+        .collect()
+}
+
+/// The per-pair ratios of an [`alternating_pairs`] run, ascending. The
+/// median is the gated statistic; the lowest and highest pair show the
+/// spread.
+#[derive(Debug, Clone)]
+pub struct PairedRatios(Vec<f64>);
+
+impl PairedRatios {
+    /// Sort the per-pair ratios (at least one).
+    pub fn new(mut ratios: Vec<f64>) -> Self {
+        ratios.sort_by(f64::total_cmp);
+        PairedRatios(ratios)
+    }
+
+    /// The median ratio.
+    pub fn median(&self) -> f64 {
+        self.0[self.0.len() / 2]
+    }
+
+    /// `median of N pairs (lo-hix)`.
+    pub fn summary(&self) -> String {
+        let (lo, hi) = (self.0[0], self.0[self.0.len() - 1]);
+        format!("median of {} pairs ({lo:.2}-{hi:.2}x)", self.0.len())
+    }
+
+    /// The `pairs`, `speedup` (the median), `speedup_min` and
+    /// `speedup_max` fields of a report's JSON.
+    pub fn json_fields(&self) -> [(&'static str, Json); 4] {
+        [
+            ("pairs", Json::Int(self.0.len() as i64)),
+            ("speedup", Json::Float(self.median())),
+            ("speedup_min", Json::Float(self.0[0])),
+            ("speedup_max", Json::Float(self.0[self.0.len() - 1])),
+        ]
+    }
+}
+
 /// Format a byte count human-readably.
 pub fn fmt_bytes(b: u64) -> String {
     const KB: f64 = 1024.0;
@@ -159,6 +219,18 @@ mod tests {
         // Round-trips through the parser.
         let back = Json::parse(&json.dump()).expect("parses");
         assert_eq!(back.dump(), json.dump());
+    }
+
+    #[test]
+    fn pairs_alternate_which_arm_goes_first() {
+        let order = std::cell::RefCell::new(Vec::new());
+        let pairs = alternating_pairs(
+            4,
+            || order.borrow_mut().push('a'),
+            || order.borrow_mut().push('b'),
+        );
+        assert_eq!(pairs.len(), 4);
+        assert_eq!(order.into_inner(), ['b', 'a', 'a', 'b', 'b', 'a', 'a', 'b']);
     }
 
     #[test]

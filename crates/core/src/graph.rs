@@ -80,10 +80,11 @@ pub struct CheckpointGraph {
     /// O(depth + commits touching the variable) instead of re-scanning
     /// every node's delta.
     modified_in: HashMap<String, Vec<NodeId>>,
-    /// Monotone mutation counter, bumped by [`Self::commit`] and every
-    /// ref mutation. Derived data (never serialized): it exists so pure
-    /// functions of the graph — diff reports, search results — can be
-    /// cached under a `(inputs, epoch)` key and invalidated for free.
+    /// Monotone mutation counter, bumped by [`Self::commit`], every ref
+    /// mutation and [`Self::set_stored`]. Derived data (never
+    /// serialized): it exists so pure functions of the graph — diff
+    /// reports, search results — can be cached under a `(inputs, epoch)`
+    /// key and invalidated for free.
     epoch: u64,
     /// Nodes [`Self::ancestors`] has yielded plus parent steps
     /// [`Self::lca`] has taken. Derived data (never serialized), read only
@@ -145,9 +146,9 @@ impl CheckpointGraph {
         self.head
     }
 
-    /// The mutation epoch: bumped by every commit and ref mutation.
-    /// Cache pure graph queries keyed by `(inputs, epoch)` — equal epochs
-    /// guarantee equal answers.
+    /// The mutation epoch: bumped by every commit, ref mutation and
+    /// storage backfill ([`Self::set_stored`]). Cache pure graph queries
+    /// keyed by `(inputs, epoch)` — equal epochs guarantee equal answers.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -529,7 +530,7 @@ impl CheckpointGraph {
 
     /// Backfill a co-variable's storage location after a deferred
     /// (think-time) serialization completed (§2.2's think-time
-    /// exploitation).
+    /// exploitation). Bumps the epoch: a diff reports blob ids and sizes.
     pub fn set_stored(&mut self, version: NodeId, key: &CoVarKey, blob: u64, bytes: u64) {
         if let Some(sc) = self.nodes[version.0 as usize]
             .delta
@@ -538,6 +539,7 @@ impl CheckpointGraph {
         {
             sc.blob = Some(blob);
             sc.bytes = bytes;
+            self.epoch += 1;
         }
     }
 

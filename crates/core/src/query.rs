@@ -2,12 +2,14 @@
 //! checkpoints and per-variable modification history.
 //!
 //! Everything here is computed from Checkpoint Graph *metadata* — state
-//! membership (Definition 5), version node ids, and recorded payload
-//! sizes — so the common case touches no blob bytes at all. Content-level
-//! refinement ("did the bytes actually change?") is layered on top by
-//! [`crate::session::KishuSession`]: shallow refinement compares content
-//! keys the session already knows, and the opt-in deep mode reads payloads
-//! through the existing checkout read cache.
+//! membership (Definition 5), version node ids, and the blob id and
+//! payload size recorded for each stored version — so a query touches no
+//! blob bytes and its answer is a function of the graph alone. A diff
+//! answers "did the bytes change?" where the metadata decides it: two
+//! versions stored as one blob hold the same bytes, because the write
+//! path's dedup gives repeated sealed bytes the blob that already holds
+//! them. The opt-in deep mode of [`crate::session::KishuSession`] resolves
+//! the rest by reading payloads through the checkout read cache.
 
 use std::collections::BTreeSet;
 
@@ -55,12 +57,13 @@ pub struct DiffEntry {
     pub from_bytes: Option<u64>,
     /// Stored payload size of the target version, when bytes were stored.
     pub to_bytes: Option<u64>,
-    /// Content-level verdict for `Changed` entries: `Some(true)` when both
-    /// versions are known to hold byte-identical payloads (versions
-    /// diverged but the value round-tripped), `Some(false)` when the bytes
-    /// are known to differ, `None` when unknown without reading blobs.
-    /// `Identical` entries are always `Some(true)`; pure membership changes
-    /// are `None`. Filled in by the session's shallow/deep refinement.
+    /// Content-level verdict. [`diff_report`] sets `Some(true)` for every
+    /// `Identical` entry and for a `Changed` entry whose two versions are
+    /// stored as one blob (versions diverged but the value round-tripped);
+    /// every other entry is `None`. Only the session's deep diff reads
+    /// blobs, and it settles the remaining `Changed` entries to
+    /// `Some(true)` or `Some(false)` by comparing bytes; pure membership
+    /// changes stay `None`.
     pub same_bytes: Option<bool>,
 }
 
@@ -98,7 +101,7 @@ impl DiffReport {
 /// [`CheckpointGraph::diff`]: `Added`/`Changed` entries are exactly the
 /// checkout plan's loads, `Removed` its removals, `Identical` its
 /// untouched set — the property test in `tests/graph_queries.rs` pins
-/// this correspondence.
+/// this correspondence, and the [`DiffEntry::same_bytes`] rule.
 pub fn diff_report(graph: &CheckpointGraph, base: NodeId, target: NodeId) -> DiffReport {
     let from_state = graph.state_at(base);
     let to_state = graph.state_at(target);
@@ -115,19 +118,19 @@ pub fn diff_report(graph: &CheckpointGraph, base: NodeId, target: NodeId) -> Dif
                 (Some(_), Some(_)) => VarChange::Changed,
                 (None, None) => unreachable!("key came from one of the states"),
             };
-            let bytes_of = |v: Option<NodeId>| {
-                v.and_then(|v| graph.stored(key, v)).and_then(|sc| {
-                    sc.blob.is_some().then_some(sc.bytes)
-                })
+            let stored = |v: Option<NodeId>| {
+                v.and_then(|v| graph.stored(key, v)).filter(|sc| sc.blob.is_some())
             };
+            let (from_sc, to_sc) = (stored(from), stored(to));
+            let one_blob = matches!((from_sc, to_sc), (Some(a), Some(b)) if a.blob == b.blob);
             DiffEntry {
                 key: key.clone(),
                 change,
                 from,
                 to,
-                from_bytes: bytes_of(from),
-                to_bytes: bytes_of(to),
-                same_bytes: (change == VarChange::Identical).then_some(true),
+                from_bytes: from_sc.map(|sc| sc.bytes),
+                to_bytes: to_sc.map(|sc| sc.bytes),
+                same_bytes: (change == VarChange::Identical || one_blob).then_some(true),
             }
         })
         .collect();

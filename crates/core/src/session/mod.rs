@@ -21,10 +21,7 @@ use kishu_kernel::{Heap, ObjId};
 use kishu_libsim::{LibReducer, Registry};
 use kishu_minipy::{CellOutcome, Interp};
 use kishu_pickle::{dumps_into, PickleError, Reducer};
-use kishu_storage::{
-    crc32::crc32, BlobCache, BlobId, BlobIndex, CheckpointStore, ContentKey, MemoryStore,
-    StoreStats,
-};
+use kishu_storage::{crc32::crc32, BlobCache, BlobIndex, CheckpointStore, MemoryStore, StoreStats};
 use kishu_trace::Trace;
 
 use crate::covariable::CoVarKey;
@@ -420,24 +417,19 @@ pub struct KishuSession {
     /// (advisory; empty after `resume`). See [`KishuConfig::dedup_blobs`].
     blob_index: BlobIndex,
     /// Read-side cache of CRC-verified checkout payloads, keyed by the
-    /// content key of the *sealed* bytes (the same keys `blob_index` uses,
-    /// so payloads deduplicated on the way in are shared on the way out).
+    /// blob they were read from (`blob_index` already gives identical
+    /// sealed bytes one blob, so payloads deduplicated on the way in are
+    /// shared on the way out).
     read_cache: BlobCache,
-    /// Blob id → content key of its sealed bytes, learned from successful
-    /// checkout reads and deep diffs, so a later read of the same blob can
-    /// recognize a cache hit before touching the store.
-    blob_keys: HashMap<BlobId, ContentKey>,
     /// Observability handle (a span ring). Disabled by default unless
     /// `KISHU_TRACE` is set; never consulted for any decision, so enabling
     /// it cannot change behavior. Span guards still time phases while
     /// disabled — that is where the report's wall-clock fields come from.
     trace: Trace,
     /// Memoized [`Self::diff`] reports keyed `(base, target, graph epoch)`.
-    /// The epoch key makes commit/ref invalidation free, and only the
-    /// current epoch's reports are kept; the cache is also cleared whenever
-    /// the session *learns* a blob's content key (checkout reads, deep
-    /// diffs) because shallow refinement consults those keys — a cached
-    /// report must be byte-identical to a fresh recompute.
+    /// A diff is a function of the graph alone, and every commit and
+    /// storage backfill bumps the epoch, so the key is the memo's only
+    /// invalidation; only the current epoch's reports are kept.
     diff_cache: RefCell<HashMap<(u32, u32, u64), crate::query::DiffReport>>,
     /// Diff-cache lookups answered from memory ([`Self::health`] reads it).
     diff_cache_hits: Cell<u64>,
@@ -478,7 +470,6 @@ impl KishuSession {
             gc_mark: GcMark::default(),
             blob_index: BlobIndex::new(),
             read_cache,
-            blob_keys: HashMap::new(),
             trace,
             diff_cache: RefCell::new(HashMap::new()),
             diff_cache_hits: Cell::new(0),
@@ -1603,12 +1594,39 @@ mod tests {
         let h = s.health();
         assert_eq!((h.diff_cache_hits, h.diff_cache_misses), (2, 3));
         assert_eq!(h.diff_cache_entries, 1, "past epochs' reports dropped");
-        // A checkout teaches the session blob content keys (shallow
-        // refinement input), so memoized reports are dropped even though
-        // the epoch is unchanged.
+        // A checkout moves neither the epoch nor any diff's answer.
         s.checkout(t1).expect("checkout");
         s.diff(t1, t2).expect("diff after checkout");
-        assert_eq!(s.health().diff_cache_misses, 4, "blob_keys invalidated");
+        let h = s.health();
+        assert_eq!(
+            (h.diff_cache_hits, h.diff_cache_misses),
+            (3, 3),
+            "a checkout leaves the memo valid"
+        );
+    }
+
+    #[test]
+    fn a_think_time_flush_moves_the_diff_memo() {
+        let config = KishuConfig { defer_serialization: true, ..KishuConfig::default() };
+        let mut s = KishuSession::in_memory(config);
+        run(&mut s, "x = 5\n");
+        let t1 = s.head();
+        run(&mut s, "x = 6\n");
+        run(&mut s, "x = 5\n");
+        let t3 = s.head();
+        let x = |s: &KishuSession| {
+            let report = s.diff(t1, t3).expect("diff");
+            let e = report.entries.into_iter().next().expect("x entry");
+            assert_eq!(e.change, crate::query::VarChange::Changed);
+            (e.to_bytes, e.same_bytes)
+        };
+        assert_eq!(x(&s), (None, None), "t3's x is not stored yet");
+        assert!(s.flush_pending() > 0);
+        // The flush stores t3's x as the blob t1's x already is.
+        let (to_bytes, same_bytes) = x(&s);
+        assert!(to_bytes.is_some(), "the memo saw the backfill");
+        assert_eq!(same_bytes, Some(true), "one blob, so the same bytes");
+        assert_eq!(s.health().diff_cache_misses, 2);
     }
 
     #[test]

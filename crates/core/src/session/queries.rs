@@ -15,13 +15,12 @@ use crate::graph::NodeId;
 
 impl KishuSession {
     /// State difference between checkpoints `base` and `target`, computed
-    /// from graph metadata plus *shallow* content refinement: a `Changed`
-    /// entry whose two blob payloads the session already knows the content
-    /// keys of gets a definitive `same_bytes` verdict without touching the
-    /// store. Only reads teach the session a blob's key — checkout reads
-    /// and [`Self::diff_deep`] — never writes. Entries whose keys are
-    /// unknown stay `same_bytes: None` — use [`Self::diff_deep`] to
-    /// resolve them by reading the blobs.
+    /// from graph metadata alone ([`crate::query::diff_report`]): a
+    /// `Changed` entry whose two versions are stored as one blob reads
+    /// `same_bytes: Some(true)`, and every other `Changed` entry stays
+    /// `None` for [`Self::diff_deep`] to resolve by reading the blobs.
+    /// Nothing the session has read enters the answer, so it is the same
+    /// before and after a checkout or a resume.
     pub fn diff(&self, base: NodeId, target: NodeId) -> Result<crate::query::DiffReport, KishuError> {
         let mut sp = self.trace.span("query.diff");
         sp.arg("base", base.0);
@@ -31,10 +30,9 @@ impl KishuSession {
                 return Err(KishuError::UnknownNode(id));
             }
         }
-        // Memo consult: the epoch key invalidates on every commit and ref
-        // mutation for free, and the cache is cleared whenever blob_keys
-        // learns (the other input to shallow refinement) — so a hit is
-        // byte-identical to a fresh recompute.
+        // Memo consult: a diff is a function of the graph, and the epoch
+        // key moves with every commit and storage backfill, so a hit is
+        // identical to a fresh recompute.
         let cache_key = (base.0, target.0, self.graph.epoch());
         if let Some(cached) = self.diff_cache.borrow().get(&cache_key) {
             self.diff_cache_hits.set(self.diff_cache_hits.get() + 1);
@@ -43,24 +41,8 @@ impl KishuSession {
             return Ok(cached.clone());
         }
         self.diff_cache_misses.set(self.diff_cache_misses.get() + 1);
-        let mut report = crate::query::diff_report(&self.graph, base, target);
-        let mut refined = 0usize;
-        for entry in &mut report.entries {
-            if entry.change != crate::query::VarChange::Changed || entry.same_bytes.is_some() {
-                continue;
-            }
-            let key_of = |v: Option<NodeId>| {
-                v.and_then(|v| self.graph.stored(&entry.key, v))
-                    .and_then(|sc| sc.blob)
-                    .and_then(|b| self.blob_keys.get(&b).copied())
-            };
-            if let (Some(ka), Some(kb)) = (key_of(entry.from), key_of(entry.to)) {
-                entry.same_bytes = Some(ka == kb);
-                refined += 1;
-            }
-        }
+        let report = crate::query::diff_report(&self.graph, base, target);
         sp.arg("entries", report.entries.len());
-        sp.arg("refined", refined);
         // Keep only the current epoch's reports: the epoch never goes
         // back, so an older entry could never be hit again.
         let mut cache = self.diff_cache.borrow_mut();

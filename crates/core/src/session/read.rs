@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use kishu_kernel::{simcost, ObjId};
 use kishu_pickle::loads_precharged;
-use kishu_storage::{content_key, BlobId, ContentKey};
+use kishu_storage::BlobId;
 use kishu_trace::Trace;
 
 use super::{retry_io, unseal_blob, CheckoutReport, KishuSession};
@@ -205,8 +205,7 @@ impl KishuSession {
     pub(super) fn fetch_blob(&mut self, blob: BlobId) -> Fetched {
         let mut sp = self.trace.span("store.get");
         sp.arg("blob", blob);
-        let key = self.blob_keys.get(&blob).copied();
-        if let Some(payload) = key.and_then(|k| self.read_cache.get(k)) {
+        if let Some(payload) = self.read_cache.get(blob) {
             sp.arg("cached", true);
             return Fetched::Cached(payload);
         }
@@ -223,16 +222,13 @@ impl KishuSession {
         }
     }
 
-    /// Admit a verified payload into the read cache, moving its handle
-    /// in, and learn its blob's content key; a no-op for cache hits
+    /// Admit a verified payload into the read cache under the blob it was
+    /// read from, moving its handle in; a no-op for cache hits
     /// (`cache_key: None`).
-    pub(super) fn admit(&mut self, payload: Arc<[u8]>, cache_key: Option<(ContentKey, BlobId)>) {
-        let Some((key, blob)) = cache_key else { return };
-        self.read_cache.insert(key, payload);
-        self.blob_keys.insert(blob, key);
-        // Shallow diff refinement reads blob_keys; memoized reports
-        // predating this key are stale even at an unchanged graph epoch.
-        self.diff_cache.borrow_mut().clear();
+    pub(super) fn admit(&mut self, payload: Arc<[u8]>, cache_key: Option<BlobId>) {
+        if let Some(blob) = cache_key {
+            self.read_cache.insert(blob, payload);
+        }
     }
 
     /// Materialize one versioned co-variable: load its checkpoint if
@@ -421,12 +417,11 @@ pub(super) enum Fetched {
 }
 
 impl Fetched {
-    /// The verify job: CRC, content key, the payload's one copy out of the
-    /// sealed read buffer and — with `charge`, for payloads about to be
-    /// deserialized — the simulated decode charge, under a
-    /// `checkout.decode` span. Cache hits (another handle to the cached
-    /// payload) and failures carry no work; sealed bytes stay for the
-    /// caller to free.
+    /// The verify job: CRC, the payload's one copy out of the sealed read
+    /// buffer and — with `charge`, for payloads about to be deserialized —
+    /// the simulated decode charge, under a `checkout.decode` span. Cache
+    /// hits (another handle to the cached payload) and failures carry no
+    /// work; sealed bytes stay for the caller to free.
     pub(super) fn verify(&self, trace: &Trace, charge: bool) -> Verified {
         let (blob, sealed) = match self {
             Fetched::Cached(payload) => {
@@ -438,12 +433,11 @@ impl Fetched {
         let mut sp = trace.span("checkout.decode");
         sp.arg("blob", blob);
         sp.arg("bytes", sealed.len());
-        let key = content_key(sealed);
         let Some(payload) = unseal_blob(sealed) else { return Verified::Failed };
         if charge {
             simcost::charge_bytes(payload.len() as u64, simcost::PICKLE_BPS);
         }
-        Verified::Ready { payload: Arc::from(payload), cache_key: Some((key, blob)) }
+        Verified::Ready { payload: Arc::from(payload), cache_key: Some(blob) }
     }
 }
 
@@ -453,9 +447,9 @@ pub(super) enum Verified {
     /// handle [`KishuSession::admit`] moves into the read cache.
     Ready {
         payload: Arc<[u8]>,
-        /// Content key + blob id to [`KishuSession::admit`] once the
-        /// payload is accepted; `None` for cache hits (already resident).
-        cache_key: Option<(ContentKey, BlobId)>,
+        /// The blob to [`KishuSession::admit`] the payload under once it
+        /// is accepted; `None` for cache hits (already resident).
+        cache_key: Option<BlobId>,
     },
     /// Unreadable after retries, or failed the end-to-end CRC.
     Failed,

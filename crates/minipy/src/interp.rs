@@ -1359,9 +1359,9 @@ impl Interp {
     /// Apply a binary arithmetic operator, producing a new object.
     pub fn binop(&mut self, op: BinOp, l: ObjId, r: ObjId) -> Result<ObjId, RunError> {
         use ObjKind::*;
-        let lk = self.heap.kind(l).clone();
-        let rk = self.heap.kind(r).clone();
-        let kind = match (op, &lk, &rk) {
+        let lk = self.heap.kind(l);
+        let rk = self.heap.kind(r);
+        let kind = match (op, lk, rk) {
             // int ∘ int stays int except for true division
             (BinOp::Add, Int(a), Int(b)) => Int(a.wrapping_add(*b)),
             (BinOp::Sub, Int(a), Int(b)) => Int(a.wrapping_sub(*b)),
@@ -1436,9 +1436,9 @@ impl Interp {
                 BinOp::Pow => a.powf(b),
             }
         };
-        let lk = self.heap.kind(l).clone();
-        let rk = self.heap.kind(r).clone();
-        let kind = match (&lk, &rk) {
+        let lk = self.heap.kind(l);
+        let rk = self.heap.kind(r);
+        let kind = match (lk, rk) {
             (ObjKind::NdArray(a), ObjKind::NdArray(b)) => {
                 if a.len() != b.len() {
                     return Err(RunError::new(

@@ -1,13 +1,15 @@
-//! Bounded content-addressed read cache for checkout blobs.
+//! Bounded read cache for checkout blobs, keyed by blob id.
 //!
 //! Time-traveling is read-heavy in exactly the way the write path is
 //! write-light: an undo/redo loop re-reads the same few diverged
 //! co-variable blobs over and over, and a branch compare bounces between
 //! two small sets of versions. [`BlobCache`] keeps recently verified
-//! checkout payloads in memory, keyed by the same `(xxh64, length)`
-//! [`ContentKey`] the write pipeline's [`crate::BlobIndex`] uses — so a
-//! payload that deduplicated on the way in is also shared on the way out,
-//! regardless of how many blob ids point at it.
+//! checkout payloads in memory, keyed by the [`BlobId`] they were read
+//! from. The write pipeline's session dedup ([`crate::BlobIndex`]) gives
+//! repeated identical sealed bytes the blob that already holds them, so
+//! within a session one id names one content. Where two ids hold equal
+//! bytes (dedup off, or bytes written again after a `resume`, whose index
+//! starts empty), the payload takes one entry per id.
 //!
 //! Semantics that keep the layers above simple:
 //!
@@ -29,7 +31,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use crate::dedup::ContentKey;
+use crate::BlobId;
 
 /// Counters for cache observability (`CheckoutReport::blobs_cached` and the
 /// restore bench sweep read these).
@@ -58,10 +60,10 @@ pub struct CacheStats {
 pub struct BlobCache {
     capacity: u64,
     /// Resident payloads with the recency tick they were last touched at.
-    entries: HashMap<ContentKey, (u64, Arc<[u8]>)>,
-    /// Recency order: tick -> key. Ticks are unique (monotone counter), so
+    entries: HashMap<BlobId, (u64, Arc<[u8]>)>,
+    /// Recency order: tick -> blob. Ticks are unique (monotone counter), so
     /// the first entry is always the least recently used.
-    recency: BTreeMap<u64, ContentKey>,
+    recency: BTreeMap<u64, BlobId>,
     tick: u64,
     bytes: u64,
     hits: u64,
@@ -84,21 +86,21 @@ impl BlobCache {
         self.capacity
     }
 
-    /// Look `key` up, refreshing its recency on a hit. A hit returns a
+    /// Look `blob` up, refreshing its recency on a hit. A hit returns a
     /// handle to the resident payload, not a copy of it.
-    pub fn get(&mut self, key: ContentKey) -> Option<Arc<[u8]>> {
+    pub fn get(&mut self, blob: BlobId) -> Option<Arc<[u8]>> {
         if self.capacity == 0 {
             // A disabled cache can't miss — don't let the "off" knob
             // masquerade as a 100% miss rate.
             self.disabled += 1;
             return None;
         }
-        match self.entries.get_mut(&key) {
+        match self.entries.get_mut(&blob) {
             Some((tick, payload)) => {
                 self.recency.remove(tick);
                 self.tick += 1;
                 *tick = self.tick;
-                self.recency.insert(self.tick, key);
+                self.recency.insert(self.tick, blob);
                 self.hits += 1;
                 Some(Arc::clone(payload))
             }
@@ -109,19 +111,19 @@ impl BlobCache {
         }
     }
 
-    /// Admit a verified payload, moving the handle in. Re-inserting a
-    /// resident key only refreshes its recency; a payload larger than the
-    /// whole capacity is rejected; otherwise least-recently-used entries
-    /// are evicted until it fits.
-    pub fn insert(&mut self, key: ContentKey, payload: Arc<[u8]>) {
+    /// Admit the verified payload of `blob`, moving the handle in.
+    /// Re-inserting a resident blob only refreshes its recency; a payload
+    /// larger than the whole capacity is rejected; otherwise
+    /// least-recently-used entries are evicted until it fits.
+    pub fn insert(&mut self, blob: BlobId, payload: Arc<[u8]>) {
         if self.capacity == 0 || payload.len() as u64 > self.capacity {
             return;
         }
-        if let Some((tick, _)) = self.entries.get_mut(&key) {
+        if let Some((tick, _)) = self.entries.get_mut(&blob) {
             self.recency.remove(tick);
             self.tick += 1;
             *tick = self.tick;
-            self.recency.insert(self.tick, key);
+            self.recency.insert(self.tick, blob);
             return;
         }
         while self.bytes + payload.len() as u64 > self.capacity {
@@ -137,8 +139,8 @@ impl BlobCache {
         }
         self.tick += 1;
         self.bytes += payload.len() as u64;
-        self.entries.insert(key, (self.tick, payload));
-        self.recency.insert(self.tick, key);
+        self.entries.insert(blob, (self.tick, payload));
+        self.recency.insert(self.tick, blob);
     }
 
     /// Current counters.
@@ -157,7 +159,6 @@ impl BlobCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dedup::content_key;
 
     /// A shared handle to a copy of `bytes`.
     fn shared(bytes: &[u8]) -> Arc<[u8]> {
@@ -167,7 +168,7 @@ mod tests {
     #[test]
     fn hit_returns_the_inserted_payload() {
         let mut c = BlobCache::new(1024);
-        let k = content_key(b"payload");
+        let k: BlobId = 7;
         assert_eq!(c.get(k), None);
         c.insert(k, shared(b"payload"));
         assert_eq!(c.get(k).as_deref(), Some(&b"payload"[..]));
@@ -179,7 +180,7 @@ mod tests {
     fn zero_capacity_disables_everything() {
         let mut c = BlobCache::new(0);
         assert_eq!(c.capacity(), 0);
-        let k = content_key(b"x");
+        let k: BlobId = 0;
         c.insert(k, shared(b"x"));
         assert_eq!(c.get(k), None);
         assert_eq!(c.get(k), None);
@@ -193,13 +194,12 @@ mod tests {
     #[test]
     fn lru_evicts_the_coldest_entry_by_bytes() {
         let mut c = BlobCache::new(10);
-        let a = content_key(b"aaaa");
-        let b = content_key(b"bbbb");
+        let (a, b): (BlobId, BlobId) = (0, 1);
         c.insert(a, shared(b"aaaa"));
         c.insert(b, shared(b"bbbb"));
         // Touch `a` so `b` is now the LRU entry.
         assert!(c.get(a).is_some());
-        c.insert(content_key(b"cccc"), shared(b"cccc"));
+        c.insert(2, shared(b"cccc"));
         assert!(c.get(a).is_some(), "recently used survives");
         assert_eq!(c.get(b), None, "LRU entry evicted");
         let s = c.stats();
@@ -210,7 +210,7 @@ mod tests {
     #[test]
     fn oversized_payload_is_never_admitted() {
         let mut c = BlobCache::new(4);
-        let k = content_key(b"too large");
+        let k: BlobId = 0;
         c.insert(k, shared(b"too large"));
         assert_eq!(c.get(k), None);
         assert_eq!(c.stats().entries, 0);
@@ -221,13 +221,12 @@ mod tests {
     #[test]
     fn reinsert_refreshes_recency_without_duplicating() {
         let mut c = BlobCache::new(8);
-        let a = content_key(b"aaaa");
-        let b = content_key(b"bbbb");
+        let (a, b): (BlobId, BlobId) = (0, 1);
         c.insert(a, shared(b"aaaa"));
         c.insert(b, shared(b"bbbb"));
         c.insert(a, shared(b"aaaa")); // refresh, not duplicate
         assert_eq!(c.stats().bytes, 8);
-        c.insert(content_key(b"cccc"), shared(b"cccc"));
+        c.insert(2, shared(b"cccc"));
         assert!(c.get(a).is_some(), "refreshed entry survived");
         assert_eq!(c.get(b), None, "stale entry evicted instead");
     }
@@ -239,7 +238,7 @@ mod tests {
             let keys: Vec<_> = (0u8..16)
                 .map(|i| {
                     let payload = vec![i; 8];
-                    let k = content_key(&payload);
+                    let k = BlobId::from(i);
                     c.insert(k, shared(&payload));
                     k
                 })
@@ -253,13 +252,13 @@ mod tests {
     #[test]
     fn a_hit_shares_the_inserted_allocation() {
         let mut c = BlobCache::new(8);
-        let (a, b) = (content_key(b"aaaa"), content_key(b"bbbb"));
+        let (a, b): (BlobId, BlobId) = (0, 1);
         let payload = shared(b"aaaa");
         c.insert(a, Arc::clone(&payload));
         let hit = c.get(a).expect("resident");
         assert!(Arc::ptr_eq(&hit, &payload), "a hit hands out the inserted bytes, not a copy");
         c.insert(b, shared(b"bbbb"));
-        c.insert(content_key(b"cccc"), shared(b"cccc"));
+        c.insert(2, shared(b"cccc"));
         assert_eq!(c.get(a), None, "evicted");
         assert_eq!(c.stats().evictions, 1);
         assert_eq!(&hit[..], b"aaaa", "a handle outlives its entry");

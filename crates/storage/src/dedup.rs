@@ -18,6 +18,12 @@
 //! same-hash-different-length pair for free. The index is advisory, purely
 //! in memory, and rebuilt empty on `resume` — a miss only costs one
 //! redundant write, never correctness.
+//!
+//! [`BlobIndex`] and [`crate::FaultStore`]'s put key (the same hash of the
+//! bytes under its own seed) are the only users of content keys. The read
+//! side keys by blob id instead: the checkout read cache files payloads
+//! under the blob they were read from, and a shallow diff calls two
+//! versions stored as one blob equal.
 
 use std::collections::HashMap;
 
@@ -35,10 +41,7 @@ pub struct ContentKey(pub u64, pub u64);
 
 /// Compute the [`ContentKey`] of a sealed blob.
 ///
-/// Content keys name whole sealed blobs only: the session's blob dedup
-/// ([`BlobIndex`]) and the checkout read cache ([`crate::BlobCache`]) key
-/// by them, and `FaultStore` decides put faults from the same hash of the
-/// bytes (its own seed). Chunks are not keyed by them: a store's
+/// Content keys name whole sealed blobs, never chunks: a store's
 /// [`crate::chunk::ChunkLedger`] files each chunk under the CRC-32 its
 /// frame carries and dedups by comparing bytes.
 pub fn content_key(bytes: &[u8]) -> ContentKey {

@@ -22,8 +22,8 @@
 //!   by the checkpoint write pipeline to turn repeat writes of unchanged
 //!   bytes into metadata-only operations;
 //! * [`BlobCache`] — the read-side twin: a bounded LRU cache of verified
-//!   checkout payloads keyed by the same content keys, so undo/redo
-//!   time-travel over the same states becomes memory-speed.
+//!   checkout payloads keyed by blob id, so undo/redo time-travel over the
+//!   same states becomes memory-speed.
 
 pub mod cache;
 pub mod chunk;

@@ -122,26 +122,27 @@ cargo run -q --release --offline -p kishu-bench --bin repro -- chunks
 stage "interp bench (bytecode VM vs tree-walker, scale 1.0 -> target/INTERP.json, speedup floor)"
 cargo run -q --release --offline -p kishu-bench --bin repro -- interp
 
-stage "query surface bench (dashboard diff/history polling -> target/QUERIES.json, speedup floor)"
+stage "query surface bench (dashboard diff/history polling -> target/QUERIES.json, paired-median speedup floor)"
 cargo run -q --release --offline -p kishu-bench --bin repro -- queries
 
 stage "flight-recorder overhead bench (repro obs -> target/OBS.json, overhead ceiling)"
 cargo run -q --release --offline -p kishu-bench --bin repro -- obs
 
 if [ "$QUICK" != 1 ]; then
-    # The fault suites, the sweep-timing differential, the graph-snapshot
-    # decoder property, the sweep oracle, the dirty-page write-log referee,
-    # the chunk ledger's exact-bytes oracle, the compression pre-check's
-    # guarantee, the log recovery property, the log scan's differential,
-    # the run reader's differential and the pickle properties also
-    # run inside the workspace pass with their built-in seeds; this extra
-    # pass pins a second, independent seed so determinism regressions
-    # (same seed, different faults) and seed-specific breakage both
-    # surface, and the decoders and the oracles see a second set of inputs.
+    # The fault suites, the sweep-timing differential, the graph query
+    # properties, the graph-snapshot decoder property, the sweep oracle,
+    # the dirty-page write-log referee, the chunk ledger's exact-bytes
+    # oracle, the compression pre-check's guarantee, the log recovery
+    # property, the log scan's differential, the run reader's differential
+    # and the pickle properties also run inside the workspace pass with
+    # their built-in seeds; this extra pass pins a second, independent seed
+    # so determinism regressions (same seed, different faults) and
+    # seed-specific breakage both surface, and the decoders and the oracles
+    # see a second set of inputs.
     FAULT_SEED="${FAULT_SEED:-20250807}"
-    stage "fault injection, recovery, the invariant matrix, sweep timing, mutated graph snapshots, the sweep oracle, the dirty-page write log, chunk ingest, the compression pre-check, mutated logs, the log scan, the run reader and pickle properties (KISHU_TESTKIT_SEED=$FAULT_SEED)"
+    stage "fault injection, recovery, the invariant matrix, sweep timing, graph queries, mutated graph snapshots, the sweep oracle, the dirty-page write log, chunk ingest, the compression pre-check, mutated logs, the log scan, the run reader and pickle properties (KISHU_TESTKIT_SEED=$FAULT_SEED)"
     if ! { KISHU_TESTKIT_SEED="$FAULT_SEED" cargo test -q --offline -p kishu-repro \
-            --test crash_recovery --test invariant_matrix --test heap_gc \
+            --test crash_recovery --test invariant_matrix --test heap_gc --test graph_queries \
         && KISHU_TESTKIT_SEED="$FAULT_SEED" \
             cargo test -q --offline -p kishu-bench --lib fault_sweep \
         && KISHU_TESTKIT_SEED="$FAULT_SEED" \

@@ -4,7 +4,10 @@
 //!    must partition co-variables exactly as [`CheckpointGraph::diff`]'s
 //!    checkout plan does (added/changed = load, removed = remove,
 //!    identical = identical), under arbitrary commit/checkout/branch
-//!    interleavings.
+//!    interleavings, and call bytes the same exactly where the graph
+//!    says so: identical versions, or changed versions stored as one
+//!    blob. A shallow diff reads no blob, and its answer is a function of
+//!    the graph alone: the same before and after checkouts and a resume.
 //! 2. **index ≡ oracle on a live session** — `KishuSession::history`
 //!    (backed by the incrementally-maintained modified-in index) must match
 //!    the brute-force ancestor-chain scan after real cells, checkouts, and
@@ -21,9 +24,9 @@ use std::collections::BTreeSet;
 
 use common::temp_dir;
 use kishu::graph::{CheckpointGraph, NodeId, StoredCoVar};
-use kishu::query::{diff_report, VarChange};
+use kishu::query::{diff_report, DiffReport, VarChange};
 use kishu::session::{KishuConfig, KishuSession};
-use kishu_storage::FileStore;
+use kishu_storage::{FaultPlan, FaultStore, FileStore, MemoryStore};
 use kishu_testkit::prelude::*;
 
 // --- 1. diff report ≡ checkout plan --------------------------------------
@@ -51,6 +54,13 @@ fn key_of(k: u8) -> kishu::covariable::CoVarKey {
     [format!("v{}", k % 10)].into_iter().collect()
 }
 
+/// The blob a committed version is stored as: one of three, so versions
+/// share blobs, or none (a version whose serialization was skipped).
+fn blob_of(k: u8) -> Option<u64> {
+    let pick = k / 10;
+    (!pick.is_multiple_of(5)).then_some(u64::from(pick % 3))
+}
+
 fn build(ops: &[GraphOp]) -> CheckpointGraph {
     let mut g = CheckpointGraph::new();
     for op in ops {
@@ -60,7 +70,7 @@ fn build(ops: &[GraphOp]) -> CheckpointGraph {
                     .iter()
                     .map(|k| StoredCoVar {
                         names: key_of(*k),
-                        blob: None,
+                        blob: blob_of(*k),
                         bytes: 0,
                     })
                     .collect();
@@ -89,7 +99,8 @@ proptest! {
     /// The diff report and the checkout plan are two views of one state
     /// difference: added/changed rows are exactly the plan's loads (with
     /// the same target versions), removed rows its removals, identical
-    /// rows its untouched set.
+    /// rows its untouched set. Bytes are the same exactly for identical
+    /// rows and changed rows whose versions are stored as one blob.
     #[test]
     fn diff_report_agrees_with_the_checkout_plan(
         ops in prop::collection::vec(op_strategy(), 1..40),
@@ -136,7 +147,90 @@ proptest! {
             prop_assert_eq!(e.from.as_ref(), sa.get(&e.key), "base version");
             prop_assert_eq!(e.to.as_ref(), sb.get(&e.key), "target version");
         }
+
+        // The same-bytes rule, from the stored blob ids alone.
+        for e in &report.entries {
+            let blob = |v: Option<NodeId>| {
+                v.and_then(|v| g.stored(&e.key, v)).and_then(|sc| sc.blob)
+            };
+            let one_blob = e.change == VarChange::Changed
+                && blob(e.from).is_some()
+                && blob(e.from) == blob(e.to);
+            let same = e.change == VarChange::Identical || one_blob;
+            prop_assert_eq!(e.same_bytes, same.then_some(true), "same_bytes of {:?}", &e.key);
+        }
     }
+}
+
+/// Versions stored as one blob diff as the same bytes, read from the graph
+/// alone: `x = 5` written again dedups to the blob that already holds its
+/// bytes, and the diff touches no store.
+#[test]
+fn versions_stored_as_one_blob_diff_as_same_bytes() {
+    let store = FaultStore::new(Box::new(MemoryStore::new()), FaultPlan::none(), 0);
+    let ledger = store.ledger_handle();
+    let mut s = KishuSession::new(Box::new(store), KishuConfig::default());
+    let mut nodes = Vec::new();
+    for src in ["x = 5\n", "x = 6\n", "x = 5\n"] {
+        s.run_cell(src).expect("cell");
+        nodes.push(s.head());
+    }
+    let report = s.diff(nodes[0], nodes[2]).expect("diff");
+    let [x] = &report.entries[..] else { panic!("one co-variable: {report:?}") };
+    assert_eq!(x.change, VarChange::Changed, "two versions of x");
+    assert_eq!(x.same_bytes, Some(true), "both versions are stored as one blob");
+    assert_eq!(ledger.snapshot().gets, 0, "a shallow diff reads no blob");
+}
+
+/// One diff's entries, every field the report carries.
+type Row = (
+    Vec<String>,
+    VarChange,
+    Option<NodeId>,
+    Option<NodeId>,
+    Option<u64>,
+    Option<u64>,
+    Option<bool>,
+);
+
+fn rows(report: &DiffReport) -> Vec<Row> {
+    report
+        .entries
+        .iter()
+        .map(|e| {
+            let key = e.key.iter().cloned().collect();
+            (key, e.change, e.from, e.to, e.from_bytes, e.to_bytes, e.same_bytes)
+        })
+        .collect()
+}
+
+/// A shallow diff is a function of the graph: checkouts that read both
+/// versions' blobs, and a persist and resume, leave its answer as it was.
+#[test]
+fn diff_is_a_function_of_the_graph() {
+    let dir = temp_dir("diff-graph-only");
+    let store = Box::new(FileStore::create(dir.join("store.log")).expect("create store"));
+    let mut s = KishuSession::new(store, KishuConfig::default());
+    let mut nodes = Vec::new();
+    for src in ["x = 5\n", "x = 6\n", "y = 1\n"] {
+        s.run_cell(src).expect("cell");
+        nodes.push(s.head());
+    }
+    let (t1, t2) = (nodes[0], nodes[1]);
+    let before = rows(&s.diff(t1, t2).expect("diff"));
+    let x = before.iter().find(|r| r.0 == ["x"]).expect("x entry");
+    assert_eq!((x.1, x.6), (VarChange::Changed, None), "two blobs: undecided without a read");
+
+    s.checkout(t1).expect("checkout t1");
+    s.checkout(t2).expect("checkout t2");
+    assert_eq!(rows(&s.diff(t1, t2).expect("diff")), before, "after checkouts");
+
+    s.persist().expect("persist");
+    drop(s);
+    let store = Box::new(FileStore::open(dir.join("store.log")).expect("reopen store"));
+    let r = KishuSession::resume(store, KishuConfig::default()).expect("resume");
+    assert_eq!(rows(&r.diff(t1, t2).expect("diff")), before, "after resume");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // --- 2. live-session index ≡ brute-force oracle ---------------------------

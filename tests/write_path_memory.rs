@@ -1,7 +1,7 @@
 //! What one checkpoint allocates on its way from the heap to the log, what
 //! one checkout allocates on its way back, and what reading an attribute
-//! of a library object or reading, writing or deleting one element of a
-//! container allocates.
+//! of a library object, reading, writing or deleting one element of a
+//! container, or applying a binary operator to an array allocates.
 //!
 //! This binary installs a counting global allocator: it tracks the bytes
 //! live and their peak, and counts a realloc's old and new blocks together
@@ -284,6 +284,28 @@ fn subscript_writes_copy_no_container() {
         assert!(
             written < PAYLOAD / 8,
             "{src:?} peaked {written} bytes above the bytes live before"
+        );
+    }
+}
+
+/// A binary operator reads its operands in place: `a * 1.0001` and
+/// `a + a` on a 4 MiB array each allocate the 4 MiB result, their parse
+/// and their frame, but no copy of an operand.
+#[test]
+fn binary_operators_copy_no_operand() {
+    let _serial = serial();
+    let mut i = Interp::new();
+    let out = i.run_cell(&format!("a = zeros({})\n", PAYLOAD / 8)).expect("parses");
+    assert!(out.error.is_none(), "{:?}", out.error);
+    for src in ["b = a * 1.0001\n", "c = a + a\n"] {
+        let computed = peak_during(|| {
+            let out = i.run_cell(src).expect("parses");
+            assert!(out.error.is_none(), "{src}: {:?}", out.error);
+        });
+        assert!(
+            computed < PAYLOAD * 5 / 4,
+            "{src:?} on a {} MiB array peaked {computed} bytes above the bytes live before",
+            PAYLOAD >> 20
         );
     }
 }
